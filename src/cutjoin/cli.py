@@ -341,13 +341,8 @@ def _suite_cutjoin_id(config: RunConfig) -> list[CheckResult]:
 
 
 def _suite_theorem1(config: RunConfig) -> list[CheckResult]:
-    star, conn = hodge.build_series_pair(config.max_weight, config.lambda_order)
-    lhs = star.tau_derivative()
-    rhs = hodge._half_i_lambda(cut_join_linear(star.body))
-    linear = hodge._evolution_holds(lhs, rhs, config.lambda_order)
-    lhs_c = conn.tau_derivative()
-    rhs_c = hodge._half_i_lambda(cut_join_nonlinear(conn.body))
-    nonlinear = hodge._evolution_holds(lhs_c, rhs_c, config.lambda_order)
+    linear, nonlinear = hodge.theorem1_verdicts(config.max_weight, config.lambda_order)
+    _, conn = hodge.build_series_pair(config.max_weight, config.lambda_order)
     parity = hodge.parity_pole_check(conn)
     scope = f"weight<={config.max_weight}, order<={config.lambda_order}"
     return [
@@ -644,13 +639,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> RunConfig:
     budget_from_env = False
     budget = args.budget
     if budget is None:
         env = os.environ.get(BUDGET_ENV_VAR)
         if env is not None:
-            budget = int(env)
+            try:
+                budget = int(env)
+            except ValueError:
+                parser.error(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}")
             budget_from_env = True
         else:
             budget = hurwitz.DEFAULT_BUDGET
@@ -667,7 +665,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _resolve_config(args)
+    config = _resolve_config(parser, args)
     out = sys.stdout
     try:
         if args.command == "char":
@@ -681,6 +679,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_hurwitz(config, args.genus, mu, args.method, out)
         if args.command == "hodge":
             mu = _parse_partition(parser, args.partition)
+            if args.genus < 0:
+                parser.error("--genus must be nonnegative")
             return cmd_hodge(config, args.genus, mu, out)
         if args.command == "mv-series":
             return cmd_mv_series(config, out)

@@ -305,6 +305,8 @@ class TauPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative exponent {n} for a tau-polynomial")
         result = TP_ONE
         base = self
         while n:
@@ -553,6 +555,8 @@ class LaurentSeries:
         return NotImplemented
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative exponent {n} for a Laurent series")
         if n == 0:
             return LaurentSeries.one(self.trunc_order)
         result = self
@@ -816,6 +820,8 @@ class QHalfLaurent:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative exponent {n} for a q^(1/2)-Laurent polynomial")
         result = QHalfLaurent.one()
         base = self
         while n:

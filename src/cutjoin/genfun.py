@@ -6,6 +6,14 @@ commutative ring (rationals, Gaussian rationals, tau-polynomials or Laurent
 series).  Terms are truncated by total weight |mu|; the monomial p_mu carries
 weight |mu| and both operators below preserve it.
 
+The hot paths never form a term that the weight cap would discard: exp and
+log run the weight-graded recurrence of the Euler operator, whose products
+each land on exactly one weight, and the quadratic part of the nonlinear
+operator forms dF/dp_i * dF/dp_j under the cap W - i - j before multiplying by
+p_{i+j}.  The tests compare both with the whole-series forms they replace,
+which build every power or product at the full cap: the results are equal
+exactly, Laurent truncation orders included.
+
 The operator conventions are fixed once and for all: the double sum over i, j
 runs over ordered pairs with the diagonal counted once, which is exactly the
 convention under which the central-character identity
@@ -197,38 +205,69 @@ def _eq(a, b) -> bool:
     return a == b
 
 
+def _graded(F: PartitionSeries) -> list[PartitionSeries]:
+    """Split F by weight: entry n holds the terms of F of weight exactly n."""
+    w = F.max_weight
+    pieces = [{} for _ in range(w + 1)]
+    for mu, c in F.terms.items():
+        pieces[mu.size][mu] = c
+    return [PartitionSeries._raw(p, w) for p in pieces]
+
+
 def ps_exp(F: PartitionSeries) -> PartitionSeries:
-    """exp of a series with no constant term, truncated by weight."""
+    """exp of a series with no constant term, truncated by weight.
+
+    With E the Euler operator (multiply the weight-n part by n), G = exp(F)
+    satisfies E(G) = E(F) * G, so the weight-n part of G is
+
+        n G_n = sum_{k=1..n} k F_k G_{n-k},    G_0 = 1.
+
+    Every product on the right has weight exactly n, so the recurrence is
+    exact at each weight and never forms a term above the cap.
+    """
     if EMPTY in F.terms:
         raise ValueError(
             f"ps_exp requires a zero constant term, found {F.terms[EMPTY]!r}"
         )
     w = F.max_weight
-    result = PartitionSeries.monomial(EMPTY, 1, w)
-    term = PartitionSeries.monomial(EMPTY, 1, w)
-    for k in range(1, w + 1):
-        term = (term * F).scale(Fraction(1, k))
-        if not term.terms:
-            break
-        result = result + term
+    eF = [f.scale(k) for k, f in enumerate(_graded(F))]
+    G = [PartitionSeries.monomial(EMPTY, 1, w)]
+    result = G[0]
+    for n in range(1, w + 1):
+        acc = PartitionSeries.zero(w)
+        for k in range(1, n + 1):
+            if eF[k].terms and G[n - k].terms:
+                acc = acc + eF[k] * G[n - k]
+        G.append(acc.scale(Fraction(1, n)))
+        result = result + G[n]
     return result
 
 
 def ps_log(G: PartitionSeries) -> PartitionSeries:
-    """log of a series with constant term 1, truncated by weight."""
+    """log of a series with constant term 1, truncated by weight.
+
+    With E the Euler operator (multiply the weight-n part by n), F = log(G)
+    satisfies E(F) * G = E(G), so the weight-n part of F is
+
+        n F_n = n G_n - sum_{k=1..n-1} k F_k G_{n-k}.
+
+    Every product on the right has weight exactly n, so the recurrence is
+    exact at each weight and never forms a term above the cap.
+    """
     c0 = G.coefficient(EMPTY)
     if not _eq(c0, 1):
         raise ValueError(f"ps_log requires constant term 1, found {c0!r}")
-    H = PartitionSeries._raw(
-        {m: c for m, c in G.terms.items() if m.size > 0}, G.max_weight
-    )
-    result = PartitionSeries.zero(G.max_weight)
-    power = PartitionSeries.monomial(EMPTY, 1, G.max_weight)
-    for k in range(1, G.max_weight + 1):
-        power = power * H
-        if not power.terms:
-            break
-        result = result + power.scale(Fraction((-1) ** (k + 1), k))
+    w = G.max_weight
+    graded = _graded(G)
+    eF = [PartitionSeries.zero(w)]
+    result = PartitionSeries.zero(w)
+    for n in range(1, w + 1):
+        acc = graded[n].scale(n)
+        for k in range(1, n):
+            if eF[k].terms and graded[n - k].terms:
+                acc = acc - eF[k] * graded[n - k]
+        eF.append(acc)
+        result = result + acc.scale(Fraction(1, n))
     return result
 
 
@@ -266,6 +305,12 @@ def cut_join_nonlinear(F: PartitionSeries) -> PartitionSeries:
     Satisfies cut_join_linear(ps_exp(F)) = ps_exp(F) * cut_join_nonlinear(F)
     up to truncation, which is how the linear and nonlinear forms of the
     evolution equation correspond.
+
+    The product dF/dp_i * dF/dp_j is formed with the cap lowered to
+    W - i - j: multiplying by p_{i+j} raises every weight by i + j, so the
+    terms of the product above W - i - j are exactly the ones the cap W
+    removes afterwards.  The kept terms come from the same pairs in the same
+    order, so the result equals the one formed at full weight.
     """
     out = cut_join_linear(F)
     w = F.max_weight
@@ -277,11 +322,15 @@ def cut_join_nonlinear(F: PartitionSeries) -> PartitionSeries:
         for j in range(1, maxpart + 1):
             if not derivs[j].terms:
                 continue
-            if i + j > w:
+            cap = w - i - j
+            if cap < 0:
                 continue
-            prod = derivs[i] * derivs[j]
+            prod = PartitionSeries(derivs[i].terms, cap) * PartitionSeries(
+                derivs[j].terms, cap
+            )
             if prod.terms:
-                out = out + prod.mul_p(i + j).scale(i * j)
+                lifted = PartitionSeries._raw(prod.terms, w)
+                out = out + lifted.mul_p(i + j).scale(i * j)
     return out
 
 

@@ -241,20 +241,27 @@ def _half_i_lambda(F: PartitionSeries) -> PartitionSeries:
     return F.map_coefficients(lambda s: s.shift(1) * scale)
 
 
-def theorem1_check(max_weight: int = 6, lambda_order: int = 12) -> bool:
-    """Both forms of the evolution equation, coefficientwise exact.
+def theorem1_verdicts(max_weight: int = 6, lambda_order: int = 12) -> tuple[bool, bool]:
+    """Both forms of the evolution equation, coefficientwise exact, as the
+    (linear, nonlinear) pair of verdicts.
 
     linear form:     d/dtau (disconnected) = (i*lambda/2) * Omega(disconnected)
     nonlinear form:  d/dtau (connected)    = (i*lambda/2) * Omega~(connected)
     """
     star, conn = build_series_pair(max_weight, lambda_order)
-    lhs = star.tau_derivative()
-    rhs = _half_i_lambda(cut_join_linear(star.body))
-    if not _evolution_holds(lhs, rhs, lambda_order):
-        return False
-    lhs_c = conn.tau_derivative()
-    rhs_c = _half_i_lambda(cut_join_nonlinear(conn.body))
-    return _evolution_holds(lhs_c, rhs_c, lambda_order)
+    linear = _evolution_holds(
+        star.tau_derivative(), _half_i_lambda(cut_join_linear(star.body)), lambda_order
+    )
+    nonlinear = _evolution_holds(
+        conn.tau_derivative(), _half_i_lambda(cut_join_nonlinear(conn.body)), lambda_order
+    )
+    return linear, nonlinear
+
+
+def theorem1_check(max_weight: int = 6, lambda_order: int = 12) -> bool:
+    """True when both forms of the evolution equation hold; see
+    theorem1_verdicts."""
+    return all(theorem1_verdicts(max_weight, lambda_order))
 
 
 def initial_condition_series(d: int, order: int) -> LaurentSeries:

@@ -123,6 +123,21 @@ class TestComputeCommands:
         )
         assert proc.returncode == 2
 
+    def test_negative_hodge_genus_is_usage_error(self):
+        proc = run_cli("hodge", "--genus", "-1", "--partition", "1")
+        assert proc.returncode == 2
+        assert "--genus must be nonnegative" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_malformed_env_budget_is_usage_error(self):
+        proc = run_cli(
+            "hurwitz", "--genus", "0", "--partition", "2",
+            env_extra={"CUTJOIN_BUDGET": "abc"},
+        )
+        assert proc.returncode == 2
+        assert "CUTJOIN_BUDGET" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestVerify:
     def test_unknown_suite_is_usage_error(self):

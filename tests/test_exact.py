@@ -115,6 +115,13 @@ class TestTauPolynomial:
         with pytest.raises(ZeroDivisionError):
             TauPolynomial([0, 1]).inverse()
 
+    def test_negative_power_rejected(self):
+        # a unit tau-polynomial has an inverse, but a negative power is
+        # rejected rather than looping on the exponent's sign bits
+        with pytest.raises(ValueError, match="negative exponent"):
+            TauPolynomial([2]) ** -1
+        assert TauPolynomial([1, 1]) ** 0 == 1
+
 
 class TestLaurentSeries:
     def test_sin_examples(self):
@@ -200,6 +207,12 @@ class TestLaurentSeries:
             "coeffs": ["1/1", "0/1", "1/24"],
         }
 
+    def test_negative_power_rejected(self):
+        s = LaurentSeries(0, [Fraction(2), Fraction(1)], 3)
+        with pytest.raises(ValueError, match="negative exponent"):
+            s ** -1
+        assert s**2 == s * s
+
 
 class TestQHalfLaurent:
     def test_spec_examples(self):
@@ -220,3 +233,9 @@ class TestQHalfLaurent:
     def test_power(self):
         y = QHalfLaurent.monomial(GR_I, 1)
         assert y**4 == QHalfLaurent.monomial(1, 4)
+
+    def test_negative_power_rejected(self):
+        y = QHalfLaurent.monomial(GR_I, 1)
+        with pytest.raises(ValueError, match="negative exponent"):
+            y ** -1
+        assert y**0 == QHalfLaurent.one()

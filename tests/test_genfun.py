@@ -27,6 +27,54 @@ def mono(mu, c=Fraction(1), w=6):
     return PartitionSeries.monomial(P(mu), c, w)
 
 
+# -- reference algorithms: the whole-series forms the graded and capped
+# -- algorithms in genfun replace; results must agree exactly
+
+
+def reference_exp(F):
+    """exp(F) = sum_k F^k / k!, each power formed at the full weight cap."""
+    w = F.max_weight
+    result = PartitionSeries.monomial(EMPTY, 1, w)
+    term = PartitionSeries.monomial(EMPTY, 1, w)
+    for k in range(1, w + 1):
+        term = (term * F).scale(Fraction(1, k))
+        if not term.terms:
+            break
+        result = result + term
+    return result
+
+
+def reference_log(G):
+    """log(G) = sum_k (-1)^(k+1) (G - 1)^k / k, each power at the full cap."""
+    w = G.max_weight
+    H = PartitionSeries({m: c for m, c in G.terms.items() if m.size > 0}, w)
+    result = PartitionSeries.zero(w)
+    power = PartitionSeries.monomial(EMPTY, 1, w)
+    for k in range(1, w + 1):
+        power = power * H
+        if not power.terms:
+            break
+        result = result + power.scale(Fraction((-1) ** (k + 1), k))
+    return result
+
+
+def reference_nonlinear(F):
+    """Omega(F) plus the quadratic term with dF/dp_i * dF/dp_j formed at the
+    full cap, leaving mul_p to drop what lands above it."""
+    out = cut_join_linear(F)
+    w = F.max_weight
+    maxpart = max((mu.parts[0] for mu in F.terms if mu.parts), default=0)
+    derivs = {i: F.d_dp(i) for i in range(1, maxpart + 1)}
+    for i in range(1, maxpart + 1):
+        for j in range(1, maxpart + 1):
+            if i + j > w:
+                continue
+            prod = derivs[i] * derivs[j]
+            if prod.terms:
+                out = out + prod.mul_p(i + j).scale(i * j)
+    return out
+
+
 class TestPartitionSeries:
     def test_product_merges_monomials(self):
         f = mono([1]) + mono([2])
@@ -129,3 +177,41 @@ class TestOperators:
         for d in range(1, 7):
             for nu in enumerate_partitions(d):
                 assert character_cutjoin_identity(nu)
+
+
+class TestAgainstReferences:
+    @given(series_st)
+    @settings(max_examples=30, deadline=None)
+    def test_exp_log_nonlinear_random(self, f):
+        assert ps_exp(f) == reference_exp(f)
+        g = f + PartitionSeries.monomial(EMPTY, 1, f.max_weight)
+        assert ps_log(g) == reference_log(g)
+        assert cut_join_nonlinear(f) == reference_nonlinear(f)
+
+    def test_log_of_disconnected_series(self, series_pair_small):
+        star, _ = series_pair_small
+        assert ps_log(star.body) == reference_log(star.body)
+
+    def test_exp_of_connected_series(self, series_pair_small):
+        _, conn = series_pair_small
+        assert ps_exp(conn.body) == reference_exp(conn.body)
+
+    def test_nonlinear_on_mv_series(self, series_pair_small):
+        for series in series_pair_small:
+            assert cut_join_nonlinear(series.body) == reference_nonlinear(series.body)
+
+    def test_nonlinear_drops_nothing_in_mul_p(self, series_pair_small, monkeypatch):
+        # every operand reaching mul_p(k) is already capped at W - k, so the
+        # weight cap removes no term formed by the operator
+        plain = PartitionSeries.mul_p
+        seen = []
+
+        def checked(self, k):
+            seen.append(k)
+            assert all(mu.size + k <= self.max_weight for mu in self.terms)
+            return plain(self, k)
+
+        monkeypatch.setattr(PartitionSeries, "mul_p", checked)
+        for series in series_pair_small:
+            cut_join_nonlinear(series.body)
+        assert seen
