@@ -12,8 +12,8 @@ from .exact import (
     GaussianRational,
     LaurentSeries,
     QHalfLaurent,
+    RealTauPolynomial,
     TauPolynomial,
-    qhalf_eval_check,
     series_exp,
     series_log,
     sin_half_series,
@@ -46,8 +46,6 @@ from .genfun import (
 from .hodge import (
     CgmuPolynomial,
     MVSeries,
-    build_R,
-    build_R_star,
     extract_C_gmu,
     hodge_polynomial,
     initial_condition_check,

@@ -15,7 +15,7 @@ from functools import cache
 from math import factorial
 from typing import NamedTuple
 
-from .exact import GR_ZERO, QHalfLaurent
+from .exact import QHalfLaurent
 from .partitions import Partition, enumerate_partitions
 
 

@@ -31,7 +31,7 @@ from .characters import (
     character,
     principal_specialization_check,
 )
-from .exact import GaussianRational, TauPolynomial, fraction_str
+from .exact import TauPolynomial, fraction_str
 from .genfun import (
     PartitionSeries,
     character_cutjoin_identity,
@@ -177,11 +177,7 @@ def cmd_mv_series(config: RunConfig, out) -> int:
     records = [_config_record(config, "mv-series")]
     for name, series in (("disconnected", star), ("connected", conn)):
         for mu in series.body.support():
-            coeff = (
-                series.coefficient(mu)
-                .truncate(config.lambda_order)
-                .map_coefficients(TauPolynomial.coerce)
-            )
+            coeff = series.coefficient(mu).truncate(config.lambda_order)
             records.append(
                 {
                     "record": "series-term",
@@ -649,9 +645,13 @@ def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -
                 budget = int(env)
             except ValueError:
                 parser.error(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}")
+            if budget < 0:
+                parser.error(f"{BUDGET_ENV_VAR} must be nonnegative, got {env!r}")
             budget_from_env = True
         else:
             budget = hurwitz.DEFAULT_BUDGET
+    elif budget < 0:
+        parser.error(f"--budget must be nonnegative, got {budget}")
     return RunConfig(
         max_weight=args.max_weight,
         lambda_order=args.lambda_order,
@@ -681,6 +681,13 @@ def main(argv: list[str] | None = None) -> int:
             mu = _parse_partition(parser, args.partition)
             if args.genus < 0:
                 parser.error("--genus must be nonnegative")
+            if mu.size > config.max_weight:
+                parser.error(f"|mu|={mu.size} exceeds --max-weight {config.max_weight}")
+            m = 2 * args.genus - 2 + mu.length
+            if m > config.lambda_order:
+                parser.error(
+                    f"lambda exponent 2g-2+l(mu)={m} exceeds --lambda-order {config.lambda_order}"
+                )
             return cmd_hodge(config, args.genus, mu, out)
         if args.command == "mv-series":
             return cmd_mv_series(config, out)

@@ -1,16 +1,19 @@
 """Exact scalar and series arithmetic.
 
-The coefficient tower used everywhere else in the package:
-
 * ``Fraction``       -- arbitrary-precision rationals (stdlib).
-* ``GaussianRational`` -- a + b*i with rational a, b; carries the exact
-  powers of sqrt(-1) that the generating functions produce.
+* ``RealTauPolynomial`` -- dense polynomial in one formal variable with
+  rational coefficients, stored as integer numerators over one common
+  denominator; the coefficient ring of the generating-series core.
+* ``GaussianRational`` -- a + b*i with rational a, b; the values of the
+  series in their original variables, and the closed forms they are
+  compared with.
 * ``TauPolynomial``  -- dense polynomial in one formal variable over
   GaussianRational.
 * ``LaurentSeries``  -- truncated Laurent series in one variable over any of
   the rings above (finite pole order, explicit truncation order).
-* ``QHalfLaurent``   -- Laurent polynomial in a half-integer power variable,
-  exponents stored as integer multiples of the half-unit.
+* ``QHalfLaurent``   -- a power of i times a Laurent polynomial with integer
+  coefficients in a half-integer power variable, exponents stored as
+  integer multiples of the half-unit.
 
 All values are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
@@ -19,7 +22,7 @@ functions, so values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 Rational = Fraction
 
@@ -239,13 +242,6 @@ class TauPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def constant_value(self) -> GaussianRational:
-        return self.coeffs[0] if self.coeffs else GR_ZERO
-
     def coefficient(self, k: int) -> GaussianRational:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else GR_ZERO
 
@@ -394,7 +390,177 @@ TP_ZERO = TauPolynomial._raw(())
 TP_ONE = TauPolynomial._raw((GR_ONE,))
 TP_TAU = TauPolynomial._raw((GR_ZERO, GR_ONE))
 
-_SCALARS = (int, Fraction, GaussianRational, TauPolynomial)
+
+class RealTauPolynomial:
+    """Dense polynomial in one formal variable with rational coefficients.
+
+    The coefficients are stored as integer numerators over one positive
+    common denominator.  The form is canonical: trailing zero numerators are
+    trimmed (the zero polynomial has no numerators and denominator 1), and
+    no prime divides the denominator and every numerator, so equal
+    polynomials have equal (numerators, denominator) pairs.  Products and
+    sums run on integers, with one gcd per result.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, coeffs=()):
+        fs = [as_fraction(c) for c in coeffs]
+        den = lcm(*(f.denominator for f in fs))
+        nums = [f.numerator * (den // f.denominator) for f in fs]
+        self.nums, self.den = _canonical(nums, den)
+
+    @classmethod
+    def _make(cls, nums: list, den: int) -> "RealTauPolynomial":
+        p = object.__new__(cls)
+        p.nums, p.den = _canonical(nums, den)
+        return p
+
+    @classmethod
+    def _raw(cls, nums: tuple, den: int) -> "RealTauPolynomial":
+        p = object.__new__(cls)
+        p.nums = nums
+        p.den = den
+        return p
+
+    @classmethod
+    def constant(cls, c) -> "RealTauPolynomial":
+        c = as_fraction(c)
+        return cls._raw((c.numerator,), c.denominator) if c else RTP_ZERO
+
+    @staticmethod
+    def coerce(x) -> "RealTauPolynomial":
+        if isinstance(x, RealTauPolynomial):
+            return x
+        return RealTauPolynomial.constant(x)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced fractions, constant term first."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
+    def degree(self) -> int:
+        return len(self.nums) - 1
+
+    def coefficient(self, k: int) -> Fraction:
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else _ZERO
+
+    def times_i_power(self, k: int) -> TauPolynomial:
+        """i**k times this polynomial, over the Gaussian rationals."""
+        sign = -1 if k % 4 >= 2 else 1
+        cs = [Fraction(sign * n, self.den) for n in self.nums]
+        if k % 2:
+            return TauPolynomial._raw(tuple(GaussianRational._raw(_ZERO, c) for c in cs))
+        return TauPolynomial._raw(tuple(GaussianRational._raw(c, _ZERO) for c in cs))
+
+    # -- ring operations -------------------------------------------------
+
+    def __add__(self, other):
+        if other.__class__ is not RealTauPolynomial:
+            other = _rtp(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.nums, other.nums
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self.den, other.den
+        if da != db:
+            g = gcd(da, db)
+            sa, sb = db // g, da // g
+            a = [x * sa for x in a]
+            b = [y * sb for y in b]
+            da *= sa
+        if len(a) < len(b):
+            a, b = b, a
+        nums = [x + y for x, y in zip(a, b)]
+        nums.extend(a[len(b):])
+        return RealTauPolynomial._make(nums, da)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RealTauPolynomial._raw(tuple(-n for n in self.nums), self.den)
+
+    def __mul__(self, other):
+        if other.__class__ is RealTauPolynomial:
+            a, b = self.nums, other.nums
+            if not a or not b:
+                return RTP_ZERO
+            if len(a) < len(b):
+                a, b = b, a
+            out = [0] * (len(a) + len(b) - 1)
+            for i, y in enumerate(b):
+                if y:
+                    for j, x in enumerate(a, i):
+                        out[j] += x * y
+            return RealTauPolynomial._make(out, self.den * other.den)
+        if isinstance(other, int):
+            if not other:
+                return RTP_ZERO
+            return RealTauPolynomial._make([n * other for n in self.nums], self.den)
+        if isinstance(other, Fraction):
+            if not other:
+                return RTP_ZERO
+            p = other.numerator
+            return RealTauPolynomial._make(
+                [n * p for n in self.nums], self.den * other.denominator
+            )
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def derivative(self) -> "RealTauPolynomial":
+        return RealTauPolynomial._make(
+            [k * n for k, n in enumerate(self.nums) if k], self.den
+        )
+
+    # -- structure -------------------------------------------------------
+
+    def __bool__(self):
+        return bool(self.nums)
+
+    def __eq__(self, other):
+        if other.__class__ is not RealTauPolynomial:
+            other = _rtp(other)
+            if other is None:
+                return NotImplemented
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self):
+        if len(self.nums) <= 1:
+            return hash(self.coefficient(0))
+        return hash((self.nums, self.den))
+
+    def __repr__(self):
+        return "RealTauPolynomial(" + ", ".join(str(c) for c in self.coeffs) + ")"
+
+
+def _canonical(nums: list, den: int) -> tuple[tuple, int]:
+    """Trim trailing zeros and divide out the common factor of the
+    numerators and the (positive) denominator."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return (), 1
+    g = gcd(den, *nums)
+    if g != 1:
+        return tuple(n // g for n in nums), den // g
+    return tuple(nums), den
+
+
+def _rtp(x):
+    """The constant polynomial of an int or Fraction; None for anything else."""
+    if isinstance(x, (int, Fraction)):
+        return RealTauPolynomial.constant(x)
+    return None
+
+
+RTP_ZERO = RealTauPolynomial._raw((), 1)
+
+_SCALARS = (int, Fraction, GaussianRational, TauPolynomial, RealTauPolynomial)
 
 
 def _is_zero(c) -> bool:
@@ -554,16 +720,6 @@ class LaurentSeries:
             return self.__mul__(other)
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError(f"negative exponent {n} for a Laurent series")
-        if n == 0:
-            return LaurentSeries.one(self.trunc_order)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
-
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by the k-th power of the series variable."""
         return LaurentSeries._raw(self.min_exp + k, self.coeffs, self.trunc_order + k)
@@ -678,6 +834,16 @@ def sin_half_series(c, order: int) -> LaurentSeries:
 
     The scale c may be any exact scalar, including a TauPolynomial.
     """
+    return _odd_half_series(c, order, -1)
+
+
+def sinh_half_series(c, order: int) -> LaurentSeries:
+    """Series of sinh(c*x/2) = sum_k (c/2)^(2k+1) x^(2k+1)/(2k+1)!."""
+    return _odd_half_series(c, order, 1)
+
+
+def _odd_half_series(c, order: int, sign: int) -> LaurentSeries:
+    """sum_k sign^k (c/2)^(2k+1) x^(2k+1)/(2k+1)!: sin for sign -1, sinh for +1."""
     if order < 1:
         raise ValueError("order must be at least 1")
     if _is_zero(c):
@@ -689,7 +855,7 @@ def sin_half_series(c, order: int) -> LaurentSeries:
     power = half
     k = 0
     while 2 * k + 1 <= order:
-        term = power * Fraction((-1) ** k, factorial(2 * k + 1))
+        term = power * Fraction(sign**k, factorial(2 * k + 1))
         coeffs[2 * k] = term
         power = power * half * half
         k += 1
@@ -738,31 +904,29 @@ def series_log(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
 
 
 class QHalfLaurent:
-    """Laurent polynomial in a half-integer power variable.
+    """A power of i times a Laurent polynomial with integer coefficients in a
+    half-integer power variable.
 
     Exponents are integers counting half-units, so the monomial q**(m/2) is
-    stored under key m.  Coefficients are Gaussian rationals; zero terms are
-    dropped, which makes equality of coefficient maps canonical.
+    stored under key m.  Zero terms are dropped and the phase is kept at
+    i**0 or i**1 (a factor i**2 = -1 goes into the signs of the terms; zero
+    has phase 0), which makes equality of (terms, phase) canonical.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "i_power")
 
-    def __init__(self, terms=()):
+    def __init__(self, terms=(), i_power: int = 0):
         data = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for k, v in items:
-            v = GaussianRational.coerce(v)
-            if not v:
-                continue
-            if k in data:
-                v = data[k] + v
-                if v:
-                    data[k] = v
-                else:
-                    del data[k]
-            else:
+            if not isinstance(v, int):
+                raise TypeError(f"coefficient {v!r} is not an integer")
+            v = data.get(k, 0) + v
+            if v:
                 data[k] = v
-        self.terms = data
+            else:
+                data.pop(k, None)
+        self.terms, self.i_power = _qhalf_canonical(data, i_power)
 
     @classmethod
     def zero(cls) -> "QHalfLaurent":
@@ -773,20 +937,26 @@ class QHalfLaurent:
         return cls.monomial(1, 0)
 
     @classmethod
-    def monomial(cls, coeff, half_exp: int) -> "QHalfLaurent":
+    def monomial(cls, coeff: int, half_exp: int) -> "QHalfLaurent":
         return cls(((half_exp, coeff),))
 
     def __add__(self, other):
         if not isinstance(other, QHalfLaurent):
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        if self.i_power != other.i_power:
+            raise ValueError("a sum of terms with phases i^0 and i^1 has no common phase")
         out = dict(self.terms)
         for k, v in other.terms.items():
-            s = out.get(k, GR_ZERO) + v
+            s = out.get(k, 0) + v
             if s:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return QHalfLaurent._from_clean(out)
+        return QHalfLaurent._from_clean(out, self.i_power)
 
     def __sub__(self, other):
         if not isinstance(other, QHalfLaurent):
@@ -794,15 +964,16 @@ class QHalfLaurent:
         return self + (-other)
 
     def __neg__(self):
-        return QHalfLaurent._from_clean({k: -v for k, v in self.terms.items()})
+        return QHalfLaurent._from_clean(
+            {k: -v for k, v in self.terms.items()}, self.i_power
+        )
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            s = GaussianRational.coerce(other)
-            if not s:
+        if isinstance(other, int):
+            if not other:
                 return QHalfLaurent.zero()
             return QHalfLaurent._from_clean(
-                {k: v * s for k, v in self.terms.items()}
+                {k: v * other for k, v in self.terms.items()}, self.i_power
             )
         if not isinstance(other, QHalfLaurent):
             return NotImplemented
@@ -810,12 +981,10 @@ class QHalfLaurent:
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 k = k1 + k2
-                s = out.get(k, GR_ZERO) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return QHalfLaurent._from_clean(out)
+                out[k] = out.get(k, 0) + v1 * v2
+        return QHalfLaurent._from_clean(
+            {k: v for k, v in out.items() if v}, self.i_power + other.i_power
+        )
 
     __rmul__ = __mul__
 
@@ -832,9 +1001,9 @@ class QHalfLaurent:
         return result
 
     @classmethod
-    def _from_clean(cls, data: dict) -> "QHalfLaurent":
+    def _from_clean(cls, data: dict, i_power: int) -> "QHalfLaurent":
         q = object.__new__(cls)
-        q.terms = data
+        q.terms, q.i_power = _qhalf_canonical(data, i_power)
         return q
 
     def substitute(self, value) -> GaussianRational:
@@ -843,7 +1012,7 @@ class QHalfLaurent:
         acc = GR_ZERO
         for k, c in self.terms.items():
             acc = acc + c * v**k
-        return acc
+        return acc * GaussianRational.i_power(self.i_power)
 
     def __bool__(self):
         return bool(self.terms)
@@ -851,18 +1020,24 @@ class QHalfLaurent:
     def __eq__(self, other):
         if not isinstance(other, QHalfLaurent):
             return NotImplemented
-        return self.terms == other.terms
+        return self.i_power == other.i_power and self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.i_power, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
             return "QHalfLaurent(0)"
-        bits = [f"{c!r}*q^({k}/2)" for k, c in sorted(self.terms.items())]
-        return "QHalfLaurent(" + " + ".join(bits) + ")"
+        bits = [f"{c}*q^({k}/2)" for k, c in sorted(self.terms.items())]
+        poly = " + ".join(bits)
+        return f"QHalfLaurent(i*({poly}))" if self.i_power else f"QHalfLaurent({poly})"
 
 
-def qhalf_eval_check(lhs: QHalfLaurent, rhs: QHalfLaurent) -> bool:
-    """True iff the two coefficient maps agree exactly after normalization."""
-    return lhs == rhs
+def _qhalf_canonical(data: dict, i_power: int) -> tuple[dict, int]:
+    """Phase reduced to 0 or 1 with i**2 = -1 moved into the terms."""
+    if not data:
+        return data, 0
+    i_power %= 4
+    if i_power >= 2:
+        return {k: -v for k, v in data.items()}, i_power - 2
+    return data, i_power

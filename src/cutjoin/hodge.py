@@ -11,6 +11,21 @@ genus and partition, the tau-polynomials whose prefactor-free parts are the
 triple Hodge integrals; the evolution equation in tau and the closed-form
 initial value at tau = 0 are verified exactly, coefficient by coefficient.
 
+The series are computed in the variables x = i*lambda and P_k = i^k p_k,
+where every coefficient is rational.  The substitution is a ring
+homomorphism that keeps the p-weight of every term, so it commutes with
+exp and log of partition series, with both cut-and-join operators (each
+term of i*j*p_{i+j} d2/dp_i dp_j and (i+j)*p_i*p_j d/dp_{i+j} carries
+i^0 overall) and with d/dtau.  In the new variables the sine amplitude is
+V_nu = i^|nu| / prod_cells 2*sinh(h*x/2), whose i^|nu| cancels against
+p_mu = i^(-|mu|) P_mu since |mu| = |nu|; the exponential factor is
+exp((tau + 1/2)*kappa*x/2); and the evolution equation reads
+d/dtau R = (x/2) * Omega(R).  So the coefficient of x^m P_mu is a rational
+tau-polynomial r, and the coefficient of lambda^m p_mu is i^(m+|mu|) * r.
+That phase is put back only where a value leaves the series: MVSeries
+coefficients and extraction, and the checks against closed forms over the
+Gaussian rationals.
+
 Truncation bookkeeping: to guarantee the connected series is valid to
 lambda-order L at every weight up to W, the disconnected series is built with
 per-coefficient truncation L + W - 1 (a product of k coefficient series loses
@@ -29,10 +44,13 @@ from .exact import (
     GaussianRational,
     LaurentSeries,
     QHalfLaurent,
+    RealTauPolynomial,
     TP_ONE,
     TP_TAU,
+    TP_ZERO,
     TauPolynomial,
     sin_half_series,
+    sinh_half_series,
     series_exp,
 )
 from .genfun import PartitionSeries, cut_join_linear, cut_join_nonlinear, ps_log
@@ -54,7 +72,7 @@ def two_sin_half(m: int) -> QHalfLaurent:
     equals i*(y^m - y^(-m))."""
     if m == 0:
         return QHalfLaurent.zero()
-    return QHalfLaurent(((m, GR_I), (-m, -GR_I)))
+    return QHalfLaurent(((m, 1), (-m, -1)), i_power=1)
 
 
 def v_sine_product(nu: Partition) -> tuple[QHalfLaurent, QHalfLaurent]:
@@ -102,7 +120,8 @@ def v_forms_agree(nu: Partition) -> bool:
 
 
 def v_series(nu: Partition, order: int) -> LaurentSeries:
-    """Laurent expansion of V_nu; pole of order |nu|, rational coefficients."""
+    """Laurent expansion of V_nu / i^|nu| = 1 / prod_cells 2*sinh(h*x/2) in
+    x = i*lambda; pole of order |nu|, rational coefficients."""
     if order < -nu.size:
         raise ValueError("order must be at least -|nu|")
     if nu.size == 0:
@@ -110,7 +129,7 @@ def v_series(nu: Partition, order: int) -> LaurentSeries:
     work = order + 2 * nu.size
     prod = LaurentSeries.one(work)
     for h in nu.hooks():
-        prod = prod * (sin_half_series(Fraction(h), work) * 2)
+        prod = prod * (sinh_half_series(Fraction(h), work) * 2)
     return prod.reciprocal().truncate(order)
 
 
@@ -118,43 +137,70 @@ def v_series(nu: Partition, order: int) -> LaurentSeries:
 
 
 def kappa_exp_factor(kappa: int, trunc: int) -> LaurentSeries:
-    """Series of exp(sqrt(-1)*(tau + 1/2)*kappa*lambda/2) over tau-polynomials."""
-    c = TauPolynomial([GR_I * Fraction(kappa, 4), GR_I * Fraction(kappa, 2)])
+    """Series of exp((tau + 1/2)*kappa*x/2) over real tau-polynomials: the
+    factor exp(sqrt(-1)*(tau + 1/2)*kappa*lambda/2) at x = i*lambda."""
+    c = RealTauPolynomial([Fraction(kappa, 4), Fraction(kappa, 2)])
     return series_exp(LaurentSeries.monomial(c, 1, trunc))
 
 
 @dataclass(frozen=True)
 class MVSeries:
-    """A partition series whose coefficients are lambda-Laurent series over
-    tau-polynomials, together with its guaranteed-valid lambda order."""
+    """A partition series together with its guaranteed-valid lambda order.
+
+    The body is the series in x = i*lambda and P_k = i^k p_k: its
+    coefficients are x-Laurent series over real tau-polynomials (see the
+    module docstring).  `coefficient` and `at_tau_zero` give the series in
+    lambda and p, over the Gaussian rationals.
+    """
 
     body: PartitionSeries
     max_weight: int
     lambda_order: int
 
     def coefficient(self, mu: Partition) -> LaurentSeries:
+        """The coefficient of p_mu as a lambda-Laurent series over
+        tau-polynomials."""
         c = self.body.coefficient(mu)
         if isinstance(c, int):
             return LaurentSeries.zero(self.lambda_order)
-        return c
+        return _lambda_series(c, mu.size)
 
     def tau_derivative(self) -> PartitionSeries:
+        """d/dtau of the body, in the x and P variables."""
         return self.body.map_coefficients(
             lambda s: s.map_coefficients(_tau_diff)
         )
 
     def at_tau_zero(self) -> PartitionSeries:
-        return self.body.map_coefficients(
-            lambda s: s.map_coefficients(_tau_eval_zero)
+        """The series in lambda and p at tau = 0, over the Gaussian
+        rationals."""
+        return PartitionSeries(
+            {
+                mu: _lambda_series(s, mu.size).map_coefficients(lambda c: c.evaluate(0))
+                for mu, s in self.body.terms.items()
+            },
+            self.max_weight,
         )
 
 
 def _tau_diff(c):
-    return c.derivative() if isinstance(c, TauPolynomial) else 0
+    return c.derivative() if isinstance(c, RealTauPolynomial) else 0
 
 
-def _tau_eval_zero(c):
-    return c.evaluate(0) if isinstance(c, TauPolynomial) else c
+def _lambda_coefficient(c, phase: int) -> TauPolynomial:
+    """The lambda-form value i^phase * c of a body entry (0 or a real
+    tau-polynomial)."""
+    return c.times_i_power(phase) if c else TP_ZERO
+
+
+def _lambda_series(s: LaurentSeries, weight: int) -> LaurentSeries:
+    """The coefficient series of p_mu, |mu| = weight, from that of P_mu:
+    the x^m entry r becomes the lambda^m entry i^(m+weight) * r."""
+    return LaurentSeries._raw(
+        s.min_exp,
+        tuple(_lambda_coefficient(c, k + weight) for k, c in s.items()),
+        s.trunc_order,
+    )
 
 
 def build_disconnected(max_weight: int, lambda_order: int) -> MVSeries:
@@ -169,7 +215,7 @@ def build_disconnected(max_weight: int, lambda_order: int) -> MVSeries:
         for nu in nus:
             E = kappa_exp_factor(nu.kappa(), T + d)
             V = v_series(nu, T)
-            weights.append((E * V).map_coefficients(TauPolynomial.coerce))
+            weights.append((E * V).map_coefficients(RealTauPolynomial.coerce))
         for mu in nus:
             z = mu.z()
             acc = None
@@ -191,14 +237,6 @@ def build_series_pair(max_weight: int, lambda_order: int) -> tuple[MVSeries, MVS
     star = build_disconnected(max_weight, lambda_order)
     conn = MVSeries(ps_log(star.body), max_weight, lambda_order)
     return star, conn
-
-
-def build_R_star(max_weight: int = 6, lambda_order: int = 12) -> MVSeries:
-    return build_series_pair(max_weight, lambda_order)[0]
-
-
-def build_R(max_weight: int = 6, lambda_order: int = 12) -> MVSeries:
-    return build_series_pair(max_weight, lambda_order)[1]
 
 
 # -- the evolution equation and the initial value ----------------------------
@@ -235,25 +273,27 @@ def _evolution_holds(lhs: PartitionSeries, rhs: PartitionSeries, order: int) -> 
     return True
 
 
-def _half_i_lambda(F: PartitionSeries) -> PartitionSeries:
-    """Multiply every coefficient series by sqrt(-1)*lambda/2."""
-    scale = GaussianRational(0, Fraction(1, 2))
-    return F.map_coefficients(lambda s: s.shift(1) * scale)
+def _x_scaled(F: PartitionSeries, c: Fraction) -> PartitionSeries:
+    """Multiply every coefficient series by c*x."""
+    return F.map_coefficients(lambda s: s.shift(1) * c)
 
 
 def theorem1_verdicts(max_weight: int = 6, lambda_order: int = 12) -> tuple[bool, bool]:
     """Both forms of the evolution equation, coefficientwise exact, as the
     (linear, nonlinear) pair of verdicts.
 
-    linear form:     d/dtau (disconnected) = (i*lambda/2) * Omega(disconnected)
-    nonlinear form:  d/dtau (connected)    = (i*lambda/2) * Omega~(connected)
+    linear form:     d/dtau (disconnected) = (x/2) * Omega(disconnected)
+    nonlinear form:  d/dtau (connected)    = (x/2) * Omega~(connected)
+
+    In lambda and p the factor x/2 reads sqrt(-1)*lambda/2.
     """
     star, conn = build_series_pair(max_weight, lambda_order)
+    half = Fraction(1, 2)
     linear = _evolution_holds(
-        star.tau_derivative(), _half_i_lambda(cut_join_linear(star.body)), lambda_order
+        star.tau_derivative(), _x_scaled(cut_join_linear(star.body), half), lambda_order
     )
     nonlinear = _evolution_holds(
-        conn.tau_derivative(), _half_i_lambda(cut_join_nonlinear(conn.body)), lambda_order
+        conn.tau_derivative(), _x_scaled(cut_join_nonlinear(conn.body), half), lambda_order
     )
     return linear, nonlinear
 
@@ -325,8 +365,9 @@ def extract_C_gmu(R: MVSeries, g: int, mu: Partition) -> CgmuPolynomial:
         raise ValueError(
             f"lambda exponent {m} exceeds valid order {R.lambda_order}"
         )
-    c = R.coefficient(mu).coefficient(m)
-    return CgmuPolynomial(g, mu, TauPolynomial.coerce(c))
+    series = R.body.coefficient(mu)
+    c = series.coefficient(m) if series else 0
+    return CgmuPolynomial(g, mu, _lambda_coefficient(c, m + mu.size))
 
 
 def prefactor_polynomial(mu: Partition) -> TauPolynomial:
@@ -418,8 +459,7 @@ def cutjoin_derivative_check(R: MVSeries, g: int, mu: Partition) -> bool:
 def parity_pole_check(R: MVSeries) -> bool:
     """Connected-series structure: the coefficient of p_mu has lambda
     exponents m >= l(mu) - 2 with m = l(mu) (mod 2) only."""
-    for mu in R.body.terms:
-        series = R.coefficient(mu)
+    for mu, series in R.body.terms.items():
         l = mu.length
         for k, c in series.items():
             if k > R.lambda_order:

@@ -153,14 +153,6 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(Partition(ps) for ps in gen(n, n, ()))
 
 
-def partitions_up_to(n: int) -> list[Partition]:
-    """All partitions of 0..n in order of increasing size, reverse-lex within."""
-    out: list[Partition] = []
-    for d in range(n + 1):
-        out.extend(enumerate_partitions(d))
-    return out
-
-
 def partition_count(n: int) -> int:
     return len(enumerate_partitions(n))
 

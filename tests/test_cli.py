@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -129,6 +130,43 @@ class TestComputeCommands:
         assert "--genus must be nonnegative" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "genus, partition, message",
+        [("0", "7", "exceeds --max-weight 6"), ("9", "1", "exceeds --lambda-order 12")],
+    )
+    def test_hodge_out_of_range_is_rejected_before_any_work(
+        self, monkeypatch, genus, partition, message
+    ):
+        from cutjoin import hodge
+
+        def no_series(*args):
+            raise AssertionError("series built for a rejected query")
+
+        monkeypatch.setattr(hodge, "build_series_pair", no_series)
+        with pytest.raises(SystemExit) as exc:
+            main(["hodge", "--genus", genus, "--partition", partition])
+        assert exc.value.code == 2
+        proc = run_cli("hodge", "--genus", genus, "--partition", partition)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert message in proc.stderr
+
+    def test_negative_budget_is_usage_error(self):
+        for method in ("connected", "brute"):
+            proc = run_cli(
+                "hurwitz", "--genus", "0", "--partition", "2",
+                "--method", method, "--budget", "-5",
+            )
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert "--budget must be nonnegative" in proc.stderr
+
+    def test_negative_env_budget_is_usage_error(self):
+        proc = run_cli(
+            "hurwitz", "--genus", "0", "--partition", "2", "--method", "brute",
+            env_extra={"CUTJOIN_BUDGET": "-5"},
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "CUTJOIN_BUDGET must be nonnegative" in proc.stderr
+
     def test_malformed_env_budget_is_usage_error(self):
         proc = run_cli(
             "hurwitz", "--genus", "0", "--partition", "2",
@@ -194,6 +232,13 @@ class TestGoldenFixture:
         proc = run_cli("mv-series", "--max-weight", "2", "--lambda-order", "6")
         assert proc.returncode == 0
         assert proc.stdout == FIXTURE.read_text()
+
+    def test_mv_series_w5_digest(self):
+        # the whole series core, log included, at (W, L) = (5, 10)
+        proc = run_cli("mv-series", "--max-weight", "5", "--lambda-order", "10")
+        assert proc.returncode == 0
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "cb351a2c3904236e4e091b99b5b4915933bf55d5b7f8549a5d94df7420faeae3"
 
     def test_fixture_is_valid_jsonl(self):
         for line in FIXTURE.read_text().splitlines():

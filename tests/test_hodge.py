@@ -7,12 +7,15 @@ from cutjoin.exact import (
     GR_I,
     GaussianRational,
     LaurentSeries,
+    RealTauPolynomial,
     TP_TAU,
     TauPolynomial,
 )
-from cutjoin.genfun import ps_exp
+from cutjoin.genfun import cut_join_linear, cut_join_nonlinear, ps_exp
 from cutjoin.hodge import (
     CgmuPolynomial,
+    _evolution_holds,
+    _x_scaled,
     build_series_pair,
     cutjoin_derivative_check,
     extract_C_gmu,
@@ -45,8 +48,8 @@ P = Partition
 
 class TestSineAmplitude:
     def test_two_sin_half(self):
-        s = two_sin_half(1)
-        assert s.terms == {1: GR_I, -1: -GR_I}
+        s = two_sin_half(1)  # i*(y - 1/y)
+        assert s.terms == {1: 1, -1: -1} and s.i_power == 1
         assert two_sin_half(0).terms == {}
 
     def test_hook_form_examples(self):
@@ -68,8 +71,9 @@ class TestSineAmplitude:
                 assert v_forms_agree(nu), nu
 
     def test_series_example(self):
+        # the lambda^k coefficient of V_(1) is i^(1+k) times the x^k one
         s = v_series(P([1]), 3)
-        assert [s.coefficient(k) for k in (-1, 1, 3)] == [
+        assert [GaussianRational.i_power(1 + k) * s.coefficient(k) for k in (-1, 1, 3)] == [
             1,
             Fraction(1, 24),
             Fraction(7, 5760),
@@ -90,13 +94,13 @@ class TestSineAmplitude:
 
 class TestSeriesBuild:
     def test_exp_factor_solves_its_equation(self):
-        # d/dtau E = (i*kappa*lambda/2) * E for the tau-exponential factor
+        # d/dtau E = (kappa*x/2) * E for the tau-exponential factor, which is
+        # d/dtau E = (i*kappa*lambda/2) * E at x = i*lambda
         E = kappa_exp_factor(2, 6)
         lhs = E.map_coefficients(
-            lambda c: c.derivative() if isinstance(c, TauPolynomial) else 0
+            lambda c: c.derivative() if isinstance(c, RealTauPolynomial) else 0
         )
-        rhs = E.shift(1) * GaussianRational(0, 1)  # kappa/2 = 1
-        assert lhs.agrees_with(rhs, up_to=6)
+        assert lhs.agrees_with(E.shift(1), up_to=6)  # kappa/2 = 1
 
     def test_constant_term_is_one(self, series_pair_small):
         star, _ = series_pair_small
@@ -105,23 +109,25 @@ class TestSeriesBuild:
         assert all(not c.coefficient(k) for k in range(1, 5))
 
     def test_p1_coefficient_is_tau_free_sine(self, series_pair_small):
+        # in x and P, where both sides carry the same phase i^(k+1)
         star, _ = series_pair_small
-        c = star.coefficient(P([1]))
+        c = star.body.coefficient(P([1]))
         v = v_series(P([1]), 8)
         for k in range(-1, 9):
             got = c.coefficient(k)
             expect = v.coefficient(k)
-            if isinstance(got, TauPolynomial):
-                assert got.is_constant and got.constant_value() == expect
+            if isinstance(got, RealTauPolynomial):
+                assert got.degree <= 0 and got.coefficient(0) == expect
             else:
                 assert got == expect
 
     def test_disconnected_is_exp_of_connected(self, series_pair_small):
+        # in x and P, where the body of each series lives
         star, conn = series_pair_small
         rebuilt = ps_exp(conn.body)
         keys = set(rebuilt.terms) | set(star.body.terms)
         for mu in keys:
-            a = star.coefficient(mu)
+            a = star.body.coefficient(mu) or LaurentSeries.zero(star.lambda_order)
             b = rebuilt.coefficient(mu)
             if isinstance(b, int):
                 b = LaurentSeries.monomial(Fraction(b), 0, star.lambda_order)
@@ -138,6 +144,14 @@ class TestSeriesBuild:
 
     def test_theorem1_small(self):
         assert theorem1_check(3, 8)
+
+    def test_evolution_check_rejects_wrong_prefactor(self):
+        # negative control: x/3 in place of x/2 breaks both forms
+        star, conn = build_series_pair(3, 8)
+        for series, omega in ((star, cut_join_linear), (conn, cut_join_nonlinear)):
+            lhs = series.tau_derivative()
+            assert _evolution_holds(lhs, _x_scaled(omega(series.body), Fraction(1, 2)), 8)
+            assert not _evolution_holds(lhs, _x_scaled(omega(series.body), Fraction(1, 3)), 8)
 
     def test_initial_condition_small(self):
         assert initial_condition_check(3, 8)

@@ -1,0 +1,34 @@
+"""Smoke tests of the exploration scripts: each runs at a small size and
+prints exactly the table recorded for it."""
+
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script, args, digest",
+    [
+        (
+            "hodge_table.py",
+            ("--max-genus", "1", "--max-size", "3"),
+            "0bdf95c2f5ea51d4cfc11bb2c9d6ae47a754abbba5b2065e88776629f94cf9b7",
+        ),
+        (
+            "hurwitz_table.py",
+            ("--max-degree", "3"),
+            "e17d64a7504e31707e44d618af137f953ebb111dbfd50b36bbc074fb0e5dbb28",
+        ),
+    ],
+)
+def test_script_output(script, args, digest):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args], capture_output=True
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
