@@ -360,13 +360,27 @@ def _suite_initial(config: RunConfig) -> list[CheckResult]:
     ]
 
 
+EXTRACTION_MAX_GENUS = 3
+EXTRACTION_MAX_SIZE = 4
+
+
+def _extraction_min_lambda_order(max_weight: int) -> int:
+    """The smallest --lambda-order the extraction suite can run at: it reads
+    lambda^(2g-2+l(mu)) up to the largest genus and the longest partition."""
+    return 2 * EXTRACTION_MAX_GENUS - 2 + min(EXTRACTION_MAX_SIZE, max_weight)
+
+
 def _suite_extraction(config: RunConfig) -> list[CheckResult]:
     out = []
     _, conn = hodge.build_series_pair(config.max_weight, config.lambda_order)
+    shapes = [
+        mu
+        for d in range(1, min(EXTRACTION_MAX_SIZE, config.max_weight) + 1)
+        for mu in enumerate_partitions(d)
+    ]
     anchor = all(
         hodge.extract_C_gmu(conn, 0, mu).poly == hodge.genus0_closed_form(mu)
-        for d in range(1, min(5, config.max_weight + 1))
-        for mu in enumerate_partitions(d)
+        for mu in shapes
     )
     out.append(
         CheckResult(
@@ -376,13 +390,12 @@ def _suite_extraction(config: RunConfig) -> list[CheckResult]:
             "all |mu| <= 4",
         )
     )
-    for g in range(4):
+    for g in range(EXTRACTION_MAX_GENUS + 1):
         degree_ok = symmetry_ok = True
-        for d in range(1, min(5, config.max_weight + 1)):
-            for mu in enumerate_partitions(d):
-                c = hodge.extract_C_gmu(conn, g, mu)
-                degree_ok &= c.degree_ok()
-                symmetry_ok &= c.symmetry_ok()
+        for mu in shapes:
+            c = hodge.extract_C_gmu(conn, g, mu)
+            degree_ok &= c.degree_ok()
+            symmetry_ok &= c.symmetry_ok()
         out.append(CheckResult(f"extraction/degree/g={g}", "degree-bound", degree_ok, "|mu| <= 4"))
         out.append(
             CheckResult(
@@ -390,12 +403,9 @@ def _suite_extraction(config: RunConfig) -> list[CheckResult]:
             )
         )
     division_ok = True
-    for d in range(1, min(5, config.max_weight + 1)):
-        for mu in enumerate_partitions(d):
-            q = hodge.hodge_polynomial(0, mu, conn)
-            division_ok &= q == TauPolynomial.constant(
-                Fraction(mu.size) ** (mu.length - 3)
-            )
+    for mu in shapes:
+        q = hodge.hodge_polynomial(0, mu, conn)
+        division_ok &= q == TauPolynomial.constant(Fraction(mu.size) ** (mu.length - 3))
     out.append(
         CheckResult(
             "extraction/hodge-division-genus0",
@@ -425,11 +435,7 @@ def _suite_extraction(config: RunConfig) -> list[CheckResult]:
         )
     )
     for g in range(3):
-        rec_ok = all(
-            hodge.cutjoin_derivative_check(conn, g, mu)
-            for d in range(1, min(5, config.max_weight + 1))
-            for mu in enumerate_partitions(d)
-        )
+        rec_ok = all(hodge.cutjoin_derivative_check(conn, g, mu) for mu in shapes)
         out.append(
             CheckResult(
                 f"extraction/derivative-recursion/g={g}",
@@ -666,6 +672,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     config = _resolve_config(parser, args)
+    if args.command in ("hodge", "mv-series", "verify"):
+        if config.max_weight < 1:
+            parser.error(f"--max-weight must be at least 1, got {config.max_weight}")
+        if config.lambda_order < 0:
+            parser.error(f"--lambda-order must be nonnegative, got {config.lambda_order}")
+    if args.command == "verify" and args.suite in ("extraction", "all"):
+        need = _extraction_min_lambda_order(config.max_weight)
+        if config.lambda_order < need:
+            parser.error(
+                f"--suite {args.suite} needs --lambda-order at least {need} "
+                f"at --max-weight {config.max_weight}, got {config.lambda_order}"
+            )
     out = sys.stdout
     try:
         if args.command == "char":

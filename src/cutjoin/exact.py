@@ -727,8 +727,10 @@ class LaurentSeries:
     def truncate(self, trunc_order: int) -> "LaurentSeries":
         if trunc_order >= self.trunc_order:
             return self
+        if trunc_order < self.min_exp:
+            return LaurentSeries.zero(trunc_order)
         n = trunc_order - self.min_exp + 1
-        return LaurentSeries(self.min_exp, self.coeffs[:max(n, 0)], trunc_order)
+        return LaurentSeries(self.min_exp, self.coeffs[:n], trunc_order)
 
     def reciprocal(self) -> "LaurentSeries":
         """Multiplicative inverse, valid to trunc_order - 2*min_exp."""
@@ -863,7 +865,15 @@ def _odd_half_series(c, order: int, sign: int) -> LaurentSeries:
 
 
 def series_exp(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
-    """exp of a series with strictly positive valuation."""
+    """exp of a series with strictly positive valuation.
+
+    F = exp(A) solves x F' = (x A') F, which is the Euler recurrence
+
+        F_0 = 1,    n * F_n = sum_{k=1..n} k * A_k * F_(n-k),
+
+    one pass over the nonzero A_k per coefficient of F.  The result is valid
+    to min(order, truncation order of the argument).
+    """
     if order is None:
         order = x.trunc_order
     x = x.truncate(order)
@@ -871,20 +881,30 @@ def series_exp(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
         raise ValueError(
             f"series_exp requires positive valuation; found exponent {x.min_exp}"
         )
-    result = LaurentSeries.one(order)
-    term = LaurentSeries.one(order)
-    k = 1
-    while not term.is_zero() and k * max(x.min_exp, 1) <= order:
-        term = (term * x) * Fraction(1, k)
-        if term.is_zero():
-            break
-        result = result + term
-        k += 1
-    return result
+    trunc = min(order, x.trunc_order)
+    weighted = [(k, c * k) for k, c in x.items() if not _is_zero(c)]
+    out = [1]
+    for n in range(1, trunc + 1):
+        acc = 0
+        for k, kc in weighted:
+            if k > n:
+                break
+            f = out[n - k]
+            if not _is_zero(f):
+                acc = acc + kc * f
+        out.append(acc * Fraction(1, n) if not _is_zero(acc) else 0)
+    return LaurentSeries(0, out, trunc)
 
 
 def series_log(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
-    """log of a series with constant term 1."""
+    """log of a series with constant term 1.
+
+    G = log(F) solves the recurrence of series_exp read the other way:
+
+        n * G_n = n * F_n - sum_{k=1..n-1} k * G_k * F_(n-k).
+
+    The result is valid to min(order, truncation order of the argument).
+    """
     if order is None:
         order = x.trunc_order
     x = x.truncate(order)
@@ -892,15 +912,16 @@ def series_log(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
         raise ValueError(f"series_log requires constant term 1; found pole at {x.min_exp}")
     if not _eq_coeff(x.coefficient(0), 1):
         raise ValueError(f"series_log requires constant term 1, got {x.coefficient(0)!r}")
-    h = x - 1
-    result = LaurentSeries.zero(order)
-    power = LaurentSeries.one(order)
-    k = 1
-    while not h.is_zero() and k * h.min_exp <= order:
-        power = power * h
-        result = result + power * Fraction((-1) ** (k + 1), k)
-        k += 1
-    return result
+    f = [x.coefficient(n) for n in range(x.trunc_order + 1)]
+    out = [0]
+    for n in range(1, len(f)):
+        acc = f[n] * n
+        for k in range(1, n):
+            g, c = out[k], f[n - k]
+            if not _is_zero(g) and not _is_zero(c):
+                acc = acc + g * (c * -k)
+        out.append(acc * Fraction(1, n) if not _is_zero(acc) else 0)
+    return LaurentSeries(0, out, x.trunc_order)
 
 
 class QHalfLaurent:

@@ -26,6 +26,24 @@ That phase is put back only where a value leaves the series: MVSeries
 coefficients and extraction, and the checks against closed forms over the
 Gaussian rationals.
 
+The sine amplitude is expanded from the power sums of the hook lengths:
+
+    1 / prod_h 2*sinh(h*x/2)
+        = x^(-|nu|) / prod_h h * exp(-sum_k c_k * p_2k(hooks) * x^(2k)),
+
+where c_k is the x^(2k) coefficient of log(2*sinh(x/2)/x) and
+p_2k(hooks) = sum_h h^(2k): one exponential per partition in place of |nu|
+sinh products and a reciprocal.  Conjugate partitions halve the work.  The
+conjugate nu' has the same hooks and kappa(nu') = -kappa(nu), so
+W_nu = E_nu * V_nu satisfies W_nu'(x) = (-1)^|nu| * W_nu(-x); with
+chi_nu'(mu) = (-1)^(|mu|-l(mu)) * chi_nu(mu) the pair contributes
+
+    m_nu * chi_nu(mu) / z_mu * W_nu[x^m]   for m = l(mu) (mod 2), else 0
+
+to the x^m P_mu coefficient, where m_nu = 2, or 1 when nu = nu'.  So W_nu is
+built for one partition of each pair, and only exponents of the parity of
+l(mu) are formed.
+
 Truncation bookkeeping: to guarantee the connected series is valid to
 lambda-order L at every weight up to W, the disconnected series is built with
 per-coefficient truncation L + W - 1 (a product of k coefficient series loses
@@ -37,13 +55,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 from .exact import (
     GR_I,
     GaussianRational,
     LaurentSeries,
     QHalfLaurent,
+    RTP_ZERO,
     RealTauPolynomial,
     TP_ONE,
     TP_TAU,
@@ -52,6 +71,7 @@ from .exact import (
     sin_half_series,
     sinh_half_series,
     series_exp,
+    series_log,
 )
 from .genfun import PartitionSeries, cut_join_linear, cut_join_nonlinear, ps_log
 from .linalg import nullspace
@@ -121,16 +141,26 @@ def v_forms_agree(nu: Partition) -> bool:
 
 def v_series(nu: Partition, order: int) -> LaurentSeries:
     """Laurent expansion of V_nu / i^|nu| = 1 / prod_cells 2*sinh(h*x/2) in
-    x = i*lambda; pole of order |nu|, rational coefficients."""
+    x = i*lambda; pole of order |nu|, rational coefficients.  Computed as
+    one exponential of the hook power sums (see the module docstring).
+    """
     if order < -nu.size:
         raise ValueError("order must be at least -|nu|")
-    if nu.size == 0:
-        return LaurentSeries.one(order)
-    work = order + 2 * nu.size
-    prod = LaurentSeries.one(work)
-    for h in nu.hooks():
-        prod = prod * (sinh_half_series(Fraction(h), work) * 2)
-    return prod.reciprocal().truncate(order)
+    hooks = nu.hooks()
+    work = order + nu.size
+    c = _log_sinh_coefficients(work // 2)
+    exponent = [0] * work  # exponents 1..work
+    for k in range(1, work // 2 + 1):
+        exponent[2 * k - 1] = -c[k] * sum(h ** (2 * k) for h in hooks)
+    e = series_exp(LaurentSeries(1, exponent, work))
+    return e.shift(-nu.size) * Fraction(1, prod(hooks))
+
+
+@cache
+def _log_sinh_coefficients(n: int) -> tuple[Fraction, ...]:
+    """c_0..c_n, where c_k is the x^(2k) coefficient of log(2*sinh(x/2)/x)."""
+    s = series_log(sinh_half_series(Fraction(1), 2 * n + 1).shift(-1) * 2)
+    return tuple(s.coefficient(2 * k) for k in range(n + 1))
 
 
 # -- building the series -----------------------------------------------------
@@ -140,7 +170,8 @@ def kappa_exp_factor(kappa: int, trunc: int) -> LaurentSeries:
     """Series of exp((tau + 1/2)*kappa*x/2) over real tau-polynomials: the
     factor exp(sqrt(-1)*(tau + 1/2)*kappa*lambda/2) at x = i*lambda."""
     c = RealTauPolynomial([Fraction(kappa, 4), Fraction(kappa, 2)])
-    return series_exp(LaurentSeries.monomial(c, 1, trunc))
+    # the exponent is built to order 1 at least, so that trunc = 0 gives 1
+    return series_exp(LaurentSeries.monomial(c, 1, max(trunc, 1)), trunc)
 
 
 @dataclass(frozen=True)
@@ -204,29 +235,43 @@ def _lambda_series(s: LaurentSeries, weight: int) -> LaurentSeries:
 
 
 def build_disconnected(max_weight: int, lambda_order: int) -> MVSeries:
-    """The disconnected series (constant term 1) up to the given weight."""
+    """The disconnected series (constant term 1) up to the given weight.
+
+    W_nu = E_nu * V_nu is built once per conjugate pair {nu, nu'}, and the
+    x^m P_mu coefficient is formed only for m = l(mu) (mod 2); the other
+    parity is zero (see the module docstring).
+    """
     if max_weight < 1:
         raise ValueError("max_weight must be at least 1")
     T = lambda_order + max_weight - 1
     terms = {}
     for d in range(max_weight + 1):
         nus = enumerate_partitions(d)
-        weights = []
+        reps = []
         for nu in nus:
-            E = kappa_exp_factor(nu.kappa(), T + d)
-            V = v_series(nu, T)
-            weights.append((E * V).map_coefficients(RealTauPolynomial.coerce))
+            conj = nu.transpose()
+            if conj < nu:
+                continue
+            W = kappa_exp_factor(nu.kappa(), T + d) * v_series(nu, T)
+            reps.append((nu, 1 if conj == nu else 2, W))
         for mu in nus:
-            z = mu.z()
-            acc = None
-            for nu, W in zip(nus, weights):
-                chi = character(nu, mu)
-                if chi == 0:
-                    continue
-                term = W * Fraction(chi, z)
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
-                terms[mu] = acc
+            weighted = [
+                (m_nu * chi, W)
+                for nu, m_nu, W in reps
+                if (chi := character(nu, mu))
+            ]
+            scale = Fraction(1, mu.z())
+            coeffs = [RTP_ZERO] * (T + d + 1)  # exponents -d..T
+            for m in range(-d + (d + mu.length) % 2, T + 1, 2):
+                acc = RTP_ZERO
+                for w, W in weighted:
+                    c = W.coefficient(m)
+                    if c:
+                        acc = acc + c * w
+                coeffs[m + d] = acc * scale
+            series = LaurentSeries(-d, coeffs, T)
+            if series:
+                terms[mu] = series
     return MVSeries(PartitionSeries(terms, max_weight), max_weight, lambda_order)
 
 

@@ -150,6 +150,40 @@ class TestComputeCommands:
         assert proc.returncode == 2 and proc.stdout == ""
         assert message in proc.stderr
 
+    @pytest.mark.parametrize("command", ["mv-series", "hodge", "verify"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--max-weight", "0"], "--max-weight must be at least 1, got 0"),
+            (["--lambda-order", "-3"], "--lambda-order must be nonnegative, got -3"),
+        ],
+    )
+    def test_series_range_is_usage_error(self, monkeypatch, capsys, command, flags, message):
+        from cutjoin import hodge
+
+        def no_series(*args):
+            raise AssertionError("series built for a rejected range")
+
+        monkeypatch.setattr(hodge, "build_series_pair", no_series)
+        extra = ["--genus", "0", "--partition", "1"] if command == "hodge" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, *extra, *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize(
+        "args", [["char", "--degree", "3"], ["hurwitz", "--genus", "0", "--partition", "2"]]
+    )
+    def test_series_range_ignored_where_unused(self, args):
+        code, lines = main_lines(*args, "--max-weight", "0", "--lambda-order", "-3")
+        assert code == 0 and len(lines) > 1
+
+    def test_smallest_series_range_runs(self):
+        code, lines = main_lines("mv-series", "--max-weight", "1", "--lambda-order", "0")
+        assert code == 0
+        assert [json.loads(l)["partition"] for l in lines[1:]] == [[], [1], [1]]
+
     def test_negative_budget_is_usage_error(self):
         for method in ("connected", "brute"):
             proc = run_cli(
@@ -206,6 +240,36 @@ class TestVerify:
         b = run_cli("verify", "--suite", "hooks")
         assert a.stdout == b.stdout and a.returncode == 0
 
+    @pytest.mark.parametrize(
+        "suite, max_weight, lambda_order, need",
+        [("extraction", "2", "2", 6), ("all", "6", "7", 8), ("extraction", "3", "6", 7)],
+    )
+    def test_extraction_order_checked_before_any_work(
+        self, monkeypatch, capsys, suite, max_weight, lambda_order, need
+    ):
+        from cutjoin import hodge
+
+        def no_series(*args):
+            raise AssertionError("series built for a rejected order")
+
+        monkeypatch.setattr(hodge, "build_series_pair", no_series)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "verify", "--suite", suite,
+                "--max-weight", max_weight, "--lambda-order", lambda_order,
+            ])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"needs --lambda-order at least {need}" in captured.err
+
+    def test_extraction_runs_at_its_smallest_order(self):
+        code, lines = main_lines(
+            "verify", "--suite", "extraction", "--max-weight", "2", "--lambda-order", "6"
+        )
+        summary = json.loads(lines[-1])
+        assert code == 0 and summary["failed"] == 0 and summary["checks"] == 15
+
     def test_failure_exit_code(self, capsys):
         # inject a failing pseudo-suite through the registry
         def broken(config):
@@ -239,6 +303,13 @@ class TestGoldenFixture:
         assert proc.returncode == 0
         digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
         assert digest == "cb351a2c3904236e4e091b99b5b4915933bf55d5b7f8549a5d94df7420faeae3"
+
+    def test_mv_series_w7_digest(self):
+        # the exact stdout the series-w7 benchmark workload checks
+        proc = run_cli("mv-series", "--max-weight", "7", "--lambda-order", "14")
+        assert proc.returncode == 0
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "dc06e309dcc2686beb588e8d80c067e8af014729d27b04456472d735a5e5adc0"
 
     def test_fixture_is_valid_jsonl(self):
         for line in FIXTURE.read_text().splitlines():

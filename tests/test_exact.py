@@ -34,6 +34,40 @@ def laurent(coeff_st, min_lo=-3, max_len=6):
     )
 
 
+series_coeffs = small_fractions | st.builds(
+    RealTauPolynomial, st.lists(small_fractions, max_size=3)
+)
+
+
+def exp_by_powers(x, order=None):
+    """exp as the sum of x^k/k!, one whole-series product per term."""
+    order = x.trunc_order if order is None else order
+    x = x.truncate(order)
+    result = term = LaurentSeries.one(min(order, x.trunc_order))
+    k = 1
+    while not x.is_zero() and k * x.min_exp <= order:
+        term = (term * x) * Fraction(1, k)
+        result = result + term
+        k += 1
+    return result
+
+
+def log_by_powers(x, order=None):
+    """log as the sum of (-1)^(k+1) (x-1)^k/k, one whole-series product per
+    term."""
+    order = x.trunc_order if order is None else order
+    x = x.truncate(order)
+    h = x - 1
+    result = LaurentSeries.zero(x.trunc_order)
+    power = LaurentSeries.one(x.trunc_order)
+    k = 1
+    while not h.is_zero() and k * h.min_exp <= order:
+        power = power * h
+        result = result + power * Fraction((-1) ** (k + 1), k)
+        k += 1
+    return result
+
+
 class TestGaussianRational:
     def test_i_squared(self):
         assert GR_I * GR_I == -1
@@ -169,6 +203,25 @@ class TestLaurentSeries:
         x = LaurentSeries(1, coeffs, 20)
         assert series_log(series_exp(x)).agrees_with(x)
 
+    @given(
+        st.integers(1, 3),
+        st.lists(series_coeffs, max_size=10),
+        st.integers(0, 3),
+        st.none() | st.integers(0, 12),
+    )
+    def test_exp_matches_sum_of_powers(self, lo, coeffs, extra, order):
+        x = LaurentSeries(lo, coeffs, lo + len(coeffs) - 1 + extra)
+        assert series_exp(x, order) == exp_by_powers(x, order)
+
+    @given(
+        st.lists(series_coeffs, max_size=10),
+        st.integers(0, 12),
+        st.none() | st.integers(0, 12),
+    )
+    def test_log_matches_sum_of_powers(self, coeffs, trunc, order):
+        x = LaurentSeries(0, [1, *coeffs[:trunc]], trunc)
+        assert series_log(x, order) == log_by_powers(x, order)
+
     @given(laurent(small_fractions))
     def test_reciprocal(self, x):
         if x.is_zero():
@@ -194,6 +247,11 @@ class TestLaurentSeries:
         b = LaurentSeries(-2, [Fraction(1)] * 3, 0)
         assert (a + b).trunc_order == 0
         assert (a * b).trunc_order == min(4 - 2, 0 + 0)
+
+    def test_truncate_below_first_term(self):
+        s = LaurentSeries.monomial(Fraction(3), 4, 6)
+        assert s.truncate(1) == LaurentSeries.zero(1)
+        assert LaurentSeries.zero(6).truncate(0) == LaurentSeries.zero(0)
 
     def test_coefficient_past_truncation_rejected(self):
         s = LaurentSeries.one(3)

@@ -10,6 +10,7 @@ from cutjoin.exact import (
     RealTauPolynomial,
     TP_TAU,
     TauPolynomial,
+    sinh_half_series,
 )
 from cutjoin.genfun import cut_join_linear, cut_join_nonlinear, ps_exp
 from cutjoin.hodge import (
@@ -46,6 +47,15 @@ from cutjoin.partitions import (
 P = Partition
 
 
+def v_series_by_products(nu, order):
+    """V_nu as the reciprocal of the product of 2*sinh(h*x/2) over the hooks."""
+    work = order + 2 * nu.size
+    prod = LaurentSeries.one(work)
+    for h in nu.hooks():
+        prod = prod * (sinh_half_series(Fraction(h), work) * 2)
+    return prod.reciprocal().truncate(order)
+
+
 class TestSineAmplitude:
     def test_two_sin_half(self):
         s = two_sin_half(1)  # i*(y - 1/y)
@@ -79,6 +89,28 @@ class TestSineAmplitude:
             Fraction(7, 5760),
         ]
 
+    @pytest.mark.parametrize("d", range(8))
+    def test_series_matches_sinh_products(self, d):
+        for nu in enumerate_partitions(d):
+            for k in (-d, 0, 20):
+                assert v_series(nu, k) == v_series_by_products(nu, k), (nu, k)
+            with pytest.raises(ValueError, match=r"at least -\|nu\|"):
+                v_series(nu, -d - 1)
+
+    def test_conjugate_pairing(self):
+        # W_nu'(x) = (-1)^|nu| W_nu(-x), with W_nu = E_nu * V_nu
+        T = 12
+        for d in range(8):
+            for nu in enumerate_partitions(d):
+                W, W_conj = (
+                    kappa_exp_factor(p.kappa(), T + d) * v_series(p, T)
+                    for p in (nu, nu.transpose())
+                )
+                reflected = LaurentSeries(
+                    W.min_exp, [c * (-1) ** (k + d) for k, c in W.items()], W.trunc_order
+                )
+                assert W_conj == reflected, nu
+
     def test_series_leading_coefficient(self):
         s = v_series(P([2, 1]), -3)
         assert s.min_exp == -3
@@ -107,6 +139,12 @@ class TestSeriesBuild:
         c = star.coefficient(EMPTY)
         assert c.coefficient(0) == 1
         assert all(not c.coefficient(k) for k in range(1, 5))
+
+    def test_body_parity(self, series_pair_small):
+        # the x^m P_mu coefficient vanishes unless m = l(mu) (mod 2)
+        star, _ = series_pair_small
+        for mu, s in star.body.terms.items():
+            assert all(not c for m, c in s.items() if (m - mu.length) % 2), mu
 
     def test_p1_coefficient_is_tau_free_sine(self, series_pair_small):
         # in x and P, where both sides carry the same phase i^(k+1)
