@@ -373,11 +373,9 @@ def _extraction_min_lambda_order(max_weight: int) -> int:
 def _suite_extraction(config: RunConfig) -> list[CheckResult]:
     out = []
     _, conn = hodge.build_series_pair(config.max_weight, config.lambda_order)
-    shapes = [
-        mu
-        for d in range(1, min(EXTRACTION_MAX_SIZE, config.max_weight) + 1)
-        for mu in enumerate_partitions(d)
-    ]
+    max_size = min(EXTRACTION_MAX_SIZE, config.max_weight)
+    shapes = [mu for d in range(1, max_size + 1) for mu in enumerate_partitions(d)]
+    shape_range = f"|mu| <= {max_size}"
     anchor = all(
         hodge.extract_C_gmu(conn, 0, mu).poly == hodge.genus0_closed_form(mu)
         for mu in shapes
@@ -387,7 +385,7 @@ def _suite_extraction(config: RunConfig) -> list[CheckResult]:
             "extraction/genus0-closed-form",
             "genus0-definition-vs-extraction",
             anchor,
-            "all |mu| <= 4",
+            f"all {shape_range}",
         )
     )
     for g in range(EXTRACTION_MAX_GENUS + 1):
@@ -396,10 +394,10 @@ def _suite_extraction(config: RunConfig) -> list[CheckResult]:
             c = hodge.extract_C_gmu(conn, g, mu)
             degree_ok &= c.degree_ok()
             symmetry_ok &= c.symmetry_ok()
-        out.append(CheckResult(f"extraction/degree/g={g}", "degree-bound", degree_ok, "|mu| <= 4"))
+        out.append(CheckResult(f"extraction/degree/g={g}", "degree-bound", degree_ok, shape_range))
         out.append(
             CheckResult(
-                f"extraction/symmetry/g={g}", "tau-reflection-symmetry", symmetry_ok, "|mu| <= 4"
+                f"extraction/symmetry/g={g}", "tau-reflection-symmetry", symmetry_ok, shape_range
             )
         )
     division_ok = True
@@ -441,7 +439,7 @@ def _suite_extraction(config: RunConfig) -> list[CheckResult]:
                 f"extraction/derivative-recursion/g={g}",
                 "derivative-recursion",
                 rec_ok,
-                "|mu| <= 4",
+                shape_range,
             )
         )
     return out

@@ -4,11 +4,11 @@
 * ``RealTauPolynomial`` -- dense polynomial in one formal variable with
   rational coefficients, stored as integer numerators over one common
   denominator; the coefficient ring of the generating-series core.
-* ``GaussianRational`` -- a + b*i with rational a, b; the values of the
-  series in their original variables, and the closed forms they are
-  compared with.
-* ``TauPolynomial``  -- dense polynomial in one formal variable over
-  GaussianRational.
+* ``GaussianRational`` -- a + b*i with rational a, b; the coefficients
+  read out of a TauPolynomial, and the tau = 0 values.
+* ``TauPolynomial``  -- i**0 or i**1 times a RealTauPolynomial: the values
+  of the series in their original variables, and the closed forms they are
+  compared with, each of which has one phase.
 * ``LaurentSeries``  -- truncated Laurent series in one variable over any of
   the rings above (finite pole order, explicit truncation order).
 * ``QHalfLaurent``   -- a power of i times a Laurent polynomial with integer
@@ -155,14 +155,7 @@ class GaussianRational:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
         return GaussianRational._raw(self.re / norm, -self.im / norm)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational._raw(self.re, -self.im)
-
     # -- structure -------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.im
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -200,195 +193,6 @@ GR_ZERO = GaussianRational._raw(_ZERO, _ZERO)
 GR_ONE = GaussianRational._raw(_ONE, _ZERO)
 GR_I = GaussianRational._raw(_ZERO, _ONE)
 _I_POWERS = (GR_ONE, GR_I, -GR_ONE, -GR_I)
-
-
-class TauPolynomial:
-    """Dense polynomial in one formal variable over GaussianRational.
-
-    The zero polynomial has an empty coefficient tuple; otherwise the leading
-    coefficient is nonzero, so degree(p*q) = degree(p) + degree(q).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [GaussianRational.coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def _raw(cls, coeffs: tuple) -> "TauPolynomial":
-        p = object.__new__(cls)
-        p.coeffs = coeffs
-        return p
-
-    @classmethod
-    def constant(cls, c) -> "TauPolynomial":
-        c = GaussianRational.coerce(c)
-        return cls._raw((c,)) if c else TP_ZERO
-
-    @classmethod
-    def variable(cls) -> "TauPolynomial":
-        return TP_TAU
-
-    @staticmethod
-    def coerce(x) -> "TauPolynomial":
-        if isinstance(x, TauPolynomial):
-            return x
-        return TauPolynomial.constant(x)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> GaussianRational:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else GR_ZERO
-
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other):
-        o = _tp(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for k, c in enumerate(b):
-            cs[k] = cs[k] + c
-        while cs and not cs[-1]:
-            cs.pop()
-        return TauPolynomial._raw(tuple(cs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _tp(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = _tp(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self):
-        return TauPolynomial._raw(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, TauPolynomial):
-            a, b = self.coeffs, other.coeffs
-            if not a or not b:
-                return TP_ZERO
-            out = [GR_ZERO] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if not ca:
-                    continue
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] = out[i + j] + ca * cb
-            return TauPolynomial._raw(tuple(out))
-        s = _gr(other)
-        if s is None:
-            return NotImplemented
-        if not s:
-            return TP_ZERO
-        return TauPolynomial._raw(tuple(c * s for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError(f"negative exponent {n} for a tau-polynomial")
-        result = TP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def derivative(self) -> "TauPolynomial":
-        cs = tuple(k * c for k, c in enumerate(self.coeffs) if k)
-        return TauPolynomial(cs)
-
-    def evaluate(self, x) -> GaussianRational:
-        x = GaussianRational.coerce(x)
-        acc = GR_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def substitute(self, p: "TauPolynomial") -> "TauPolynomial":
-        """Polynomial composition self(p)."""
-        acc = TP_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * p + TauPolynomial.constant(c)
-        return acc
-
-    def divmod_poly(self, divisor: "TauPolynomial"):
-        """Exact long division over the Gaussian rationals."""
-        if not divisor.coeffs:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dlead = divisor.coeffs[-1].inverse()
-        dd = divisor.degree
-        q = [GR_ZERO] * max(len(rem) - dd, 0)
-        while len(rem) - 1 >= dd and rem:
-            k = len(rem) - 1 - dd
-            factor = rem[-1] * dlead
-            q[k] = factor
-            for j, c in enumerate(divisor.coeffs):
-                rem[k + j] = rem[k + j] - factor * c
-            while rem and not rem[-1]:
-                rem.pop()
-        return TauPolynomial(q), TauPolynomial(rem)
-
-    def inverse(self) -> "TauPolynomial":
-        if self.degree != 0:
-            raise ZeroDivisionError(
-                f"only degree-0 polynomials are invertible, got degree {self.degree}"
-            )
-        return TauPolynomial._raw((self.coeffs[0].inverse(),))
-
-    # -- structure -------------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        o = _tp(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "TauPolynomial(0)"
-        return "TauPolynomial(" + ", ".join(repr(c) for c in self.coeffs) + ")"
-
-    def to_json(self):
-        return [c.to_json() for c in self.coeffs]
-
-
-def _tp(x):
-    if isinstance(x, TauPolynomial):
-        return x
-    if isinstance(x, (int, Fraction, GaussianRational)):
-        return TauPolynomial.constant(x)
-    return None
-
-
-TP_ZERO = TauPolynomial._raw(())
-TP_ONE = TauPolynomial._raw((GR_ONE,))
-TP_TAU = TauPolynomial._raw((GR_ZERO, GR_ONE))
 
 
 class RealTauPolynomial:
@@ -445,14 +249,6 @@ class RealTauPolynomial:
 
     def coefficient(self, k: int) -> Fraction:
         return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else _ZERO
-
-    def times_i_power(self, k: int) -> TauPolynomial:
-        """i**k times this polynomial, over the Gaussian rationals."""
-        sign = -1 if k % 4 >= 2 else 1
-        cs = [Fraction(sign * n, self.den) for n in self.nums]
-        if k % 2:
-            return TauPolynomial._raw(tuple(GaussianRational._raw(_ZERO, c) for c in cs))
-        return TauPolynomial._raw(tuple(GaussianRational._raw(c, _ZERO) for c in cs))
 
     # -- ring operations -------------------------------------------------
 
@@ -517,6 +313,23 @@ class RealTauPolynomial:
             [k * n for k, n in enumerate(self.nums) if k], self.den
         )
 
+    def divmod_poly(self, divisor: "RealTauPolynomial"):
+        """Exact long division: (q, r) with self = q*divisor + r and
+        deg r < deg divisor."""
+        if not divisor.nums:
+            raise ZeroDivisionError("division by the zero polynomial")
+        rem = list(self.coeffs)
+        d = divisor.coeffs
+        q = [_ZERO] * max(len(rem) - len(d) + 1, 0)
+        while len(rem) >= len(d):
+            k = len(rem) - len(d)
+            q[k] = factor = rem[-1] / d[-1]
+            for j, c in enumerate(d):
+                rem[k + j] -= factor * c
+            while rem and not rem[-1]:
+                rem.pop()
+        return RealTauPolynomial(q), RealTauPolynomial(rem)
+
     # -- structure -------------------------------------------------------
 
     def __bool__(self):
@@ -559,6 +372,177 @@ def _rtp(x):
 
 
 RTP_ZERO = RealTauPolynomial._raw((), 1)
+
+
+class TauPolynomial:
+    """i**k times a RealTauPolynomial: a polynomial in one formal variable
+    over the Gaussian rationals whose coefficients all share one phase.
+
+    The phase is kept at i**0 or i**1 (a factor i**2 = -1 goes into the
+    signs; zero has phase 0), as in QHalfLaurent, so equality of
+    (real, i_power) is canonical.  Every operation runs on the rational
+    polynomial and adds phases; a sum of nonzero values with different
+    phases has no common phase and raises ValueError.  The readouts
+    (coeffs, coefficient, evaluate, to_json) are Gaussian rationals.
+    """
+
+    __slots__ = ("real", "i_power")
+
+    def __init__(self, coeffs=()):
+        gs = [GaussianRational.coerce(c) for c in coeffs]
+        imaginary = any(g.im for g in gs)
+        if imaginary and any(g.re for g in gs):
+            raise ValueError("coefficients with phases i^0 and i^1 have no common phase")
+        self.real = RealTauPolynomial([g.im if imaginary else g.re for g in gs])
+        self.i_power = int(imaginary)
+
+    @classmethod
+    def phased(cls, real, k: int) -> "TauPolynomial":
+        """i**k times a real tau-polynomial (or the integer 0)."""
+        if not real:
+            return TP_ZERO
+        k %= 4
+        if k >= 2:
+            real, k = -real, k - 2
+        p = object.__new__(cls)
+        p.real = real
+        p.i_power = k
+        return p
+
+    @classmethod
+    def constant(cls, c) -> "TauPolynomial":
+        return cls((c,))
+
+    @property
+    def coeffs(self) -> tuple[GaussianRational, ...]:
+        """The coefficients as Gaussian rationals, constant term first."""
+        if self.i_power:
+            return tuple(GaussianRational._raw(_ZERO, c) for c in self.real.coeffs)
+        return tuple(GaussianRational._raw(c, _ZERO) for c in self.real.coeffs)
+
+    @property
+    def degree(self) -> int:
+        return self.real.degree
+
+    def coefficient(self, k: int) -> GaussianRational:
+        return _I_POWERS[self.i_power] * self.real.coefficient(k)
+
+    # -- ring operations -------------------------------------------------
+
+    def __add__(self, other):
+        o = _tp(other)
+        if o is None:
+            return NotImplemented
+        if not o:
+            return self
+        if not self:
+            return o
+        if self.i_power != o.i_power:
+            raise ValueError("a sum of terms with phases i^0 and i^1 has no common phase")
+        return TauPolynomial.phased(self.real + o.real, self.i_power)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = _tp(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = _tp(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __neg__(self):
+        return TauPolynomial.phased(-self.real, self.i_power)
+
+    def __mul__(self, other):
+        o = _tp(other)
+        if o is None:
+            return NotImplemented
+        return TauPolynomial.phased(self.real * o.real, self.i_power + o.i_power)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative exponent {n} for a tau-polynomial")
+        result = TP_ONE
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def derivative(self) -> "TauPolynomial":
+        return TauPolynomial.phased(self.real.derivative(), self.i_power)
+
+    def evaluate(self, x) -> GaussianRational:
+        x = GaussianRational.coerce(x)
+        acc = GR_ZERO
+        for c in reversed(self.real.coeffs):
+            acc = acc * x + c
+        return acc * _I_POWERS[self.i_power]
+
+    def substitute(self, p: "TauPolynomial") -> "TauPolynomial":
+        """Polynomial composition self(p).  For an imaginary p the terms of
+        even and odd degree get different phases, so a self with both raises
+        ValueError."""
+        acc = TP_ZERO
+        for c in reversed(self.real.coeffs):
+            acc = acc * p + c
+        return TauPolynomial.phased(acc.real, acc.i_power + self.i_power)
+
+    def divmod_poly(self, divisor: "TauPolynomial"):
+        """Exact long division: the quotient's phase is the difference of the
+        two phases, and the remainder keeps the dividend's."""
+        q, r = self.real.divmod_poly(divisor.real)
+        return (
+            TauPolynomial.phased(q, self.i_power - divisor.i_power),
+            TauPolynomial.phased(r, self.i_power),
+        )
+
+    # -- structure -------------------------------------------------------
+
+    def __bool__(self):
+        return bool(self.real)
+
+    def __eq__(self, other):
+        o = _tp(other)
+        if o is None:
+            return NotImplemented
+        return self.i_power == o.i_power and self.real == o.real
+
+    def __hash__(self):
+        if self.real.degree <= 0:
+            return hash(self.coefficient(0))
+        return hash((self.real, self.i_power))
+
+    def __repr__(self):
+        if not self.real:
+            return "TauPolynomial(0)"
+        return "TauPolynomial(" + ", ".join(repr(c) for c in self.coeffs) + ")"
+
+    def to_json(self):
+        return [c.to_json() for c in self.coeffs]
+
+
+def _tp(x):
+    """A scalar as a constant TauPolynomial; None for anything else."""
+    if isinstance(x, TauPolynomial):
+        return x
+    if isinstance(x, (int, Fraction, GaussianRational)):
+        return TauPolynomial((x,))
+    return None
+
+
+TP_ZERO = TauPolynomial()
+TP_ONE = TauPolynomial((1,))
+TP_TAU = TauPolynomial((0, 1))
 
 _SCALARS = (int, Fraction, GaussianRational, TauPolynomial, RealTauPolynomial)
 
@@ -733,17 +717,13 @@ class LaurentSeries:
         return LaurentSeries(self.min_exp, self.coeffs[:n], trunc_order)
 
     def reciprocal(self) -> "LaurentSeries":
-        """Multiplicative inverse, valid to trunc_order - 2*min_exp."""
+        """Multiplicative inverse of a series over the rationals, valid to
+        trunc_order - 2*min_exp."""
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of a zero-so-far series")
         m = self.min_exp
         trunc = self.trunc_order - 2 * m
-        c0 = self.coeffs[0]
-        c0inv = (
-            Fraction(1) / c0
-            if isinstance(c0, (int, Fraction))
-            else c0.inverse()
-        )
+        c0inv = Fraction(1) / self.coeffs[0]
         # u = self / (c0 * x^m) - 1 has positive valuation
         u = [c * c0inv for c in self.coeffs[1 : trunc + m + 1]]
         inv = [0] * (trunc + m + 1)

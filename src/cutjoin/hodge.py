@@ -22,9 +22,12 @@ p_mu = i^(-|mu|) P_mu since |mu| = |nu|; the exponential factor is
 exp((tau + 1/2)*kappa*x/2); and the evolution equation reads
 d/dtau R = (x/2) * Omega(R).  So the coefficient of x^m P_mu is a rational
 tau-polynomial r, and the coefficient of lambda^m p_mu is i^(m+|mu|) * r.
-That phase is put back only where a value leaves the series: MVSeries
-coefficients and extraction, and the checks against closed forms over the
-Gaussian rationals.
+That phase is put back only where a value leaves the series (MVSeries
+coefficients and extraction), as the TauPolynomial i^(m+|mu|) * r, which
+stores r and the phase and never multiplies out complex coefficients.  The
+closed forms (prefactor, genus-0 value, tau = 0 sine form) are written in
+lambda as in the paper, so the checks against them test the phase rule
+independently.
 
 The sine amplitude is expanded from the power sums of the hook lengths:
 
@@ -66,7 +69,6 @@ from .exact import (
     RealTauPolynomial,
     TP_ONE,
     TP_TAU,
-    TP_ZERO,
     TauPolynomial,
     sin_half_series,
     sinh_half_series,
@@ -218,18 +220,12 @@ def _tau_diff(c):
     return c.derivative() if isinstance(c, RealTauPolynomial) else 0
 
 
-def _lambda_coefficient(c, phase: int) -> TauPolynomial:
-    """The lambda-form value i^phase * c of a body entry (0 or a real
-    tau-polynomial)."""
-    return c.times_i_power(phase) if c else TP_ZERO
-
-
 def _lambda_series(s: LaurentSeries, weight: int) -> LaurentSeries:
     """The coefficient series of p_mu, |mu| = weight, from that of P_mu:
     the x^m entry r becomes the lambda^m entry i^(m+weight) * r."""
     return LaurentSeries._raw(
         s.min_exp,
-        tuple(_lambda_coefficient(c, k + weight) for k, c in s.items()),
+        tuple(TauPolynomial.phased(c, k + weight) for k, c in s.items()),
         s.trunc_order,
     )
 
@@ -412,7 +408,7 @@ def extract_C_gmu(R: MVSeries, g: int, mu: Partition) -> CgmuPolynomial:
         )
     series = R.body.coefficient(mu)
     c = series.coefficient(m) if series else 0
-    return CgmuPolynomial(g, mu, _lambda_coefficient(c, m + mu.size))
+    return CgmuPolynomial(g, mu, TauPolynomial.phased(c, m + mu.size))
 
 
 def prefactor_polynomial(mu: Partition) -> TauPolynomial:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from cutjoin.cli import RunConfig, SUITES, cmd_verify, main
+from cutjoin.partitions import enumerate_partitions
 
 FIXTURE = Path(__file__).parent / "data" / "mv_series_w2_o6.jsonl"
 
@@ -270,6 +271,16 @@ class TestVerify:
         summary = json.loads(lines[-1])
         assert code == 0 and summary["failed"] == 0 and summary["checks"] == 15
 
+    def test_extraction_details_name_the_checked_range(self):
+        # the shapes are clipped to min(4, --max-weight), and so is the detail
+        _, lines = main_lines(
+            "verify", "--suite", "extraction", "--max-weight", "2", "--lambda-order", "6"
+        )
+        details = [json.loads(l)["detail"] for l in lines if '"check"' in l]
+        ranged = [d for d in details if "|mu| <=" in d]
+        assert len(ranged) == 12 and all(d.endswith("|mu| <= 2") for d in ranged)
+        assert "all |mu| <= 2" in ranged
+
     def test_failure_exit_code(self, capsys):
         # inject a failing pseudo-suite through the registry
         def broken(config):
@@ -310,6 +321,26 @@ class TestGoldenFixture:
         assert proc.returncode == 0
         digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
         assert digest == "dc06e309dcc2686beb588e8d80c067e8af014729d27b04456472d735a5e5adc0"
+
+    def test_hodge_grid_digest(self):
+        # every `hodge` record for g <= 3, |mu| <= 4 at (W, L) = (4, 8),
+        # the imaginary prefactors included, joined in this loop order
+        buf = io.StringIO()
+        stdout, sys.stdout = sys.stdout, buf
+        try:
+            for g in range(4):
+                for d in range(1, 5):
+                    for mu in enumerate_partitions(d):
+                        code = main([
+                            "hodge", "--genus", str(g),
+                            "--partition", ",".join(map(str, mu.parts)),
+                            "--max-weight", "4", "--lambda-order", "8",
+                        ])
+                        assert code == 0, (g, mu)
+        finally:
+            sys.stdout = stdout
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digest == "5e715e8db67525aa317ba1b1a7c6e2df466fb8075db44c74ef2cd61dd05f17bc"
 
     def test_fixture_is_valid_jsonl(self):
         for line in FIXTURE.read_text().splitlines():

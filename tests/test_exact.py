@@ -12,6 +12,7 @@ from cutjoin.exact import (
     LaurentSeries,
     QHalfLaurent,
     RealTauPolynomial,
+    TP_TAU,
     TauPolynomial,
     fraction_str,
     parse_fraction,
@@ -23,7 +24,6 @@ from cutjoin.exact import (
 
 small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=9)
 gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
-tau_polys = st.builds(TauPolynomial, st.lists(gaussians, max_size=4))
 
 
 def laurent(coeff_st, min_lo=-3, max_len=6):
@@ -109,53 +109,6 @@ class TestGaussianRational:
             "im": "-2/1",
         }
         assert parse_fraction(fraction_str(Fraction(-3, 7))) == Fraction(-3, 7)
-
-
-class TestTauPolynomial:
-    @given(tau_polys, tau_polys, tau_polys)
-    def test_ring_axioms(self, p, q, r):
-        assert (p + q) + r == p + (q + r)
-        assert (p * q) * r == p * (q * r)
-        assert p * (q + r) == p * q + p * r
-
-    @given(tau_polys, tau_polys)
-    def test_degree_multiplicative(self, p, q):
-        if p and q:
-            assert (p * q).degree == p.degree + q.degree
-
-    @given(tau_polys, tau_polys)
-    def test_divmod(self, p, d):
-        if not d:
-            return
-        q, r = p.divmod_poly(d)
-        assert q * d + r == p
-        assert not r or r.degree < d.degree
-
-    @given(tau_polys, tau_polys)
-    def test_derivative_leibniz(self, p, q):
-        assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
-
-    def test_reflection_involution(self):
-        p = TauPolynomial([1, 2, GaussianRational(0, 3)])
-        flip = TauPolynomial([-1, -1])
-        assert p.substitute(flip).substitute(flip) == p
-
-    def test_evaluate(self):
-        p = TauPolynomial([1, 0, 1])  # 1 + tau^2
-        assert p.evaluate(2) == 5
-        assert p.evaluate(GR_I) == 0
-
-    def test_unit_inverse_only(self):
-        assert TauPolynomial([2]).inverse() == TauPolynomial([Fraction(1, 2)])
-        with pytest.raises(ZeroDivisionError):
-            TauPolynomial([0, 1]).inverse()
-
-    def test_negative_power_rejected(self):
-        # a unit tau-polynomial has an inverse, but a negative power is
-        # rejected rather than looping on the exponent's sign bits
-        with pytest.raises(ValueError, match="negative exponent"):
-            TauPolynomial([2]) ** -1
-        assert TauPolynomial([1, 1]) ** 0 == 1
 
 
 class TestLaurentSeries:
@@ -374,13 +327,6 @@ class TestRealTauPolynomial:
         assert 0 + RealTauPolynomial([1, 2]) == RealTauPolynomial([1, 2])
         assert RealTauPolynomial([1, 1]).coefficient(5) == 0
 
-    def test_times_i_power(self):
-        p = RealTauPolynomial([Fraction(1, 4), Fraction(1, 2)])
-        assert p.times_i_power(0) == TauPolynomial([Fraction(1, 4), Fraction(1, 2)])
-        assert p.times_i_power(1) == TauPolynomial([Fraction(1, 4), Fraction(1, 2)]) * GR_I
-        assert p.times_i_power(2) == -p.times_i_power(0)
-        assert p.times_i_power(-1) == -p.times_i_power(1)
-
     def test_sinh_examples(self):
         s = sinh_half_series(1, 5)
         assert [s.coefficient(k) for k in (1, 3, 5)] == [
@@ -388,3 +334,147 @@ class TestRealTauPolynomial:
             Fraction(1, 48),
             Fraction(1, 3840),
         ]
+
+
+def _ref_horner(cs, x):
+    acc = GR_ZERO
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_compose(a, b):
+    acc = ()
+    for c in reversed(a):
+        acc = _ref_add(_ref_mul(acc, b), (c,))
+    return acc
+
+
+def _ref_divmod(a, d):
+    """Long division of coefficient tuples over the Gaussian rationals."""
+    rem = list(a)
+    q = [GR_ZERO] * max(len(a) - len(d) + 1, 0)
+    while len(rem) >= len(d):
+        k = len(rem) - len(d)
+        q[k] = f = rem[-1] / d[-1]
+        for j, c in enumerate(d):
+            rem[k + j] = rem[k + j] - f * c
+        rem = list(_trim(rem))
+    return _trim(q), tuple(rem)
+
+
+def _phased(cs, k):
+    return TauPolynomial.phased(RealTauPolynomial(cs), k)
+
+
+phases = st.integers(0, 3)
+
+
+class TestTauPolynomial:
+    """Phased values i^k * (rational polynomial) against tuples of
+    GaussianRational coefficients."""
+
+    @given(fraction_tuples, fraction_tuples, fraction_tuples, phases, phases)
+    def test_ring_axioms(self, a, b, c, j, k):
+        p, q, r, s = _phased(a, j), _phased(b, k), _phased(c, k), _phased(a, k)
+        assert (s + q) + r == s + (q + r)
+        assert (p * q) * r == p * (q * r)
+        assert p * (q + r) == p * q + p * r
+
+    @given(fraction_tuples, fraction_tuples, phases, phases)
+    def test_against_gaussian_coefficients(self, a, b, j, k):
+        p, q = _phased(a, j), _phased(b, k)
+        assert (p * q).coeffs == _ref_mul(p.coeffs, q.coeffs)
+        assert (p + _phased(b, j)).coeffs == _ref_add(p.coeffs, _phased(b, j).coeffs)
+        assert (-p).coeffs == tuple(-c for c in p.coeffs)
+        assert p.derivative().coeffs == _trim(n * c for n, c in enumerate(p.coeffs) if n)
+        for x in (GR_ZERO, GaussianRational(Fraction(-3, 2)), GaussianRational(1, 2)):
+            assert p.evaluate(x) == _ref_horner(p.coeffs, x)
+        flip = TauPolynomial([-1, -1])
+        assert p.substitute(flip).coeffs == _ref_compose(p.coeffs, flip.coeffs)
+        assert [p.coefficient(n) for n in range(len(a) + 1)] == list(p.coeffs) + [GR_ZERO]
+
+    @given(fraction_tuples, phases)
+    def test_phase_is_canonical(self, a, k):
+        p = _phased(a, k)
+        assert p.i_power in (0, 1) and (p or p.i_power == 0)
+        assert p == TauPolynomial(p.coeffs)
+
+    @given(fraction_tuples, fraction_tuples, phases, phases)
+    def test_degree_multiplicative(self, a, b, j, k):
+        p, q = _phased(a, j), _phased(b, k)
+        if p and q:
+            assert (p * q).degree == p.degree + q.degree
+
+    @given(fraction_tuples, fraction_tuples, phases, phases)
+    def test_divmod(self, a, b, j, k):
+        p, d = _phased(a, j), _phased(b, k)
+        if not d:
+            with pytest.raises(ZeroDivisionError):
+                p.divmod_poly(d)
+            return
+        q, r = p.divmod_poly(d)
+        assert (q.coeffs, r.coeffs) == _ref_divmod(p.coeffs, d.coeffs)
+        assert q * d + r == p
+        assert not r or r.degree < d.degree
+
+    @given(fraction_tuples, fraction_tuples, phases, phases)
+    def test_derivative_leibniz(self, a, b, j, k):
+        p, q = _phased(a, j), _phased(b, k)
+        assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
+
+    @given(fraction_tuples, phases)
+    def test_reflection_involution(self, a, k):
+        p = _phased(a, k)
+        flip = TauPolynomial([-1, -1])
+        assert p.substitute(flip).substitute(flip) == p
+
+    def test_imaginary_substitution(self):
+        # tau + tau^3 at i*tau is i*(tau - tau^3); 1 + tau at i*tau has no phase
+        i_tau = TP_TAU * GR_I
+        assert TauPolynomial([0, 1, 0, 1]).substitute(i_tau) == TauPolynomial([0, 1, 0, -1]) * GR_I
+        with pytest.raises(ValueError, match="no common phase"):
+            TauPolynomial([1, 1]).substitute(i_tau)
+
+    def test_evaluate(self):
+        p = TauPolynomial([1, 0, 1])  # 1 + tau^2
+        assert p.evaluate(2) == 5
+        assert p.evaluate(GR_I) == 0
+
+    def test_phased(self):
+        p = RealTauPolynomial([Fraction(1, 4), Fraction(1, 2)])
+        assert TauPolynomial.phased(p, 0) == TauPolynomial([Fraction(1, 4), Fraction(1, 2)])
+        assert TauPolynomial.phased(p, 1) == TauPolynomial([Fraction(1, 4), Fraction(1, 2)]) * GR_I
+        assert TauPolynomial.phased(p, 2) == -TauPolynomial.phased(p, 0)
+        assert TauPolynomial.phased(p, -1) == -TauPolynomial.phased(p, 1)
+        assert TauPolynomial.phased(0, 3) == TauPolynomial.phased(RealTauPolynomial(), 1) == 0
+
+    def test_constructor_keeps_one_phase(self):
+        p = TauPolynomial([GaussianRational(0, Fraction(1, 4)), GaussianRational(0, Fraction(1, 2))])
+        assert (p.real, p.i_power) == (RealTauPolynomial([Fraction(1, 4), Fraction(1, 2)]), 1)
+        assert TauPolynomial([1]) == 1 and TauPolynomial([0, 0]) == TauPolynomial()
+        # equal values hash alike, scalars included
+        assert hash(TauPolynomial([1])) == hash(1)
+        assert hash(TauPolynomial([GR_I * 3])) == hash(GR_I * 3)
+        with pytest.raises(ValueError, match="no common phase"):
+            TauPolynomial([1, GR_I])
+        with pytest.raises(ValueError, match="no common phase"):
+            TauPolynomial([GaussianRational(1, 1)])
+
+    def test_mixed_phase_sum_rejected(self):
+        with pytest.raises(ValueError, match="no common phase"):
+            TP_TAU + GR_I
+        with pytest.raises(ValueError, match="no common phase"):
+            TP_TAU * GR_I - 1
+        assert TP_TAU * GR_I + 0 == TP_TAU * GR_I
+
+    @given(fraction_tuples, phases)
+    def test_to_json(self, a, k):
+        p = _phased(a, k)
+        assert p.to_json() == [c.to_json() for c in p.coeffs]
+
+    def test_negative_power_rejected(self):
+        # rejected rather than looping on the exponent's sign bits
+        with pytest.raises(ValueError, match="negative exponent"):
+            TauPolynomial([2]) ** -1
+        assert TauPolynomial([1, 1]) ** 0 == 1
