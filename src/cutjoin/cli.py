@@ -692,6 +692,11 @@ def main(argv: list[str] | None = None) -> int:
             mu = _parse_partition(parser, args.partition)
             if args.genus < 0:
                 parser.error("--genus must be nonnegative")
+            if args.method == "connected" and mu.size > MAX_TABLE_DEGREE:
+                parser.error(
+                    f"--partition size {mu.size} exceeds {MAX_TABLE_DEGREE} "
+                    "for --method connected"
+                )
             return cmd_hurwitz(config, args.genus, mu, args.method, out)
         if args.command == "hodge":
             mu = _parse_partition(parser, args.partition)

@@ -3,8 +3,8 @@
 A cover count here is the number of r-tuples of transpositions in S_d whose
 product is one fixed permutation of cycle type mu, divided by z_mu.  The
 character route evaluates the class-algebra sum; the brute-force route
-enumerates tuples, optionally keeping only those whose transpositions
-together with the cycles of the fixed permutation act transitively.  The
+counts tuples without characters, layer by layer over (product, blocks of
+joined points) states, optionally keeping only the transitive ones.  The
 exponential formula converts between the two normalizations (all covers vs
 connected covers) through an x^r/r! grading in the branch-count variable,
 and both routes are required to agree wherever enumeration is feasible.
@@ -12,6 +12,7 @@ and both routes are required to agree wherever enumeration is feasible.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -35,11 +36,10 @@ DEFAULT_BUDGET = 10**7
 class BudgetExceededError(RuntimeError):
     """Enumeration would exceed the configured work budget."""
 
-    def __init__(self, estimated: int, budget: int):
-        self.estimated = estimated
+    def __init__(self, base: int, exponent: int, budget: int):
         self.budget = budget
         super().__init__(
-            f"estimated {estimated} tuples exceeds the budget of {budget}"
+            f"estimated {base}^{exponent} tuples exceeds the budget of {budget}"
         )
 
 
@@ -79,83 +79,72 @@ def canonical_permutation(mu: Partition) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _transitive(tuples, sigma_cycles, d: int) -> bool:
-    parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for t in tuples:
-        moved = [i for i in range(d) if t[i] != i]
-        union(moved[0], moved[1])
-    for cyc in sigma_cycles:
-        for x in cyc[1:]:
-            union(cyc[0], x)
-    root = find(0)
-    return all(find(x) == root for x in range(d))
-
-
-def _cycles_of(perm: tuple[int, ...]) -> list[list[int]]:
-    seen = [False] * len(perm)
-    out = []
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        cyc = [i]
-        seen[i] = True
-        j = perm[i]
-        while j != i:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        out.append(cyc)
-    return out
-
-
 def hurwitz_bruteforce(
     r: int,
     mu: Partition,
     transitive_only: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> Fraction:
-    """Enumerate r-tuples of transpositions multiplying to a fixed permutation
-    of type mu; exact count divided by z_mu."""
+    """Count r-tuples of transpositions multiplying to a fixed permutation
+    sigma of type mu; exact count divided by z_mu.
+
+    Each layer maps a state (product so far, blocks of the points joined so
+    far, each labelled by its smallest point) to the number of prefixes
+    reaching it; blocks are tracked only when transitive_only is set.  A
+    state is dropped when its distance to sigma, d minus the cycles of
+    sigma * product^-1, exceeds the steps left: a transposition moves that
+    distance by exactly 1, so no counted tuple is lost, and a layer holds at
+    most d! * Bell(d) states.  Transitive means the transpositions join all
+    points into one block.  sigma's cycles need no joining in: a product
+    equal to sigma lies in the group the transpositions generate, which maps
+    every block to itself, so each cycle of sigma already lies in one block.
+    The budget caps the tuple count |transpositions|^r, never visited one
+    by one.
+    """
     d = mu.size
-    if d < 1:
-        raise ValueError("requires a nonempty partition")
+    if d < 1 or r < 0:
+        raise ValueError(f"requires a nonempty partition and r >= 0, got r={r}")
     trans = transpositions(d)
-    estimated = len(trans) ** r if trans else (1 if r == 0 else 0)
-    if estimated > budget:
-        raise BudgetExceededError(estimated, budget)
+    tuples = 1  # len(trans)^r, multiplied out only while it grows within the budget
+    for _ in range(r):
+        tuples *= len(trans)
+        if tuples > budget or tuples <= 1:
+            break
+    if tuples > budget:
+        raise BudgetExceededError(len(trans), r, budget)
     sigma = canonical_permutation(mu)
-    sigma_cycles = _cycles_of(sigma)
+    moves = [(t, *(i for i in range(d) if t[i] != i)) for t in trans]
+
+    @cache
+    def distance(prod: tuple[int, ...]) -> int:
+        rest = dict(zip(prod, sigma))  # sigma * prod^-1
+        cycles = 0
+        while rest:
+            cycles += 1
+            j = next(iter(rest))
+            while j in rest:
+                j = rest.pop(j)
+        return d - cycles
+
     identity = tuple(range(d))
-    count = 0
-    stack: list[tuple[int, ...]] = []
-
-    def rec(depth: int, prod: tuple[int, ...]):
-        nonlocal count
-        if depth == r:
-            if prod == sigma and (
-                not transitive_only or _transitive(stack, sigma_cycles, d)
-            ):
-                count += 1
-            return
-        for t in trans:
-            stack.append(t)
-            rec(depth + 1, tuple(t[prod[i]] for i in range(d)))
-            stack.pop()
-
-    rec(0, identity)
-    return Fraction(count, mu.z())
+    layer = {(identity, identity if transitive_only else ()): 1}
+    for left in reversed(range(r)):
+        if not layer:  # all pruned; r itself may be huge
+            break
+        step = defaultdict(int)
+        for (prod, blocks), count in layer.items():
+            for t, a, b in moves:
+                new = tuple(map(t.__getitem__, prod))
+                if distance(new) > left:
+                    continue
+                if blocks and blocks[a] != blocks[b]:
+                    lo, hi = sorted((blocks[a], blocks[b]))
+                    step[new, tuple(lo if x == hi else x for x in blocks)] += count
+                else:
+                    step[new, blocks] += count
+        layer = step
+    one_block = (0,) * d if transitive_only else ()
+    return Fraction(layer.get((sigma, one_block), 0), mu.z())
 
 
 def hurwitz_disconnected(r: int, mu: Partition) -> Fraction:

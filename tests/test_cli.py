@@ -107,6 +107,35 @@ class TestComputeCommands:
         assert proc.returncode == 3
         assert "budget" in proc.stderr
 
+    def test_huge_genus_brute_exceeds_budget(self):
+        # 15^6005 tuples: far past the decimal-conversion limit for ints
+        proc = run_cli(
+            "hurwitz", "--genus", "3000", "--partition", "6", "--method", "brute"
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "15^6005 tuples exceeds the budget of 10000000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_connected_method_partition_size_limit(self, monkeypatch):
+        from cutjoin import hurwitz
+
+        args = ("hurwitz", "--genus", "0", "--partition", "13", "--method", "connected")
+        proc = run_cli(*args)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "--partition size 13 exceeds 12" in proc.stderr
+
+        def no_table(*args):
+            raise AssertionError("table built for a rejected partition")
+
+        monkeypatch.setattr(hurwitz, "hurwitz_connected", no_table)
+        with pytest.raises(SystemExit) as exc:
+            main(list(args))
+        assert exc.value.code == 2
+        code, lines = main_lines(
+            "hurwitz", "--genus", "0", "--partition", "20", "--method", "char"
+        )
+        assert code == 0 and json.loads(lines[-1])["partition"] == [20]
+
     def test_env_budget_is_echoed(self):
         proc = run_cli(
             "hurwitz", "--genus", "0", "--partition", "2",

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,53 @@ from cutjoin.partitions import Partition, enumerate_partitions
 P = Partition
 
 
+def enumerate_reference(r, mu, transitive_only=False):
+    """Visit every r-tuple of transpositions one by one; for transitivity,
+    union the moved points of each transposition and the cycles of sigma."""
+    d = mu.size
+    trans = transpositions(d)
+    sigma = canonical_permutation(mu)
+    sigma_cycles, seen = [], set()
+    for i in range(d):
+        if i not in seen:
+            cyc = [i]
+            while sigma[cyc[-1]] != i:
+                cyc.append(sigma[cyc[-1]])
+            seen.update(cyc)
+            sigma_cycles.append(cyc)
+
+    def transitive(tuples):
+        parent = list(range(d))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        links = [[i for i in range(d) if t[i] != i] for t in tuples] + sigma_cycles
+        for link in links:
+            for x in link[1:]:
+                parent[find(x)] = find(link[0])
+        return len({find(x) for x in range(d)}) == 1
+
+    count = 0
+    stack = []
+
+    def rec(depth, prod):
+        nonlocal count
+        if depth == r:
+            if prod == sigma and (not transitive_only or transitive(stack)):
+                count += 1
+            return
+        for t in trans:
+            stack.append(t)
+            rec(depth + 1, tuple(t[prod[i]] for i in range(d)))
+            stack.pop()
+
+    rec(0, tuple(range(d)))
+    return Fraction(count, mu.z())
+
+
 class TestBruteForce:
     def test_spec_anchors(self):
         assert hurwitz_bruteforce(3, P([2]), transitive_only=True) == Fraction(1, 2)
@@ -31,6 +79,38 @@ class TestBruteForce:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             hurwitz_bruteforce(8, P([4]), budget=10)
+
+    def test_budget_guard_huge_exponent(self):
+        with pytest.raises(BudgetExceededError, match=r"estimated 15\^1000000000 tuples"):
+            hurwitz_bruteforce(10**9, P([6]))
+        assert hurwitz_bruteforce(0, P([2]), budget=1) == 0
+        with pytest.raises(BudgetExceededError):
+            hurwitz_bruteforce(0, P([2]), budget=0)
+
+    def test_negative_branch_count_rejected(self):
+        with pytest.raises(ValueError, match="r >= 0"):
+            hurwitz_bruteforce(-1, P([1]))
+
+    @pytest.mark.parametrize("transitive_only", [False, True])
+    def test_matches_reference_enumeration(self, transitive_only):
+        cases = [(mu, r) for d in range(1, 5) for mu in enumerate_partitions(d) for r in range(7)]
+        cases += [(mu, r) for mu in enumerate_partitions(5) for r in range(5)]
+        for mu, r in cases:
+            assert hurwitz_bruteforce(r, mu, transitive_only) == enumerate_reference(
+                r, mu, transitive_only
+            ), (mu, r)
+
+    def test_transitivity_negative_control(self):
+        # (t, t) for each of the 3 transpositions: a product of 1 in S_3, over z = 6
+        assert hurwitz_bruteforce(2, P([1, 1, 1])) == Fraction(1, 2)
+        assert hurwitz_bruteforce(2, P([1, 1, 1]), transitive_only=True) == 0
+
+    def test_layers_stay_small(self):
+        # 21^6 ~ 8.6e7 tuples; only the geodesic states to sigma survive
+        start = time.perf_counter()
+        value = hurwitz_bruteforce(6, P([7]), transitive_only=True, budget=10**8)
+        assert time.perf_counter() - start < 1.0
+        assert value == hurwitz_connected(0, P([7])) == 2401
 
     def test_transpositions_and_canonical_permutation(self):
         assert len(transpositions(4)) == 6
@@ -48,6 +128,12 @@ class TestCharacterFormula:
             for mu in enumerate_partitions(d):
                 for r in range(6):
                     assert hurwitz_disconnected(r, mu) == hurwitz_bruteforce(r, mu)
+
+    def test_matches_bruteforce_degrees_5_and_6(self):
+        for d in (5, 6):
+            for mu in enumerate_partitions(d):
+                for r in range(6):
+                    assert hurwitz_disconnected(r, mu) == hurwitz_bruteforce(r, mu), (mu, r)
 
     def test_parity_vanishing(self):
         for d in range(1, 5):
@@ -83,6 +169,17 @@ class TestConnected:
                         assert hurwitz_connected(g, mu) == hurwitz_bruteforce(
                             r, mu, transitive_only=True
                         )
+
+    def test_matches_transitive_bruteforce_degrees_5_and_6(self):
+        for d in (5, 6):
+            for mu in enumerate_partitions(d):
+                for r in range(6):
+                    brute = hurwitz_bruteforce(r, mu, transitive_only=True)
+                    twice_g = r + 2 - d - mu.length
+                    if twice_g % 2:
+                        assert brute == 0, (mu, r)
+                    else:
+                        assert hurwitz_connected(twice_g // 2, mu) == brute, (mu, r)
 
 
 class TestElsv:
