@@ -47,17 +47,26 @@ to the x^m P_mu coefficient, where m_nu = 2, or 1 when nu = nu'.  So W_nu is
 built for one partition of each pair, and only exponents of the parity of
 l(mu) are formed.
 
-Truncation bookkeeping: to guarantee the connected series is valid to
-lambda-order L at every weight up to W, the disconnected series is built with
-per-coefficient truncation L + W - 1 (a product of k coefficient series loses
-at most W - 1 orders against the worst split of its weight).
+Truncation bookkeeping: each coefficient is computed only to the order
+something downstream reads.  The weight-d coefficients of the disconnected
+series are built to x-order L + W - d.  A weight-d factor of a product of
+weight at most W meets poles of total order at most W - d from the other
+factors (the weight-e coefficient has a pole of order at most e), so by
+induction on the recurrence of ps_log every connected coefficient of weight
+n is valid to at least L + W - n >= L.  Every check and readout compares the
+series only up to L, so both bodies are cut at L (MVSeries.truncated) before
+the tau-derivative, the cut-and-join operators, the tau = 0 value and the
+lambda-series readout.  A connected coefficient has a pole of order at most
+1, so a product of two of them cut at L is valid to L - 1 and the
+nonlinear side (x/2) * Omega~ is still valid to L; _evolution_holds raises
+if any compared coefficient is valid below L.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import factorial, prod
 
 from .exact import (
@@ -182,35 +191,43 @@ class MVSeries:
 
     The body is the series in x = i*lambda and P_k = i^k p_k: its
     coefficients are x-Laurent series over real tau-polynomials (see the
-    module docstring).  `coefficient` and `at_tau_zero` give the series in
-    lambda and p, over the Gaussian rationals.
+    module docstring), valid to at least `lambda_order` and possibly beyond.
+    `truncated` is the body cut at `lambda_order`, the order every check and
+    readout compares to; `tau_derivative`, `coefficient` and `at_tau_zero`
+    read it, and the last two give the series in lambda and p, over the
+    Gaussian rationals, valid to exactly `lambda_order`.
     """
 
     body: PartitionSeries
     max_weight: int
     lambda_order: int
 
+    @cached_property
+    def truncated(self) -> PartitionSeries:
+        """The body with every coefficient series cut at lambda_order."""
+        return self.body.map_coefficients(lambda s: s.truncate(self.lambda_order))
+
     def coefficient(self, mu: Partition) -> LaurentSeries:
         """The coefficient of p_mu as a lambda-Laurent series over
-        tau-polynomials."""
-        c = self.body.coefficient(mu)
+        tau-polynomials, valid to lambda_order."""
+        c = self.truncated.coefficient(mu)
         if isinstance(c, int):
             return LaurentSeries.zero(self.lambda_order)
         return _lambda_series(c, mu.size)
 
     def tau_derivative(self) -> PartitionSeries:
-        """d/dtau of the body, in the x and P variables."""
-        return self.body.map_coefficients(
+        """d/dtau of the truncated body, in the x and P variables."""
+        return self.truncated.map_coefficients(
             lambda s: s.map_coefficients(_tau_diff)
         )
 
     def at_tau_zero(self) -> PartitionSeries:
         """The series in lambda and p at tau = 0, over the Gaussian
-        rationals."""
+        rationals, valid to lambda_order."""
         return PartitionSeries(
             {
                 mu: _lambda_series(s, mu.size).map_coefficients(lambda c: c.evaluate(0))
-                for mu, s in self.body.terms.items()
+                for mu, s in self.truncated.terms.items()
             },
             self.max_weight,
         )
@@ -235,13 +252,14 @@ def build_disconnected(max_weight: int, lambda_order: int) -> MVSeries:
 
     W_nu = E_nu * V_nu is built once per conjugate pair {nu, nu'}, and the
     x^m P_mu coefficient is formed only for m = l(mu) (mod 2); the other
-    parity is zero (see the module docstring).
+    parity is zero (see the module docstring).  Weight d is built to x-order
+    L + W - d, enough for the connected series to be valid to L.
     """
     if max_weight < 1:
         raise ValueError("max_weight must be at least 1")
-    T = lambda_order + max_weight - 1
     terms = {}
     for d in range(max_weight + 1):
+        T = lambda_order + max_weight - d
         nus = enumerate_partitions(d)
         reps = []
         for nu in nus:
@@ -326,15 +344,16 @@ def theorem1_verdicts(max_weight: int = 6, lambda_order: int = 12) -> tuple[bool
     linear form:     d/dtau (disconnected) = (x/2) * Omega(disconnected)
     nonlinear form:  d/dtau (connected)    = (x/2) * Omega~(connected)
 
-    In lambda and p the factor x/2 reads sqrt(-1)*lambda/2.
+    In lambda and p the factor x/2 reads sqrt(-1)*lambda/2.  Both sides are
+    formed from the bodies cut at lambda_order and compared up to it.
     """
     star, conn = build_series_pair(max_weight, lambda_order)
     half = Fraction(1, 2)
     linear = _evolution_holds(
-        star.tau_derivative(), _x_scaled(cut_join_linear(star.body), half), lambda_order
+        star.tau_derivative(), _x_scaled(cut_join_linear(star.truncated), half), lambda_order
     )
     nonlinear = _evolution_holds(
-        conn.tau_derivative(), _x_scaled(cut_join_nonlinear(conn.body), half), lambda_order
+        conn.tau_derivative(), _x_scaled(cut_join_nonlinear(conn.truncated), half), lambda_order
     )
     return linear, nonlinear
 
@@ -500,14 +519,10 @@ def cutjoin_derivative_check(R: MVSeries, g: int, mu: Partition) -> bool:
 def parity_pole_check(R: MVSeries) -> bool:
     """Connected-series structure: the coefficient of p_mu has lambda
     exponents m >= l(mu) - 2 with m = l(mu) (mod 2) only."""
-    for mu, series in R.body.terms.items():
+    for mu, series in R.truncated.terms.items():
         l = mu.length
         for k, c in series.items():
-            if k > R.lambda_order:
-                break
-            if not c:
-                continue
-            if k < l - 2 or (k - l) % 2 != 0:
+            if c and (k < l - 2 or (k - l) % 2 != 0):
                 return False
     return True
 

@@ -36,11 +36,9 @@ DEFAULT_BUDGET = 10**7
 class BudgetExceededError(RuntimeError):
     """Enumeration would exceed the configured work budget."""
 
-    def __init__(self, base: int, exponent: int, budget: int):
+    def __init__(self, estimate: str, budget: int):
         self.budget = budget
-        super().__init__(
-            f"estimated {base}^{exponent} tuples exceeds the budget of {budget}"
-        )
+        super().__init__(f"estimated {estimate} exceeds the budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,8 @@ def hurwitz_bruteforce(
     equal to sigma lies in the group the transpositions generate, which maps
     every block to itself, so each cycle of sigma already lies in one block.
     The budget caps the tuple count |transpositions|^r, never visited one
-    by one.
+    by one, and the layer count r, which binds only where there is at most
+    one transposition and so at most one tuple.
     """
     d = mu.size
     if d < 1 or r < 0:
@@ -111,7 +110,9 @@ def hurwitz_bruteforce(
         if tuples > budget or tuples <= 1:
             break
     if tuples > budget:
-        raise BudgetExceededError(len(trans), r, budget)
+        raise BudgetExceededError(f"{len(trans)}^{r} tuples", budget)
+    if r > budget:  # one layer per branch point, even with no tuple to visit
+        raise BudgetExceededError(f"{r} layers", budget)
     sigma = canonical_permutation(mu)
     moves = [(t, *(i for i in range(d) if t[i] != i)) for t in trans]
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,41 @@ class TestComputeCommands:
             "hurwitz", "--genus", "0", "--partition", "20", "--method", "char"
         )
         assert code == 0 and json.loads(lines[-1])["partition"] == [20]
+
+    def test_connected_method_genus_limit(self, monkeypatch, capsys):
+        from cutjoin import hurwitz
+
+        args = ("hurwitz", "--genus", "300", "--partition", "6", "--method", "connected")
+        proc = run_cli(*args)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "--genus 300 gives 605 branch points, above 60" in proc.stderr
+
+        def no_table(*args):
+            raise AssertionError("table built for a rejected genus")
+
+        monkeypatch.setattr(hurwitz, "hurwitz_connected", no_table)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(list(args))
+        assert exc.value.code == 2 and time.perf_counter() - start < 1
+        capsys.readouterr()
+        monkeypatch.undo()
+        # the cap itself is accepted, one more is not
+        code, lines = main_lines("hurwitz", "--genus", "29", "--partition", "1,1")
+        assert code == 0 and json.loads(lines[-1])["branch_points"] == 60
+        with pytest.raises(SystemExit) as exc:
+            main(["hurwitz", "--genus", "30", "--partition", "2"])
+        assert exc.value.code == 2
+        assert "gives 61 branch points, above 60" in capsys.readouterr().err
+
+    def test_huge_genus_brute_exceeds_layer_budget(self, capsys):
+        # one transposition, so one tuple, but 2*10^9 + 1 layers to walk
+        start = time.perf_counter()
+        code = main(["hurwitz", "--genus", "1000000000", "--partition", "2", "--method", "brute"])
+        assert code == 3 and time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "estimated 2000000001 layers exceeds the budget of 10000000" in captured.err
 
     def test_env_budget_is_echoed(self):
         proc = run_cli(
@@ -310,6 +346,24 @@ class TestVerify:
         assert len(ranged) == 12 and all(d.endswith("|mu| <= 2") for d in ranged)
         assert "all |mu| <= 2" in ranged
 
+    def test_characters_suite_detects_a_wrong_table_entry(self, monkeypatch):
+        from cutjoin import cli
+        from cutjoin.characters import character_table
+
+        def perturbed(d):
+            table = [list(row) for row in character_table(d)]
+            if d == 4:
+                table[1][2] += 1
+            return tuple(map(tuple, table))
+
+        monkeypatch.setattr(cli, "character_table", perturbed)
+        failed = {r.check_id for r in cli._suite_characters(RunConfig()) if not r.passed}
+        assert {
+            "characters/orthogonality-first/d=4",
+            "characters/orthogonality-second/d=4",
+        } <= failed
+        assert all(c.endswith("d=4") for c in failed)
+
     def test_failure_exit_code(self, capsys):
         # inject a failing pseudo-suite through the registry
         def broken(config):
@@ -350,6 +404,19 @@ class TestGoldenFixture:
         assert proc.returncode == 0
         digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
         assert digest == "dc06e309dcc2686beb588e8d80c067e8af014729d27b04456472d735a5e5adc0"
+
+    def test_mv_series_w8_digest(self):
+        proc = run_cli("mv-series", "--max-weight", "8", "--lambda-order", "16")
+        assert proc.returncode == 0
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "69bdfce8d63dfb796543d651cf876864208066499d47415996dc3a05206ec765"
+
+    def test_verify_all_digest(self):
+        # every suite's stdout at the default (6, 12), seed 1
+        proc = run_cli("verify", "--suite", "all", "--seed", "1")
+        assert proc.returncode == 0
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "85fde22a72e16f09a4b089691f8625fde052869fe4f9a74ff7c995ac7aa3bf79"
 
     def test_hodge_grid_digest(self):
         # every `hodge` record for g <= 3, |mu| <= 4 at (W, L) = (4, 8),

@@ -12,11 +12,14 @@ from cutjoin.exact import (
     TauPolynomial,
     sinh_half_series,
 )
-from cutjoin.genfun import cut_join_linear, cut_join_nonlinear, ps_exp
+from cutjoin import hodge
+from cutjoin.genfun import PartitionSeries, cut_join_linear, cut_join_nonlinear, ps_exp
 from cutjoin.hodge import (
     CgmuPolynomial,
+    MVSeries,
     _evolution_holds,
     _x_scaled,
+    build_disconnected,
     build_series_pair,
     cutjoin_derivative_check,
     extract_C_gmu,
@@ -29,6 +32,7 @@ from cutjoin.hodge import (
     parity_pole_check,
     prefactor_polynomial,
     theorem1_check,
+    theorem1_verdicts,
     transfer_system_kernel,
     two_sin_half,
     v_forms_agree,
@@ -190,6 +194,46 @@ class TestSeriesBuild:
             lhs = series.tau_derivative()
             assert _evolution_holds(lhs, _x_scaled(omega(series.body), Fraction(1, 2)), 8)
             assert not _evolution_holds(lhs, _x_scaled(omega(series.body), Fraction(1, 3)), 8)
+
+    def test_per_weight_truncation_orders(self, series_pair_small):
+        # weight d is built to L + W - d, and the log keeps weight n valid to
+        # at least L + W - n; every readout is cut at L
+        W, L = 4, 6
+        for mu, s in build_disconnected(W, L).body.terms.items():
+            assert s.trunc_order == L + W - mu.size, mu
+        for series in series_pair_small:
+            W, L = series.max_weight, series.lambda_order
+            for mu, s in series.body.terms.items():
+                assert s.trunc_order >= L + W - mu.size, mu
+                assert series.coefficient(mu).trunc_order == L
+            assert all(s.trunc_order == L for s in series.truncated.terms.values())
+
+    @pytest.mark.parametrize(
+        "which, parts, exponent, verdicts",
+        [
+            # an error at x^L in a connected coefficient breaks only the nonlinear form
+            ("connected", [2, 1], 0, (True, False)),
+            # x^(L+2) is beyond the compared range, before and after the cut at L
+            ("connected", [2, 1], 2, (True, True)),
+            # an error in a disconnected coefficient breaks only the linear form
+            ("disconnected", [3, 1], 0, (False, True)),
+        ],
+    )
+    def test_theorem1_perturbed_coefficient(self, monkeypatch, which, parts, exponent, verdicts):
+        W, L = 5, 8
+        pair = dict(zip(("disconnected", "connected"), build_series_pair(W, L)))
+        target = pair[which]
+        mu = P(parts)
+        s = target.body.coefficient(mu)
+        assert s.trunc_order >= L + exponent
+        bumped = s + LaurentSeries.monomial(RealTauPolynomial([0, 1]), L + exponent, s.trunc_order)
+        assert bumped.coefficient(L + exponent) != s.coefficient(L + exponent)
+        terms = dict(target.body.terms)
+        terms[mu] = bumped
+        pair[which] = MVSeries(PartitionSeries(terms, W), W, L)
+        patched = (pair["disconnected"], pair["connected"])
+        monkeypatch.setattr(hodge, "build_series_pair", lambda *args: patched)
+        assert theorem1_verdicts(W, L) == verdicts
 
     def test_initial_condition_small(self):
         assert initial_condition_check(3, 8)

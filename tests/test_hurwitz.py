@@ -87,6 +87,16 @@ class TestBruteForce:
         with pytest.raises(BudgetExceededError):
             hurwitz_bruteforce(0, P([2]), budget=0)
 
+    def test_budget_guard_counts_layers(self):
+        # with at most one transposition there is at most one tuple, so only
+        # the layer count r can exceed the budget
+        with pytest.raises(BudgetExceededError, match=r"estimated 1000000000 layers"):
+            hurwitz_bruteforce(10**9, P([2]))
+        with pytest.raises(BudgetExceededError, match=r"estimated 5 layers exceeds the budget of 4"):
+            hurwitz_bruteforce(5, P([1, 1]), budget=4)
+        assert hurwitz_bruteforce(5, P([2]), budget=5) == Fraction(1, 2)
+        assert hurwitz_bruteforce(5, P([1]), budget=5) == 0
+
     def test_negative_branch_count_rejected(self):
         with pytest.raises(ValueError, match="r >= 0"):
             hurwitz_bruteforce(-1, P([1]))
