@@ -20,7 +20,7 @@ import random
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, log10
 from typing import Callable, NamedTuple
 
 from . import hodge, hurwitz
@@ -709,6 +709,14 @@ def main(argv: list[str] | None = None) -> int:
                         f"--genus {args.genus} gives {r} branch points, above "
                         f"{MAX_CONNECTED_BRANCH_POINTS} for --method connected"
                     )
+            if args.method == "char":
+                r = branch_count(args.genus, mu)
+                limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+                if limit and _char_count_digits_bound(r, mu) > limit:
+                    parser.error(
+                        f"--genus {args.genus} gives {r} branch points; the "
+                        f"--method char count could exceed {limit} digits"
+                    )
             return cmd_hurwitz(config, args.genus, mu, args.method, out)
         if args.command == "hodge":
             mu = _parse_partition(parser, args.partition)
@@ -733,6 +741,19 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     return 2
+
+
+def _char_count_digits_bound(r: int, mu: Partition) -> float:
+    """An upper bound on the decimal digits of the numerator printed by
+    `hurwitz --method char`, read before the count is computed.
+
+    The count is sum_nu dim(nu) * chi_nu(mu) * (kappa_nu/2)^r / (z_mu * d!),
+    where kappa_nu/2 is an integer of size at most d(d-1)/2 and
+    sum_nu |dim(nu) * chi_nu(mu)| <= sum_nu dim(nu)^2 = d!.  For |mu| <= 2
+    the bound does not grow with r.
+    """
+    d = mu.size
+    return r * log10(max(d * (d - 1) // 2, 1)) + len(str(factorial(d))) + 1
 
 
 def _parse_partition(parser: argparse.ArgumentParser, text: str) -> Partition:

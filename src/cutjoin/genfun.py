@@ -2,9 +2,9 @@
 
 A PartitionSeries is a finite sum  F = sum_mu c_mu p_mu  where p_mu is the
 power-sum monomial of a partition and the coefficients live in an arbitrary
-commutative ring (rationals, Gaussian rationals, tau-polynomials or Laurent
-series).  Terms are truncated by total weight |mu|; the monomial p_mu carries
-weight |mu| and both operators below preserve it.
+commutative ring (rationals, tau-polynomials or Laurent series over them).
+Terms are truncated by total weight |mu|; the monomial p_mu carries weight
+|mu| and both operators below preserve it.
 
 The hot paths never form a term that the weight cap would discard: exp and
 log run the weight-graded recurrence of the Euler operator, whose products
@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .characters import central_character_transposition, schur_in_p
+from .exact import _coeff_json, _eq_coeff, _is_zero
 from .partitions import Partition, EMPTY
 
 
@@ -37,11 +38,11 @@ class PartitionSeries:
         data = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for mu, c in items:
-            if mu.size > max_weight or _zeroish(c):
+            if mu.size > max_weight or _is_zero(c):
                 continue
             if mu in data:
                 s = data[mu] + c
-                if _zeroish(s):
+                if _is_zero(s):
                     del data[mu]
                 else:
                     data[mu] = s
@@ -77,7 +78,7 @@ class PartitionSeries:
                 continue
             if m in out:
                 s = out[m] + c
-                if _zeroish(s):
+                if _is_zero(s):
                     del out[m]
                 else:
                     out[m] = s
@@ -92,7 +93,7 @@ class PartitionSeries:
         return PartitionSeries._raw({m: -c for m, c in self.terms.items()}, self.max_weight)
 
     def scale(self, scalar) -> "PartitionSeries":
-        if _zeroish(scalar):
+        if _is_zero(scalar):
             return PartitionSeries.zero(self.max_weight)
         return PartitionSeries._raw(
             {m: c * scalar for m, c in self.terms.items()}, self.max_weight
@@ -114,12 +115,12 @@ class PartitionSeries:
                 prod = c1 * c2
                 if mu in out:
                     s = out[mu] + prod
-                    if _zeroish(s):
+                    if _is_zero(s):
                         del out[mu]
                     else:
                         out[mu] = s
                 else:
-                    if not _zeroish(prod):
+                    if not _is_zero(prod):
                         out[mu] = prod
         return PartitionSeries._raw(out, w)
 
@@ -164,16 +165,14 @@ class PartitionSeries:
         if not isinstance(other, PartitionSeries):
             return NotImplemented
         keys = set(self.terms) | set(other.terms)
-        return all(_eq(self.coefficient(k), other.coefficient(k)) for k in keys)
+        return all(_eq_coeff(self.coefficient(k), other.coefficient(k)) for k in keys)
 
-    def to_json(self, coeff_json=None):
-        """Fixture form: sorted term list with a pluggable coefficient codec."""
-        if coeff_json is None:
-            coeff_json = _default_coeff_json
+    def to_json(self):
+        """Fixture form: sorted term list."""
         return {
             "max_weight": self.max_weight,
             "terms": [
-                {"partition": mu.to_json(), "coefficient": coeff_json(self.terms[mu])}
+                {"partition": mu.to_json(), "coefficient": _coeff_json(self.terms[mu])}
                 for mu in self.support()
             ],
         }
@@ -181,28 +180,6 @@ class PartitionSeries:
     def __repr__(self):
         bits = [f"({self.terms[m]!r})*p[{m}]" for m in self.support()]
         return f"PartitionSeries({' + '.join(bits) or '0'}; w<={self.max_weight})"
-
-
-def _default_coeff_json(c):
-    if isinstance(c, int):
-        c = Fraction(c)
-    if isinstance(c, Fraction):
-        from .exact import fraction_str
-
-        return fraction_str(c)
-    return c.to_json()
-
-
-def _zeroish(c) -> bool:
-    return not c
-
-
-def _eq(a, b) -> bool:
-    if isinstance(a, int) and a == 0:
-        return _zeroish(b)
-    if isinstance(b, int) and b == 0:
-        return _zeroish(a)
-    return a == b
 
 
 def _graded(F: PartitionSeries) -> list[PartitionSeries]:
@@ -255,7 +232,7 @@ def ps_log(G: PartitionSeries) -> PartitionSeries:
     exact at each weight and never forms a term above the cap.
     """
     c0 = G.coefficient(EMPTY)
-    if not _eq(c0, 1):
+    if not _eq_coeff(c0, 1):
         raise ValueError(f"ps_log requires constant term 1, found {c0!r}")
     w = G.max_weight
     graded = _graded(G)

@@ -23,11 +23,16 @@ exp((tau + 1/2)*kappa*x/2); and the evolution equation reads
 d/dtau R = (x/2) * Omega(R).  So the coefficient of x^m P_mu is a rational
 tau-polynomial r, and the coefficient of lambda^m p_mu is i^(m+|mu|) * r.
 That phase is put back only where a value leaves the series (MVSeries
-coefficients and extraction), as the TauPolynomial i^(m+|mu|) * r, which
-stores r and the phase and never multiplies out complex coefficients.  The
-closed forms (prefactor, genus-0 value, tau = 0 sine form) are written in
-lambda as in the paper, so the checks against them test the phase rule
-independently.
+coefficients, the tau = 0 value and extraction), as the TauPolynomial
+i^(m+|mu|) * r, which stores r and the phase and never multiplies out
+complex coefficients.  The closed forms are written in lambda as in the
+paper, each as one explicit power of i times a rational object: the
+prefactor is i^(|mu|+l(mu)) times -1/|Aut mu| times a rational
+tau-polynomial, the tau = 0 value of p_d is i^(d+1) times the rational
+lambda-series -1/(2d*sin(d*lambda/2)), and the sqrt(-1) of the evolution
+equation is the unit TP_I.  So the checks against them test the phase rule
+independently of _lambda_series, and Gaussian rationals appear only when a
+coefficient is read out.
 
 The sine amplitude is expanded from the power sums of the hook lengths:
 
@@ -70,12 +75,11 @@ from functools import cache, cached_property
 from math import factorial, prod
 
 from .exact import (
-    GR_I,
-    GaussianRational,
     LaurentSeries,
     QHalfLaurent,
     RTP_ZERO,
     RealTauPolynomial,
+    TP_I,
     TP_ONE,
     TP_TAU,
     TauPolynomial,
@@ -194,8 +198,8 @@ class MVSeries:
     module docstring), valid to at least `lambda_order` and possibly beyond.
     `truncated` is the body cut at `lambda_order`, the order every check and
     readout compares to; `tau_derivative`, `coefficient` and `at_tau_zero`
-    read it, and the last two give the series in lambda and p, over the
-    Gaussian rationals, valid to exactly `lambda_order`.
+    read it, and the last two give the series in lambda and p, each
+    coefficient a phased TauPolynomial, valid to exactly `lambda_order`.
     """
 
     body: PartitionSeries
@@ -222,11 +226,12 @@ class MVSeries:
         )
 
     def at_tau_zero(self) -> PartitionSeries:
-        """The series in lambda and p at tau = 0, over the Gaussian
-        rationals, valid to lambda_order."""
+        """The series in lambda and p at tau = 0, valid to lambda_order: the
+        constant term of each rational polynomial, then the phase put back,
+        so each coefficient is a constant TauPolynomial."""
         return PartitionSeries(
             {
-                mu: _lambda_series(s, mu.size).map_coefficients(lambda c: c.evaluate(0))
+                mu: _lambda_series(s.map_coefficients(_tau_zero), mu.size)
                 for mu, s in self.truncated.terms.items()
             },
             self.max_weight,
@@ -235,6 +240,10 @@ class MVSeries:
 
 def _tau_diff(c):
     return c.derivative() if isinstance(c, RealTauPolynomial) else 0
+
+
+def _tau_zero(c):
+    return RealTauPolynomial.constant(c.coefficient(0)) if c else 0
 
 
 def _lambda_series(s: LaurentSeries, weight: int) -> LaurentSeries:
@@ -366,9 +375,10 @@ def theorem1_check(max_weight: int = 6, lambda_order: int = 12) -> bool:
 
 def initial_condition_series(d: int, order: int) -> LaurentSeries:
     """The closed-form tau = 0 coefficient of p_d:
-    -(sqrt(-1))^(d+1) / (2*d*sin(d*lambda/2))."""
+    -(sqrt(-1))^(d+1) / (2*d*sin(d*lambda/2)), the rational reciprocal series
+    times the phase i^(d+1)."""
     den = sin_half_series(Fraction(d), order + 2) * Fraction(2 * d)
-    return den.reciprocal() * (-GaussianRational.i_power(d + 1))
+    return den.reciprocal() * TauPolynomial.phased(RealTauPolynomial.constant(-1), d + 1)
 
 
 def initial_condition_check(max_weight: int = 6, lambda_order: int = 12) -> bool:
@@ -437,8 +447,8 @@ def prefactor_polynomial(mu: Partition) -> TauPolynomial:
         * prod_i prod_{a=1..mu_i-1} (mu_i tau + a) / (mu_i - 1)!
     """
     d, l = mu.size, mu.length
-    head = -GaussianRational.i_power(d + l) * Fraction(1, mu.aut_order())
-    poly = TauPolynomial.constant(head)
+    head = RealTauPolynomial.constant(Fraction(-1, mu.aut_order()))
+    poly = TauPolynomial.phased(head, d + l)
     poly = poly * (TP_TAU * (TP_TAU + 1)) ** (l - 1)
     for part in mu:
         rising = TP_ONE
@@ -513,7 +523,7 @@ def cutjoin_derivative_check(R: MVSeries, g: int, mu: Partition) -> bool:
                 * extract_C_gmu(R, g2, term.nu2).poly
             )
             acc = acc + prod * (half * term.weight)
-    return lhs == acc * GR_I
+    return lhs == acc * TP_I
 
 
 def parity_pole_check(R: MVSeries) -> bool:

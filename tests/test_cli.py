@@ -163,6 +163,28 @@ class TestComputeCommands:
         assert exc.value.code == 2
         assert "gives 61 branch points, above 60" in capsys.readouterr().err
 
+    def test_char_method_genus_limit(self, monkeypatch, capsys):
+        # (kappa/2)^r at |mu| = 6 would print more digits than Python's
+        # int-to-string limit, so the query is refused before the count
+        from cutjoin import hurwitz
+
+        def no_count(*args):
+            raise AssertionError("count computed for a rejected genus")
+
+        monkeypatch.setattr(hurwitz, "hurwitz_disconnected", no_count)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["hurwitz", "--genus", "3000", "--partition", "6", "--method", "char"])
+        assert exc.value.code == 2 and time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "--genus 3000 gives 6005 branch points" in err and "4300 digits" in err
+        monkeypatch.undo()
+        # |mu| <= 2 never grows; |mu| = 6 at genus 1500 stays under the limit
+        code, lines = main_lines("hurwitz", "--genus", "100000", "--partition", "2", "--method", "char")
+        assert code == 0 and json.loads(lines[-1])["value"] == "1/2"
+        code, lines = main_lines("hurwitz", "--genus", "1500", "--partition", "6", "--method", "char")
+        assert code == 0 and json.loads(lines[-1])["branch_points"] == 3005
+
     def test_huge_genus_brute_exceeds_layer_budget(self, capsys):
         # one transposition, so one tuple, but 2*10^9 + 1 layers to walk
         start = time.perf_counter()
@@ -441,3 +463,45 @@ class TestGoldenFixture:
     def test_fixture_is_valid_jsonl(self):
         for line in FIXTURE.read_text().splitlines():
             json.loads(line)
+
+
+class TestGaussianReadoutOnly:
+    """Gaussian rationals are only read out: no sum, product or negation of
+    two of them runs while a command computes, and the field operations are
+    gone."""
+
+    DIGESTS = {
+        ("verify", "--suite", "all", "--seed", "1"):
+            "85fde22a72e16f09a4b089691f8625fde052869fe4f9a74ff7c995ac7aa3bf79",
+        ("mv-series", "--max-weight", "5", "--lambda-order", "10"):
+            "cb351a2c3904236e4e091b99b5b4915933bf55d5b7f8549a5d94df7420faeae3",
+        ("hodge", "--genus", "2", "--partition", "2,1"):
+            "87aa18c7510949a071417a8fd69b81ccdfbd271a14fdc814f39788b96c48a360",
+    }
+
+    def test_commands_run_without_gaussian_arithmetic(self, monkeypatch):
+        from cutjoin import hodge
+        from cutjoin.exact import GaussianRational
+
+        def forbidden(*args):
+            raise AssertionError("Gaussian arithmetic outside a readout")
+
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__neg__"):
+            monkeypatch.setattr(GaussianRational, name, forbidden)
+        hodge.build_series_pair.cache_clear()
+        try:
+            for args, digest in self.DIGESTS.items():
+                code, lines = main_lines(*args)
+                assert code == 0, args
+                text = "".join(line + "\n" for line in lines)
+                assert hashlib.sha256(text.encode()).hexdigest() == digest, args
+        finally:
+            hodge.build_series_pair.cache_clear()
+
+    def test_field_operations_are_gone(self):
+        from cutjoin.exact import GaussianRational, QHalfLaurent, TauPolynomial
+
+        for name in ("inverse", "__truediv__", "__pow__", "__sub__", "coerce", "i_power"):
+            assert not hasattr(GaussianRational, name), name
+        assert not hasattr(TauPolynomial, "evaluate")
+        assert not hasattr(QHalfLaurent, "substitute")

@@ -4,10 +4,10 @@ from math import comb
 import pytest
 
 from cutjoin.exact import (
-    GR_I,
     GaussianRational,
     LaurentSeries,
     RealTauPolynomial,
+    TP_I,
     TP_TAU,
     TauPolynomial,
     sinh_half_series,
@@ -87,7 +87,11 @@ class TestSineAmplitude:
     def test_series_example(self):
         # the lambda^k coefficient of V_(1) is i^(1+k) times the x^k one
         s = v_series(P([1]), 3)
-        assert [GaussianRational.i_power(1 + k) * s.coefficient(k) for k in (-1, 1, 3)] == [
+        phased = [
+            TauPolynomial.phased(RealTauPolynomial([s.coefficient(k)]), 1 + k)
+            for k in (-1, 1, 3)
+        ]
+        assert phased == [
             1,
             Fraction(1, 24),
             Fraction(7, 5760),
@@ -181,7 +185,8 @@ class TestSeriesBuild:
         series = at_zero.coefficient(P([2]))
         target = initial_condition_series(2, 10)
         # the closed form starts i/4 * lambda^{-1}
-        assert target.coefficient(-1) == GaussianRational(0, Fraction(1, 4))
+        assert target.coefficient(-1) == TP_I * Fraction(1, 4)
+        assert target.coefficient(-1).coeffs == (GaussianRational(0, Fraction(1, 4)),)
         assert series.agrees_with(target, up_to=10)
 
     def test_theorem1_small(self):
@@ -238,6 +243,15 @@ class TestSeriesBuild:
     def test_initial_condition_small(self):
         assert initial_condition_check(3, 8)
 
+    def test_initial_condition_rejects_wrong_phase(self, monkeypatch):
+        # negative control: the closed form with phase i^d, not i^(d+1)
+        assert initial_condition_check(4, 8)
+        closed_form = hodge.initial_condition_series
+        monkeypatch.setattr(
+            hodge, "initial_condition_series", lambda d, order: closed_form(d, order) * TP_I**3
+        )
+        assert not initial_condition_check(4, 8)
+
     def test_parity_pole_structure(self, series_pair_small):
         _, conn = series_pair_small
         assert parity_pole_check(conn)
@@ -290,9 +304,7 @@ class TestExtraction:
         assert one == TauPolynomial([1])
         two = extract_C_gmu(conn, 0, P([2])).poly
         # i(2 tau + 1)/4
-        assert two == TauPolynomial(
-            [GaussianRational(0, Fraction(1, 4)), GaussianRational(0, Fraction(1, 2))]
-        )
+        assert two == TauPolynomial([Fraction(1, 4), Fraction(1, 2)]) * TP_I
         pair = extract_C_gmu(conn, 0, P([1, 1])).poly
         # -tau(tau+1)/4
         assert pair == (TP_TAU * (TP_TAU + 1)) * Fraction(-1, 4)
@@ -302,6 +314,15 @@ class TestExtraction:
         for d in range(1, 5):
             for mu in enumerate_partitions(d):
                 assert extract_C_gmu(conn, 0, mu).poly == genus0_closed_form(mu)
+
+    def test_genus0_anchor_rejects_wrong_prefactor_phase(self, series_pair_small, monkeypatch):
+        # negative control: the prefactor head with phase i^(|mu|+l+1)
+        _, conn = series_pair_small
+        prefactor = hodge.prefactor_polynomial
+        monkeypatch.setattr(hodge, "prefactor_polynomial", lambda mu: prefactor(mu) * TP_I)
+        for d in range(1, 5):
+            for mu in enumerate_partitions(d):
+                assert extract_C_gmu(conn, 0, mu).poly != genus0_closed_form(mu), mu
 
     def test_degree_and_symmetry(self, series_pair_small):
         _, conn = series_pair_small
@@ -316,7 +337,7 @@ class TestExtraction:
         # single row of size 1: prefactor is -i^2 = 1
         assert prefactor_polynomial(P([1])) == TauPolynomial([1])
         # (2): -i^3 * (2 tau + 1) / 1! = i (2 tau + 1)
-        assert prefactor_polynomial(P([2])) == (TP_TAU * 2 + 1) * GR_I
+        assert prefactor_polynomial(P([2])) == (TP_TAU * 2 + 1) * TP_I
 
     def test_hodge_polynomial_genus0(self, series_pair_small):
         _, conn = series_pair_small
@@ -336,6 +357,13 @@ class TestExtraction:
             for d in range(1, 5):
                 for mu in enumerate_partitions(d):
                     assert cutjoin_derivative_check(conn, g, mu), (g, mu)
+
+    def test_derivative_recursion_rejects_missing_i(self, series_pair_small, monkeypatch):
+        # negative control: the sqrt(-1) of the evolution equation dropped
+        _, conn = series_pair_small
+        assert cutjoin_derivative_check(conn, 0, P([2]))
+        monkeypatch.setattr(hodge, "TP_I", 1)
+        assert not cutjoin_derivative_check(conn, 0, P([2]))
 
 
 def _one_point_genus1_oracle() -> TauPolynomial:
