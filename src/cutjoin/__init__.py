@@ -59,7 +59,6 @@ from .hodge import (
 )
 from .hurwitz import (
     BudgetExceededError,
-    HurwitzNumber,
     elsv_check,
     elsv_value,
     hurwitz_bruteforce,

@@ -15,7 +15,7 @@ from functools import cache
 from math import factorial
 from typing import NamedTuple
 
-from .exact import QHalfLaurent
+from .exact import LaurentSeries, QHalfLaurent
 from .partitions import Partition, enumerate_partitions
 
 
@@ -150,51 +150,20 @@ def schur_principal_specialization(nu: Partition) -> tuple[QHalfLaurent, QHalfLa
 def principal_specialization_check(nu: Partition, order: int) -> bool:
     """Cross-check of the hook form against the power-sum expansion.
 
-    Substitutes finitely many geometric variables x_i = q^(i-1) into the
-    p-expansion and compares with the q-series of the hook form up to q^order.
+    Substitutes the geometric variables x_i = q^(i-1) into the p-expansion,
+    as series in q to q^order, multiplies by the hook form's denominator and
+    compares the product with its numerator.
     """
-    nvars = order + nu.size + 1
-    expansion = schur_in_p(nu)
-    poly: dict[int, Fraction] = {}
-    for eta, coeff in expansion.terms.items():
-        term: dict[int, Fraction] = {0: Fraction(1)}
-        for part in eta:
-            pk = _power_sum_geometric(part, nvars, order)
-            term = _qmul(term, pk, order)
-        for k, v in term.items():
-            poly[k] = poly.get(k, Fraction(0)) + coeff * v
-    hook_series = _hook_form_series(nu, order)
-    for k in range(order + 1):
-        if poly.get(k, Fraction(0)) != hook_series.get(k, Fraction(0)):
-            return False
-    return True
+    expansion = LaurentSeries.zero(order)
+    for eta, coeff in schur_in_p(nu).terms.items():
+        term = LaurentSeries.one(order)
+        for k in eta:  # p_k(1, q, q^2, ...) = 1 + q^k + q^(2k) + ...
+            term = term * LaurentSeries(0, [int(e % k == 0) for e in range(order + 1)])
+        expansion = expansion + term * coeff
+    numerator, denominator = schur_principal_specialization(nu)
+    return expansion * _q_series(denominator, order) == _q_series(numerator, order)
 
 
-def _power_sum_geometric(k: int, nvars: int, order: int) -> dict[int, Fraction]:
-    """p_k(1, q, ..., q^(nvars-1)) truncated past q^order."""
-    out: dict[int, Fraction] = {}
-    for i in range(nvars):
-        e = k * i
-        if e > order:
-            break
-        out[e] = out.get(e, Fraction(0)) + 1
-    return out
-
-
-def _qmul(a: dict[int, Fraction], b: dict[int, Fraction], order: int) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            if k <= order:
-                out[k] = out.get(k, Fraction(0)) + va * vb
-    return out
-
-
-def _hook_form_series(nu: Partition, order: int) -> dict[int, Fraction]:
-    """q-series of q^n(nu) / prod (1 - q^h) up to q^order."""
-    series = {nu.n_weight(): Fraction(1)} if nu.n_weight() <= order else {}
-    for h in nu.hooks():
-        geom = {e: Fraction(1) for e in range(0, order + 1, h)}
-        series = _qmul(series, geom, order)
-    return series
+def _q_series(x: QHalfLaurent, order: int) -> LaurentSeries:
+    """A phase-free q-polynomial with integer exponents, as a series to q^order."""
+    return LaurentSeries(0, [x.terms.get(2 * e, 0) for e in range(order + 1)])

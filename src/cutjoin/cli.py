@@ -7,6 +7,12 @@ diff cleanly; CSV and an aligned pretty format are available for tables.
 Every run starts with a config-echo record and every numeric record names the
 identity it instantiates.
 
+The identities are defined in the library modules; `SUITES` maps each
+`verify --suite` name to the function that states its checks.  A family of
+checks over degrees d (one id `family/d=<d>` per degree) is declared once
+through `_per_degree`, with `_every` for a check that must hold on every
+partition of d; a one-off check is a single `CheckResult`.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 exceeded.
 """
@@ -19,8 +25,9 @@ import os
 import random
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 from fractions import Fraction
-from math import factorial, log10
+from math import comb, factorial, log10
 from typing import Callable, NamedTuple
 
 from . import hodge, hurwitz
@@ -125,32 +132,27 @@ def cmd_hurwitz(config: RunConfig, genus: int, mu: Partition, method: str, out) 
     r = branch_count(genus, mu)
     if method == "char":
         kind = "disconnected"
-        value = hurwitz.hurwitz_disconnected(r, mu) if r >= 0 else Fraction(0)
+        value = hurwitz.hurwitz_disconnected(r, mu)
         identity = "transposition-factorization-character-sum"
     elif method == "brute":
         kind = "connected"
-        value = (
-            hurwitz.hurwitz_bruteforce(r, mu, transitive_only=True, budget=config.budget)
-            if r >= 0
-            else Fraction(0)
-        )
+        value = hurwitz.hurwitz_bruteforce(r, mu, transitive_only=True, budget=config.budget)
         identity = "transitive-factorization-enumeration"
     else:
         kind = "connected"
         value = hurwitz.hurwitz_connected(genus, mu)
         identity = "connected-cover-count-exponential-formula"
-    number = hurwitz.HurwitzNumber(genus, r, mu, value)
     records = [
         _config_record(config, "hurwitz", genus=genus, partition=mu.to_json(), method=method),
         {
             "record": "hurwitz",
             "identity": identity,
-            "genus": number.g,
-            "branch_points": number.r,
-            "partition": number.mu.to_json(),
+            "genus": genus,
+            "branch_points": r,
+            "partition": mu.to_json(),
             "kind": kind,
             "method": method,
-            "value": fraction_str(number.value),
+            "value": fraction_str(value),
         },
     ]
     _emit(records, config.output_format, out)
@@ -197,100 +199,114 @@ def cmd_mv_series(config: RunConfig, out) -> int:
 # -- verification suites ------------------------------------------------------
 
 
-def _suite_hooks(config: RunConfig) -> list[CheckResult]:
-    out = []
-    for d in range(1, 13):
-        ok_sum = ok_inv = ok_kappa = ok_rel = True
-        for nu in enumerate_partitions(d):
-            tr = nu.transpose()
-            ok_sum &= sum(nu.hooks()) == nu.n_weight() + tr.n_weight() + nu.size
-            ok_inv &= tr.transpose() == nu
-            ok_kappa &= nu.kappa() + tr.kappa() == 0
-            ok_rel &= nu.kappa() == 2 * (tr.n_weight() - nu.n_weight())
-        n = len(enumerate_partitions(d))
-        out.append(CheckResult(f"hooks/sum/d={d:02d}", "hook-sum-identity", ok_sum, f"{n} shapes"))
-        out.append(CheckResult(f"hooks/transpose/d={d:02d}", "transpose-involution", ok_inv, f"{n} shapes"))
-        out.append(CheckResult(f"hooks/kappa/d={d:02d}", "kappa-antisymmetry", ok_kappa, f"{n} shapes"))
-        out.append(
-            CheckResult(
-                f"hooks/kappa-rows/d={d:02d}",
-                "kappa-equals-twice-row-imbalance",
-                ok_rel,
-                f"{n} shapes",
-            )
+def _per_degree(degrees: range, detail: str, families: list) -> list[CheckResult]:
+    """One check per degree d and per family (name, identity, holds): the id is
+    `name/d=<d>`, d zero-padded to the digits of the largest degree so that ids
+    sort by degree; the verdict is holds(d); `{n}` in the detail is the number
+    of partitions of d."""
+    width = len(str(degrees[-1]))
+    return [
+        CheckResult(
+            f"{name}/d={d:0{width}d}",
+            identity,
+            holds(d),
+            detail.format(n=len(enumerate_partitions(d))),
         )
-    return out
+        for d in degrees
+        for name, identity, holds in families
+    ]
+
+
+def _every(check: Callable[[Partition], bool]) -> Callable[[int], bool]:
+    """The verdict holds(d) of a check that must pass on every partition of d."""
+    return lambda d: all(check(nu) for nu in enumerate_partitions(d))
+
+
+# A suite names each library function in its body, so the function is looked
+# up when the suite runs: a module attribute patched after import is the one
+# called.
+
+
+def _suite_hooks(config: RunConfig) -> list[CheckResult]:
+    return _per_degree(range(1, 13), "{n} shapes", [
+        ("hooks/sum", "hook-sum-identity", _every(
+            lambda nu: sum(nu.hooks()) == nu.n_weight() + nu.transpose().n_weight() + nu.size
+        )),
+        ("hooks/transpose", "transpose-involution", _every(
+            lambda nu: nu.transpose().transpose() == nu
+        )),
+        ("hooks/kappa", "kappa-antisymmetry", _every(
+            lambda nu: nu.kappa() + nu.transpose().kappa() == 0
+        )),
+        ("hooks/kappa-rows", "kappa-equals-twice-row-imbalance", _every(
+            lambda nu: nu.kappa() == 2 * (nu.transpose().n_weight() - nu.n_weight())
+        )),
+    ])
 
 
 def _suite_prop_v(config: RunConfig) -> list[CheckResult]:
-    out = []
-    for d in range(1, 11):
-        ok = all(hodge.v_forms_agree(nu) for nu in enumerate_partitions(d))
-        out.append(
-            CheckResult(
-                f"prop-v/d={d:02d}",
-                "sine-product-equals-hook-product",
-                ok,
-                f"{len(enumerate_partitions(d))} shapes, cross-multiplied",
-            )
-        )
-    return out
+    return _per_degree(range(1, 11), "{n} shapes, cross-multiplied", [
+        ("prop-v", "sine-product-equals-hook-product", _every(hodge.v_forms_agree)),
+    ])
+
+
+def _character_table_identities(d: int) -> tuple[bool, bool, bool]:
+    """Both orthogonality relations and the sign twist, read from the integer
+    table of degree d; the first relation is multiplied through by d!."""
+    parts = enumerate_partitions(d)
+    table = character_table(d)
+    columns = list(zip(*table))
+    order = factorial(d)
+    class_sizes = [order // mu.z() for mu in parts]
+    first = all(
+        sum(a * b * c for a, b, c in zip(table[i], table[j], class_sizes))
+        == (order if i == j else 0)
+        for i in range(len(parts))
+        for j in range(len(parts))
+    )
+    second = all(
+        sum(a * b for a, b in zip(columns[i], columns[j]))
+        == (parts[i].z() if i == j else 0)
+        for i in range(len(parts))
+        for j in range(len(parts))
+    )
+    row_of = {nu: row for nu, row in zip(parts, table)}
+    twist = all(
+        row_of[nu.transpose()][j] == (-1) ** (d - mu.length) * row_of[nu][j]
+        for nu in parts
+        for j, mu in enumerate(parts)
+    )
+    return first, second, twist
 
 
 def _suite_characters(config: RunConfig) -> list[CheckResult]:
-    out = []
-    for d in range(1, 9):
-        # both orthogonality relations and the sign twist, read from the
-        # integer table; the first relation is multiplied through by d!
-        parts = enumerate_partitions(d)
-        table = character_table(d)
-        columns = list(zip(*table))
-        order = factorial(d)
-        class_sizes = [order // mu.z() for mu in parts]
-        first = all(
-            sum(a * b * c for a, b, c in zip(table[i], table[j], class_sizes))
-            == (order if i == j else 0)
-            for i in range(len(parts))
-            for j in range(len(parts))
-        )
-        second = all(
-            sum(a * b for a, b in zip(columns[i], columns[j]))
-            == (parts[i].z() if i == j else 0)
-            for i in range(len(parts))
-            for j in range(len(parts))
-        )
-        row_of = {nu: row for nu, row in zip(parts, table)}
-        twist = all(
-            row_of[nu.transpose()][j] == (-1) ** (d - mu.length) * row_of[nu][j]
-            for nu in parts
-            for j, mu in enumerate(parts)
-        )
-        out.append(CheckResult(f"characters/orthogonality-first/d={d}", "first-orthogonality", first, f"{len(parts)}^2 pairs"))
-        out.append(CheckResult(f"characters/orthogonality-second/d={d}", "second-orthogonality", second, f"{len(parts)}^2 pairs"))
-        out.append(CheckResult(f"characters/transpose-sign/d={d}", "sign-twist-transpose", twist, f"{len(parts)}^2 pairs"))
-    for d in range(1, 11):
-        parts = enumerate_partitions(d)
-        dims = all(dimension(nu) == dimension_hook(nu) for nu in parts)
-        central = all(
-            central_character_transposition(nu) == Fraction(nu.kappa(), 2)
-            for nu in parts
-        )
-        out.append(CheckResult(f"characters/dimension/d={d:02d}", "dimension-hook-formula", dims, f"{len(parts)} irreps"))
-        out.append(CheckResult(f"characters/central/d={d:02d}", "central-character-equals-half-kappa", central, f"{len(parts)} irreps"))
+    verdicts = cache(_character_table_identities)  # all three, once per degree
+    out = _per_degree(range(1, 9), "{n}^2 pairs", [
+        ("characters/orthogonality-first", "first-orthogonality", lambda d: verdicts(d)[0]),
+        ("characters/orthogonality-second", "second-orthogonality", lambda d: verdicts(d)[1]),
+        ("characters/transpose-sign", "sign-twist-transpose", lambda d: verdicts(d)[2]),
+    ])
+    out += _per_degree(range(1, 11), "{n} irreps", [
+        ("characters/dimension", "dimension-hook-formula", _every(
+            lambda nu: dimension(nu) == dimension_hook(nu)
+        )),
+        ("characters/central", "central-character-equals-half-kappa", _every(
+            lambda nu: central_character_transposition(nu) == Fraction(nu.kappa(), 2)
+        )),
+    ])
     spec_ok = all(
         principal_specialization_check(nu, 10)
         for d in range(1, 5)
         for nu in enumerate_partitions(d)
     )
-    out.append(
+    return out + [
         CheckResult(
             "characters/principal-specialization",
             "principal-specialization",
             spec_ok,
             "|shape| <= 4, q-order 10",
         )
-    )
-    return out
+    ]
 
 
 def _random_series(rng: random.Random, max_weight: int) -> PartitionSeries:
@@ -302,43 +318,32 @@ def _random_series(rng: random.Random, max_weight: int) -> PartitionSeries:
 
 
 def _suite_cutjoin_id(config: RunConfig) -> list[CheckResult]:
-    out = []
-    for d in range(1, 9):
-        ok = all(character_cutjoin_identity(nu) for nu in enumerate_partitions(d))
-        out.append(
-            CheckResult(
-                f"cutjoin-id/d={d}",
-                "schur-eigenvector-identity",
-                ok,
-                f"{len(enumerate_partitions(d))} irreps",
-            )
-        )
+    out = _per_degree(range(1, 9), "{n} irreps", [
+        ("cutjoin-id", "schur-eigenvector-identity", _every(character_cutjoin_identity)),
+    ])
     rng = random.Random(config.seed)
     roundtrip = all(
         ps_log(ps_exp(F)) == F
         for F in (_random_series(rng, 5) for _ in range(10))
     )
-    out.append(
+    conjugation = True
+    for _ in range(5):
+        F = _random_series(rng, 5)
+        conjugation &= cut_join_linear(ps_exp(F)) == ps_exp(F) * cut_join_nonlinear(F)
+    return out + [
         CheckResult(
             "cutjoin-id/random-exp-log",
             "exp-log-roundtrip",
             roundtrip,
             f"10 seeded series, seed={config.seed}",
-        )
-    )
-    conjugation = True
-    for _ in range(5):
-        F = _random_series(rng, 5)
-        conjugation &= cut_join_linear(ps_exp(F)) == ps_exp(F) * cut_join_nonlinear(F)
-    out.append(
+        ),
         CheckResult(
             "cutjoin-id/random-conjugation",
             "operator-exp-conjugation",
             conjugation,
             f"5 seeded series, seed={config.seed}",
-        )
-    )
-    return out
+        ),
+    ]
 
 
 def _suite_theorem1(config: RunConfig) -> list[CheckResult]:
@@ -451,45 +456,26 @@ def _suite_extraction(config: RunConfig) -> list[CheckResult]:
 
 
 def _suite_hurwitz(config: RunConfig) -> list[CheckResult]:
-    out = []
-    for d in range(1, 5):
-        disc = all(
+    out = _per_degree(range(1, 5), "r <= 6", [
+        ("hurwitz/character-vs-brute", "character-vs-bruteforce", _every(lambda mu: all(
             hurwitz.hurwitz_disconnected(r, mu)
             == hurwitz.hurwitz_bruteforce(r, mu, budget=config.budget)
-            for mu in enumerate_partitions(d)
             for r in range(7)
-        )
-        out.append(
-            CheckResult(
-                f"hurwitz/character-vs-brute/d={d}",
-                "character-vs-bruteforce",
-                disc,
-                "r <= 6",
+        ))),
+        ("hurwitz/connected-vs-transitive", "connected-vs-transitive", _every(lambda mu: all(
+            hurwitz.hurwitz_connected(g, mu)
+            == hurwitz.hurwitz_bruteforce(
+                branch_count(g, mu), mu, transitive_only=True, budget=config.budget
             )
-        )
-    for d in range(1, 5):
-        conn_ok = True
-        for mu in enumerate_partitions(d):
-            for g in range(0, 4):
-                r = branch_count(g, mu)
-                if 0 <= r <= 6:
-                    conn_ok &= hurwitz.hurwitz_connected(g, mu) == hurwitz.hurwitz_bruteforce(
-                        r, mu, transitive_only=True, budget=config.budget
-                    )
-        out.append(
-            CheckResult(
-                f"hurwitz/connected-vs-transitive/d={d}",
-                "connected-vs-transitive",
-                conn_ok,
-                "r <= 6",
-            )
-        )
+            for g in range(4)
+            if 0 <= branch_count(g, mu) <= 6
+        ))),
+    ])
     anchors = (
         hurwitz.hurwitz_connected(0, Partition([2])) == Fraction(1, 2)
         and hurwitz.hurwitz_connected(0, Partition([3])) == Fraction(1)
         and hurwitz.hurwitz_connected(1, Partition([2])) == Fraction(1, 2)
     )
-    out.append(CheckResult("hurwitz/anchors", "anchor-values", anchors, "three fixed counts"))
     parity = all(
         hurwitz.hurwitz_disconnected(r, mu) == 0
         for d in range(1, 5)
@@ -497,64 +483,50 @@ def _suite_hurwitz(config: RunConfig) -> list[CheckResult]:
         for r in range(7)
         if (r - d - mu.length) % 2 != 0
     )
-    out.append(
-        CheckResult(
-            "hurwitz/parity", "parity-vanishing", parity, "odd-mismatch counts vanish"
-        )
-    )
-    return out
+    return out + [
+        CheckResult("hurwitz/anchors", "anchor-values", anchors, "three fixed counts"),
+        CheckResult("hurwitz/parity", "parity-vanishing", parity, "odd-mismatch counts vanish"),
+    ]
 
 
 def _suite_elsv(config: RunConfig) -> list[CheckResult]:
-    out = []
-    for d in range(1, 6):
-        ok = all(hurwitz.elsv_check(0, mu) for mu in enumerate_partitions(d))
-        out.append(
-            CheckResult(
-                f"elsv/genus0/d={d}",
-                "cover-count-hodge-closed-form",
-                ok,
-                f"{len(enumerate_partitions(d))} partitions",
-            )
-        )
+    out = _per_degree(range(1, 6), "{n} partitions", [
+        ("elsv/genus0", "cover-count-hodge-closed-form", _every(
+            lambda mu: hurwitz.elsv_check(0, mu)
+        )),
+    ])
     g1 = all(
         hurwitz.elsv_check(1, mu)
         for mu in (Partition([2]), Partition([3]), Partition([4]), Partition([1, 1]))
     )
-    out.append(CheckResult("elsv/genus1", "cover-count-hodge-closed-form", g1, "(2),(3),(4),(1,1)"))
     sol = hurwitz.solve_hodge_from_hurwitz(1, [2, 3])
     sol_over = hurwitz.solve_hodge_from_hurwitz(1, [2, 3, 4])
     solved = (
         sol == {"psi": Fraction(1, 24), "lambda": Fraction(1, 24)}
         and sol_over == sol
     )
-    out.append(
+    return out + [
+        CheckResult("elsv/genus1", "cover-count-hodge-closed-form", g1, "(2),(3),(4),(1,1)"),
         CheckResult(
             "elsv/reverse-solve",
             "reverse-solve-one-point-integrals",
             solved,
             "psi=lambda=1/24 from degrees 2,3 and 2,3,4",
-        )
-    )
-    return out
+        ),
+    ]
 
 
 def _suite_transfer(config: RunConfig) -> list[CheckResult]:
-    out = []
-    from math import comb
-
-    for l in range(1, 11):
-        kernel = hodge.transfer_system_kernel(l)
-        expected = [Fraction((-1) ** k * comb(l, k)) for k in range(l + 1)]
-        out.append(
-            CheckResult(
-                f"transfer/l={l:02d}",
-                "falling-factorial-kernel",
-                kernel == expected,
-                "alternating binomials",
-            )
+    return [
+        CheckResult(
+            f"transfer/l={l:02d}",
+            "falling-factorial-kernel",
+            hodge.transfer_system_kernel(l)
+            == [Fraction((-1) ** k * comb(l, k)) for k in range(l + 1)],
+            "alternating binomials",
         )
-    return out
+        for l in range(1, 11)
+    ]
 
 
 SUITES: dict[str, Callable[[RunConfig], list[CheckResult]]] = {

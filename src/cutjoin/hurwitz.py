@@ -13,7 +13,6 @@ and both routes are required to agree wherever enumeration is feasible.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
@@ -39,14 +38,6 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, estimate: str, budget: int):
         self.budget = budget
         super().__init__(f"estimated {estimate} exceeds the budget of {budget}")
-
-
-@dataclass(frozen=True)
-class HurwitzNumber:
-    g: int
-    r: int
-    mu: Partition
-    value: Fraction
 
 
 def branch_count(g: int, mu: Partition) -> int:
@@ -103,18 +94,18 @@ def hurwitz_bruteforce(
     d = mu.size
     if d < 1 or r < 0:
         raise ValueError(f"requires a nonempty partition and r >= 0, got r={r}")
-    trans = transpositions(d)
-    tuples = 1  # len(trans)^r, multiplied out only while it grows within the budget
+    n = d * (d - 1) // 2  # transpositions, listed only once both budgets pass
+    tuples = 1  # n^r, multiplied out only while it grows within the budget
     for _ in range(r):
-        tuples *= len(trans)
+        tuples *= n
         if tuples > budget or tuples <= 1:
             break
     if tuples > budget:
-        raise BudgetExceededError(f"{len(trans)}^{r} tuples", budget)
+        raise BudgetExceededError(f"{n}^{r} tuples", budget)
     if r > budget:  # one layer per branch point, even with no tuple to visit
         raise BudgetExceededError(f"{r} layers", budget)
     sigma = canonical_permutation(mu)
-    moves = [(t, *(i for i in range(d) if t[i] != i)) for t in trans]
+    moves = [(t, *(i for i in range(d) if t[i] != i)) for t in transpositions(d)]
 
     @cache
     def distance(prod: tuple[int, ...]) -> int:

@@ -154,3 +154,17 @@ class TestPrincipalSpecialization:
         for d in range(1, 5):
             for nu in enumerate_partitions(d):
                 assert principal_specialization_check(nu, 10)
+
+    def test_series_cross_check_detects_an_extra_hook(self, monkeypatch):
+        # an extra factor (1 - q^7) first shows at q^(n(nu) + 7) = q^8
+        from cutjoin import characters
+
+        real = characters.schur_principal_specialization
+
+        def extra_hook(nu):
+            num, den = real(nu)
+            return num, den * (QHalfLaurent.one() - QHalfLaurent.monomial(1, 14))
+
+        monkeypatch.setattr(characters, "schur_principal_specialization", extra_hook)
+        assert not principal_specialization_check(P([3, 1]), 10)
+        assert principal_specialization_check(P([3, 1]), 6)

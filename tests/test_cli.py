@@ -194,6 +194,15 @@ class TestComputeCommands:
         assert captured.out == ""
         assert "estimated 2000000001 layers exceeds the budget of 10000000" in captured.err
 
+    def test_large_degree_brute_is_refused_before_listing_transpositions(self, capsys):
+        # 4498500 transpositions of length 3000 would take gigabytes to list
+        start = time.perf_counter()
+        code = main(["hurwitz", "--genus", "0", "--partition", "3000", "--method", "brute"])
+        assert code == 3 and time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "estimated 4498500^2999 tuples exceeds the budget of 10000000" in captured.err
+
     def test_env_budget_is_echoed(self):
         proc = run_cli(
             "hurwitz", "--genus", "0", "--partition", "2",
@@ -386,6 +395,40 @@ class TestVerify:
         } <= failed
         assert all(c.endswith("d=4") for c in failed)
 
+    @staticmethod
+    def _failing_ids():
+        return {
+            r.check_id
+            for name in SUITES
+            for r in SUITES[name](RunConfig())
+            if not r.passed
+        }
+
+    def test_one_failing_shape_fails_only_its_degree(self, monkeypatch):
+        from cutjoin import hodge
+        from cutjoin.partitions import Partition
+
+        real = hodge.v_forms_agree
+        monkeypatch.setattr(
+            hodge, "v_forms_agree", lambda nu: nu != Partition([3, 2]) and real(nu)
+        )
+        assert self._failing_ids() == {"prop-v/d=05"}
+
+    def test_one_wrong_cover_count_fails_both_comparisons(self, monkeypatch):
+        from cutjoin import hurwitz
+        from cutjoin.partitions import Partition
+
+        real = hurwitz.hurwitz_bruteforce
+
+        def off_by_one(r, mu, *args, **kwargs):
+            return real(r, mu, *args, **kwargs) + (mu == Partition([2, 1]))
+
+        monkeypatch.setattr(hurwitz, "hurwitz_bruteforce", off_by_one)
+        assert self._failing_ids() == {
+            "hurwitz/character-vs-brute/d=3",
+            "hurwitz/connected-vs-transitive/d=3",
+        }
+
     def test_failure_exit_code(self, capsys):
         # inject a failing pseudo-suite through the registry
         def broken(config):
@@ -439,6 +482,33 @@ class TestGoldenFixture:
         assert proc.returncode == 0
         digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
         assert digest == "85fde22a72e16f09a4b089691f8625fde052869fe4f9a74ff7c995ac7aa3bf79"
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ("verify", "--suite", "all", "--max-weight", "7", "--lambda-order", "14"),
+                "00a5141b260d716d8a3805c91dc289bd2e41c6131ae0fe343fe65862522da9e0",
+            ),
+            (
+                ("verify", "--suite", "all", "--format", "csv"),
+                "12c3aaf4550768dbc446a8f1217e1240f0b2571e748b88499072219a454feada",
+            ),
+            (
+                ("verify", "--suite", "all", "--format", "pretty", "--seed", "3"),
+                "f531c6a197c2fefb4fbd15a9538f0db322fd688032306c78ba49203061951dac",
+            ),
+            (
+                ("verify", "--suite", "extraction", "--max-weight", "2", "--lambda-order", "6"),
+                "59edb807833fd28b4cb8f5fbfd042739d1ab55a8262ea8913d6597af668f5f88",
+            ),
+        ],
+    )
+    def test_verify_digests(self, args, digest):
+        # check ids, identities, details and their order in every format
+        proc = run_cli(*args)
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
     def test_hodge_grid_digest(self):
         # every `hodge` record for g <= 3, |mu| <= 4 at (W, L) = (4, 8),
