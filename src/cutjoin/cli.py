@@ -9,9 +9,10 @@ identity it instantiates.
 
 The identities are defined in the library modules; `SUITES` maps each
 `verify --suite` name to the function that states its checks.  A family of
-checks over degrees d (one id `family/d=<d>` per degree) is declared once
-through `_per_degree`, with `_every` for a check that must hold on every
-partition of d; a one-off check is a single `CheckResult`.
+checks indexed by a degree d, a genus g or a length l (one id
+`family/<index>=<i>` per value) is declared once through `_per_degree`, with
+`_every` for a check that must hold on every partition of d; a one-off check
+is a single `CheckResult`.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 exceeded.
@@ -52,6 +53,10 @@ from .partitions import Partition, enumerate_partitions
 
 BUDGET_ENV_VAR = "CUTJOIN_BUDGET"
 MAX_TABLE_DEGREE = 12
+# `hurwitz --method char` reads the characters of every partition of |mu|;
+# at |mu| = 30 every shape measured answers within 1.8 s on 2 cores
+# (CPython 3.11), and |mu| = 40 takes 9.5 s at 2^20
+MAX_CHAR_DEGREE = 30
 # `hurwitz --method connected` logs a table with one term per branch count;
 # at |mu| = 12 and r = 60 a query takes 14-17 s on 2 cores (CPython 3.11)
 MAX_CONNECTED_BRANCH_POINTS = 60
@@ -199,20 +204,21 @@ def cmd_mv_series(config: RunConfig, out) -> int:
 # -- verification suites ------------------------------------------------------
 
 
-def _per_degree(degrees: range, detail: str, families: list) -> list[CheckResult]:
-    """One check per degree d and per family (name, identity, holds): the id is
-    `name/d=<d>`, d zero-padded to the digits of the largest degree so that ids
-    sort by degree; the verdict is holds(d); `{n}` in the detail is the number
-    of partitions of d."""
-    width = len(str(degrees[-1]))
+def _per_degree(index: str, values: range, detail: str, families: list) -> list[CheckResult]:
+    """One check per value i of the index (a degree d, a genus g or a length
+    l) and per family (name, identity, holds): the id is `name/<index>=<i>`,
+    i zero-padded to the digits of the largest value so that ids sort by it;
+    the verdict is holds(i); `{n}` in the detail is the number of partitions
+    of i."""
+    width = len(str(values[-1]))
     return [
         CheckResult(
-            f"{name}/d={d:0{width}d}",
+            f"{name}/{index}={i:0{width}d}",
             identity,
-            holds(d),
-            detail.format(n=len(enumerate_partitions(d))),
+            holds(i),
+            detail.format(n=len(enumerate_partitions(i))),
         )
-        for d in degrees
+        for i in values
         for name, identity, holds in families
     ]
 
@@ -228,7 +234,7 @@ def _every(check: Callable[[Partition], bool]) -> Callable[[int], bool]:
 
 
 def _suite_hooks(config: RunConfig) -> list[CheckResult]:
-    return _per_degree(range(1, 13), "{n} shapes", [
+    return _per_degree("d", range(1, 13), "{n} shapes", [
         ("hooks/sum", "hook-sum-identity", _every(
             lambda nu: sum(nu.hooks()) == nu.n_weight() + nu.transpose().n_weight() + nu.size
         )),
@@ -245,7 +251,7 @@ def _suite_hooks(config: RunConfig) -> list[CheckResult]:
 
 
 def _suite_prop_v(config: RunConfig) -> list[CheckResult]:
-    return _per_degree(range(1, 11), "{n} shapes, cross-multiplied", [
+    return _per_degree("d", range(1, 11), "{n} shapes, cross-multiplied", [
         ("prop-v", "sine-product-equals-hook-product", _every(hodge.v_forms_agree)),
     ])
 
@@ -281,12 +287,12 @@ def _character_table_identities(d: int) -> tuple[bool, bool, bool]:
 
 def _suite_characters(config: RunConfig) -> list[CheckResult]:
     verdicts = cache(_character_table_identities)  # all three, once per degree
-    out = _per_degree(range(1, 9), "{n}^2 pairs", [
+    out = _per_degree("d", range(1, 9), "{n}^2 pairs", [
         ("characters/orthogonality-first", "first-orthogonality", lambda d: verdicts(d)[0]),
         ("characters/orthogonality-second", "second-orthogonality", lambda d: verdicts(d)[1]),
         ("characters/transpose-sign", "sign-twist-transpose", lambda d: verdicts(d)[2]),
     ])
-    out += _per_degree(range(1, 11), "{n} irreps", [
+    out += _per_degree("d", range(1, 11), "{n} irreps", [
         ("characters/dimension", "dimension-hook-formula", _every(
             lambda nu: dimension(nu) == dimension_hook(nu)
         )),
@@ -318,7 +324,7 @@ def _random_series(rng: random.Random, max_weight: int) -> PartitionSeries:
 
 
 def _suite_cutjoin_id(config: RunConfig) -> list[CheckResult]:
-    out = _per_degree(range(1, 9), "{n} irreps", [
+    out = _per_degree("d", range(1, 9), "{n} irreps", [
         ("cutjoin-id", "schur-eigenvector-identity", _every(character_cutjoin_identity)),
     ])
     rng = random.Random(config.seed)
@@ -381,82 +387,62 @@ def _extraction_min_lambda_order(max_weight: int) -> int:
 
 
 def _suite_extraction(config: RunConfig) -> list[CheckResult]:
-    out = []
     _, conn = hodge.build_series_pair(config.max_weight, config.lambda_order)
     max_size = min(EXTRACTION_MAX_SIZE, config.max_weight)
     shapes = [mu for d in range(1, max_size + 1) for mu in enumerate_partitions(d)]
     shape_range = f"|mu| <= {max_size}"
+    out = _per_degree("g", range(EXTRACTION_MAX_GENUS + 1), shape_range, [
+        ("extraction/degree", "degree-bound", lambda g: all(
+            hodge.extract_C_gmu(conn, g, mu).degree_ok() for mu in shapes
+        )),
+        ("extraction/symmetry", "tau-reflection-symmetry", lambda g: all(
+            hodge.extract_C_gmu(conn, g, mu).symmetry_ok() for mu in shapes
+        )),
+    ])
+    out += _per_degree("g", range(3), shape_range, [
+        ("extraction/derivative-recursion", "derivative-recursion", lambda g: all(
+            hodge.cutjoin_derivative_check(conn, g, mu) for mu in shapes
+        )),
+    ])
     anchor = all(
-        hodge.extract_C_gmu(conn, 0, mu).poly == hodge.genus0_closed_form(mu)
+        hodge.extract_C_gmu(conn, 0, mu).poly == hodge.genus0_closed_form(mu) for mu in shapes
+    )
+    division = all(
+        hodge.hodge_polynomial(0, mu, conn)
+        == TauPolynomial.constant(Fraction(mu.size) ** (mu.length - 3))
         for mu in shapes
     )
-    out.append(
+    one_point = hodge.hodge_polynomial(1, Partition([1]), conn) == TauPolynomial.constant(
+        Fraction(1, 24)
+    )
+    lam = hodge.lambda_g_coefficients(4)
+    return out + [
         CheckResult(
             "extraction/genus0-closed-form",
             "genus0-definition-vs-extraction",
             anchor,
             f"all {shape_range}",
-        )
-    )
-    for g in range(EXTRACTION_MAX_GENUS + 1):
-        degree_ok = symmetry_ok = True
-        for mu in shapes:
-            c = hodge.extract_C_gmu(conn, g, mu)
-            degree_ok &= c.degree_ok()
-            symmetry_ok &= c.symmetry_ok()
-        out.append(CheckResult(f"extraction/degree/g={g}", "degree-bound", degree_ok, shape_range))
-        out.append(
-            CheckResult(
-                f"extraction/symmetry/g={g}", "tau-reflection-symmetry", symmetry_ok, shape_range
-            )
-        )
-    division_ok = True
-    for mu in shapes:
-        q = hodge.hodge_polynomial(0, mu, conn)
-        division_ok &= q == TauPolynomial.constant(Fraction(mu.size) ** (mu.length - 3))
-    out.append(
+        ),
         CheckResult(
             "extraction/hodge-division-genus0",
             "hodge-prefactor-division",
-            division_ok,
+            division,
             "quotient is |mu|^(l-3), remainder zero",
-        )
-    )
-    one_point = hodge.hodge_polynomial(1, Partition([1]), conn) == TauPolynomial.constant(
-        Fraction(1, 24)
-    )
-    out.append(
+        ),
         CheckResult(
-            "extraction/one-point-genus1",
-            "one-point-genus1-value",
-            one_point,
-            "constant 1/24",
-        )
-    )
-    lam = hodge.lambda_g_coefficients(4)
-    out.append(
+            "extraction/one-point-genus1", "one-point-genus1-value", one_point, "constant 1/24"
+        ),
         CheckResult(
             "extraction/sine-reciprocal",
             "sine-reciprocal-coefficients",
             lam[:3] == [Fraction(1), Fraction(1, 24), Fraction(7, 5760)],
             "1, 1/24, 7/5760",
-        )
-    )
-    for g in range(3):
-        rec_ok = all(hodge.cutjoin_derivative_check(conn, g, mu) for mu in shapes)
-        out.append(
-            CheckResult(
-                f"extraction/derivative-recursion/g={g}",
-                "derivative-recursion",
-                rec_ok,
-                shape_range,
-            )
-        )
-    return out
+        ),
+    ]
 
 
 def _suite_hurwitz(config: RunConfig) -> list[CheckResult]:
-    out = _per_degree(range(1, 5), "r <= 6", [
+    out = _per_degree("d", range(1, 5), "r <= 6", [
         ("hurwitz/character-vs-brute", "character-vs-bruteforce", _every(lambda mu: all(
             hurwitz.hurwitz_disconnected(r, mu)
             == hurwitz.hurwitz_bruteforce(r, mu, budget=config.budget)
@@ -490,7 +476,7 @@ def _suite_hurwitz(config: RunConfig) -> list[CheckResult]:
 
 
 def _suite_elsv(config: RunConfig) -> list[CheckResult]:
-    out = _per_degree(range(1, 6), "{n} partitions", [
+    out = _per_degree("d", range(1, 6), "{n} partitions", [
         ("elsv/genus0", "cover-count-hodge-closed-form", _every(
             lambda mu: hurwitz.elsv_check(0, mu)
         )),
@@ -517,16 +503,12 @@ def _suite_elsv(config: RunConfig) -> list[CheckResult]:
 
 
 def _suite_transfer(config: RunConfig) -> list[CheckResult]:
-    return [
-        CheckResult(
-            f"transfer/l={l:02d}",
-            "falling-factorial-kernel",
+    return _per_degree("l", range(1, 11), "alternating binomials", [
+        ("transfer", "falling-factorial-kernel", lambda l: (
             hodge.transfer_system_kernel(l)
-            == [Fraction((-1) ** k * comb(l, k)) for k in range(l + 1)],
-            "alternating binomials",
-        )
-        for l in range(1, 11)
-    ]
+            == [Fraction((-1) ** k * comb(l, k)) for k in range(l + 1)]
+        )),
+    ])
 
 
 SUITES: dict[str, Callable[[RunConfig], list[CheckResult]]] = {
@@ -682,6 +664,11 @@ def main(argv: list[str] | None = None) -> int:
                         f"{MAX_CONNECTED_BRANCH_POINTS} for --method connected"
                     )
             if args.method == "char":
+                if mu.size > MAX_CHAR_DEGREE:
+                    parser.error(
+                        f"--partition size {mu.size} exceeds {MAX_CHAR_DEGREE} "
+                        "for --method char"
+                    )
                 r = branch_count(args.genus, mu)
                 limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
                 if limit and _char_count_digits_bound(r, mu) > limit:

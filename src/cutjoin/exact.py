@@ -470,10 +470,6 @@ TP_I = TauPolynomial.phased(TP_ONE.real, 1)
 _SCALARS = (int, Fraction, TauPolynomial, RealTauPolynomial)
 
 
-def _is_zero(c) -> bool:
-    return not c
-
-
 class LaurentSeries:
     """Truncated Laurent series in one variable over a commutative ring.
 
@@ -496,7 +492,7 @@ class LaurentSeries:
             raise ValueError("more coefficients than the truncation order allows")
         # pad sparse tails so the dense range always reaches trunc_order
         cs.extend([0] * (trunc_order - min_exp + 1 - len(cs)))
-        while cs and _is_zero(cs[0]):
+        while cs and not cs[0]:
             cs.pop(0)
             min_exp += 1
         self.min_exp = min_exp if cs else trunc_order + 1
@@ -523,7 +519,7 @@ class LaurentSeries:
     def monomial(cls, coeff, exp: int, trunc_order: int) -> "LaurentSeries":
         if exp > trunc_order:
             raise ValueError(f"exponent {exp} exceeds truncation order {trunc_order}")
-        if _is_zero(coeff):
+        if not coeff:
             return cls.zero(trunc_order)
         return cls(exp, [coeff], trunc_order)
 
@@ -562,7 +558,7 @@ class LaurentSeries:
                 k = src.min_exp + i
                 if k > trunc:
                     break
-                if not _is_zero(c):
+                if c:
                     out[k - lo] = out[k - lo] + c
         return LaurentSeries(lo, out, trunc)
 
@@ -601,23 +597,23 @@ class LaurentSeries:
             )
             out = [0] * (trunc - lo + 1)
             for i, a in enumerate(self.coeffs):
-                if _is_zero(a):
+                if not a:
                     continue
                 ka = self.min_exp + i
                 jmax = trunc - ka - other.min_exp
                 if jmax < 0:
                     break
                 for j, b in enumerate(other.coeffs[: jmax + 1]):
-                    if not _is_zero(b):
+                    if b:
                         k = ka + other.min_exp + j - lo
                         out[k] = out[k] + a * b
             return LaurentSeries(lo, out, trunc)
         if isinstance(other, _SCALARS):
-            if _is_zero(other):
+            if not other:
                 return LaurentSeries.zero(self.trunc_order)
             return LaurentSeries(
                 self.min_exp,
-                [c * other if not _is_zero(c) else 0 for c in self.coeffs],
+                [c * other if c else 0 for c in self.coeffs],
                 self.trunc_order,
             )
         return NotImplemented
@@ -657,10 +653,10 @@ class LaurentSeries:
             acc = 0
             for j in range(1, min(k, len(u)) + 1):
                 uj = u[j - 1]
-                if not _is_zero(uj):
+                if uj:
                     acc = acc + uj * inv[k - j]
-            inv[k] = -acc if not _is_zero(acc) else 0
-        scaled = [c * c0inv if not _is_zero(c) else 0 for c in inv]
+            inv[k] = -acc if acc else 0
+        scaled = [c * c0inv if c else 0 for c in inv]
         return LaurentSeries(-m, scaled, trunc)
 
     def map_coefficients(self, f) -> "LaurentSeries":
@@ -691,7 +687,7 @@ class LaurentSeries:
             common = min(common, up_to)
         lo = min(self.min_exp, other.min_exp)
         for k in range(lo, common + 1):
-            if not _eq_coeff(self.coefficient(k), other.coefficient(k)):
+            if self.coefficient(k) != other.coefficient(k):
                 return False
         return True
 
@@ -699,7 +695,7 @@ class LaurentSeries:
         if isinstance(other, LaurentSeries):
             return other
         if isinstance(other, _SCALARS):
-            if _is_zero(other):
+            if not other:
                 return LaurentSeries.zero(self.trunc_order)
             if self.trunc_order < 0:
                 raise ValueError("cannot embed a constant below truncation order 0")
@@ -707,7 +703,7 @@ class LaurentSeries:
         return None
 
     def __repr__(self):
-        terms = ", ".join(f"{c!r}*x^{k}" for k, c in self.items() if not _is_zero(c))
+        terms = ", ".join(f"{c!r}*x^{k}" for k, c in self.items() if c)
         return f"LaurentSeries({terms or '0'}; O(x^{self.trunc_order + 1}))"
 
     def to_json(self):
@@ -716,14 +712,6 @@ class LaurentSeries:
             "trunc_order": self.trunc_order,
             "coeffs": [_coeff_json(c) for c in self.coeffs],
         }
-
-
-def _eq_coeff(a, b) -> bool:
-    if isinstance(a, int) and a == 0:
-        return _is_zero(b)
-    if isinstance(b, int) and b == 0:
-        return _is_zero(a)
-    return a == b
 
 
 def _coeff_json(c):
@@ -751,7 +739,7 @@ def _odd_half_series(c, order: int, sign: int) -> LaurentSeries:
     """sum_k sign^k (c/2)^(2k+1) x^(2k+1)/(2k+1)!: sin for sign -1, sinh for +1."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    if _is_zero(c):
+    if not c:
         return LaurentSeries.zero(order)
     if isinstance(c, int):
         c = Fraction(c)
@@ -785,7 +773,7 @@ def series_exp(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
             f"series_exp requires positive valuation; found exponent {x.min_exp}"
         )
     trunc = min(order, x.trunc_order)
-    weighted = [(k, c * k) for k, c in x.items() if not _is_zero(c)]
+    weighted = [(k, c * k) for k, c in x.items() if c]
     out = [1]
     for n in range(1, trunc + 1):
         acc = 0
@@ -793,9 +781,9 @@ def series_exp(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
             if k > n:
                 break
             f = out[n - k]
-            if not _is_zero(f):
+            if f:
                 acc = acc + kc * f
-        out.append(acc * Fraction(1, n) if not _is_zero(acc) else 0)
+        out.append(acc * Fraction(1, n) if acc else 0)
     return LaurentSeries(0, out, trunc)
 
 
@@ -813,7 +801,7 @@ def series_log(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
     x = x.truncate(order)
     if x.min_exp < 0:
         raise ValueError(f"series_log requires constant term 1; found pole at {x.min_exp}")
-    if not _eq_coeff(x.coefficient(0), 1):
+    if x.coefficient(0) != 1:
         raise ValueError(f"series_log requires constant term 1, got {x.coefficient(0)!r}")
     f = [x.coefficient(n) for n in range(x.trunc_order + 1)]
     out = [0]
@@ -821,9 +809,9 @@ def series_log(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
         acc = f[n] * n
         for k in range(1, n):
             g, c = out[k], f[n - k]
-            if not _is_zero(g) and not _is_zero(c):
+            if g and c:
                 acc = acc + g * (c * -k)
-        out.append(acc * Fraction(1, n) if not _is_zero(acc) else 0)
+        out.append(acc * Fraction(1, n) if acc else 0)
     return LaurentSeries(0, out, x.trunc_order)
 
 

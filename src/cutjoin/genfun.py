@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .characters import central_character_transposition, schur_in_p
-from .exact import _coeff_json, _eq_coeff, _is_zero
+from .exact import _coeff_json
 from .partitions import Partition, EMPTY
 
 
@@ -38,11 +38,11 @@ class PartitionSeries:
         data = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for mu, c in items:
-            if mu.size > max_weight or _is_zero(c):
+            if mu.size > max_weight or not c:
                 continue
             if mu in data:
                 s = data[mu] + c
-                if _is_zero(s):
+                if not s:
                     del data[mu]
                 else:
                     data[mu] = s
@@ -78,7 +78,7 @@ class PartitionSeries:
                 continue
             if m in out:
                 s = out[m] + c
-                if _is_zero(s):
+                if not s:
                     del out[m]
                 else:
                     out[m] = s
@@ -93,7 +93,7 @@ class PartitionSeries:
         return PartitionSeries._raw({m: -c for m, c in self.terms.items()}, self.max_weight)
 
     def scale(self, scalar) -> "PartitionSeries":
-        if _is_zero(scalar):
+        if not scalar:
             return PartitionSeries.zero(self.max_weight)
         return PartitionSeries._raw(
             {m: c * scalar for m, c in self.terms.items()}, self.max_weight
@@ -115,12 +115,12 @@ class PartitionSeries:
                 prod = c1 * c2
                 if mu in out:
                     s = out[mu] + prod
-                    if _is_zero(s):
+                    if not s:
                         del out[mu]
                     else:
                         out[mu] = s
                 else:
-                    if not _is_zero(prod):
+                    if prod:
                         out[mu] = prod
         return PartitionSeries._raw(out, w)
 
@@ -165,7 +165,7 @@ class PartitionSeries:
         if not isinstance(other, PartitionSeries):
             return NotImplemented
         keys = set(self.terms) | set(other.terms)
-        return all(_eq_coeff(self.coefficient(k), other.coefficient(k)) for k in keys)
+        return all(self.coefficient(k) == other.coefficient(k) for k in keys)
 
     def to_json(self):
         """Fixture form: sorted term list."""
@@ -232,7 +232,7 @@ def ps_log(G: PartitionSeries) -> PartitionSeries:
     exact at each weight and never forms a term above the cap.
     """
     c0 = G.coefficient(EMPTY)
-    if not _eq_coeff(c0, 1):
+    if c0 != 1:
         raise ValueError(f"ps_log requires constant term 1, found {c0!r}")
     w = G.max_weight
     graded = _graded(G)

@@ -63,8 +63,12 @@ series only up to L, so both bodies are cut at L (MVSeries.truncated) before
 the tau-derivative, the cut-and-join operators, the tau = 0 value and the
 lambda-series readout.  A connected coefficient has a pole of order at most
 1, so a product of two of them cut at L is valid to L - 1 and the
-nonlinear side (x/2) * Omega~ is still valid to L; _evolution_holds raises
-if any compared coefficient is valid below L.
+nonlinear side (x/2) * Omega~ is still valid to L.
+
+One comparison, _evolution_holds, decides both forms of the evolution
+equation and the tau = 0 value (against the series of single-row closed
+forms): term by term up to L, an absent term counting as zero, raising if a
+compared coefficient is valid below L.
 """
 
 from __future__ import annotations
@@ -92,9 +96,8 @@ from .genfun import PartitionSeries, cut_join_linear, cut_join_nonlinear, ps_log
 from .linalg import nullspace
 from .partitions import (
     Partition,
-    cut_join_incoming,
+    cut_join_sum,
     enumerate_partitions,
-    split_contributions,
 )
 from .characters import character
 
@@ -214,10 +217,8 @@ class MVSeries:
     def coefficient(self, mu: Partition) -> LaurentSeries:
         """The coefficient of p_mu as a lambda-Laurent series over
         tau-polynomials, valid to lambda_order."""
-        c = self.truncated.coefficient(mu)
-        if isinstance(c, int):
-            return LaurentSeries.zero(self.lambda_order)
-        return _lambda_series(c, mu.size)
+        zero = LaurentSeries.zero(self.lambda_order)
+        return _lambda_series(self.truncated.terms.get(mu, zero), mu.size)
 
     def tau_derivative(self) -> PartitionSeries:
         """d/dtau of the truncated body, in the x and P variables."""
@@ -310,33 +311,19 @@ def build_series_pair(max_weight: int, lambda_order: int) -> tuple[MVSeries, MVS
 # -- the evolution equation and the initial value ----------------------------
 
 
-def _series_agree(a, b, order: int) -> bool:
-    """Exact agreement of two coefficient entries up to the given order.
-
-    Entries are Laurent series or the integer 0 for an exactly-cancelled
-    coefficient; every series in these computations carries a truncation at
-    or above `order` by construction, which the caller asserts.
-    """
-    if isinstance(a, int):
-        a, b = b, a
-    if isinstance(b, int):
-        if isinstance(a, int):
-            return True
-        zero = LaurentSeries.zero(a.trunc_order)
-        return a.agrees_with(zero, up_to=order)
-    return a.agrees_with(b, up_to=order)
-
-
 def _evolution_holds(lhs: PartitionSeries, rhs: PartitionSeries, order: int) -> bool:
-    keys = set(lhs.terms) | set(rhs.terms)
-    for mu in keys:
-        a, b = lhs.coefficient(mu), rhs.coefficient(mu)
+    """Exact agreement of two series of coefficient series up to the given
+    order; a term absent on one side is zero.  Raises ValueError when a
+    compared coefficient is valid only below that order."""
+    zero = LaurentSeries.zero(order)
+    for mu in set(lhs.terms) | set(rhs.terms):
+        a, b = lhs.terms.get(mu, zero), rhs.terms.get(mu, zero)
         for s in (a, b):
-            if not isinstance(s, int) and s.trunc_order < order:
+            if s.trunc_order < order:
                 raise ValueError(
                     f"coefficient of p_{mu} only valid to {s.trunc_order} < {order}"
                 )
-        if not _series_agree(a, b, order):
+        if not a.agrees_with(b, up_to=order):
             return False
     return True
 
@@ -382,23 +369,15 @@ def initial_condition_series(d: int, order: int) -> LaurentSeries:
 
 
 def initial_condition_check(max_weight: int = 6, lambda_order: int = 12) -> bool:
-    """The connected series at tau = 0 collapses to single-row terms with the
-    sine closed form; all multi-row coefficients vanish identically."""
+    """The connected series at tau = 0 is the sum of the single-row terms
+    initial_condition_series(d) * p_d over d <= max_weight: every multi-row
+    coefficient vanishes identically."""
     _, conn = build_series_pair(max_weight, lambda_order)
-    at_zero = conn.at_tau_zero()
-    for mu in at_zero.terms:
-        series = at_zero.coefficient(mu)
-        if mu.length == 1:
-            target = initial_condition_series(mu.size, lambda_order)
-            if not _series_agree(series, target, lambda_order):
-                return False
-        else:
-            if not _series_agree(series, 0, lambda_order):
-                return False
-    for d in range(1, max_weight + 1):
-        if Partition([d]) not in at_zero.terms:
-            return False
-    return True
+    rows = range(1, max_weight + 1)
+    target = PartitionSeries(
+        {Partition([d]): initial_condition_series(d, lambda_order) for d in rows}, max_weight
+    )
+    return _evolution_holds(conn.at_tau_zero(), target, lambda_order)
 
 
 # -- extraction of per-genus tau-polynomials ---------------------------------
@@ -504,26 +483,10 @@ def cutjoin_derivative_check(R: MVSeries, g: int, mu: Partition) -> bool:
                           + sum_{nu cuts of mu} w2 C_{g-1,nu}
                           + 1/2 sum_splits weight * C_{g1,nu1} C_{g2,nu2} ]
 
-    with the w and split weights read from the cut/join edge coefficients.
+    where the bracket is partitions.cut_join_sum over the extracted polynomials.
     """
     lhs = extract_C_gmu(R, g, mu).poly.derivative()
-    joins_into, cuts_into = cut_join_incoming(mu)
-    acc = TauPolynomial()
-    for nu, w in joins_into:
-        acc = acc + extract_C_gmu(R, g, nu).poly * w
-    if g >= 1:
-        for nu, w in cuts_into:
-            acc = acc + extract_C_gmu(R, g - 1, nu).poly * w
-    half = Fraction(1, 2)
-    for term in split_contributions(mu):
-        for g1 in range(g + 1):
-            g2 = g - g1
-            prod = (
-                extract_C_gmu(R, g1, term.nu1).poly
-                * extract_C_gmu(R, g2, term.nu2).poly
-            )
-            acc = acc + prod * (half * term.weight)
-    return lhs == acc * TP_I
+    return lhs == cut_join_sum(mu, g, lambda h, nu: extract_C_gmu(R, h, nu).poly) * TP_I
 
 
 def parity_pole_check(R: MVSeries) -> bool:

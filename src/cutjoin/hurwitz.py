@@ -24,9 +24,8 @@ from .linalg import solve
 from .partitions import (
     EMPTY,
     Partition,
-    cut_join_incoming,
+    cut_join_sum,
     enumerate_partitions,
-    split_contributions,
 )
 
 DEFAULT_BUDGET = 10**7
@@ -315,9 +314,9 @@ def solve_hodge_from_hurwitz(g: int, part_sizes: list[int]) -> dict[str, Fractio
 
 def hurwitz_cutjoin_check(g: int, mu: Partition) -> bool:
     """The branch-point recursion: removing one simple branch point writes the
-    count at (g, mu) as cut/join-weighted counts one step down, plus split
-    terms weighted by the binomial distribution of the remaining branch
-    points over the two components.
+    count at (g, mu) as the cut-and-join sum (partitions.cut_join_sum) of
+    the counts one step down, each split weighted by C(r - 1, r1), the ways
+    to place r1 of the remaining branch points on the first component.
 
     The recursion needs a branch point to remove; with r < 1 (only the
     trivial cover, g=0 and mu a single row of size 1) it is vacuous.
@@ -325,27 +324,9 @@ def hurwitz_cutjoin_check(g: int, mu: Partition) -> bool:
     r = branch_count(g, mu)
     if r < 1:
         return True
-    lhs = hurwitz_connected(g, mu)
-    joins_into, cuts_into = cut_join_incoming(mu)
-    rhs = Fraction(0)
-    for nu, w in joins_into:
-        rhs += w * hurwitz_connected(g, nu)
-    if g >= 1:
-        for nu, w in cuts_into:
-            rhs += w * hurwitz_connected(g - 1, nu)
-    half = Fraction(1, 2)
-    for term in split_contributions(mu):
-        for g1 in range(g + 1):
-            g2 = g - g1
-            r1 = branch_count(g1, term.nu1)
-            r2 = branch_count(g2, term.nu2)
-            if r1 < 0 or r2 < 0:
-                continue
-            rhs += (
-                half
-                * term.weight
-                * comb(r - 1, r1)
-                * hurwitz_connected(g1, term.nu1)
-                * hurwitz_connected(g2, term.nu2)
-            )
-    return lhs == rhs
+
+    def split_factor(g1, nu1, g2, nu2):
+        r1 = branch_count(g1, nu1)
+        return comb(r - 1, r1) if r1 >= 0 and branch_count(g2, nu2) >= 0 else 0
+
+    return hurwitz_connected(g, mu) == cut_join_sum(mu, g, hurwitz_connected, split_factor)

@@ -250,8 +250,8 @@ def split_contributions(mu: Partition) -> list[SplitTerm]:
     """Ordered pairs ((nu1, i), (nu2, j)) with (nu1-i) u (nu2-j) u {i+j} = mu.
 
     These index the d/dp_i(F) * d/dp_j(F) terms of the nonlinear operator
-    whose product monomial lands on p_mu; the consumer supplies the overall
-    1/2 and whatever genus or branch-point bookkeeping applies.
+    whose product monomial lands on p_mu; cut_join_sum supplies the overall
+    1/2, and its split factor any branch-point bookkeeping.
     """
     out: list[SplitTerm] = []
     seen_s = set()
@@ -269,6 +269,38 @@ def split_contributions(mu: Partition) -> list[SplitTerm]:
                 weight = i * j * nu1.parts.count(i) * nu2.parts.count(j)
                 out.append(SplitTerm(nu1, i, nu2, j, weight))
     return out
+
+
+def cut_join_sum(mu: Partition, g: int, value, split_factor=lambda g1, nu1, g2, nu2: 1):
+    """The cut-and-join operator read on p_mu at genus g, from the genus-h
+    coefficient value(h, nu) of every p_nu it draws on:
+
+        sum_{nu joins of mu} w * value(g, nu)
+      + sum_{nu cuts of mu} w * value(g - 1, nu)                       (g >= 1)
+      + 1/2 sum_splits sum_{g1+g2=g} weight * f * value(g1, nu1) * value(g2, nu2)
+
+    with w from cut_join_incoming and the split weights from
+    split_contributions; f = split_factor(g1, nu1, g2, nu2), 1 by default,
+    and a split with f = 0 reads no values.  This is the right-hand side both of
+    the per-coefficient tau-evolution of the Hodge series (up to the factor
+    sqrt(-1)) and of the branch-point recursion for cover counts.
+    """
+    joins_into, cuts_into = cut_join_incoming(mu)
+    total = 0
+    for nu, w in joins_into:
+        total = total + value(g, nu) * w
+    if g >= 1:
+        for nu, w in cuts_into:
+            total = total + value(g - 1, nu) * w
+    half = Fraction(1, 2)
+    for term in split_contributions(mu):
+        for g1 in range(g + 1):
+            g2 = g - g1
+            f = split_factor(g1, term.nu1, g2, term.nu2)
+            if f:
+                pair = value(g1, term.nu1) * value(g2, term.nu2)
+                total = total + pair * (half * term.weight * f)
+    return total
 
 
 def _sub_multisets(parts: tuple[int, ...]) -> list[tuple[int, ...]]:

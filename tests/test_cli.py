@@ -185,6 +185,27 @@ class TestComputeCommands:
         code, lines = main_lines("hurwitz", "--genus", "1500", "--partition", "6", "--method", "char")
         assert code == 0 and json.loads(lines[-1])["branch_points"] == 3005
 
+    def test_char_method_size_limit(self, monkeypatch, capsys):
+        # 60 has 966467 partitions, each needing a character; 3000! has more
+        # digits than Python will format, so the size is checked first
+        from cutjoin import hurwitz
+
+        def no_count(*args):
+            raise AssertionError("count computed for a rejected partition")
+
+        monkeypatch.setattr(hurwitz, "hurwitz_disconnected", no_count)
+        for size in (60, 3000):
+            start = time.perf_counter()
+            with pytest.raises(SystemExit) as exc:
+                main(["hurwitz", "--genus", "0", "--partition", str(size), "--method", "char"])
+            assert exc.value.code == 2 and time.perf_counter() - start < 1
+            err = capsys.readouterr().err
+            assert f"--partition size {size} exceeds 30 for --method char" in err
+            assert "limit" not in err and "Traceback" not in err
+        monkeypatch.undo()
+        code, lines = main_lines("hurwitz", "--genus", "0", "--partition", "30", "--method", "char")
+        assert code == 0 and json.loads(lines[-1])["branch_points"] == 29
+
     def test_huge_genus_brute_exceeds_layer_budget(self, capsys):
         # one transposition, so one tuple, but 2*10^9 + 1 layers to walk
         start = time.perf_counter()
@@ -428,6 +449,22 @@ class TestVerify:
             "hurwitz/character-vs-brute/d=3",
             "hurwitz/connected-vs-transitive/d=3",
         }
+
+    def test_one_failing_genus_fails_only_its_symmetry_check(self, monkeypatch):
+        from cutjoin.hodge import CgmuPolynomial
+
+        real = CgmuPolynomial.symmetry_ok
+        monkeypatch.setattr(CgmuPolynomial, "symmetry_ok", lambda c: c.g != 2 and real(c))
+        assert self._failing_ids() == {"extraction/symmetry/g=2"}
+
+    def test_one_wrong_kernel_fails_only_its_length(self, monkeypatch):
+        from cutjoin import hodge
+
+        real = hodge.transfer_system_kernel
+        monkeypatch.setattr(
+            hodge, "transfer_system_kernel", lambda l: real(l)[::-1] if l == 7 else real(l)
+        )
+        assert self._failing_ids() == {"transfer/l=07"}
 
     def test_failure_exit_code(self, capsys):
         # inject a failing pseudo-suite through the registry

@@ -252,6 +252,38 @@ class TestSeriesBuild:
         )
         assert not initial_condition_check(4, 8)
 
+    def test_comparison_rejects_a_coefficient_valid_below_the_order(self):
+        star, _ = build_series_pair(3, 8)
+        lhs = star.tau_derivative()
+        terms = dict(lhs.terms)
+        terms[P([2, 1])] = terms[P([2, 1])].truncate(7)
+        with pytest.raises(ValueError, match="p_2,1 only valid to 7 < 8"):
+            _evolution_holds(lhs, PartitionSeries(terms, 3), 8)
+
+    def test_initial_condition_rejects_an_extra_top_term(self, monkeypatch):
+        # one term at lambda^L on p_2, with the phase i^(L+|mu|) of that entry
+        assert initial_condition_check(4, 8)
+        closed_form = hodge.initial_condition_series
+        extra = TauPolynomial.phased(RealTauPolynomial.constant(1), 8 + 2)
+
+        def bumped(d, order):
+            s = closed_form(d, order)
+            return s + LaurentSeries.monomial(extra, order, order) if d == 2 else s
+
+        monkeypatch.setattr(hodge, "initial_condition_series", bumped)
+        assert not initial_condition_check(4, 8)
+
+    def test_initial_condition_rejects_a_multi_row_value_at_tau_zero(self, monkeypatch):
+        W, L = 4, 8
+        star, conn = build_series_pair(W, L)
+        assert initial_condition_check(W, L)
+        terms = dict(conn.body.terms)
+        s = terms[P([2, 1])]
+        terms[P([2, 1])] = s + LaurentSeries.monomial(RealTauPolynomial([1]), 2, s.trunc_order)
+        patched = (star, MVSeries(PartitionSeries(terms, W), W, L))
+        monkeypatch.setattr(hodge, "build_series_pair", lambda *args: patched)
+        assert not initial_condition_check(W, L)
+
     def test_parity_pole_structure(self, series_pair_small):
         _, conn = series_pair_small
         assert parity_pole_check(conn)
@@ -364,6 +396,24 @@ class TestExtraction:
         assert cutjoin_derivative_check(conn, 0, P([2]))
         monkeypatch.setattr(hodge, "TP_I", 1)
         assert not cutjoin_derivative_check(conn, 0, P([2]))
+
+    def test_derivative_and_branch_point_recursions_share_one_sum(
+        self, series_pair_small, monkeypatch
+    ):
+        from cutjoin import partitions
+        from cutjoin.hurwitz import hurwitz_cutjoin_check
+
+        _, conn = series_pair_small
+        assert cutjoin_derivative_check(conn, 0, P([2])) and hurwitz_cutjoin_check(0, P([2]))
+        real = partitions.split_contributions
+        monkeypatch.setattr(
+            partitions,
+            "split_contributions",
+            lambda mu: [t._replace(weight=t.weight + 1) if k == 0 else t
+                        for k, t in enumerate(real(mu))],
+        )
+        assert not cutjoin_derivative_check(conn, 0, P([2]))
+        assert not hurwitz_cutjoin_check(0, P([2]))
 
 
 def _one_point_genus1_oracle() -> TauPolynomial:
