@@ -31,6 +31,13 @@ def main() -> None:
     parser.add_argument("--max-size", type=int, default=4)
     parser.add_argument("--lambda-order", type=int, default=12)
     args = parser.parse_args()
+    # the longest partition of the largest genus reads lambda^(2g - 2 + l(mu))
+    top = 2 * args.max_genus - 2 + args.max_size
+    if top > args.lambda_order:
+        parser.error(
+            f"--max-genus {args.max_genus} with --max-size {args.max_size} reads "
+            f"lambda exponent {top}, above --lambda-order {args.lambda_order}"
+        )
 
     _, conn = build_series_pair(max(args.max_size, 1), args.lambda_order)
     for d in range(1, args.max_size + 1):

@@ -8,7 +8,9 @@ Usage: python scripts/hurwitz_table.py [--max-degree 4] [--max-branch 6]
 import argparse
 from fractions import Fraction
 
+from cutjoin.cli import MAX_TABLE_DEGREE
 from cutjoin.hurwitz import (
+    BudgetExceededError,
     hurwitz_bruteforce,
     hurwitz_connected,
     hurwitz_disconnected,
@@ -23,6 +25,12 @@ def main() -> None:
     parser.add_argument("--max-branch", type=int, default=6)
     parser.add_argument("--budget", type=int, default=10**7)
     args = parser.parse_args()
+    # the connected column logs the disconnected series of every |mu| <= d
+    if args.max_degree > MAX_TABLE_DEGREE:
+        parser.error(
+            f"--max-degree {args.max_degree} exceeds {MAX_TABLE_DEGREE}, "
+            "the largest |mu| of the connected column"
+        )
 
     for d in range(1, args.max_degree + 1):
         for mu in enumerate_partitions(d):
@@ -31,14 +39,17 @@ def main() -> None:
                 disc = hurwitz_disconnected(r, mu)
                 if not disc:
                     continue
-                brute = hurwitz_bruteforce(r, mu, budget=args.budget)
+                try:
+                    brute = hurwitz_bruteforce(r, mu, budget=args.budget)
+                except BudgetExceededError:
+                    brute = "over-budget"
                 g2 = r - d - mu.length + 2
                 conn = (
                     hurwitz_connected(g2 // 2, mu)
                     if g2 >= 0 and g2 % 2 == 0
                     else Fraction(0)
                 )
-                flag = "" if disc == brute else "  <-- MISMATCH"
+                flag = "" if brute in (disc, "over-budget") else "  <-- MISMATCH"
                 rows.append(f"  r={r}: all={disc}  enum={brute}  connected={conn}{flag}")
             if rows:
                 print(f"mu=({mu}), branch counts r with nonzero counts:")

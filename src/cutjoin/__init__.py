@@ -25,7 +25,6 @@ from .partitions import (
     enumerate_partitions,
 )
 from .characters import (
-    CharacterValue,
     SchurExpansion,
     central_character_transposition,
     character,

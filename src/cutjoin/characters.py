@@ -19,12 +19,6 @@ from .exact import LaurentSeries, QHalfLaurent
 from .partitions import Partition, enumerate_partitions
 
 
-class CharacterValue(NamedTuple):
-    nu: Partition
-    mu: Partition
-    value: int
-
-
 class SchurExpansion(NamedTuple):
     """Schur function in the power-sum basis: terms[eta] = chi_nu(eta)/z_eta."""
 
@@ -82,17 +76,6 @@ def character_table(d: int) -> tuple[tuple[int, ...], ...]:
     both in the fixed partition enumeration order."""
     parts = enumerate_partitions(d)
     return tuple(tuple(character(nu, mu) for mu in parts) for nu in parts)
-
-
-def character_values(d: int) -> list[CharacterValue]:
-    """The degree-d table flattened to one record per (irrep, class) pair."""
-    parts = enumerate_partitions(d)
-    table = character_table(d)
-    return [
-        CharacterValue(nu, mu, value)
-        for nu, row in zip(parts, table)
-        for mu, value in zip(parts, row)
-    ]
 
 
 def dimension(nu: Partition) -> int:

@@ -14,8 +14,8 @@
   rationals or either tau-polynomial type (finite pole order, explicit
   truncation order).
 * ``QHalfLaurent``   -- a power of i times a Laurent polynomial with integer
-  coefficients in a half-integer power variable, exponents stored as
-  integer multiples of the half-unit.
+  coefficients in y = q**(1/2): y**low times a TauPolynomial in y, whose
+  products, powers and phase rule it shares.
 
 All values are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
@@ -41,14 +41,6 @@ def as_fraction(x) -> Fraction:
 def fraction_str(x: Fraction) -> str:
     """Serialize a rational as a "num/den" string (denominator always kept)."""
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    """Inverse of :func:`fraction_str`; also accepts plain integers."""
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
 
 
 _ZERO = Fraction(0)
@@ -310,11 +302,11 @@ class TauPolynomial:
 
     The constructor takes rational coefficients (phase i**0); a phase comes
     only from `phased`.  The phase is kept at i**0 or i**1 (a factor
-    i**2 = -1 goes into the signs; zero has phase 0), as in QHalfLaurent, so
-    equality of (real, i_power) is canonical.  Every operation runs on the
-    rational polynomial and adds phases; a sum of nonzero values with
-    different phases has no common phase and raises ValueError.  The
-    readouts (coeffs, coefficient, to_json) are Gaussian rationals.
+    i**2 = -1 goes into the signs; zero has phase 0), so equality of
+    (real, i_power) is canonical.  Every operation runs on the rational
+    polynomial and adds phases; a sum of nonzero values with different
+    phases has no common phase and raises ValueError.  The readouts
+    (coeffs, coefficient, to_json) are Gaussian rationals.
     """
 
     __slots__ = ("real", "i_power")
@@ -792,9 +784,10 @@ def series_log(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
 
     G = log(F) solves the recurrence of series_exp read the other way:
 
-        n * G_n = n * F_n - sum_{k=1..n-1} k * G_k * F_(n-k).
+        n * G_n = n * F_n - sum_{k=1..n-1} k * G_k * F_(n-k),
 
-    The result is valid to min(order, truncation order of the argument).
+    one pass over the nonzero k * G_k per coefficient of G.  The result is
+    valid to min(order, truncation order of the argument).
     """
     if order is None:
         order = x.trunc_order
@@ -804,28 +797,32 @@ def series_log(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
     if x.coefficient(0) != 1:
         raise ValueError(f"series_log requires constant term 1, got {x.coefficient(0)!r}")
     f = [x.coefficient(n) for n in range(x.trunc_order + 1)]
+    weighted = []  # (k, k * G_k) for the nonzero G_k found so far
     out = [0]
     for n in range(1, len(f)):
         acc = f[n] * n
-        for k in range(1, n):
-            g, c = out[k], f[n - k]
-            if g and c:
-                acc = acc + g * (c * -k)
+        for k, kg in weighted:
+            c = f[n - k]
+            if c:
+                acc = acc + kg * -c
+        if acc:
+            weighted.append((n, acc))
         out.append(acc * Fraction(1, n) if acc else 0)
     return LaurentSeries(0, out, x.trunc_order)
 
 
 class QHalfLaurent:
-    """A power of i times a Laurent polynomial with integer coefficients in a
-    half-integer power variable.
+    """A power of i times a Laurent polynomial with integer coefficients in
+    y = q**(1/2).
 
-    Exponents are integers counting half-units, so the monomial q**(m/2) is
-    stored under key m.  Zero terms are dropped and the phase is kept at
-    i**0 or i**1 (a factor i**2 = -1 goes into the signs of the terms; zero
-    has phase 0), which makes equality of (terms, phase) canonical.
+    Stored as y**low times a TauPolynomial in y whose constant term is
+    nonzero (zero has low 0), so the monomial q**(m/2) is y**m and equality
+    of (low, poly) is canonical.  Products, powers and the phase, kept at
+    i**0 or i**1, are those of the TauPolynomial; `terms` reads the
+    coefficients back as {m: int}.
     """
 
-    __slots__ = ("terms", "i_power")
+    __slots__ = ("low", "poly")
 
     def __init__(self, terms=(), i_power: int = 0):
         data = {}
@@ -833,12 +830,19 @@ class QHalfLaurent:
         for k, v in items:
             if not isinstance(v, int):
                 raise TypeError(f"coefficient {v!r} is not an integer")
-            v = data.get(k, 0) + v
-            if v:
-                data[k] = v
-            else:
-                data.pop(k, None)
-        self.terms, self.i_power = _qhalf_canonical(data, i_power)
+            data[k] = data.get(k, 0) + v
+        low = min(data, default=0)
+        coeffs = [0] * (max(data, default=0) - low + 1)
+        for k, v in data.items():
+            coeffs[k - low] = v
+        poly = TauPolynomial.phased(RealTauPolynomial._make(coeffs, 1), i_power)
+        self.low, self.poly = _y_shifted(low, poly)
+
+    @classmethod
+    def _make(cls, low: int, poly: TauPolynomial) -> "QHalfLaurent":
+        q = object.__new__(cls)
+        q.low, q.poly = _y_shifted(low, poly)
+        return q
 
     @classmethod
     def zero(cls) -> "QHalfLaurent":
@@ -852,23 +856,20 @@ class QHalfLaurent:
     def monomial(cls, coeff: int, half_exp: int) -> "QHalfLaurent":
         return cls(((half_exp, coeff),))
 
+    @property
+    def i_power(self) -> int:
+        return self.poly.i_power
+
+    @property
+    def terms(self) -> dict[int, int]:
+        """The nonzero coefficients by exponent of y = q**(1/2)."""
+        return {self.low + k: n for k, n in enumerate(self.poly.real.nums) if n}
+
     def __add__(self, other):
         if not isinstance(other, QHalfLaurent):
             return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        if self.i_power != other.i_power:
-            raise ValueError("a sum of terms with phases i^0 and i^1 has no common phase")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return QHalfLaurent._from_clean(out, self.i_power)
+        a, b = (self, other) if self.low <= other.low else (other, self)
+        return QHalfLaurent._make(a.low, a.poly + _times_y(b.poly, b.low - a.low))
 
     def __sub__(self, other):
         if not isinstance(other, QHalfLaurent):
@@ -876,72 +877,57 @@ class QHalfLaurent:
         return self + (-other)
 
     def __neg__(self):
-        return QHalfLaurent._from_clean(
-            {k: -v for k, v in self.terms.items()}, self.i_power
-        )
+        return QHalfLaurent._make(self.low, -self.poly)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if not other:
-                return QHalfLaurent.zero()
-            return QHalfLaurent._from_clean(
-                {k: v * other for k, v in self.terms.items()}, self.i_power
-            )
+            return QHalfLaurent._make(self.low, self.poly * other)
         if not isinstance(other, QHalfLaurent):
             return NotImplemented
-        out = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                k = k1 + k2
-                out[k] = out.get(k, 0) + v1 * v2
-        return QHalfLaurent._from_clean(
-            {k: v for k, v in out.items() if v}, self.i_power + other.i_power
-        )
+        return QHalfLaurent._make(self.low + other.low, self.poly * other.poly)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError(f"negative exponent {n} for a q^(1/2)-Laurent polynomial")
-        result = QHalfLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    @classmethod
-    def _from_clean(cls, data: dict, i_power: int) -> "QHalfLaurent":
-        q = object.__new__(cls)
-        q.terms, q.i_power = _qhalf_canonical(data, i_power)
-        return q
+        return QHalfLaurent._make(self.low * n, self.poly**n)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.poly)
 
     def __eq__(self, other):
         if not isinstance(other, QHalfLaurent):
             return NotImplemented
-        return self.i_power == other.i_power and self.terms == other.terms
+        return self.low == other.low and self.poly == other.poly
 
     def __hash__(self):
-        return hash((self.i_power, frozenset(self.terms.items())))
+        return hash((self.low, self.poly))
 
     def __repr__(self):
-        if not self.terms:
+        if not self:
             return "QHalfLaurent(0)"
         bits = [f"{c}*q^({k}/2)" for k, c in sorted(self.terms.items())]
         poly = " + ".join(bits)
         return f"QHalfLaurent(i*({poly}))" if self.i_power else f"QHalfLaurent({poly})"
 
 
-def _qhalf_canonical(data: dict, i_power: int) -> tuple[dict, int]:
-    """Phase reduced to 0 or 1 with i**2 = -1 moved into the terms."""
-    if not data:
-        return data, 0
-    i_power %= 4
-    if i_power >= 2:
-        return {k: -v for k, v in data.items()}, i_power - 2
-    return data, i_power
+def _times_y(poly: TauPolynomial, k: int) -> TauPolynomial:
+    """poly times y**k for k >= 0."""
+    if not k or not poly:
+        return poly
+    real = RealTauPolynomial._raw((0,) * k + poly.real.nums, poly.real.den)
+    return TauPolynomial.phased(real, poly.i_power)
+
+
+def _y_shifted(low: int, poly: TauPolynomial) -> tuple[int, TauPolynomial]:
+    """y**low * poly as (low', poly') with the constant term of poly' nonzero;
+    zero is (0, zero)."""
+    nums = poly.real.nums
+    if not nums:
+        return 0, poly
+    k = 0
+    while not nums[k]:
+        k += 1
+    if not k:
+        return low, poly
+    real = RealTauPolynomial._raw(nums[k:], poly.real.den)
+    return low + k, TauPolynomial.phased(real, poly.i_power)

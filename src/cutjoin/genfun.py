@@ -6,13 +6,15 @@ commutative ring (rationals, tau-polynomials or Laurent series over them).
 Terms are truncated by total weight |mu|; the monomial p_mu carries weight
 |mu| and both operators below preserve it.
 
-The hot paths never form a term that the weight cap would discard: exp and
-log run the weight-graded recurrence of the Euler operator, whose products
-each land on exactly one weight, and the quadratic part of the nonlinear
-operator forms dF/dp_i * dF/dp_j under the cap W - i - j before multiplying by
-p_{i+j}.  The tests compare both with the whole-series forms they replace,
-which build every power or product at the full cap: the results are equal
-exactly, Laurent truncation orders included.
+The hot paths never form a term that the weight cap would discard.  exp and
+log split a series into its weight pieces, the coefficients of a Laurent
+series in a weight variable, and run the one Euler-operator recurrence of
+`exact.series_exp`/`series_log` on it, whose products each land on exactly
+one weight.  The quadratic part of the nonlinear operator forms
+dF/dp_i * dF/dp_j under the cap W - i - j before multiplying by p_{i+j}.
+The tests compare both with the whole-series forms they replace, which build
+every power or product at the full cap: the results are equal exactly,
+Laurent truncation orders included.
 
 The operator conventions are fixed once and for all: the double sum over i, j
 runs over ordered pairs with the diagonal counted once, which is exactly the
@@ -25,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .characters import central_character_transposition, schur_in_p
-from .exact import _coeff_json
+from .exact import LaurentSeries, _coeff_json, series_exp, series_log
 from .partitions import Partition, EMPTY
 
 
@@ -72,19 +74,7 @@ class PartitionSeries:
         if not isinstance(other, PartitionSeries):
             return NotImplemented
         w = min(self.max_weight, other.max_weight)
-        out = {m: c for m, c in self.terms.items() if m.size <= w}
-        for m, c in other.terms.items():
-            if m.size > w:
-                continue
-            if m in out:
-                s = out[m] + c
-                if not s:
-                    del out[m]
-                else:
-                    out[m] = s
-            else:
-                out[m] = c
-        return PartitionSeries._raw(out, w)
+        return PartitionSeries([*self.terms.items(), *other.terms.items()], w)
 
     def __sub__(self, other):
         return self + (-other)
@@ -92,37 +82,29 @@ class PartitionSeries:
     def __neg__(self):
         return PartitionSeries._raw({m: -c for m, c in self.terms.items()}, self.max_weight)
 
-    def scale(self, scalar) -> "PartitionSeries":
-        if not scalar:
-            return PartitionSeries.zero(self.max_weight)
-        return PartitionSeries._raw(
-            {m: c * scalar for m, c in self.terms.items()}, self.max_weight
-        )
+    def __radd__(self, other):
+        """0 + F, so a sum of series can start from the integer 0."""
+        if isinstance(other, int) and not other:
+            return self
+        return NotImplemented
 
     def __mul__(self, other):
+        """The product of two series, or the series times a scalar of its
+        coefficient ring."""
         if not isinstance(other, PartitionSeries):
-            return NotImplemented
+            if not other:
+                return PartitionSeries.zero(self.max_weight)
+            return PartitionSeries._raw(
+                {m: c * other for m, c in self.terms.items()}, self.max_weight
+            )
         w = min(self.max_weight, other.max_weight)
-        out: dict[Partition, object] = {}
-        for m1, c1 in self.terms.items():
-            if m1.size > w:
-                continue
-            budget = w - m1.size
-            for m2, c2 in other.terms.items():
-                if m2.size > budget:
-                    continue
-                mu = Partition(m1.parts + m2.parts)
-                prod = c1 * c2
-                if mu in out:
-                    s = out[mu] + prod
-                    if not s:
-                        del out[mu]
-                    else:
-                        out[mu] = s
-                else:
-                    if prod:
-                        out[mu] = prod
-        return PartitionSeries._raw(out, w)
+        products = (
+            (Partition(m1.parts + m2.parts), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+            if m1.size + m2.size <= w
+        )
+        return PartitionSeries(products, w)
 
     @classmethod
     def _raw(cls, terms: dict, max_weight: int) -> "PartitionSeries":
@@ -161,6 +143,9 @@ class PartitionSeries:
             {m: f(c) for m, c in self.terms.items()}, self.max_weight
         )
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def __eq__(self, other):
         if not isinstance(other, PartitionSeries):
             return NotImplemented
@@ -182,20 +167,30 @@ class PartitionSeries:
         return f"PartitionSeries({' + '.join(bits) or '0'}; w<={self.max_weight})"
 
 
-def _graded(F: PartitionSeries) -> list[PartitionSeries]:
-    """Split F by weight: entry n holds the terms of F of weight exactly n."""
+def _weight_series(F: PartitionSeries, constant) -> LaurentSeries:
+    """F as a series in a weight variable t: the coefficient of t^n (n >= 1)
+    is the part of F of weight exactly n, and that of t^0 is `constant`."""
     w = F.max_weight
     pieces = [{} for _ in range(w + 1)]
     for mu, c in F.terms.items():
         pieces[mu.size][mu] = c
-    return [PartitionSeries._raw(p, w) for p in pieces]
+    return LaurentSeries(0, [constant, *(PartitionSeries._raw(p, w) for p in pieces[1:])], w)
+
+
+def _at_weight_one(pieces, terms: dict, w: int) -> PartitionSeries:
+    """A series in the weight variable read at t = 1: `terms` together with
+    the terms of every nonzero weight piece."""
+    for piece in pieces:
+        if piece:
+            terms.update(piece.terms)
+    return PartitionSeries._raw(terms, w)
 
 
 def ps_exp(F: PartitionSeries) -> PartitionSeries:
     """exp of a series with no constant term, truncated by weight.
 
-    With E the Euler operator (multiply the weight-n part by n), G = exp(F)
-    satisfies E(G) = E(F) * G, so the weight-n part of G is
+    Graded by weight, F is a series in t with no t^0 term, and G = exp(F) is
+    `series_exp` of it, whose Euler recurrence gives the weight-n part as
 
         n G_n = sum_{k=1..n} k F_k G_{n-k},    G_0 = 1.
 
@@ -206,25 +201,15 @@ def ps_exp(F: PartitionSeries) -> PartitionSeries:
         raise ValueError(
             f"ps_exp requires a zero constant term, found {F.terms[EMPTY]!r}"
         )
-    w = F.max_weight
-    eF = [f.scale(k) for k, f in enumerate(_graded(F))]
-    G = [PartitionSeries.monomial(EMPTY, 1, w)]
-    result = G[0]
-    for n in range(1, w + 1):
-        acc = PartitionSeries.zero(w)
-        for k in range(1, n + 1):
-            if eF[k].terms and G[n - k].terms:
-                acc = acc + eF[k] * G[n - k]
-        G.append(acc.scale(Fraction(1, n)))
-        result = result + G[n]
-    return result
+    G = series_exp(_weight_series(F, 0))
+    return _at_weight_one(G.coeffs[1:], {EMPTY: 1}, F.max_weight)
 
 
 def ps_log(G: PartitionSeries) -> PartitionSeries:
     """log of a series with constant term 1, truncated by weight.
 
-    With E the Euler operator (multiply the weight-n part by n), F = log(G)
-    satisfies E(F) * G = E(G), so the weight-n part of F is
+    Graded by weight, G is a series in t with t^0 term 1, and F = log(G) is
+    `series_log` of it, whose recurrence gives the weight-n part as
 
         n F_n = n G_n - sum_{k=1..n-1} k F_k G_{n-k}.
 
@@ -234,18 +219,8 @@ def ps_log(G: PartitionSeries) -> PartitionSeries:
     c0 = G.coefficient(EMPTY)
     if c0 != 1:
         raise ValueError(f"ps_log requires constant term 1, found {c0!r}")
-    w = G.max_weight
-    graded = _graded(G)
-    eF = [PartitionSeries.zero(w)]
-    result = PartitionSeries.zero(w)
-    for n in range(1, w + 1):
-        acc = graded[n].scale(n)
-        for k in range(1, n):
-            if eF[k].terms and graded[n - k].terms:
-                acc = acc - eF[k] * graded[n - k]
-        eF.append(acc)
-        result = result + acc.scale(Fraction(1, n))
-    return result
+    F = series_log(_weight_series(G, 1))
+    return _at_weight_one(F.coeffs, {}, G.max_weight)
 
 
 def cut_join_linear(F: PartitionSeries) -> PartitionSeries:
@@ -265,13 +240,13 @@ def cut_join_linear(F: PartitionSeries) -> PartitionSeries:
         for j in range(1, maxpart + 1):
             second = dFi.d_dp(j)
             if second.terms:
-                out = out + second.mul_p(i + j).scale(i * j)
+                out = out + second.mul_p(i + j) * (i * j)
     for s in range(2, maxpart + 1):
         dFs = F.d_dp(s)
         if not dFs.terms:
             continue
         for i in range(1, s):
-            out = out + dFs.mul_p(i).mul_p(s - i).scale(s)
+            out = out + dFs.mul_p(i).mul_p(s - i) * s
     return out
 
 
@@ -307,7 +282,7 @@ def cut_join_nonlinear(F: PartitionSeries) -> PartitionSeries:
             )
             if prod.terms:
                 lifted = PartitionSeries._raw(prod.terms, w)
-                out = out + lifted.mul_p(i + j).scale(i * j)
+                out = out + lifted.mul_p(i + j) * (i * j)
     return out
 
 
@@ -323,6 +298,6 @@ def character_cutjoin_identity(nu: Partition) -> bool:
     expansion = schur_in_p(nu)
     s = PartitionSeries(expansion.terms, nu.size)
     f = central_character_transposition(nu)
-    lhs = s.scale(f)
-    rhs = cut_join_linear(s).scale(Fraction(1, 2))
+    lhs = s * f
+    rhs = cut_join_linear(s) * Fraction(1, 2)
     return lhs == rhs

@@ -153,10 +153,6 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(Partition(ps) for ps in gen(n, n, ()))
 
 
-def partition_count(n: int) -> int:
-    return len(enumerate_partitions(n))
-
-
 # -- cut and join moves ----------------------------------------------------
 
 CUT = "cut"

@@ -6,7 +6,6 @@ from cutjoin.characters import (
     central_character_transposition,
     character,
     character_table,
-    character_values,
     dimension,
     dimension_hook,
     principal_specialization_check,
@@ -87,11 +86,9 @@ class TestCharacter:
         table = character_table(3)
         assert table == ((1, 1, 1), (-1, 0, 2), (1, -1, 1))
 
-    def test_character_values_records(self):
-        records = character_values(2)
-        assert len(records) == 4
-        assert all(rec.value == character(rec.nu, rec.mu) for rec in records)
-        assert {(str(r.nu), str(r.mu)): r.value for r in records} == {
+    def test_degree_two_values(self):
+        parts = enumerate_partitions(2)
+        assert {(str(nu), str(mu)): character(nu, mu) for nu in parts for mu in parts} == {
             ("2", "2"): 1, ("2", "1,1"): 1, ("1,1", "2"): -1, ("1,1", "1,1"): 1,
         }
 

@@ -13,7 +13,6 @@ from cutjoin.exact import (
     TP_TAU,
     TauPolynomial,
     fraction_str,
-    parse_fraction,
     series_exp,
     series_log,
     sin_half_series,
@@ -106,7 +105,7 @@ class TestGaussianRational:
             "re": "1/2",
             "im": "-2/1",
         }
-        assert parse_fraction(fraction_str(Fraction(-3, 7))) == Fraction(-3, 7)
+        assert Fraction(fraction_str(Fraction(-3, 7))) == Fraction(-3, 7)
 
 
 class TestLaurentSeries:
@@ -233,6 +232,21 @@ class TestQHalfLaurent:
         assert QHalfLaurent({}, i_power=1) == QHalfLaurent.zero()
         with pytest.raises(ValueError, match="common phase"):
             y + QHalfLaurent({1: 1}, i_power=1)
+
+    def test_low_end_cancellation_is_canonical(self):
+        y, y3 = QHalfLaurent.monomial(1, 1), QHalfLaurent.monomial(1, 3)
+        cancelled = (y + y3) - y
+        assert cancelled == y3 and hash(cancelled) == hash(y3)
+        assert cancelled.terms == {3: 1}
+        assert y - y == QHalfLaurent.zero() and hash(y - y) == hash(QHalfLaurent.zero())
+
+    def test_phase_folds_through_the_stored_polynomial(self):
+        s = QHalfLaurent({1: 1, -1: -1}, i_power=1)  # 2 sin(lambda/2) = i*(y - 1/y)
+        assert s * s == QHalfLaurent({2: -1, 0: 2, -2: -1})
+        assert (s * s).i_power == 0 and (s * s * s).i_power == 1
+        folded = QHalfLaurent({-1: 1, 2: 3}, i_power=3)
+        assert folded == -QHalfLaurent({-1: 1, 2: 3}, i_power=1)
+        assert folded.terms == {-1: -1, 2: -3} and folded.i_power == 1
 
     def test_power(self):
         y = QHalfLaurent({1: 1}, i_power=1)  # i*q^(1/2)

@@ -37,7 +37,7 @@ def reference_exp(F):
     result = PartitionSeries.monomial(EMPTY, 1, w)
     term = PartitionSeries.monomial(EMPTY, 1, w)
     for k in range(1, w + 1):
-        term = (term * F).scale(Fraction(1, k))
+        term = term * F * Fraction(1, k)
         if not term.terms:
             break
         result = result + term
@@ -54,7 +54,7 @@ def reference_log(G):
         power = power * H
         if not power.terms:
             break
-        result = result + power.scale(Fraction((-1) ** (k + 1), k))
+        result = result + power * Fraction((-1) ** (k + 1), k)
     return result
 
 
@@ -71,7 +71,7 @@ def reference_nonlinear(F):
                 continue
             prod = derivs[i] * derivs[j]
             if prod.terms:
-                out = out + prod.mul_p(i + j).scale(i * j)
+                out = out + prod.mul_p(i + j) * (i * j)
     return out
 
 
@@ -104,6 +104,14 @@ class TestPartitionSeries:
             ],
         }
 
+    def test_truthiness_sum_from_zero_and_scalars(self):
+        f = mono([2], Fraction(1, 3)) + mono([1])
+        assert f and not PartitionSeries.zero(6)
+        assert 0 + f == f and sum([f, f]) == f * 2
+        assert f * Fraction(3) == mono([2]) + mono([1], Fraction(3))
+        zero = f * 0
+        assert zero.terms == {} and zero.max_weight == 6
+
     @given(series_st, st.integers(1, 4))
     def test_heisenberg_relation(self, f, i):
         # d/dp_i (p_i * F) - p_i * (dF/dp_i) = F, on terms whose product
@@ -112,7 +120,7 @@ class TestPartitionSeries:
             {m: c for m, c in f.terms.items() if m.size + i <= f.max_weight},
             f.max_weight,
         )
-        lhs = g.mul_p(i).d_dp(i) + g.d_dp(i).mul_p(i).scale(-1)
+        lhs = g.mul_p(i).d_dp(i) + g.d_dp(i).mul_p(i) * -1
         assert lhs == g
 
 
@@ -150,18 +158,18 @@ class TestOperators:
 
     def test_linear_is_linear_and_weight_preserving(self):
         f, g = mono([2, 1]), mono([3])
-        both = cut_join_linear(f + g.scale(Fraction(5)))
-        assert both == cut_join_linear(f) + cut_join_linear(g).scale(Fraction(5))
+        both = cut_join_linear(f + g * Fraction(5))
+        assert both == cut_join_linear(f) + cut_join_linear(g) * Fraction(5)
         for mu, _ in cut_join_linear(f + g).terms.items():
             assert mu.size == 3
 
     def test_schur_eigenvector_example(self):
         # (1/2) Omega(s_(2)) = s_(2):  s_(2) = (p_1^2 + p_2)/2
         s2 = mono([1, 1], Fraction(1, 2)) + mono([2], Fraction(1, 2))
-        assert cut_join_linear(s2).scale(Fraction(1, 2)) == s2
+        assert cut_join_linear(s2) * Fraction(1, 2) == s2
         # and the sign flip for the transpose shape
         s11 = mono([1, 1], Fraction(1, 2)) + mono([2], Fraction(-1, 2))
-        assert cut_join_linear(s11).scale(Fraction(1, 2)) == s11.scale(Fraction(-1))
+        assert cut_join_linear(s11) * Fraction(1, 2) == s11 * Fraction(-1)
 
     def test_nonlinear_examples(self):
         assert cut_join_nonlinear(PartitionSeries.zero(5)).terms == {}
@@ -187,6 +195,15 @@ class TestAgainstReferences:
         g = f + PartitionSeries.monomial(EMPTY, 1, f.max_weight)
         assert ps_log(g) == reference_log(g)
         assert cut_join_nonlinear(f) == reference_nonlinear(f)
+
+    def test_exp_log_with_empty_middle_weights(self):
+        # only weights 2 and 5 carry terms, so the series in the weight
+        # variable has zero coefficients below, between and above them
+        f = mono([2], Fraction(1, 2)) + mono([3, 2], Fraction(-3, 7))
+        assert ps_exp(f) == reference_exp(f)
+        g = f + PartitionSeries.monomial(EMPTY, 1, f.max_weight)
+        assert ps_log(g) == reference_log(g)
+        assert ps_log(ps_exp(f)) == f
 
     def test_log_of_disconnected_series(self, series_pair_small):
         star, _ = series_pair_small

@@ -32,3 +32,31 @@ def test_script_output(script, args, digest):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "script, args, flag",
+    [
+        ("hodge_table.py", ("--max-genus", "7", "--max-size", "1"), "--lambda-order"),
+        ("hurwitz_table.py", ("--max-degree", "30"), "--max-degree"),
+    ],
+)
+def test_script_rejects_out_of_range_flags(script, args, flag):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args], capture_output=True, timeout=30
+    )
+    assert proc.returncode == 2
+    assert flag in proc.stderr.decode()
+    assert b"Traceback" not in proc.stderr and not proc.stdout
+
+
+def test_hurwitz_table_marks_over_budget_cells():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "hurwitz_table.py"), "--max-degree", "3",
+         "--budget", "10"],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    out = proc.stdout.decode()
+    assert "r=4: all=9/2  enum=over-budget  connected=4" in out
+    assert "r=2: all=1/2  enum=1/2" in out and "MISMATCH" not in out

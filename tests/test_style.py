@@ -1,8 +1,11 @@
 """Source layout rules that no linter in the toolchain enforces."""
 
+import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cutjoin"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cutjoin"
+SCRIPTS = ROOT / "scripts"
 MAX_COLUMNS = 99
 
 
@@ -14,3 +17,34 @@ def test_no_source_line_exceeds_the_column_limit():
         if len(line) > MAX_COLUMNS
     ]
     assert long_lines == []
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Every identifier a syntax tree reads, imports or exports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_public_definition_is_used():
+    # a public top-level function or class must be named in the package or
+    # a script outside its own definition; a package export counts
+    used = set()
+    for path in sorted(SCRIPTS.glob("*.py")):
+        used |= _names_used(ast.parse(path.read_text()))
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if not stmt.name.startswith("_"):
+                    defined.append(f"{path.name}:{stmt.name}")
+                used |= _names_used(stmt) - {stmt.name}
+            else:
+                used |= _names_used(stmt)
+    assert [d for d in defined if d.split(":")[1] not in used] == []
