@@ -8,7 +8,7 @@ Usage: python scripts/hurwitz_table.py [--max-degree 4] [--max-branch 6]
 import argparse
 from fractions import Fraction
 
-from cutjoin.cli import MAX_TABLE_DEGREE
+from cutjoin.cli import MAX_CONNECTED_BRANCH_POINTS, MAX_TABLE_DEGREE
 from cutjoin.hurwitz import (
     BudgetExceededError,
     hurwitz_bruteforce,
@@ -30,6 +30,12 @@ def main() -> None:
         parser.error(
             f"--max-degree {args.max_degree} exceeds {MAX_TABLE_DEGREE}, "
             "the largest |mu| of the connected column"
+        )
+    # every r up to --max-branch is a query of the connected column
+    if not 0 <= args.max_branch <= MAX_CONNECTED_BRANCH_POINTS:
+        parser.error(
+            f"--max-branch {args.max_branch} is outside 0..{MAX_CONNECTED_BRANCH_POINTS}, "
+            "the branch counts of the connected column"
         )
 
     for d in range(1, args.max_degree + 1):

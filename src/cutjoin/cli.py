@@ -58,7 +58,7 @@ MAX_TABLE_DEGREE = 12
 # (CPython 3.11), and |mu| = 40 takes 9.5 s at 2^20
 MAX_CHAR_DEGREE = 30
 # `hurwitz --method connected` logs a table with one term per branch count;
-# at |mu| = 12 and r = 60 a query takes 14-17 s on 2 cores (CPython 3.11)
+# at |mu| = 12 and r = 60 a query takes about 3.7 s on 2 cores (CPython 3.11)
 MAX_CONNECTED_BRANCH_POINTS = 60
 
 

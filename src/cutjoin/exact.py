@@ -17,6 +17,15 @@
   coefficients in y = q**(1/2): y**low times a TauPolynomial in y, whose
   products, powers and phase rule it shares.
 
+Every product is a sum of products with one term: `_dot(pairs)` is the one
+multiply-accumulate path.  A polynomial sum adds every schoolbook product
+into one integer numerator list over a running common denominator, and a
+series (or genfun's partition series) sum puts the coefficient pairs of all
+its factor pairs in one bucket per output exponent (or partition) and takes
+one `_dot` per bucket, so a whole convolution, such as one step of the
+exp/log recurrences, is reduced once per output coefficient rather than once
+per product.
+
 All values are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
 """
@@ -130,8 +139,8 @@ class RealTauPolynomial:
     common denominator.  The form is canonical: trailing zero numerators are
     trimmed (the zero polynomial has no numerators and denominator 1), and
     no prime divides the denominator and every numerator, so equal
-    polynomials have equal (numerators, denominator) pairs.  Products and
-    sums run on integers, with one gcd per result.
+    polynomials have equal (numerators, denominator) pairs.  Sums and sums
+    of products run on integers, with one gcd per result.
     """
 
     __slots__ = ("nums", "den")
@@ -203,30 +212,49 @@ class RealTauPolynomial:
         return RealTauPolynomial._raw(tuple(-n for n in self.nums), self.den)
 
     def __mul__(self, other):
-        if other.__class__ is RealTauPolynomial:
-            a, b = self.nums, other.nums
-            if not a or not b:
-                return RTP_ZERO
-            if len(a) < len(b):
-                a, b = b, a
-            out = [0] * (len(a) + len(b) - 1)
-            for i, y in enumerate(b):
-                if y:
-                    for j, x in enumerate(a, i):
-                        out[j] += x * y
-            return RealTauPolynomial._make(out, self.den * other.den)
-        if isinstance(other, int):
-            if not other:
-                return RTP_ZERO
-            return RealTauPolynomial._make([n * other for n in self.nums], self.den)
-        if isinstance(other, Fraction):
-            if not other:
-                return RTP_ZERO
-            p = other.numerator
-            return RealTauPolynomial._make(
-                [n * p for n in self.nums], self.den * other.denominator
-            )
+        if other.__class__ is RealTauPolynomial or isinstance(other, (int, Fraction)):
+            return _dot(((self, other),))
         return NotImplemented
+
+    @staticmethod
+    def _sum_of_products(pairs) -> "RealTauPolynomial":
+        """sum a*b over pairs of polynomials, ints and Fractions: schoolbook
+        products added into one numerator list over a running common
+        denominator, which is rescaled only when a product's denominator
+        does not divide it, and reduced once at the end."""
+        out = []
+        den = 1
+        for a, b in pairs:
+            if a.__class__ is RealTauPolynomial:
+                an, ad = a.nums, a.den
+            else:
+                an, ad = ((a.numerator,), a.denominator) if a else ((), 1)
+            if b.__class__ is RealTauPolynomial:
+                bn, bd = b.nums, b.den
+            else:
+                bn, bd = ((b.numerator,), b.denominator) if b else ((), 1)
+            if not an or not bn:
+                continue
+            d = ad * bd
+            if not out:
+                den = d
+            elif den % d:
+                s = d // gcd(den, d)
+                out = [x * s for x in out]
+                den *= s
+            if len(an) < len(bn):
+                an, bn = bn, an
+            if den != d:
+                f = den // d
+                bn = [y * f for y in bn]
+            n = len(an) + len(bn) - 1 - len(out)
+            if n > 0:
+                out += [0] * n
+            for i, y in enumerate(bn):
+                if y:
+                    for j, x in enumerate(an, i):
+                        out[j] += x * y
+        return RealTauPolynomial._make(out, den)
 
     __rmul__ = __mul__
 
@@ -294,6 +322,39 @@ def _rtp(x):
 
 
 RTP_ZERO = RealTauPolynomial._raw((), 1)
+
+_POLY_OPERANDS = {RealTauPolynomial, int, Fraction}
+
+
+def _dot(pairs):
+    """sum(a * b for a, b in pairs): the one product path of every ring.
+
+    Pairs of RealTauPolynomials, ints and Fractions, and pairs whose
+    operands are all of one class that defines `_sum_of_products`
+    (LaurentSeries, genfun.PartitionSeries), go to that ring's kernel,
+    which forms every product of the sum before reducing the result once.
+    A sum with no polynomial operand is read back as a Fraction, or as an
+    int when every operand is one; an empty sum is 0.  Anything else
+    (TauPolynomial, QHalfLaurent, mixed rings) is summed as acc + a*b.
+    """
+    kinds = set()
+    for a, b in pairs:
+        kinds.add(a.__class__)
+        kinds.add(b.__class__)
+    if kinds <= _POLY_OPERANDS:
+        p = RealTauPolynomial._sum_of_products(pairs)
+        if RealTauPolynomial in kinds:
+            return p
+        c = p.coefficient(0)
+        return c if Fraction in kinds else c.numerator
+    if len(kinds) == 1:
+        kernel = getattr(kinds.pop(), "_sum_of_products", None)
+        if kernel is not None:
+            return kernel(pairs)
+    acc = 0
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
 
 
 class TauPolynomial:
@@ -575,31 +636,7 @@ class LaurentSeries:
 
     def __mul__(self, other):
         if isinstance(other, LaurentSeries):
-            if self.is_zero() or other.is_zero():
-                # truncation of a product with a zero-so-far factor
-                trunc = min(
-                    self.trunc_order + other.min_exp,
-                    other.trunc_order + self.min_exp,
-                )
-                return LaurentSeries.zero(trunc)
-            lo = self.min_exp + other.min_exp
-            trunc = min(
-                self.trunc_order + other.min_exp,
-                other.trunc_order + self.min_exp,
-            )
-            out = [0] * (trunc - lo + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                ka = self.min_exp + i
-                jmax = trunc - ka - other.min_exp
-                if jmax < 0:
-                    break
-                for j, b in enumerate(other.coeffs[: jmax + 1]):
-                    if b:
-                        k = ka + other.min_exp + j - lo
-                        out[k] = out[k] + a * b
-            return LaurentSeries(lo, out, trunc)
+            return _dot(((self, other),))
         if isinstance(other, _SCALARS):
             if not other:
                 return LaurentSeries.zero(self.trunc_order)
@@ -614,6 +651,29 @@ class LaurentSeries:
         if isinstance(other, _SCALARS):
             return self.__mul__(other)
         return NotImplemented
+
+    @staticmethod
+    def _sum_of_products(pairs) -> "LaurentSeries":
+        """sum s*t over pairs of series: the coefficient pairs of every
+        series pair are put in one bucket per output exponent, and each
+        bucket is one `_dot`.  The result starts at the least product
+        min_exp and is valid to the least product truncation, a zero-so-far
+        factor's included."""
+        trunc = min(min(s.trunc_order + t.min_exp, t.trunc_order + s.min_exp) for s, t in pairs)
+        pairs = [(s, t) for s, t in pairs if s.coeffs and t.coeffs]
+        lo = min((s.min_exp + t.min_exp for s, t in pairs), default=trunc + 1)
+        if lo > trunc:
+            return LaurentSeries.zero(trunc)
+        buckets = [[] for _ in range(trunc - lo + 1)]
+        for s, t in pairs:
+            start = s.min_exp + t.min_exp - lo
+            for i, a in enumerate(s.coeffs[: trunc - lo - start + 1], start):
+                if a:
+                    # zip stops at the truncation order, where buckets[i:] ends
+                    for bucket, b in zip(buckets[i:], t.coeffs):
+                        if b:
+                            bucket.append((a, b))
+        return LaurentSeries(lo, [_dot(b) if b else 0 for b in buckets], trunc)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by the k-th power of the series variable."""
@@ -642,11 +702,7 @@ class LaurentSeries:
         # geometric series sum_k (-u)^k, computed by the standard recurrence
         # inv[k] = -sum_{j=1..k} u[j-1] * inv[k-j]
         for k in range(1, len(inv)):
-            acc = 0
-            for j in range(1, min(k, len(u)) + 1):
-                uj = u[j - 1]
-                if uj:
-                    acc = acc + uj * inv[k - j]
+            acc = _dot([(u[j - 1], inv[k - j]) for j in range(1, min(k, len(u)) + 1) if u[j - 1]])
             inv[k] = -acc if acc else 0
         scaled = [c * c0inv if c else 0 for c in inv]
         return LaurentSeries(-m, scaled, trunc)
@@ -754,7 +810,7 @@ def series_exp(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
 
         F_0 = 1,    n * F_n = sum_{k=1..n} k * A_k * F_(n-k),
 
-    one pass over the nonzero A_k per coefficient of F.  The result is valid
+    one `_dot` over the nonzero A_k per coefficient of F.  The result is valid
     to min(order, truncation order of the argument).
     """
     if order is None:
@@ -768,13 +824,7 @@ def series_exp(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
     weighted = [(k, c * k) for k, c in x.items() if c]
     out = [1]
     for n in range(1, trunc + 1):
-        acc = 0
-        for k, kc in weighted:
-            if k > n:
-                break
-            f = out[n - k]
-            if f:
-                acc = acc + kc * f
+        acc = _dot([(kc, out[n - k]) for k, kc in weighted if k <= n and out[n - k]])
         out.append(acc * Fraction(1, n) if acc else 0)
     return LaurentSeries(0, out, trunc)
 
@@ -786,8 +836,8 @@ def series_log(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
 
         n * G_n = n * F_n - sum_{k=1..n-1} k * G_k * F_(n-k),
 
-    one pass over the nonzero k * G_k per coefficient of G.  The result is
-    valid to min(order, truncation order of the argument).
+    one `_dot` over the nonzero k * G_k per coefficient of G.  The result
+    is valid to min(order, truncation order of the argument).
     """
     if order is None:
         order = x.trunc_order
@@ -797,16 +847,15 @@ def series_log(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
     if x.coefficient(0) != 1:
         raise ValueError(f"series_log requires constant term 1, got {x.coefficient(0)!r}")
     f = [x.coefficient(n) for n in range(x.trunc_order + 1)]
-    weighted = []  # (k, k * G_k) for the nonzero G_k found so far
+    weighted = []  # (k, -k * G_k) for the nonzero G_k found so far
     out = [0]
     for n in range(1, len(f)):
         acc = f[n] * n
-        for k, kg in weighted:
-            c = f[n - k]
-            if c:
-                acc = acc + kg * -c
+        pairs = [(kg, f[n - k]) for k, kg in weighted if f[n - k]]
+        if pairs:
+            acc = acc + _dot(pairs)
         if acc:
-            weighted.append((n, acc))
+            weighted.append((n, -acc))
         out.append(acc * Fraction(1, n) if acc else 0)
     return LaurentSeries(0, out, x.trunc_order)
 

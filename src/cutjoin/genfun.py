@@ -10,11 +10,14 @@ The hot paths never form a term that the weight cap would discard.  exp and
 log split a series into its weight pieces, the coefficients of a Laurent
 series in a weight variable, and run the one Euler-operator recurrence of
 `exact.series_exp`/`series_log` on it, whose products each land on exactly
-one weight.  The quadratic part of the nonlinear operator forms
-dF/dp_i * dF/dp_j under the cap W - i - j before multiplying by p_{i+j}.
-The tests compare both with the whole-series forms they replace, which build
-every power or product at the full cap: the results are equal exactly,
-Laurent truncation orders included.
+one weight.  Each weight step of that recurrence is one `exact._dot`: the
+coefficient pairs of all its series products are grouped by partition, then
+by power of the Laurent variable, and each group is summed over one common
+denominator and reduced once.  The quadratic part of the nonlinear operator
+forms dF/dp_i * dF/dp_j under the cap W - i - j before multiplying by
+p_{i+j}.  The tests compare both with the whole-series forms they replace,
+which build every power or product at the full cap: the results are equal
+exactly, Laurent truncation orders included.
 
 The operator conventions are fixed once and for all: the double sum over i, j
 runs over ordered pairs with the diagonal counted once, which is exactly the
@@ -24,10 +27,11 @@ f_nu(transpositions) * s_nu = (1/2) * Omega(s_nu) holds term by term.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 from .characters import central_character_transposition, schur_in_p
-from .exact import LaurentSeries, _coeff_json, series_exp, series_log
+from .exact import LaurentSeries, _coeff_json, _dot, series_exp, series_log
 from .partitions import Partition, EMPTY
 
 
@@ -97,14 +101,23 @@ class PartitionSeries:
             return PartitionSeries._raw(
                 {m: c * other for m, c in self.terms.items()}, self.max_weight
             )
-        w = min(self.max_weight, other.max_weight)
-        products = (
-            (Partition(m1.parts + m2.parts), c1 * c2)
-            for m1, c1 in self.terms.items()
-            for m2, c2 in other.terms.items()
-            if m1.size + m2.size <= w
-        )
-        return PartitionSeries(products, w)
+        return _dot(((self, other),))
+
+    @staticmethod
+    def _sum_of_products(pairs) -> "PartitionSeries":
+        """sum A*B over pairs of series under the least cap: the coefficient
+        pairs of every series pair are grouped by the union partition, and
+        each group is one `_dot`."""
+        w = min(min(A.max_weight, B.max_weight) for A, B in pairs)
+        groups = defaultdict(list)
+        for A, B in pairs:
+            right = [(m.size, m.parts, c) for m, c in B.terms.items()]
+            for m1, c1 in A.terms.items():
+                room = w - m1.size
+                for size, parts, c2 in right:
+                    if size <= room:
+                        groups[tuple(sorted(m1.parts + parts, reverse=True))].append((c1, c2))
+        return PartitionSeries(((Partition(k), _dot(g)) for k, g in groups.items()), w)
 
     @classmethod
     def _raw(cls, terms: dict, max_weight: int) -> "PartitionSeries":

@@ -87,6 +87,7 @@ from .exact import (
     TP_ONE,
     TP_TAU,
     TauPolynomial,
+    _dot,
     sin_half_series,
     sinh_half_series,
     series_exp,
@@ -280,19 +281,15 @@ def build_disconnected(max_weight: int, lambda_order: int) -> MVSeries:
             reps.append((nu, 1 if conj == nu else 2, W))
         for mu in nus:
             weighted = [
-                (m_nu * chi, W)
+                (Fraction(m_nu * chi, mu.z()), W)
                 for nu, m_nu, W in reps
                 if (chi := character(nu, mu))
             ]
-            scale = Fraction(1, mu.z())
             coeffs = [RTP_ZERO] * (T + d + 1)  # exponents -d..T
             for m in range(-d + (d + mu.length) % 2, T + 1, 2):
-                acc = RTP_ZERO
-                for w, W in weighted:
-                    c = W.coefficient(m)
-                    if c:
-                        acc = acc + c * w
-                coeffs[m + d] = acc * scale
+                pairs = [(c, w) for w, W in weighted if (c := W.coefficient(m))]
+                # a sum with no polynomial operand comes back as a rational
+                coeffs[m + d] = RTP_ZERO + _dot(pairs)
             series = LaurentSeries(-d, coeffs, T)
             if series:
                 terms[mu] = series

@@ -141,38 +141,70 @@ def hurwitz_bruteforce(
 def hurwitz_disconnected(r: int, mu: Partition) -> Fraction:
     """Character-sum route for the all-covers count:
     (1/(z_mu * d!)) * sum_nu dim(nu) * chi_nu(mu) * (kappa_nu/2)^r."""
-    d = mu.size
-    if d < 1:
+    if mu.size < 1:
         raise ValueError("requires a nonempty partition")
-    total = Fraction(0)
-    for nu in enumerate_partitions(d):
-        chi = character(nu, mu)
-        if chi == 0:
-            continue
-        total += dimension(nu) * chi * Fraction(nu.kappa(), 2) ** r
-    return total / (mu.z() * factorial(d))
+    total = sum((w * Fraction(k, 2) ** r for k, w in _kappa_weights(mu).items()), Fraction(0))
+    return total / (mu.z() * factorial(mu.size))
 
 
 @cache
-def _connected_table(d_max: int, r_max: int):
-    """Connected counts for all |mu| <= d_max, r <= r_max via the exponential
-    formula: log of the disconnected series in the x^r/r! grading."""
+def _kappa_weights(mu: Partition) -> dict[int, int]:
+    """sum_nu dim(nu) * chi_nu(mu) over the nu of each content value kappa_nu,
+    the nonzero sums only: the character sum of `hurwitz_disconnected`
+    grouped by the base of its power."""
+    weights = defaultdict(int)
+    for nu in enumerate_partitions(mu.size):
+        chi = character(nu, mu)
+        if chi:
+            weights[nu.kappa()] += dimension(nu) * chi
+    return {k: w for k, w in weights.items() if w}
+
+
+def _disconnected_row(mu: Partition, r_max: int) -> list[Fraction]:
+    """hurwitz_disconnected(r, mu) / r! for r = 0..r_max, from integer powers
+    of the kappa_nu: the r-th term is sum_k w_k k^r / (2^r r! z_mu d!)."""
+    weights = _kappa_weights(mu)
+    powers, bases = list(weights.values()), list(weights)
+    den = mu.z() * factorial(mu.size)
+    row = []
+    for r in range(r_max + 1):
+        row.append(Fraction(sum(powers), den))
+        powers = [p * k for p, k in zip(powers, bases)]
+        den *= 2 * (r + 1)
+    return row
+
+
+_tables: dict[tuple[int, int], dict] = {}
+
+
+def _connected_table(d: int, r: int) -> dict:
+    """Connected counts by (r, mu) via the exponential formula, the log of
+    the disconnected series in the x^r/r! grading, from a table that holds
+    |mu| = d and r branch points.
+
+    A table built for d' >= d and r' >= r holds them with the same values:
+    the log at weight d reads only weights <= d, and its x^r coefficient
+    only orders <= r.  A miss builds degree d to order r, or to twice the
+    largest order already built at degree d if that is more, so a sweep
+    over increasing r builds O(log r) tables while a first query builds
+    only what it asks for.
+    """
+    for (d_max, r_max), table in _tables.items():
+        if d_max >= d and r_max >= r:
+            return table
+    r_max = max([r, *(2 * r_built for d_built, r_built in _tables if d_built == d)])
     terms = {EMPTY: LaurentSeries.one(r_max)}
-    for d in range(1, d_max + 1):
-        for mu in enumerate_partitions(d):
-            coeffs = [
-                hurwitz_disconnected(r, mu) / factorial(r)
-                for r in range(r_max + 1)
-            ]
-            series = LaurentSeries(0, coeffs, r_max)
+    for size in range(1, d + 1):
+        for mu in enumerate_partitions(size):
+            series = LaurentSeries(0, _disconnected_row(mu, r_max), r_max)
             if not series.is_zero():
                 terms[mu] = series
-    logged = ps_log(PartitionSeries(terms, d_max))
-    table: dict[tuple[int, Partition], Fraction] = {}
-    for mu, series in logged.terms.items():
-        for r, c in series.items():
-            if c:
-                table[(r, mu)] = Fraction(c) * factorial(r)
+    table = _tables[d, r_max] = {
+        (n, mu): Fraction(c) * factorial(n)
+        for mu, series in ps_log(PartitionSeries(terms, d)).terms.items()
+        for n, c in series.items()
+        if c
+    }
     return table
 
 

@@ -1,9 +1,14 @@
+import inspect
+import re
+import textwrap
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from cutjoin import exact
 from cutjoin.exact import (
     GaussianRational,
     LaurentSeries,
@@ -12,6 +17,7 @@ from cutjoin.exact import (
     TP_I,
     TP_TAU,
     TauPolynomial,
+    _dot,
     fraction_str,
     series_exp,
     series_log,
@@ -336,6 +342,97 @@ class TestRealTauPolynomial:
             Fraction(1, 48),
             Fraction(1, 3840),
         ]
+
+
+# -- the fused multiply-accumulate kernel ------------------------------------
+
+
+def left_to_right(pairs):
+    """sum a*b over the pairs, one product and one sum at a time."""
+    acc = 0
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+def assert_canonical(p):
+    assert p.den > 0 and (not p.nums or gcd(p.den, *p.nums) == 1)
+    assert not p.nums or p.nums[-1]
+
+
+def _ref_coeffs(x):
+    return x.coeffs if isinstance(x, RealTauPolynomial) else _trim((Fraction(x),))
+
+
+poly_operands = fraction_tuples.map(RealTauPolynomial) | small_fractions | st.integers(-4, 4)
+poly_pairs = st.lists(st.tuples(poly_operands, poly_operands), max_size=6)
+
+
+# the second product's denominator does not divide the first one's
+RESCALED = [(RealTauPolynomial([Fraction(1, 2)]), 1), (RealTauPolynomial([Fraction(1, 3), 1]), 3)]
+
+
+def assert_poly_dot(pairs):
+    """_dot over polynomials with mixed denominators, zero operands and
+    int/Fraction constants: the left-to-right sum, reduced, and the
+    plain-Fraction reference."""
+    got, want = _dot(pairs), left_to_right(pairs)
+    assert got.__class__ is want.__class__
+    if isinstance(got, RealTauPolynomial):
+        assert (got.nums, got.den) == (want.nums, want.den)
+        assert_canonical(got)
+        ref = ()
+        for a, b in pairs:
+            ref = _ref_add(ref, _ref_mul(_ref_coeffs(a), _ref_coeffs(b)))
+        assert got.coeffs == ref
+    else:
+        assert got == want
+
+
+def _kernel_without_rescale():
+    """A copy of the polynomial kernel that never rescales its running
+    denominator."""
+    src = textwrap.dedent(inspect.getsource(RealTauPolynomial._sum_of_products))
+    mutant, n = re.subn(r"\n *elif den % d:\n(?: .*\n){3}", "\n", src)
+    assert n == 1, "the rescale step was not found"
+    namespace = dict(vars(exact))
+    exec(mutant, namespace)
+    return namespace["_sum_of_products"]
+
+
+laurent_operands = st.builds(
+    lambda lo, cs, extra: LaurentSeries(lo, cs, lo + len(cs) - 1 + extra),
+    st.integers(-3, 2),
+    st.lists(poly_operands, max_size=4),  # empty: a zero-so-far series
+    st.integers(0, 3),
+)
+
+
+class TestDot:
+    @example(RESCALED)
+    @example([])  # an empty sum is the int 0
+    @example([(2, 3), (-1, 4)])  # a sum of ints stays an int
+    @example([(Fraction(1, 2), 1), (2, Fraction(1, 3))])  # and of Fractions a Fraction
+    @given(poly_pairs)
+    def test_polynomial_pairs(self, pairs):
+        assert_poly_dot(pairs)
+
+    def test_fails_without_the_denominator_rescale(self, monkeypatch):
+        monkeypatch.setattr(
+            RealTauPolynomial, "_sum_of_products", staticmethod(_kernel_without_rescale())
+        )
+        with pytest.raises(AssertionError):
+            assert_poly_dot(RESCALED)
+
+    @given(st.lists(st.tuples(laurent_operands, laurent_operands), min_size=1, max_size=4))
+    @settings(max_examples=60)
+    def test_laurent_pairs(self, pairs):
+        got, want = _dot(pairs), left_to_right(pairs)
+        assert (got.min_exp, got.trunc_order) == (want.min_exp, want.trunc_order)
+        assert got == want
+        for c in got.coeffs:
+            if isinstance(c, RealTauPolynomial):
+                assert_canonical(c)
 
 
 def _ref_horner(cs, x):

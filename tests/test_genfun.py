@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from cutjoin.genfun import (
     ps_exp,
     ps_log,
 )
+from cutjoin.exact import RealTauPolynomial, _dot
 from cutjoin.partitions import EMPTY, Partition, enumerate_partitions
 
 P = Partition
@@ -21,6 +23,15 @@ all_partitions = [mu for d in range(1, 6) for mu in enumerate_partitions(d)]
 series_st = st.dictionaries(
     st.sampled_from(all_partitions), small_fractions, max_size=5
 ).map(lambda d: PartitionSeries(d, 6))
+
+poly_coeffs = small_fractions | st.lists(small_fractions, min_size=1, max_size=3).map(
+    RealTauPolynomial
+)
+capped_series_st = st.builds(
+    PartitionSeries,
+    st.dictionaries(st.sampled_from(all_partitions), poly_coeffs, max_size=4),
+    st.integers(0, 6),
+)
 
 
 def mono(mu, c=Fraction(1), w=6):
@@ -93,6 +104,20 @@ class TestPartitionSeries:
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
+
+    @given(st.lists(st.tuples(capped_series_st, capped_series_st), min_size=1, max_size=4))
+    @settings(max_examples=40)
+    def test_dot_is_the_left_to_right_sum(self, pairs):
+        # series with different caps: the sum lives under the least one
+        want = 0
+        for a, b in pairs:
+            want = want + a * b
+        got = _dot(pairs)
+        assert got == want and got.max_weight == want.max_weight
+        for c in got.terms.values():
+            assert c
+            if isinstance(c, RealTauPolynomial):
+                assert c.den > 0 and gcd(c.den, *c.nums) == 1 and c.nums[-1]
 
     def test_to_json_fixture_form(self):
         f = mono([2], Fraction(1, 3)) + mono([1])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cutjoin import hurwitz
 from cutjoin.hurwitz import (
     BudgetExceededError,
     branch_count,
@@ -169,6 +170,23 @@ class TestConnected:
     def test_negative_branch_count_is_zero(self):
         assert branch_count(0, P([1])) == 0
         assert hurwitz_connected(-1, P([1])) == 0
+
+    def test_a_sweep_logs_few_tables_with_the_values_of_fresh_ones(self, monkeypatch):
+        # a table answers every smaller (|mu|, r), and a sweep over r doubles
+        # the order built at a degree instead of logging a table per r
+        monkeypatch.setattr(hurwitz, "_tables", {})
+        swept = {
+            (g, mu): hurwitz_connected(g, mu)
+            for d in range(1, 6)
+            for mu in enumerate_partitions(d)
+            for g in range(4)
+        }
+        per_degree = [sum(d_max == d for d_max, _ in hurwitz._tables) for d in range(1, 6)]
+        assert max(per_degree) <= 4
+        for (g, mu), value in swept.items():
+            monkeypatch.setattr(hurwitz, "_tables", {})
+            assert hurwitz_connected(g, mu) == value
+            assert list(hurwitz._tables) in ([], [(mu.size, branch_count(g, mu))])
 
     def test_matches_transitive_bruteforce(self):
         for d in range(1, 4):

@@ -39,6 +39,8 @@ def test_script_output(script, args, digest):
     [
         ("hodge_table.py", ("--max-genus", "7", "--max-size", "1"), "--lambda-order"),
         ("hurwitz_table.py", ("--max-degree", "30"), "--max-degree"),
+        ("hurwitz_table.py", ("--max-branch", "61"), "--max-branch"),
+        ("hurwitz_table.py", ("--max-branch", "-1"), "--max-branch"),
     ],
 )
 def test_script_rejects_out_of_range_flags(script, args, flag):
