@@ -6,6 +6,7 @@ Usage: python scripts/hodge_table.py [--max-genus 2] [--max-size 4]
 
 import argparse
 
+from cutjoin.cli import MAX_LAMBDA_ORDER, MAX_TABLE_DEGREE
 from cutjoin.exact import fraction_str
 from cutjoin.hodge import build_series_pair, extract_C_gmu, hodge_polynomial
 from cutjoin.partitions import enumerate_partitions
@@ -31,6 +32,12 @@ def main() -> None:
     parser.add_argument("--max-size", type=int, default=4)
     parser.add_argument("--lambda-order", type=int, default=12)
     args = parser.parse_args()
+    if args.max_genus < 0:
+        parser.error(f"--max-genus must be nonnegative, got {args.max_genus}")
+    if not 0 <= args.max_size <= MAX_TABLE_DEGREE:
+        parser.error(f"--max-size must be in 0..{MAX_TABLE_DEGREE}, got {args.max_size}")
+    if not 0 <= args.lambda_order <= MAX_LAMBDA_ORDER:
+        parser.error(f"--lambda-order must be in 0..{MAX_LAMBDA_ORDER}, got {args.lambda_order}")
     # the longest partition of the largest genus reads lambda^(2g - 2 + l(mu))
     top = 2 * args.max_genus - 2 + args.max_size
     if top > args.lambda_order:

@@ -15,7 +15,7 @@ from functools import cache
 from math import factorial
 from typing import NamedTuple
 
-from .exact import LaurentSeries, QHalfLaurent
+from .exact import LaurentSeries, QHalfLaurent, _dot
 from .partitions import Partition, enumerate_partitions
 
 
@@ -137,12 +137,13 @@ def principal_specialization_check(nu: Partition, order: int) -> bool:
     as series in q to q^order, multiplies by the hook form's denominator and
     compares the product with its numerator.
     """
-    expansion = LaurentSeries.zero(order)
+    pairs = []
     for eta, coeff in schur_in_p(nu).terms.items():
         term = LaurentSeries.one(order)
         for k in eta:  # p_k(1, q, q^2, ...) = 1 + q^k + q^(2k) + ...
             term = term * LaurentSeries(0, [int(e % k == 0) for e in range(order + 1)])
-        expansion = expansion + term * coeff
+        pairs.append((term, coeff))
+    expansion = _dot(pairs)
     numerator, denominator = schur_principal_specialization(nu)
     return expansion * _q_series(denominator, order) == _q_series(numerator, order)
 

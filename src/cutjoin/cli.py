@@ -53,6 +53,10 @@ from .partitions import Partition, enumerate_partitions
 
 BUDGET_ENV_VAR = "CUTJOIN_BUDGET"
 MAX_TABLE_DEGREE = 12
+# the series commands take --max-weight up to MAX_TABLE_DEGREE and
+# --lambda-order up to MAX_LAMBDA_ORDER; at (12, 24) `mv-series` takes about
+# 13 s and `verify --suite all` about 28 s on 2 cores (CPython 3.11)
+MAX_LAMBDA_ORDER = 24
 # `hurwitz --method char` reads the characters of every partition of |mu|;
 # at |mu| = 30 every shape measured answers within 1.8 s on 2 cores
 # (CPython 3.11), and |mu| = 40 takes 9.5 s at 2^20
@@ -632,8 +636,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.command in ("hodge", "mv-series", "verify"):
         if config.max_weight < 1:
             parser.error(f"--max-weight must be at least 1, got {config.max_weight}")
+        if config.max_weight > MAX_TABLE_DEGREE:
+            parser.error(
+                f"--max-weight must be at most {MAX_TABLE_DEGREE}, got {config.max_weight}"
+            )
         if config.lambda_order < 0:
             parser.error(f"--lambda-order must be nonnegative, got {config.lambda_order}")
+        if config.lambda_order > MAX_LAMBDA_ORDER:
+            parser.error(
+                f"--lambda-order must be at most {MAX_LAMBDA_ORDER}, got {config.lambda_order}"
+            )
     if args.command == "verify" and args.suite in ("extraction", "all"):
         need = _extraction_min_lambda_order(config.max_weight)
         if config.lambda_order < need:

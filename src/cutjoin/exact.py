@@ -17,14 +17,15 @@
   coefficients in y = q**(1/2): y**low times a TauPolynomial in y, whose
   products, powers and phase rule it shares.
 
-Every product is a sum of products with one term: `_dot(pairs)` is the one
-multiply-accumulate path.  A polynomial sum adds every schoolbook product
-into one integer numerator list over a running common denominator, and a
-series (or genfun's partition series) sum puts the coefficient pairs of all
-its factor pairs in one bucket per output exponent (or partition) and takes
-one `_dot` per bucket, so a whole convolution, such as one step of the
+Every sum, scalar multiple and product is a sum of products: `_dot(pairs)`
+is the one multiply-accumulate path, a + b is `_dot(((a, 1), (b, 1)))` and a
+scalar multiple a one-pair call.  A polynomial sum adds every schoolbook
+product into one integer numerator list over a running common denominator,
+and a series (or genfun's partition series) sum puts the coefficient pairs
+of all its factor pairs in one bucket per output exponent (or partition) and
+takes one `_dot` per bucket, so a whole convolution, such as one step of the
 exp/log recurrences, is reduced once per output coefficient rather than once
-per product.
+per product or per sum.
 
 All values are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
@@ -33,7 +34,7 @@ functions, so values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, inf, lcm
 
 Rational = Fraction
 
@@ -184,27 +185,9 @@ class RealTauPolynomial:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        if other.__class__ is not RealTauPolynomial:
-            other = _rtp(other)
-            if other is None:
-                return NotImplemented
-        a, b = self.nums, other.nums
-        if not b:
-            return self
-        if not a:
-            return other
-        da, db = self.den, other.den
-        if da != db:
-            g = gcd(da, db)
-            sa, sb = db // g, da // g
-            a = [x * sa for x in a]
-            b = [y * sb for y in b]
-            da *= sa
-        if len(a) < len(b):
-            a, b = b, a
-        nums = [x + y for x, y in zip(a, b)]
-        nums.extend(a[len(b):])
-        return RealTauPolynomial._make(nums, da)
+        if other.__class__ is RealTauPolynomial or isinstance(other, (int, Fraction)):
+            return _dot(((self, 1), (other, 1)))
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -327,15 +310,17 @@ _POLY_OPERANDS = {RealTauPolynomial, int, Fraction}
 
 
 def _dot(pairs):
-    """sum(a * b for a, b in pairs): the one product path of every ring.
+    """sum(a * b for a, b in pairs): the one path of every sum, scalar
+    multiple and product.
 
-    Pairs of RealTauPolynomials, ints and Fractions, and pairs whose
-    operands are all of one class that defines `_sum_of_products`
-    (LaurentSeries, genfun.PartitionSeries), go to that ring's kernel,
-    which forms every product of the sum before reducing the result once.
-    A sum with no polynomial operand is read back as a Fraction, or as an
-    int when every operand is one; an empty sum is 0.  Anything else
-    (TauPolynomial, QHalfLaurent, mixed rings) is summed as acc + a*b.
+    The kernel of the outermost ring among the operands runs, and every other
+    operand is a scalar of that ring: genfun.PartitionSeries over
+    LaurentSeries (the classes with a `_RING_DEPTH`) over RealTauPolynomial,
+    int and Fraction.  A kernel forms every product of the sum before
+    reducing the result once.  A sum with no polynomial or series operand is
+    read back as a Fraction, or as an int when every operand is one; an empty
+    sum is 0.  A sum over TauPolynomial or QHalfLaurent values, the only
+    other kind, is summed as acc + a*b.
     """
     kinds = set()
     for a, b in pairs:
@@ -347,10 +332,9 @@ def _dot(pairs):
             return p
         c = p.coefficient(0)
         return c if Fraction in kinds else c.numerator
-    if len(kinds) == 1:
-        kernel = getattr(kinds.pop(), "_sum_of_products", None)
-        if kernel is not None:
-            return kernel(pairs)
+    ring = max(kinds, key=lambda kind: getattr(kind, "_RING_DEPTH", 0))
+    if hasattr(ring, "_RING_DEPTH"):
+        return ring._sum_of_products(pairs)
     acc = 0
     for a, b in pairs:
         acc = acc + a * b
@@ -536,6 +520,7 @@ class LaurentSeries:
     """
 
     __slots__ = ("min_exp", "coeffs", "trunc_order")
+    _RING_DEPTH = 1  # see _dot
 
     def __init__(self, min_exp: int, coeffs, trunc_order: int | None = None):
         cs = list(coeffs)
@@ -601,19 +586,7 @@ class LaurentSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        trunc = min(self.trunc_order, o.trunc_order)
-        lo = min(self.min_exp, o.min_exp)
-        if lo > trunc:
-            return LaurentSeries.zero(trunc)
-        out = [0] * (trunc - lo + 1)
-        for src in (self, o):
-            for i, c in enumerate(src.coeffs):
-                k = src.min_exp + i
-                if k > trunc:
-                    break
-                if c:
-                    out[k - lo] = out[k - lo] + c
-        return LaurentSeries(lo, out, trunc)
+        return _dot(((self, 1), (o, 1)))
 
     __radd__ = __add__
 
@@ -635,42 +608,33 @@ class LaurentSeries:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, LaurentSeries):
+        if isinstance(other, (LaurentSeries, *_SCALARS)):
             return _dot(((self, other),))
-        if isinstance(other, _SCALARS):
-            if not other:
-                return LaurentSeries.zero(self.trunc_order)
-            return LaurentSeries(
-                self.min_exp,
-                [c * other if c else 0 for c in self.coeffs],
-                self.trunc_order,
-            )
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, _SCALARS):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     @staticmethod
     def _sum_of_products(pairs) -> "LaurentSeries":
-        """sum s*t over pairs of series: the coefficient pairs of every
-        series pair are put in one bucket per output exponent, and each
-        bucket is one `_dot`.  The result starts at the least product
-        min_exp and is valid to the least product truncation, a zero-so-far
-        factor's included."""
-        trunc = min(min(s.trunc_order + t.min_exp, t.trunc_order + s.min_exp) for s, t in pairs)
-        pairs = [(s, t) for s, t in pairs if s.coeffs and t.coeffs]
-        lo = min((s.min_exp + t.min_exp for s, t in pairs), default=trunc + 1)
+        """sum s*t over pairs of series and scalars: the coefficient pairs
+        of every pair are put in one bucket per output exponent, and each
+        bucket is one `_dot`.  A scalar is a constant at x^0 valid wherever
+        its partner is.  The result starts at the least product min_exp and
+        is valid to the least product truncation, a zero-so-far factor's
+        included."""
+        pairs = [(_series_terms(s), _series_terms(t)) for s, t in pairs]
+        trunc = min(min(s[2] + t[0], t[2] + s[0]) for s, t in pairs)
+        pairs = [(s, t) for s, t in pairs if s[1] and t[1]]
+        lo = min((s[0] + t[0] for s, t in pairs), default=trunc + 1)
         if lo > trunc:
             return LaurentSeries.zero(trunc)
         buckets = [[] for _ in range(trunc - lo + 1)]
-        for s, t in pairs:
-            start = s.min_exp + t.min_exp - lo
-            for i, a in enumerate(s.coeffs[: trunc - lo - start + 1], start):
+        for (s_min, s_coeffs, _), (t_min, t_coeffs, _) in pairs:
+            start = s_min + t_min - lo
+            for i, a in enumerate(s_coeffs[: trunc - lo - start + 1], start):
                 if a:
                     # zip stops at the truncation order, where buckets[i:] ends
-                    for bucket, b in zip(buckets[i:], t.coeffs):
+                    for bucket, b in zip(buckets[i:], t_coeffs):
                         if b:
                             bucket.append((a, b))
         return LaurentSeries(lo, [_dot(b) if b else 0 for b in buckets], trunc)
@@ -726,6 +690,9 @@ class LaurentSeries:
         )
 
     def __hash__(self):
+        # a series equal to a scalar (zero, or one term at x^0) hashes as it
+        if not any(self.coeffs[1:]) and (not self.coeffs or self.min_exp == 0):
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash((self.min_exp, self.trunc_order, self.coeffs))
 
     def agrees_with(self, other: "LaurentSeries", up_to: int | None = None) -> bool:
@@ -760,6 +727,14 @@ class LaurentSeries:
             "trunc_order": self.trunc_order,
             "coeffs": [_coeff_json(c) for c in self.coeffs],
         }
+
+
+def _series_terms(x) -> tuple:
+    """(min_exp, coeffs, trunc_order) of a series; a scalar is a constant at
+    x^0 valid to every order, and a zero scalar has no terms."""
+    if x.__class__ is LaurentSeries:
+        return x.min_exp, x.coeffs, x.trunc_order
+    return 0, ((x,) if x else ()), inf
 
 
 def _coeff_json(c):
@@ -850,10 +825,7 @@ def series_log(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
     weighted = []  # (k, -k * G_k) for the nonzero G_k found so far
     out = [0]
     for n in range(1, len(f)):
-        acc = f[n] * n
-        pairs = [(kg, f[n - k]) for k, kg in weighted if f[n - k]]
-        if pairs:
-            acc = acc + _dot(pairs)
+        acc = _dot([(f[n], n), *((kg, f[n - k]) for k, kg in weighted if f[n - k])])
         if acc:
             weighted.append((n, -acc))
         out.append(acc * Fraction(1, n) if acc else 0)

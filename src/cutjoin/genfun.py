@@ -13,10 +13,12 @@ series in a weight variable, and run the one Euler-operator recurrence of
 one weight.  Each weight step of that recurrence is one `exact._dot`: the
 coefficient pairs of all its series products are grouped by partition, then
 by power of the Laurent variable, and each group is summed over one common
-denominator and reduced once.  The quadratic part of the nonlinear operator
-forms dF/dp_i * dF/dp_j under the cap W - i - j before multiplying by
-p_{i+j}.  The tests compare both with the whole-series forms they replace,
-which build every power or product at the full cap: the results are equal
+denominator and reduced once.  Each cut-and-join operator is one `_dot` too,
+over (monomial-shifted derivative, integer weight) pairs and, for the
+nonlinear one, one product pair per (i, j) whose left factor is cut to
+weight W - i - j before multiplying by p_{i+j}.  The tests compare all of
+them with the whole-series forms they replace, which build every power or
+product at the full cap and add one term at a time: the results are equal
 exactly, Laurent truncation orders included.
 
 The operator conventions are fixed once and for all: the double sum over i, j
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from math import inf
 
 from .characters import central_character_transposition, schur_in_p
 from .exact import LaurentSeries, _coeff_json, _dot, series_exp, series_log
@@ -40,21 +43,10 @@ class PartitionSeries:
 
     __slots__ = ("terms", "max_weight")
 
-    def __init__(self, terms, max_weight: int):
-        data = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for mu, c in items:
-            if mu.size > max_weight or not c:
-                continue
-            if mu in data:
-                s = data[mu] + c
-                if not s:
-                    del data[mu]
-                else:
-                    data[mu] = s
-            else:
-                data[mu] = c
-        self.terms = data
+    _RING_DEPTH = 2  # see exact._dot
+
+    def __init__(self, terms: dict, max_weight: int):
+        self.terms = {mu: c for mu, c in terms.items() if c and mu.size <= max_weight}
         self.max_weight = max_weight
 
     @classmethod
@@ -77,8 +69,7 @@ class PartitionSeries:
     def __add__(self, other):
         if not isinstance(other, PartitionSeries):
             return NotImplemented
-        w = min(self.max_weight, other.max_weight)
-        return PartitionSeries([*self.terms.items(), *other.terms.items()], w)
+        return _dot(((self, 1), (other, 1)))
 
     def __sub__(self, other):
         return self + (-other)
@@ -95,29 +86,25 @@ class PartitionSeries:
     def __mul__(self, other):
         """The product of two series, or the series times a scalar of its
         coefficient ring."""
-        if not isinstance(other, PartitionSeries):
-            if not other:
-                return PartitionSeries.zero(self.max_weight)
-            return PartitionSeries._raw(
-                {m: c * other for m, c in self.terms.items()}, self.max_weight
-            )
         return _dot(((self, other),))
 
     @staticmethod
     def _sum_of_products(pairs) -> "PartitionSeries":
-        """sum A*B over pairs of series under the least cap: the coefficient
-        pairs of every series pair are grouped by the union partition, and
-        each group is one `_dot`."""
-        w = min(min(A.max_weight, B.max_weight) for A, B in pairs)
+        """sum A*B over pairs of series and scalars under the least cap: the
+        coefficient pairs of every pair are grouped by the union partition,
+        and each group is one `_dot`.  A scalar is the p_{} coefficient,
+        under its partner's cap."""
+        pairs = [(_series_terms(A), _series_terms(B)) for A, B in pairs]
+        w = min(min(A[1], B[1]) for A, B in pairs)
         groups = defaultdict(list)
-        for A, B in pairs:
-            right = [(m.size, m.parts, c) for m, c in B.terms.items()]
-            for m1, c1 in A.terms.items():
+        for (left, _), (right, _) in pairs:
+            right = [(m.size, m.parts, c) for m, c in right.items()]
+            for m1, c1 in left.items():
                 room = w - m1.size
                 for size, parts, c2 in right:
                     if size <= room:
                         groups[tuple(sorted(m1.parts + parts, reverse=True))].append((c1, c2))
-        return PartitionSeries(((Partition(k), _dot(g)) for k, g in groups.items()), w)
+        return PartitionSeries({Partition(k): _dot(g) for k, g in groups.items()}, w)
 
     @classmethod
     def _raw(cls, terms: dict, max_weight: int) -> "PartitionSeries":
@@ -130,17 +117,12 @@ class PartitionSeries:
 
     def d_dp(self, i: int) -> "PartitionSeries":
         """Formal partial derivative with respect to p_i."""
-        out: dict[Partition, object] = {}
+        out = {}
         for mu, c in self.terms.items():
             m = mu.parts.count(i)
-            if not m:
-                continue
-            target = mu.remove_one(i)
-            contrib = c * m
-            if target in out:
-                out[target] = out[target] + contrib
-            else:
-                out[target] = contrib
+            if m:
+                # removing one part i is injective, so no two terms meet
+                out[mu.remove_one(i)] = c * m
         return PartitionSeries._raw(out, self.max_weight)
 
     def mul_p(self, i: int) -> "PartitionSeries":
@@ -178,6 +160,14 @@ class PartitionSeries:
     def __repr__(self):
         bits = [f"({self.terms[m]!r})*p[{m}]" for m in self.support()]
         return f"PartitionSeries({' + '.join(bits) or '0'}; w<={self.max_weight})"
+
+
+def _series_terms(x) -> tuple:
+    """(terms, cap) of a series; a scalar is the p_{} coefficient under no
+    cap of its own, and a zero scalar has no terms."""
+    if x.__class__ is PartitionSeries:
+        return x.terms, x.max_weight
+    return ({EMPTY: x} if x else {}), inf
 
 
 def _weight_series(F: PartitionSeries, constant) -> LaurentSeries:
@@ -236,31 +226,38 @@ def ps_log(G: PartitionSeries) -> PartitionSeries:
     return _at_weight_one(F.coeffs, {}, G.max_weight)
 
 
+def _derivatives(F: PartitionSeries) -> dict:
+    """{i: dF/dp_i} over the parts i of F, the nonzero derivatives, in
+    increasing i."""
+    return {i: F.d_dp(i) for i in sorted({p for mu in F.terms for p in mu.parts})}
+
+
+def _linear_terms(derivs: dict) -> list:
+    """The terms of Omega(F), from the first derivatives of F, as
+    (monomial-shifted derivative, integer weight) pairs."""
+    pairs = []
+    for i, dFi in derivs.items():
+        for j, second in _derivatives(dFi).items():
+            pairs.append((second.mul_p(i + j), i * j))
+    for s, dFs in derivs.items():
+        for i in range(1, s):
+            pairs.append((dFs.mul_p(i).mul_p(s - i), s))
+    return pairs
+
+
+def _summed(pairs, w: int) -> PartitionSeries:
+    """_dot of the pairs, or the zero series under cap w when there are none."""
+    return _dot(pairs) if pairs else PartitionSeries.zero(w)
+
+
 def cut_join_linear(F: PartitionSeries) -> PartitionSeries:
     """Omega(F) = sum_{i,j>=1} [ i*j*p_{i+j} d2F/dp_i dp_j
     + (i+j)*p_i*p_j dF/dp_{i+j} ], without any scalar prefactor.
 
     The sum is over ordered pairs (diagonal once); callers supply their own
-    prefactors such as sqrt(-1)*lambda/2.
+    prefactors such as sqrt(-1)*lambda/2.  It is one `_dot` over the terms.
     """
-    w = F.max_weight
-    out = PartitionSeries.zero(w)
-    maxpart = max((mu.parts[0] for mu in F.terms if mu.parts), default=0)
-    for i in range(1, maxpart + 1):
-        dFi = F.d_dp(i)
-        if not dFi.terms:
-            continue
-        for j in range(1, maxpart + 1):
-            second = dFi.d_dp(j)
-            if second.terms:
-                out = out + second.mul_p(i + j) * (i * j)
-    for s in range(2, maxpart + 1):
-        dFs = F.d_dp(s)
-        if not dFs.terms:
-            continue
-        for i in range(1, s):
-            out = out + dFs.mul_p(i).mul_p(s - i) * s
-    return out
+    return _summed(_linear_terms(_derivatives(F)), F.max_weight)
 
 
 def cut_join_nonlinear(F: PartitionSeries) -> PartitionSeries:
@@ -271,32 +268,23 @@ def cut_join_nonlinear(F: PartitionSeries) -> PartitionSeries:
     up to truncation, which is how the linear and nonlinear forms of the
     evolution equation correspond.
 
-    The product dF/dp_i * dF/dp_j is formed with the cap lowered to
-    W - i - j: multiplying by p_{i+j} raises every weight by i + j, so the
-    terms of the product above W - i - j are exactly the ones the cap W
-    removes afterwards.  The kept terms come from the same pairs in the same
-    order, so the result equals the one formed at full weight.
+    The whole operator is one `_dot`: the terms of Omega(F) and one product
+    pair per (i, j) with i + j <= W.  The left factor of a pair is
+    i*dF/dp_i cut to weight W - i - j and multiplied by p_{i+j}, the right
+    one j*dF/dp_j: the terms of dF/dp_i above W - i - j are exactly the
+    ones the cap W removes after the product with p_{i+j}, so no term is
+    formed that the cap would discard.
     """
-    out = cut_join_linear(F)
     w = F.max_weight
-    maxpart = max((mu.parts[0] for mu in F.terms if mu.parts), default=0)
-    derivs = {i: F.d_dp(i) for i in range(1, maxpart + 1)}
-    for i in range(1, maxpart + 1):
-        if not derivs[i].terms:
-            continue
-        for j in range(1, maxpart + 1):
-            if not derivs[j].terms:
-                continue
-            cap = w - i - j
-            if cap < 0:
-                continue
-            prod = PartitionSeries(derivs[i].terms, cap) * PartitionSeries(
-                derivs[j].terms, cap
-            )
-            if prod.terms:
-                lifted = PartitionSeries._raw(prod.terms, w)
-                out = out + lifted.mul_p(i + j) * (i * j)
-    return out
+    derivs = _derivatives(F)
+    pairs = _linear_terms(derivs)
+    scaled = {i: dFi * i for i, dFi in derivs.items()}
+    for i, left in scaled.items():
+        for j, right in scaled.items():
+            cut = {mu: c for mu, c in left.terms.items() if mu.size <= w - i - j}
+            if cut:
+                pairs.append((PartitionSeries._raw(cut, w).mul_p(i + j), right))
+    return _summed(pairs, w)
 
 
 def character_cutjoin_identity(nu: Partition) -> bool:

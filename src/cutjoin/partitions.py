@@ -13,6 +13,8 @@ from functools import cache
 from math import factorial
 from typing import Iterable, NamedTuple
 
+from .exact import _dot
+
 
 class Partition:
     """Weakly decreasing sequence of positive integers; may be empty."""
@@ -277,26 +279,23 @@ def cut_join_sum(mu: Partition, g: int, value, split_factor=lambda g1, nu1, g2, 
 
     with w from cut_join_incoming and the split weights from
     split_contributions; f = split_factor(g1, nu1, g2, nu2), 1 by default,
-    and a split with f = 0 reads no values.  This is the right-hand side both of
-    the per-coefficient tau-evolution of the Hodge series (up to the factor
+    and a split with f = 0 reads no values.  The whole sum is one `_dot`
+    over (value, weight) pairs.  This is the right-hand side both of the
+    per-coefficient tau-evolution of the Hodge series (up to the factor
     sqrt(-1)) and of the branch-point recursion for cover counts.
     """
     joins_into, cuts_into = cut_join_incoming(mu)
-    total = 0
-    for nu, w in joins_into:
-        total = total + value(g, nu) * w
+    pairs = [(value(g, nu), w) for nu, w in joins_into]
     if g >= 1:
-        for nu, w in cuts_into:
-            total = total + value(g - 1, nu) * w
+        pairs += [(value(g - 1, nu), w) for nu, w in cuts_into]
     half = Fraction(1, 2)
     for term in split_contributions(mu):
         for g1 in range(g + 1):
             g2 = g - g1
             f = split_factor(g1, term.nu1, g2, term.nu2)
             if f:
-                pair = value(g1, term.nu1) * value(g2, term.nu2)
-                total = total + pair * (half * term.weight * f)
-    return total
+                pairs.append((value(g1, term.nu1), value(g2, term.nu2) * (half * term.weight * f)))
+    return _dot(pairs)
 
 
 def _sub_multisets(parts: tuple[int, ...]) -> list[tuple[int, ...]]:

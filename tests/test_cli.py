@@ -274,6 +274,10 @@ class TestComputeCommands:
         [
             (["--max-weight", "0"], "--max-weight must be at least 1, got 0"),
             (["--lambda-order", "-3"], "--lambda-order must be nonnegative, got -3"),
+            (["--max-weight", "13"], "--max-weight must be at most 12, got 13"),
+            (["--lambda-order", "25"], "--lambda-order must be at most 24, got 25"),
+            (["--max-weight", "20", "--lambda-order", "2"], "--max-weight must be at most 12"),
+            (["--max-weight", "3", "--lambda-order", "400"], "--lambda-order must be at most 24"),
         ],
     )
     def test_series_range_is_usage_error(self, monkeypatch, capsys, command, flags, message):
@@ -289,6 +293,30 @@ class TestComputeCommands:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+    @pytest.mark.parametrize("command", ["mv-series", "hodge", "verify"])
+    @pytest.mark.parametrize("weight, order", [("12", "24"), ("1", "24"), ("12", "8")])
+    def test_series_range_caps_are_accepted(self, monkeypatch, command, weight, order):
+        from cutjoin import cli
+
+        seen = []
+
+        def record(config, *args):
+            seen.append((config.max_weight, config.lambda_order))
+            return 0
+
+        for name in ("cmd_mv_series", "cmd_hodge", "cmd_verify"):
+            monkeypatch.setattr(cli, name, record)
+        extra = ["--genus", "0", "--partition", "1"] if command == "hodge" else []
+        assert main([command, *extra, "--max-weight", weight, "--lambda-order", order]) == 0
+        assert seen == [(int(weight), int(order))]
+
+    def test_out_of_range_series_flags_exit_promptly(self):
+        start = time.perf_counter()
+        proc = run_cli("mv-series", "--max-weight", "3", "--lambda-order", "400")
+        assert time.perf_counter() - start < 20
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "--lambda-order must be at most 24" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
         "args", [["char", "--degree", "3"], ["hurwitz", "--genus", "0", "--partition", "2"]]

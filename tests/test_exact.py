@@ -192,6 +192,21 @@ class TestLaurentSeries:
         assert ((a * b) * c).agrees_with(a * (b * c))
         assert (a * (b + c)).agrees_with(a * b + a * c)
 
+    def test_hash_agrees_with_scalar_equality(self):
+        for series, scalar in [
+            (LaurentSeries.monomial(5, 0, 0), 5),
+            (LaurentSeries.zero(3), 0),
+            (LaurentSeries.zero(-2), 0),
+            (LaurentSeries(0, [Fraction(1, 2), 0, 0], 2), Fraction(1, 2)),
+            (LaurentSeries.monomial(RealTauPolynomial([1, 2]), 0, 3), RealTauPolynomial([1, 2])),
+        ]:
+            assert series == scalar and hash(series) == hash(scalar)
+            assert len({series, scalar}) == 1
+        # equal series that are not scalars still hash alike
+        x = LaurentSeries(-1, [1, 0, Fraction(2)], 1)
+        assert x == LaurentSeries(-1, [Fraction(1), 0, 2], 1) and x != 2
+        assert hash(x) == hash(LaurentSeries(-1, [Fraction(1), 0, 2], 1))
+
     def test_shift(self):
         x = LaurentSeries(-1, [Fraction(2), Fraction(3)], 0)
         y = x.shift(3)
@@ -408,6 +423,68 @@ laurent_operands = st.builds(
 )
 
 
+def _ref_laurent_add(s, t):
+    """s + t for two series: the dense sum at the least truncation."""
+    trunc = min(s.trunc_order, t.trunc_order)
+    lo = min(s.min_exp, t.min_exp)
+    if lo > trunc:
+        return LaurentSeries.zero(trunc)
+    out = [0] * (trunc - lo + 1)
+    for src in (s, t):
+        for k, c in src.items():
+            if k > trunc:
+                break
+            if c:
+                out[k - lo] = out[k - lo] + c
+    return LaurentSeries(lo, out, trunc)
+
+
+def _ref_laurent_term(a, b):
+    """a * b with at least one series operand: a scalar multiplies the
+    series coefficient by coefficient (a zero scalar gives the zero series
+    at the partner's truncation), and two series make the schoolbook
+    product."""
+    if not isinstance(a, LaurentSeries):
+        a, b = b, a
+    if not isinstance(b, LaurentSeries):
+        if not b:
+            return LaurentSeries.zero(a.trunc_order)
+        return LaurentSeries(a.min_exp, [c * b if c else 0 for c in a.coeffs], a.trunc_order)
+    trunc = min(a.trunc_order + b.min_exp, b.trunc_order + a.min_exp)
+    lo = a.min_exp + b.min_exp
+    if lo > trunc:
+        return LaurentSeries.zero(trunc)
+    out = [0] * (trunc - lo + 1)
+    for i, x in a.items():
+        for j, y in b.items():
+            if i + j <= trunc and x and y:
+                out[i + j - lo] = out[i + j - lo] + x * y
+    return LaurentSeries(lo, out, trunc)
+
+
+def ref_series_sum(pairs):
+    """sum a*b over pairs of series and scalars, one term at a time with the
+    plain references; the products of two scalars make a constant valid to
+    every order, added at x^0 when the sum reaches it."""
+    acc, const = None, 0
+    for a, b in pairs:
+        if isinstance(a, LaurentSeries) or isinstance(b, LaurentSeries):
+            term = _ref_laurent_term(a, b)
+            acc = term if acc is None else _ref_laurent_add(acc, term)
+        else:
+            const = const + a * b
+    if const and acc.trunc_order >= 0:
+        acc = _ref_laurent_add(acc, LaurentSeries.monomial(const, 0, acc.trunc_order))
+    return acc
+
+
+laurent_sum_pairs = st.lists(
+    st.tuples(laurent_operands | poly_operands, laurent_operands | poly_operands),
+    min_size=1,
+    max_size=4,
+).filter(lambda pairs: any(isinstance(x, LaurentSeries) for pair in pairs for x in pair))
+
+
 class TestDot:
     @example(RESCALED)
     @example([])  # an empty sum is the int 0
@@ -424,15 +501,33 @@ class TestDot:
         with pytest.raises(AssertionError):
             assert_poly_dot(RESCALED)
 
-    @given(st.lists(st.tuples(laurent_operands, laurent_operands), min_size=1, max_size=4))
-    @settings(max_examples=60)
+    # a zero-so-far series, a zero scalar, int, Fraction and polynomial
+    # scalars, and a sum (x^-1 + 1) + 1 whose scalar pair lands at x^0
+    @example([(LaurentSeries.zero(2), 3), (LaurentSeries(-1, [1], 4), 0)])
+    @example([(LaurentSeries(-1, [1, 1], 0), 1), (1, 1)])
+    @example([(2, LaurentSeries(1, [Fraction(1, 3)], 3)), (RealTauPolynomial([1, 1]), Fraction(1, 2))])
+    @example([(LaurentSeries(-2, [1], -1), RealTauPolynomial([0, 2])), (5, 1)])
+    @given(laurent_sum_pairs)
+    @settings(max_examples=80)
     def test_laurent_pairs(self, pairs):
-        got, want = _dot(pairs), left_to_right(pairs)
+        got, want = _dot(pairs), ref_series_sum(pairs)
         assert (got.min_exp, got.trunc_order) == (want.min_exp, want.trunc_order)
         assert got == want
         for c in got.coeffs:
             if isinstance(c, RealTauPolynomial):
                 assert_canonical(c)
+
+    @given(laurent_operands, laurent_operands | poly_operands)
+    def test_laurent_sum_and_scalar_multiple(self, s, t):
+        # + and the scalar * are _dot calls; the references are not
+        if isinstance(t, LaurentSeries) or s.trunc_order >= 0 or not t:
+            got, want = s + t, ref_series_sum([(s, 1), (t, 1)])
+            assert (got.min_exp, got.trunc_order, got) == (want.min_exp, want.trunc_order, want)
+        else:
+            with pytest.raises(ValueError, match="below truncation order 0"):
+                s + t
+        got, want = s * t, _ref_laurent_term(s, t)
+        assert (got.min_exp, got.trunc_order, got) == (want.min_exp, want.trunc_order, want)
 
 
 def _ref_horner(cs, x):

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from cutjoin.genfun import (
@@ -32,10 +32,58 @@ capped_series_st = st.builds(
     st.dictionaries(st.sampled_from(all_partitions), poly_coeffs, max_size=4),
     st.integers(0, 6),
 )
+scalars = poly_coeffs | st.integers(-3, 3) | st.just(RealTauPolynomial())
+ps_operands = capped_series_st | scalars
 
 
 def mono(mu, c=Fraction(1), w=6):
     return PartitionSeries.monomial(P(mu), c, w)
+
+
+# -- plain references for sums, apart from `_dot`
+
+
+def ref_merge(terms, w):
+    """The series of (partition, coefficient) terms, merged one at a time
+    under the cap w: a repeated partition adds its coefficients, and a sum
+    that vanishes drops the term."""
+    data = {}
+    for mu, c in terms:
+        if mu.size > w or not c:
+            continue
+        if mu in data:
+            s = data[mu] + c
+            if not s:
+                del data[mu]
+            else:
+                data[mu] = s
+        else:
+            data[mu] = c
+    return PartitionSeries(data, w)
+
+
+def ref_add(A, B):
+    return ref_merge([*A.terms.items(), *B.terms.items()], min(A.max_weight, B.max_weight))
+
+
+def _as_terms(x):
+    """(terms, cap) of a series; a scalar is the p_{} coefficient under no cap."""
+    if isinstance(x, PartitionSeries):
+        return list(x.terms.items()), x.max_weight
+    return [(EMPTY, x)], None
+
+
+def ref_series_sum(pairs):
+    """sum A*B over pairs of series and scalars: every product term, merged
+    one at a time under the least cap."""
+    terms, caps = [], []
+    for A, B in pairs:
+        (left, cap_a), (right, cap_b) = _as_terms(A), _as_terms(B)
+        caps += [c for c in (cap_a, cap_b) if c is not None]
+        for m1, c1 in left:
+            for m2, c2 in right:
+                terms.append((Partition(m1.parts + m2.parts), c1 * c2))
+    return ref_merge(terms, min(caps))
 
 
 # -- reference algorithms: the whole-series forms the graded and capped
@@ -69,10 +117,33 @@ def reference_log(G):
     return result
 
 
+def reference_linear(F):
+    """Omega(F) summed one term at a time."""
+    w = F.max_weight
+    out = PartitionSeries.zero(w)
+    maxpart = max((mu.parts[0] for mu in F.terms if mu.parts), default=0)
+    for i in range(1, maxpart + 1):
+        dFi = F.d_dp(i)
+        if not dFi.terms:
+            continue
+        for j in range(1, maxpart + 1):
+            second = dFi.d_dp(j)
+            if second.terms:
+                out = ref_add(out, second.mul_p(i + j) * (i * j))
+    for s in range(2, maxpart + 1):
+        dFs = F.d_dp(s)
+        if not dFs.terms:
+            continue
+        for i in range(1, s):
+            out = ref_add(out, dFs.mul_p(i).mul_p(s - i) * s)
+    return out
+
+
 def reference_nonlinear(F):
     """Omega(F) plus the quadratic term with dF/dp_i * dF/dp_j formed at the
-    full cap, leaving mul_p to drop what lands above it."""
-    out = cut_join_linear(F)
+    full cap, leaving mul_p to drop what lands above it, summed one term at
+    a time."""
+    out = reference_linear(F)
     w = F.max_weight
     maxpart = max((mu.parts[0] for mu in F.terms if mu.parts), default=0)
     derivs = {i: F.d_dp(i) for i in range(1, maxpart + 1)}
@@ -82,8 +153,19 @@ def reference_nonlinear(F):
                 continue
             prod = derivs[i] * derivs[j]
             if prod.terms:
-                out = out + prod.mul_p(i + j) * (i * j)
+                out = ref_add(out, prod.mul_p(i + j) * (i * j))
     return out
+
+
+def assert_same_series(got, want):
+    """Equal caps and equal terms; Laurent coefficients compare their
+    min_exp and truncation order too."""
+    assert got.max_weight == want.max_weight
+    assert got.terms.keys() == want.terms.keys()
+    for mu, c in got.terms.items():
+        assert c == want.terms[mu]
+        if hasattr(c, "trunc_order"):
+            assert (c.min_exp, c.trunc_order) == (want.terms[mu].min_exp, want.terms[mu].trunc_order)
 
 
 class TestPartitionSeries:
@@ -105,19 +187,28 @@ class TestPartitionSeries:
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
 
-    @given(st.lists(st.tuples(capped_series_st, capped_series_st), min_size=1, max_size=4))
-    @settings(max_examples=40)
+    # a zero scalar, int, Fraction and polynomial scalars, and an empty series
+    @example([(mono([1], w=3), 0), (2, PartitionSeries.zero(5))])
+    @example([(mono([2], w=4), Fraction(1, 2)), (RealTauPolynomial([1, 1]), 3)])
+    @example([(mono([1], Fraction(-1), w=2), 1), (mono([1], w=6), 1), (1, 1)])
+    @given(st.lists(st.tuples(ps_operands, ps_operands), min_size=1, max_size=4).filter(
+        lambda pairs: any(isinstance(x, PartitionSeries) for pair in pairs for x in pair)
+    ))
+    @settings(max_examples=60)
     def test_dot_is_the_left_to_right_sum(self, pairs):
         # series with different caps: the sum lives under the least one
-        want = 0
-        for a, b in pairs:
-            want = want + a * b
         got = _dot(pairs)
-        assert got == want and got.max_weight == want.max_weight
+        assert_same_series(got, ref_series_sum(pairs))
         for c in got.terms.values():
             assert c
             if isinstance(c, RealTauPolynomial):
                 assert c.den > 0 and gcd(c.den, *c.nums) == 1 and c.nums[-1]
+
+    @given(capped_series_st, capped_series_st, scalars)
+    def test_sum_and_scalar_multiple(self, a, b, c):
+        # + and the scalar * are _dot calls; the references are not
+        assert_same_series(a + b, ref_add(a, b))
+        assert_same_series(a * c, ref_merge([(m, x * c) for m, x in a.terms.items()], a.max_weight))
 
     def test_to_json_fixture_form(self):
         f = mono([2], Fraction(1, 3)) + mono([1])
@@ -219,7 +310,8 @@ class TestAgainstReferences:
         assert ps_exp(f) == reference_exp(f)
         g = f + PartitionSeries.monomial(EMPTY, 1, f.max_weight)
         assert ps_log(g) == reference_log(g)
-        assert cut_join_nonlinear(f) == reference_nonlinear(f)
+        assert_same_series(cut_join_linear(f), reference_linear(f))
+        assert_same_series(cut_join_nonlinear(f), reference_nonlinear(f))
 
     def test_exp_log_with_empty_middle_weights(self):
         # only weights 2 and 5 carry terms, so the series in the weight
@@ -238,9 +330,23 @@ class TestAgainstReferences:
         _, conn = series_pair_small
         assert ps_exp(conn.body) == reference_exp(conn.body)
 
+    def test_linear_on_mv_series(self, series_pair_small):
+        for series in series_pair_small:
+            for F in (series.body, series.truncated):
+                assert_same_series(cut_join_linear(F), reference_linear(F))
+
     def test_nonlinear_on_mv_series(self, series_pair_small):
         for series in series_pair_small:
-            assert cut_join_nonlinear(series.body) == reference_nonlinear(series.body)
+            for F in (series.body, series.truncated):
+                assert_same_series(cut_join_nonlinear(F), reference_nonlinear(F))
+
+    def test_operators_on_a_series_with_no_terms(self):
+        for op in (cut_join_linear, cut_join_nonlinear, reference_linear, reference_nonlinear):
+            out = op(PartitionSeries.zero(5))
+            assert isinstance(out, PartitionSeries) and (out.terms, out.max_weight) == ({}, 5)
+        # only a constant term: no derivative, so no operator term either
+        out = cut_join_nonlinear(PartitionSeries.monomial(EMPTY, 3, 4))
+        assert (out.terms, out.max_weight) == ({}, 4)
 
     def test_nonlinear_drops_nothing_in_mul_p(self, series_pair_small, monkeypatch):
         # every operand reaching mul_p(k) is already capped at W - k, so the

@@ -41,6 +41,12 @@ def test_script_output(script, args, digest):
         ("hurwitz_table.py", ("--max-degree", "30"), "--max-degree"),
         ("hurwitz_table.py", ("--max-branch", "61"), "--max-branch"),
         ("hurwitz_table.py", ("--max-branch", "-1"), "--max-branch"),
+        ("hodge_table.py", ("--max-genus", "0", "--max-size", "0", "--lambda-order", "-2"),
+         "--lambda-order"),
+        ("hodge_table.py", ("--max-genus", "0", "--lambda-order", "25"), "--lambda-order"),
+        ("hodge_table.py", ("--max-size", "13", "--lambda-order", "24"), "--max-size"),
+        ("hodge_table.py", ("--max-size", "-1"), "--max-size"),
+        ("hodge_table.py", ("--max-genus", "-1"), "--max-genus"),
     ],
 )
 def test_script_rejects_out_of_range_flags(script, args, flag):
