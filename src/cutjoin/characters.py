@@ -119,15 +119,12 @@ def schur_principal_specialization(nu: Partition) -> tuple[QHalfLaurent, QHalfLa
     """The specialization at x_i = q^(i-1) as an exact rational q-expression.
 
     Returns the pair (q^n(nu), prod_cells (1 - q^hook)); exponents live in the
-    half-integer lattice used elsewhere, so q^k is stored with key 2k.
+    half-integer lattice used elsewhere, so q^k is stored with key 2k.  The
+    denominator is one QHalfLaurent.binomial_product, a shift-subtract per
+    hook on one integer list.
     """
     numerator = QHalfLaurent.monomial(1, 2 * nu.n_weight())
-    denominator = QHalfLaurent.one()
-    for h in nu.hooks():
-        denominator = denominator * (
-            QHalfLaurent.one() - QHalfLaurent.monomial(1, 2 * h)
-        )
-    return numerator, denominator
+    return numerator, QHalfLaurent.binomial_product([2 * h for h in nu.hooks()])
 
 
 def principal_specialization_check(nu: Partition, order: int) -> bool:

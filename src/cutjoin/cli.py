@@ -25,7 +25,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass
 from functools import cache
 from fractions import Fraction
 from math import comb, factorial, log10
@@ -62,12 +61,11 @@ MAX_LAMBDA_ORDER = 24
 # (CPython 3.11), and |mu| = 40 takes 9.5 s at 2^20
 MAX_CHAR_DEGREE = 30
 # `hurwitz --method connected` logs a table with one term per branch count;
-# at |mu| = 12 and r = 60 a query takes about 3.7 s on 2 cores (CPython 3.11)
+# at |mu| = 12 and r = 60 a query takes about 2 s on 2 cores (CPython 3.11)
 MAX_CONNECTED_BRANCH_POINTS = 60
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     max_weight: int = 6
     lambda_order: int = 12
     output_format: str = "json"
@@ -85,7 +83,7 @@ class CheckResult(NamedTuple):
 
 def _config_record(config: RunConfig, command: str, **extra) -> dict:
     rec = {"record": "config", "command": command}
-    rec.update(asdict(config))
+    rec.update(config._asdict())
     rec.update(extra)
     return rec
 

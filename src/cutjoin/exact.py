@@ -15,7 +15,9 @@
   truncation order).
 * ``QHalfLaurent``   -- a power of i times a Laurent polynomial with integer
   coefficients in y = q**(1/2): y**low times a TauPolynomial in y, whose
-  products, powers and phase rule it shares.
+  phase rule it shares.  A product of binomials 1 - y**e, the form of every
+  sine and hook product, is built by `binomial_product` on one integer list,
+  one shift-subtract per factor, with no product of two dense polynomials.
 
 Every sum, scalar multiple and product is a sum of products: `_dot(pairs)`
 is the one multiply-accumulate path, a + b is `_dot(((a, 1), (b, 1)))` and a
@@ -306,7 +308,8 @@ def _rtp(x):
 
 RTP_ZERO = RealTauPolynomial._raw((), 1)
 
-_POLY_OPERANDS = {RealTauPolynomial, int, Fraction}
+# bool is an int operand everywhere, as in `isinstance(True, int)`
+_POLY_OPERANDS = {RealTauPolynomial, int, bool, Fraction}
 
 
 def _dot(pairs):
@@ -317,21 +320,22 @@ def _dot(pairs):
     operand is a scalar of that ring: genfun.PartitionSeries over
     LaurentSeries (the classes with a `_RING_DEPTH`) over RealTauPolynomial,
     int and Fraction.  A kernel forms every product of the sum before
-    reducing the result once.  A sum with no polynomial or series operand is
-    read back as a Fraction, or as an int when every operand is one; an empty
-    sum is 0.  A sum over TauPolynomial or QHalfLaurent values, the only
-    other kind, is summed as acc + a*b.
+    reducing the result once.  A sum with no polynomial or series operand
+    skips the polynomial kernel: it is a plain int sum when every operand is
+    an int, else one Fraction from `_rational_dot`; an empty sum is 0.  A sum
+    over TauPolynomial or QHalfLaurent values, the only other kind, is summed
+    as acc + a*b.
     """
     kinds = set()
     for a, b in pairs:
         kinds.add(a.__class__)
         kinds.add(b.__class__)
     if kinds <= _POLY_OPERANDS:
-        p = RealTauPolynomial._sum_of_products(pairs)
         if RealTauPolynomial in kinds:
-            return p
-        c = p.coefficient(0)
-        return c if Fraction in kinds else c.numerator
+            return RealTauPolynomial._sum_of_products(pairs)
+        if Fraction in kinds:
+            return _rational_dot(pairs)
+        return sum(a * b for a, b in pairs)
     ring = max(kinds, key=lambda kind: getattr(kind, "_RING_DEPTH", 0))
     if hasattr(ring, "_RING_DEPTH"):
         return ring._sum_of_products(pairs)
@@ -339,6 +343,23 @@ def _dot(pairs):
     for a, b in pairs:
         acc = acc + a * b
     return acc
+
+
+def _rational_dot(pairs) -> Fraction:
+    """sum a*b over pairs of ints and Fractions: integer numerators added over
+    a running common denominator, which is rescaled only when a product's
+    denominator does not divide it, and one Fraction built at the end."""
+    num, den = 0, 1
+    for a, b in pairs:
+        n = a.numerator * b.numerator
+        if n:
+            d = a.denominator * b.denominator
+            if den % d:
+                s = d // gcd(den, d)
+                num *= s
+                den *= s
+            num += n * (den // d)
+    return Fraction(num, den)
 
 
 class TauPolynomial:
@@ -838,9 +859,10 @@ class QHalfLaurent:
 
     Stored as y**low times a TauPolynomial in y whose constant term is
     nonzero (zero has low 0), so the monomial q**(m/2) is y**m and equality
-    of (low, poly) is canonical.  Products, powers and the phase, kept at
-    i**0 or i**1, are those of the TauPolynomial; `terms` reads the
-    coefficients back as {m: int}.
+    of (low, poly) is canonical.  The phase, kept at i**0 or i**1, is that of
+    the TauPolynomial; `terms` reads the coefficients back as {m: int}.  A
+    product of binomials is built by `binomial_product`; `*` and `**`
+    multiply through the TauPolynomial.
     """
 
     __slots__ = ("low", "poly")
@@ -864,6 +886,21 @@ class QHalfLaurent:
         q = object.__new__(cls)
         q.low, q.poly = _y_shifted(low, poly)
         return q
+
+    @classmethod
+    def binomial_product(cls, exponents, low: int = 0, i_power: int = 0) -> "QHalfLaurent":
+        """i**i_power * y**low * prod_e (1 - y**e), multiplied into one integer
+        coefficient list one binomial at a time: the factor 1 - y**e is the
+        shift-subtract new[k] = old[k] - old[k - e].  A negative e is folded
+        as 1 - y**e = -y**e * (1 - y**(-e)), and e = 0 gives zero."""
+        coeffs = [1]
+        for e in exponents:
+            if e < 0:
+                low, i_power, e = low + e, i_power + 2, -e
+            pad = [0] * e
+            coeffs = [a - b for a, b in zip(coeffs + pad, pad + coeffs)]
+        real = RealTauPolynomial._make(coeffs, 1)
+        return cls._make(low, TauPolynomial.phased(real, i_power))
 
     @classmethod
     def zero(cls) -> "QHalfLaurent":

@@ -11,6 +11,11 @@ genus and partition, the tau-polynomials whose prefactor-free parts are the
 triple Hodge integrals; the evolution equation in tau and the closed-form
 initial value at tau = 0 are verified exactly, coefficient by coefficient.
 
+V_nu's two exact forms, the double-sine product and the hook product, are
+Laurent polynomials in y = q^(1/2), each one product of binomials multiplied
+in by a shift-subtract per factor (two_sin_product); v_forms_agree compares
+two such products, each expanded in full.
+
 The series are computed in the variables x = i*lambda and P_k = i^k p_k,
 where every coefficient is rational.  The substitution is a ring
 homomorphism that keeps the p-weight of every term, so it commutes with
@@ -73,10 +78,10 @@ compared coefficient is valid below L.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import factorial, prod
+from typing import NamedTuple
 
 from .exact import (
     LaurentSeries,
@@ -106,12 +111,28 @@ from .characters import character
 # -- the sine amplitude V_nu, in exact q^(1/2) form and as a Laurent series --
 
 
-def two_sin_half(m: int) -> QHalfLaurent:
-    """2*sin(m*lambda/2) written in y = exp(-sqrt(-1)*lambda/2) = q^(1/2):
-    equals i*(y^m - y^(-m))."""
-    if m == 0:
-        return QHalfLaurent.zero()
-    return QHalfLaurent(((m, 1), (-m, -1)), i_power=1)
+def two_sin_product(args) -> QHalfLaurent:
+    """prod_m 2*sin(m*lambda/2) in y = exp(-sqrt(-1)*lambda/2) = q^(1/2).
+
+    Each factor is i*(y^m - y^(-m)) = -i * y^(-m) * (1 - y^(2m)), so the
+    product is (-i)^n * y^(-sum m) times prod_m (1 - y^(2m)): one
+    QHalfLaurent.binomial_product, a shift-subtract per factor on one
+    integer list, with the y-offset and the power of i kept apart.
+    """
+    return QHalfLaurent.binomial_product([2 * m for m in args], -sum(args), -len(args))
+
+
+def _sine_arguments(nu: Partition) -> tuple[list[int], list[int]]:
+    """The arguments m of the 2*sin(m*lambda/2) factors of V_nu's double
+    product, as (numerator, denominator) lists."""
+    if nu.size < 1:
+        raise ValueError("requires a nonempty partition")
+    l, parts = nu.length, nu.parts
+    pairs = [(a, b) for a in range(l) for b in range(a + 1, l)]
+    num = [parts[a] - parts[b] + b - a for a, b in pairs]
+    den = [b - a for a, b in pairs]
+    den += [v - i + l for i in range(1, l + 1) for v in range(1, parts[i - 1] + 1)]
+    return num, den
 
 
 def v_sine_product(nu: Partition) -> tuple[QHalfLaurent, QHalfLaurent]:
@@ -120,24 +141,16 @@ def v_sine_product(nu: Partition) -> tuple[QHalfLaurent, QHalfLaurent]:
     numerator   = prod_{a<b} 2 sin[(nu_a - nu_b + b - a) lambda/2]
     denominator = prod_{a<b} 2 sin[(b - a) lambda/2]
                   * prod_i prod_{v=1..nu_i} 2 sin[(v - i + l) lambda/2]
+
+    Each is one two_sin_product.
     """
-    if nu.size < 1:
-        raise ValueError("requires a nonempty partition")
-    l = nu.length
-    num = QHalfLaurent.one()
-    den = QHalfLaurent.one()
-    for a in range(l):
-        for b in range(a + 1, l):
-            num = num * two_sin_half(nu.parts[a] - nu.parts[b] + b - a)
-            den = den * two_sin_half(b - a)
-    for i in range(1, l + 1):
-        for v in range(1, nu.parts[i - 1] + 1):
-            den = den * two_sin_half(v - i + l)
-    return num, den
+    num, den = _sine_arguments(nu)
+    return two_sin_product(num), two_sin_product(den)
 
 
 def v_hook_form(nu: Partition) -> tuple[QHalfLaurent, QHalfLaurent]:
-    """V_nu as 1 over the product of 2*sin(h(x)*lambda/2) over all cells.
+    """V_nu as 1 over the product of 2*sin(h(x)*lambda/2) over all cells,
+    one two_sin_product.
 
     One factor of 2 per cell; this is the reading forced by the per-cell
     "2 sin" product in the logarithm identity, and it is what makes the two
@@ -145,17 +158,19 @@ def v_hook_form(nu: Partition) -> tuple[QHalfLaurent, QHalfLaurent]:
     """
     if nu.size < 1:
         raise ValueError("requires a nonempty partition")
-    den = QHalfLaurent.one()
-    for h in nu.hooks():
-        den = den * two_sin_half(h)
-    return QHalfLaurent.one(), den
+    return QHalfLaurent.one(), two_sin_product(nu.hooks())
 
 
 def v_forms_agree(nu: Partition) -> bool:
-    """Cross-multiplied equality of the two exact forms of V_nu."""
-    num_p, den_p = v_sine_product(nu)
-    num_h, den_h = v_hook_form(nu)
-    return num_p * den_h == num_h * den_p
+    """Cross-multiplied equality of the two exact forms of V_nu.
+
+    Each side is one two_sin_product, expanded in full: the sine numerator's
+    factors with the hook factors, against the sine denominator's factors
+    (the hook form's numerator is 1).  No factor is cancelled between the
+    sides and no two dense polynomials are multiplied.
+    """
+    num, den = _sine_arguments(nu)
+    return two_sin_product([*num, *nu.hooks()]) == two_sin_product(den)
 
 
 def v_series(nu: Partition, order: int) -> LaurentSeries:
@@ -193,7 +208,6 @@ def kappa_exp_factor(kappa: int, trunc: int) -> LaurentSeries:
     return series_exp(LaurentSeries.monomial(c, 1, max(trunc, 1)), trunc)
 
 
-@dataclass(frozen=True)
 class MVSeries:
     """A partition series together with its guaranteed-valid lambda order.
 
@@ -206,9 +220,10 @@ class MVSeries:
     coefficient a phased TauPolynomial, valid to exactly `lambda_order`.
     """
 
-    body: PartitionSeries
-    max_weight: int
-    lambda_order: int
+    def __init__(self, body: PartitionSeries, max_weight: int, lambda_order: int):
+        self.body = body
+        self.max_weight = max_weight
+        self.lambda_order = lambda_order
 
     @cached_property
     def truncated(self) -> PartitionSeries:
@@ -380,8 +395,7 @@ def initial_condition_check(max_weight: int = 6, lambda_order: int = 12) -> bool
 # -- extraction of per-genus tau-polynomials ---------------------------------
 
 
-@dataclass(frozen=True)
-class CgmuPolynomial:
+class CgmuPolynomial(NamedTuple):
     """Coefficient of lambda^(2g-2+l(mu)) p_mu in the connected series."""
 
     g: int

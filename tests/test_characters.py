@@ -147,6 +147,15 @@ class TestPrincipalSpecialization:
         )
         assert den == expected
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_denominator_matches_factor_by_factor(self, d):
+        for nu in enumerate_partitions(d):
+            den = QHalfLaurent.one()
+            for h in nu.hooks():
+                den = den * (QHalfLaurent.one() - QHalfLaurent.monomial(1, 2 * h))
+            numerator = QHalfLaurent.monomial(1, 2 * nu.n_weight())
+            assert schur_principal_specialization(nu) == (numerator, den), nu
+
     def test_series_cross_check(self):
         for d in range(1, 5):
             for nu in enumerate_partitions(d):

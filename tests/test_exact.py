@@ -279,6 +279,21 @@ class TestQHalfLaurent:
             y ** -1
         assert y**0 == QHalfLaurent.one()
 
+    @given(
+        st.lists(st.integers(-6, 8), max_size=7),
+        st.integers(-5, 5),
+        st.integers(-5, 5),
+    )
+    @example([0], 1, 1)  # a factor 1 - y^0 is zero
+    @example([], 3, 2)
+    def test_binomial_product_matches_factor_by_factor(self, exponents, low, i_power):
+        want = QHalfLaurent({low: 1}, i_power=i_power)
+        for e in exponents:
+            want = want * (QHalfLaurent.one() - QHalfLaurent.monomial(1, e))
+        got = QHalfLaurent.binomial_product(exponents, low, i_power)
+        assert got == want and hash(got) == hash(want)
+        assert got.terms == want.terms and got.i_power == want.i_power
+
 
 def _trim(cs):
     cs = list(cs)
@@ -415,6 +430,8 @@ def _kernel_without_rescale():
     return namespace["_sum_of_products"]
 
 
+scalar_operands = small_fractions | st.integers(-4, 4) | st.booleans()
+
 laurent_operands = st.builds(
     lambda lo, cs, extra: LaurentSeries(lo, cs, lo + len(cs) - 1 + extra),
     st.integers(-3, 2),
@@ -494,6 +511,20 @@ class TestDot:
     def test_polynomial_pairs(self, pairs):
         assert_poly_dot(pairs)
 
+    @example([(Fraction(1, 2), 1), (Fraction(1, 3), 3)])  # the rescale, on scalars
+    @example([(True, 2), (Fraction(1, 2), False)])
+    @given(st.lists(st.tuples(scalar_operands, scalar_operands), max_size=6))
+    def test_scalar_pairs_skip_the_polynomial_kernel(self, pairs):
+        def kernel(_pairs):
+            raise AssertionError("a scalar sum reached the polynomial kernel")
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(RealTauPolynomial, "_sum_of_products", staticmethod(kernel))
+            got = _dot(pairs)
+        kinds = {x.__class__ for pair in pairs for x in pair}
+        assert got == left_to_right(pairs)
+        assert got.__class__ is (Fraction if Fraction in kinds else int)
+
     def test_fails_without_the_denominator_rescale(self, monkeypatch):
         monkeypatch.setattr(
             RealTauPolynomial, "_sum_of_products", staticmethod(_kernel_without_rescale())
@@ -528,6 +559,47 @@ class TestDot:
                 s + t
         got, want = s * t, _ref_laurent_term(s, t)
         assert (got.min_exp, got.trunc_order, got) == (want.min_exp, want.trunc_order, want)
+
+
+class TestBoolOperands:
+    """A bool operand is the int it equals, for + and * alike."""
+
+    OPERANDS = {
+        "polynomial": RealTauPolynomial([1, 2]),
+        "phased polynomial": TauPolynomial.phased(RealTauPolynomial([1, 2]), 1),
+        "series over rationals": LaurentSeries(-1, [Fraction(1, 2), 3], 2),
+        "series over polynomials": LaurentSeries(-1, [RealTauPolynomial([1, 2]), 3], 2),
+        "q-Laurent polynomial": QHalfLaurent({-1: 2, 3: 1}, i_power=1),
+    }
+
+    @staticmethod
+    def outcome(f):
+        """f(), or the class of the error it raises."""
+        try:
+            return f()
+        except (TypeError, ValueError) as e:
+            return e.__class__
+
+    @pytest.mark.parametrize("kind", OPERANDS)
+    def test_bool_is_its_int(self, kind):
+        x, outcome = self.OPERANDS[kind], self.outcome
+        for flag in (True, False):
+            n = int(flag)
+            assert x * flag == x * n and flag * x == n * x
+            assert outcome(lambda: x + flag) == outcome(lambda: x + n)
+            assert outcome(lambda: flag + x) == outcome(lambda: n + x)
+
+    def test_partition_series(self):
+        from cutjoin.genfun import PartitionSeries
+        from cutjoin.partitions import Partition
+
+        F = PartitionSeries({Partition([2]): LaurentSeries(-1, [RealTauPolynomial([1, 2])], 3)}, 4)
+        assert F * True == F * 1 == F and (F * False).terms == {}
+        assert False + F is F
+
+    def test_sums_of_bools_are_ints(self):
+        got = _dot([(True, True), (True, 2), (False, 5)])
+        assert got == 3 and got.__class__ is int
 
 
 def _ref_horner(cs, x):

@@ -6,6 +6,7 @@ import pytest
 from cutjoin.exact import (
     GaussianRational,
     LaurentSeries,
+    QHalfLaurent,
     RealTauPolynomial,
     TP_I,
     TP_TAU,
@@ -34,7 +35,7 @@ from cutjoin.hodge import (
     theorem1_check,
     theorem1_verdicts,
     transfer_system_kernel,
-    two_sin_half,
+    two_sin_product,
     v_forms_agree,
     v_hook_form,
     v_series,
@@ -60,11 +61,36 @@ def v_series_by_products(nu, order):
     return prod.reciprocal().truncate(order)
 
 
+def two_sin_half(m):
+    """2*sin(m*lambda/2) = i*(y^m - y^(-m)), one factor."""
+    return QHalfLaurent(((m, 1), (-m, -1)), i_power=1)
+
+
+def product_by_factors(args):
+    """prod_m 2*sin(m*lambda/2), one QHalfLaurent product per factor."""
+    out = QHalfLaurent.one()
+    for m in args:
+        out = out * two_sin_half(m)
+    return out
+
+
+def sine_product_by_factors(nu):
+    """V_nu's double-sine (numerator, denominator), factor by factor."""
+    l, parts = nu.length, nu.parts
+    num = [parts[a] - parts[b] + b - a for a in range(l) for b in range(a + 1, l)]
+    den = [b - a for a in range(l) for b in range(a + 1, l)]
+    den += [v - i + l for i in range(1, l + 1) for v in range(1, parts[i - 1] + 1)]
+    return product_by_factors(num), product_by_factors(den)
+
+
 class TestSineAmplitude:
     def test_two_sin_half(self):
-        s = two_sin_half(1)  # i*(y - 1/y)
+        s = two_sin_product([1])  # i*(y - 1/y)
         assert s.terms == {1: 1, -1: -1} and s.i_power == 1
-        assert two_sin_half(0).terms == {}
+        assert two_sin_product([0]).terms == {}
+        assert two_sin_product([]) == QHalfLaurent.one()
+        assert two_sin_product([-2]) == -two_sin_half(2)
+        assert two_sin_product([3, 1, 1, 2]) == product_by_factors([3, 1, 1, 2])
 
     def test_hook_form_examples(self):
         one, den = v_hook_form(P([1]))
@@ -79,10 +105,61 @@ class TestSineAmplitude:
         assert num == type(num).one()
         assert den == two_sin_half(1) * two_sin_half(2)
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_binomial_products_match_factor_by_factor(self, d):
+        for nu in enumerate_partitions(d):
+            assert v_sine_product(nu) == sine_product_by_factors(nu), nu
+            assert v_hook_form(nu) == (QHalfLaurent.one(), product_by_factors(nu.hooks())), nu
+
+    def test_empty_partition_rejected(self):
+        for form in (v_sine_product, v_hook_form, v_forms_agree):
+            with pytest.raises(ValueError, match="nonempty"):
+                form(EMPTY)
+
     def test_forms_agree(self):
         for d in range(1, 8):
             for nu in enumerate_partitions(d):
                 assert v_forms_agree(nu), nu
+                num_p, den_p = sine_product_by_factors(nu)
+                assert num_p * product_by_factors(nu.hooks()) == den_p, nu
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_forms_disagree_with_a_sine_argument_off_by_one(self, monkeypatch, side):
+        real = hodge._sine_arguments
+
+        def shifted(nu):
+            args = real(nu)
+            if args[side]:
+                args[side][0] += 1
+            return args
+
+        monkeypatch.setattr(hodge, "_sine_arguments", shifted)
+        for d in range(2, 7):
+            for nu in enumerate_partitions(d):
+                # a single row has no numerator factor to shift
+                assert v_forms_agree(nu) is (side == 0 and nu.length == 1), nu
+
+    def test_forms_disagree_with_a_hook_dropped(self, monkeypatch):
+        real = Partition.hooks
+        monkeypatch.setattr(Partition, "hooks", lambda nu: real(nu)[1:])
+        for d in range(1, 7):
+            for nu in enumerate_partitions(d):
+                assert not v_forms_agree(nu), nu
+
+    def test_forms_disagree_with_the_power_of_i_off_by_one(self, monkeypatch):
+        real = QHalfLaurent.binomial_product
+        calls = []
+
+        def phase_shifted(exponents, low=0, i_power=0):
+            calls.append(exponents)  # the first call is the numerator side
+            return real(exponents, low, i_power + (len(calls) == 1))
+
+        monkeypatch.setattr(QHalfLaurent, "binomial_product", staticmethod(phase_shifted))
+        for d in range(1, 7):
+            for nu in enumerate_partitions(d):
+                calls.clear()
+                assert not v_forms_agree(nu), nu
+                assert len(calls) == 2
 
     def test_series_example(self):
         # the lambda^k coefficient of V_(1) is i^(1+k) times the x^k one
