@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from cutjoin.cli import MAX_CONNECTED_BRANCH_POINTS, MAX_TABLE_DEGREE
 from cutjoin.hurwitz import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     hurwitz_bruteforce,
     hurwitz_connected,
@@ -23,13 +24,13 @@ def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--max-degree", type=int, default=4)
     parser.add_argument("--max-branch", type=int, default=6)
-    parser.add_argument("--budget", type=int, default=10**7)
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     args = parser.parse_args()
     # the connected column logs the disconnected series of every |mu| <= d
-    if args.max_degree > MAX_TABLE_DEGREE:
+    if not 0 <= args.max_degree <= MAX_TABLE_DEGREE:
         parser.error(
-            f"--max-degree {args.max_degree} exceeds {MAX_TABLE_DEGREE}, "
-            "the largest |mu| of the connected column"
+            f"--max-degree {args.max_degree} is outside 0..{MAX_TABLE_DEGREE}, "
+            "the sizes |mu| of the connected column"
         )
     # every r up to --max-branch is a query of the connected column
     if not 0 <= args.max_branch <= MAX_CONNECTED_BRANCH_POINTS:
@@ -37,6 +38,8 @@ def main() -> None:
             f"--max-branch {args.max_branch} is outside 0..{MAX_CONNECTED_BRANCH_POINTS}, "
             "the branch counts of the connected column"
         )
+    if args.budget < 0:
+        parser.error(f"--budget must be nonnegative, got {args.budget}")
 
     for d in range(1, args.max_degree + 1):
         for mu in enumerate_partitions(d):

@@ -18,12 +18,7 @@ from .exact import (
     series_log,
     sin_half_series,
 )
-from .partitions import (
-    CutJoinNeighbor,
-    Partition,
-    cut_join_neighbors,
-    enumerate_partitions,
-)
+from .partitions import Partition, enumerate_partitions
 from .characters import (
     SchurExpansion,
     central_character_transposition,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .characters import character, dimension
 from .exact import LaurentSeries
@@ -285,19 +285,16 @@ def linear_hodge_factor(g: int, mu: Partition) -> Fraction:
         return Fraction(d) ** (l - 3)
     if g != 1:
         raise ValueError(f"no independent evaluation available for genus {g}")
-    psi_part = Fraction(0)
-    for exps in _exponent_tuples(l, l):
-        weight = 1
-        for m, a in zip(mu.parts, exps):
-            weight *= m**a
-        psi_part += weight * _psi_g1(tuple(sorted(exps)))
-    lam_part = Fraction(0)
-    for exps in _exponent_tuples(l, l - 1):
-        weight = 1
-        for m, a in zip(mu.parts, exps):
-            weight *= m**a
-        lam_part += weight * _lambda_psi_g1(tuple(sorted(exps)))
-    return psi_part - lam_part
+    # psi powers of total degree l, less the Hodge class against degree l - 1
+    terms = ((1, l, _psi_g1), (-1, l - 1, _lambda_psi_g1))
+    return sum(
+        (
+            sign * prod(m**a for m, a in zip(mu.parts, exps)) * correlator(tuple(sorted(exps)))
+            for sign, total, correlator in terms
+            for exps in _exponent_tuples(l, total)
+        ),
+        Fraction(0),
+    )
 
 
 def elsv_value(g: int, mu: Partition) -> Fraction:

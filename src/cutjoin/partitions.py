@@ -4,13 +4,17 @@ Partitions index everything downstream: conjugacy classes, irreducible
 representations, power-sum monomials and cut/join moves.  A partition is
 canonical (parts sorted in weakly decreasing order) from construction on, and
 immutable.
+
+The cut-and-join operator is read on p_mu one coefficient at a time: the
+weighted joins and cuts into mu (cut_join_incoming), the quadratic split
+terms (split_contributions) and their sum (cut_join_sum).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial
 from typing import Iterable, NamedTuple
 
 from .exact import _dot
@@ -157,81 +161,38 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 
 # -- cut and join moves ----------------------------------------------------
 
-CUT = "cut"
-JOIN = "join"
-
-
-class CutJoinNeighbor(NamedTuple):
-    """One term of the cut-and-join operator applied to the monomial p_mu."""
-
-    target: Partition
-    kind: str
-    coefficient: Fraction
-
-
-def cut_join_neighbors(mu: Partition) -> list[CutJoinNeighbor]:
-    """Expansion of (1/2) * Omega(p_mu) in the p-monomial basis.
-
-    Omega is the operator sum_{i,j>=1} [ i*j*p_{i+j} d2/dp_i dp_j
-    + (i+j)*p_i*p_j d/dp_{i+j} ] over ordered pairs.  Joining parts i and j
-    contributes i*j*m_i*m_j (or i^2*m_i*(m_i-1)/2 on the diagonal); cutting a
-    part s into i+j=s contributes s*m_s (or (s/2)*m_s when i=j).  The genfun
-    operator acting on the monomial is the oracle for these coefficients.
-    """
-    if mu.size < 1:
-        raise ValueError("cut_join_neighbors requires a nonempty partition")
-    mult = mu.multiplicities()
-    values = sorted(mult, reverse=True)
-    out: list[CutJoinNeighbor] = []
-    # joins: replace parts i, j by i+j
-    for a, i in enumerate(values):
-        for j in values[a:]:
-            if i == j:
-                if mult[i] < 2:
-                    continue
-                coeff = Fraction(i * i * mult[i] * (mult[i] - 1), 2)
-                target = mu.remove_one(i).remove_one(i).add_parts(2 * i)
-            else:
-                coeff = Fraction(i * j * mult[i] * mult[j])
-                target = mu.remove_one(i).remove_one(j).add_parts(i + j)
-            out.append(CutJoinNeighbor(target, JOIN, coeff))
-    # cuts: replace a part s by i, j with i+j=s
-    for s in values:
-        for i in range(1, s // 2 + 1):
-            j = s - i
-            coeff = Fraction(i * mult[s]) if i == j else Fraction(s * mult[s])
-            target = mu.remove_one(s).add_parts(i, j)
-            out.append(CutJoinNeighbor(target, CUT, coeff))
-    merged: dict[tuple[Partition, str], Fraction] = {}
-    for nb in out:
-        key = (nb.target, nb.kind)
-        merged[key] = merged.get(key, Fraction(0)) + nb.coefficient
-    return sorted(
-        (CutJoinNeighbor(t, k, c) for (t, k), c in merged.items()),
-        key=lambda nb: (nb.kind, nb.target.parts),
-    )
-
 
 def cut_join_incoming(mu: Partition):
     """Edges of the cut/join graph oriented into mu, with operator weights.
 
-    Returns two lists: (nu, w) over nu that cut down to mu (nu is a join of
-    mu, w the cut coefficient of nu -> mu) and (nu, w) over nu that join up
-    to mu (nu is a cut of mu, w the join coefficient of nu -> mu).
+    Returns two lists of (nu, w), each sorted by nu, with w the coefficient
+    of p_mu in (1/2) * Omega(p_nu) (Omega as in genfun.cut_join_linear), read
+    off mu's own moves and the multiplicities m of nu.  The joins nu of mu
+    merge parts i, j into s; cutting s back weighs s * m_s(nu), halved when
+    i = j.  The cuts nu of mu split a part s into i + j; joining i, j back
+    weighs i * j * m_i(nu) * m_j(nu), or i^2 * C(m_i(nu), 2) when i = j.
+    Distinct moves of mu reach distinct nu, so no nu is listed twice.
     """
+    if mu.size < 1:
+        raise ValueError("cut_join_incoming requires a nonempty partition")
+    values = sorted(set(mu.parts), reverse=True)
     joins_of_mu: list[tuple[Partition, Fraction]] = []
+    for a, i in enumerate(values):
+        for j in values[a:]:
+            if i == j and mu.multiplicity(i) < 2:
+                continue
+            nu = mu.remove_one(i).remove_one(j).add_parts(i + j)
+            weight = Fraction((i + j) * nu.multiplicity(i + j), 2 if i == j else 1)
+            joins_of_mu.append((nu, weight))
     cuts_of_mu: list[tuple[Partition, Fraction]] = []
-    for nb in cut_join_neighbors(mu):
-        back = next(
-            b.coefficient
-            for b in cut_join_neighbors(nb.target)
-            if b.target == mu and b.kind == (CUT if nb.kind == JOIN else JOIN)
-        )
-        if nb.kind == JOIN:
-            joins_of_mu.append((nb.target, back))
-        else:
-            cuts_of_mu.append((nb.target, back))
-    return joins_of_mu, cuts_of_mu
+    for s in values:
+        for i in range(1, s // 2 + 1):
+            j = s - i
+            nu = mu.remove_one(s).add_parts(i, j)
+            m_i, m_j = nu.multiplicity(i), nu.multiplicity(j)
+            pairs = comb(m_i, 2) if i == j else m_i * m_j
+            cuts_of_mu.append((nu, Fraction(i * j * pairs)))
+    return sorted(joins_of_mu), sorted(cuts_of_mu)
 
 
 class SplitTerm(NamedTuple):
@@ -252,11 +213,7 @@ def split_contributions(mu: Partition) -> list[SplitTerm]:
     1/2, and its split factor any branch-point bookkeeping.
     """
     out: list[SplitTerm] = []
-    seen_s = set()
-    for s in mu.parts:
-        if s in seen_s:
-            continue
-        seen_s.add(s)
+    for s in sorted(set(mu.parts), reverse=True):
         rest = mu.remove_one(s)
         for alpha in _sub_multisets(rest.parts):
             beta = _multiset_difference(rest.parts, alpha)
@@ -264,7 +221,7 @@ def split_contributions(mu: Partition) -> list[SplitTerm]:
                 j = s - i
                 nu1 = Partition(alpha + (i,))
                 nu2 = Partition(beta + (j,))
-                weight = i * j * nu1.parts.count(i) * nu2.parts.count(j)
+                weight = i * j * nu1.multiplicity(i) * nu2.multiplicity(j)
                 out.append(SplitTerm(nu1, i, nu2, j, weight))
     return out
 

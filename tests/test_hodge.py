@@ -492,6 +492,26 @@ class TestExtraction:
         assert not cutjoin_derivative_check(conn, 0, P([2]))
         assert not hurwitz_cutjoin_check(0, P([2]))
 
+    def test_derivative_and_branch_point_recursions_read_the_join_weights(
+        self, series_pair_small, monkeypatch
+    ):
+        from cutjoin import partitions
+        from cutjoin.hurwitz import hurwitz_cutjoin_check
+
+        _, conn = series_pair_small
+        # (1,1) has no splits and no genus-0 cuts: its one term is the join (2)
+        mu = P([1, 1])
+        assert cutjoin_derivative_check(conn, 0, mu) and hurwitz_cutjoin_check(0, mu)
+        real = partitions.cut_join_incoming
+
+        def first_join_off_by_one(nu):
+            joins, cuts = real(nu)
+            return [(joins[0][0], joins[0][1] + 1)] + joins[1:], cuts
+
+        monkeypatch.setattr(partitions, "cut_join_incoming", first_join_off_by_one)
+        assert not cutjoin_derivative_check(conn, 0, mu)
+        assert not hurwitz_cutjoin_check(0, mu)
+
 
 def _one_point_genus1_oracle() -> TauPolynomial:
     """Expand (1 - L)(-tau - 1 - L)(tau - L)/(1 - psi) keeping total degree

@@ -8,12 +8,9 @@ import hypothesis.strategies as st
 
 from cutjoin.genfun import PartitionSeries, cut_join_linear
 from cutjoin.partitions import (
-    CUT,
     EMPTY,
-    JOIN,
     Partition,
     cut_join_incoming,
-    cut_join_neighbors,
     enumerate_partitions,
     split_contributions,
 )
@@ -165,45 +162,45 @@ class TestClassSizes:
 
 
 class TestCutJoin:
-    def test_examples(self):
-        assert cut_join_neighbors(Partition([2])) == [
-            (Partition([1, 1]), CUT, Fraction(1)),
-        ]
-        assert cut_join_neighbors(Partition([1, 1])) == [
-            (Partition([2]), JOIN, Fraction(1)),
-        ]
-        nbs = cut_join_neighbors(Partition([2, 1]))
-        assert (Partition([3]), JOIN, Fraction(2)) in nbs
-        assert (Partition([1, 1, 1]), CUT, Fraction(1)) in nbs
-        assert len(nbs) == 2
-
-    def test_operator_oracle(self):
-        # the genfun operator is the oracle for the edge coefficients
-        for d in range(1, 8):
-            for mu in enumerate_partitions(d):
-                image = cut_join_linear(
-                    PartitionSeries.monomial(mu, Fraction(1), d)
-                ) * Fraction(1, 2)
-                from_edges = PartitionSeries(
-                    {nb.target: nb.coefficient for nb in cut_join_neighbors(mu)}, d
-                )
-                assert image == from_edges, mu
-
-    def test_edge_involution(self):
+    def test_incoming_transposes_the_operator(self):
+        # the genfun operator is the oracle: the weight of nu -> mu is the
+        # coefficient of p_mu in (1/2) * Omega(p_nu)
         for d in range(1, 9):
+            images = {
+                nu: cut_join_linear(PartitionSeries.monomial(nu, Fraction(1), d))
+                * Fraction(1, 2)
+                for nu in enumerate_partitions(d)
+            }
             for mu in enumerate_partitions(d):
-                for nb in cut_join_neighbors(mu):
-                    back_kinds = [
-                        b.kind
-                        for b in cut_join_neighbors(nb.target)
-                        if b.target == mu
-                    ]
-                    assert (CUT if nb.kind == JOIN else JOIN) in back_kinds
+                column = {nu: im.terms[mu] for nu, im in images.items() if mu in im.terms}
+                joins_into, cuts_into = cut_join_incoming(mu)
+                assert len(dict(joins_into)) == len(joins_into), mu
+                assert len(dict(cuts_into)) == len(cuts_into), mu
+                assert dict(joins_into) == {
+                    nu: w for nu, w in column.items() if nu.length == mu.length - 1
+                }, mu
+                assert dict(cuts_into) == {
+                    nu: w for nu, w in column.items() if nu.length == mu.length + 1
+                }, mu
+                assert len(column) == len(joins_into) + len(cuts_into), mu
 
     def test_incoming(self):
-        joins_into, cuts_into = cut_join_incoming(Partition([2]))
-        assert joins_into == []
-        assert cuts_into == [(Partition([1, 1]), Fraction(1))]
+        assert cut_join_incoming(Partition([2])) == (
+            [],
+            [(Partition([1, 1]), Fraction(1))],
+        )
+        assert cut_join_incoming(Partition([1, 1])) == (
+            [(Partition([2]), Fraction(1))],
+            [],
+        )
+        assert cut_join_incoming(Partition([2, 1])) == (
+            [(Partition([3]), Fraction(3))],
+            [(Partition([1, 1, 1]), Fraction(3))],
+        )
+
+    def test_incoming_rejects_the_empty_partition(self):
+        with pytest.raises(ValueError):
+            cut_join_incoming(EMPTY)
 
     def test_split_contributions(self):
         terms = split_contributions(Partition([2]))

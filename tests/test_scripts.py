@@ -41,6 +41,8 @@ def test_script_output(script, args, digest):
         ("hurwitz_table.py", ("--max-degree", "30"), "--max-degree"),
         ("hurwitz_table.py", ("--max-branch", "61"), "--max-branch"),
         ("hurwitz_table.py", ("--max-branch", "-1"), "--max-branch"),
+        ("hurwitz_table.py", ("--max-degree", "-3"), "--max-degree"),
+        ("hurwitz_table.py", ("--budget", "-1"), "--budget"),
         ("hodge_table.py", ("--max-genus", "0", "--max-size", "0", "--lambda-order", "-2"),
          "--lambda-order"),
         ("hodge_table.py", ("--max-genus", "0", "--lambda-order", "25"), "--lambda-order"),

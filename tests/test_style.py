@@ -12,7 +12,7 @@ MAX_COLUMNS = 99
 def test_no_source_line_exceeds_the_column_limit():
     long_lines = [
         f"{path.name}:{n}"
-        for path in sorted(SRC.glob("*.py"))
+        for path in sorted(SRC.glob("*.py")) + sorted(SCRIPTS.glob("*.py"))
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if len(line) > MAX_COLUMNS
     ]
