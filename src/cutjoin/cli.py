@@ -38,7 +38,7 @@ from .characters import (
     dimension_hook,
     principal_specialization_check,
 )
-from .exact import TauPolynomial, fraction_str
+from .exact import fraction_str
 from .genfun import (
     PartitionSeries,
     character_cutjoin_identity,
@@ -410,13 +410,10 @@ def _suite_extraction(config: RunConfig) -> list[CheckResult]:
         hodge.extract_C_gmu(conn, 0, mu).poly == hodge.genus0_closed_form(mu) for mu in shapes
     )
     division = all(
-        hodge.hodge_polynomial(0, mu, conn)
-        == TauPolynomial.constant(Fraction(mu.size) ** (mu.length - 3))
+        hodge.hodge_polynomial(0, mu, conn) == hurwitz.linear_hodge_factor(0, mu)
         for mu in shapes
     )
-    one_point = hodge.hodge_polynomial(1, Partition([1]), conn) == TauPolynomial.constant(
-        Fraction(1, 24)
-    )
+    one_point = hodge.hodge_polynomial(1, Partition([1]), conn) == Fraction(1, 24)
     lam = hodge.lambda_g_coefficients(4)
     return out + [
         CheckResult(

@@ -4,9 +4,9 @@
 * ``RealTauPolynomial`` -- dense polynomial in one formal variable with
   rational coefficients, stored as integer numerators over one common
   denominator; the coefficient ring of the generating-series core.
-* ``TauPolynomial``  -- i**0 or i**1 times a RealTauPolynomial: the values
-  of the series in their original variables, and the closed forms they are
-  compared with, each of which has one phase written out.
+* ``TauPolynomial``  -- i**0 or i**1 times a RealTauPolynomial: the series
+  values in their original variables and the closed forms, each with one
+  phase written out; a product's phase is the sum of its operands'.
 * ``GaussianRational`` -- a + b*i with rational a, b: only the readout of a
   TauPolynomial coefficient (``coeffs``, ``coefficient``, the ``{"re",
   "im"}`` JSON); no computation runs on it.
@@ -22,12 +22,13 @@
 Every sum, scalar multiple and product is a sum of products: `_dot(pairs)`
 is the one multiply-accumulate path, a + b is `_dot(((a, 1), (b, 1)))` and a
 scalar multiple a one-pair call.  A polynomial sum adds every schoolbook
-product into one integer numerator list over a running common denominator,
-and a series (or genfun's partition series) sum puts the coefficient pairs
-of all its factor pairs in one bucket per output exponent (or partition) and
-takes one `_dot` per bucket, so a whole convolution, such as one step of the
-exp/log recurrences, is reduced once per output coefficient rather than once
-per product or per sum.
+product into one integer numerator list over a running common denominator;
+a phased sum is one such real sum per phase; and a series (or genfun's
+partition series) sum puts the coefficient pairs of all its factor pairs in
+one bucket per output exponent (or partition) and takes one `_dot` per
+bucket, so a whole convolution, such as one step of the exp/log
+recurrences, is reduced once per output coefficient rather than once per
+product or per sum.
 
 All values are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads.
@@ -37,8 +38,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, inf, lcm
-
-Rational = Fraction
 
 
 def as_fraction(x) -> Fraction:
@@ -318,13 +317,13 @@ def _dot(pairs):
 
     The kernel of the outermost ring among the operands runs, and every other
     operand is a scalar of that ring: genfun.PartitionSeries over
-    LaurentSeries (the classes with a `_RING_DEPTH`) over RealTauPolynomial,
-    int and Fraction.  A kernel forms every product of the sum before
-    reducing the result once.  A sum with no polynomial or series operand
-    skips the polynomial kernel: it is a plain int sum when every operand is
-    an int, else one Fraction from `_rational_dot`; an empty sum is 0.  A sum
-    over TauPolynomial or QHalfLaurent values, the only other kind, is summed
-    as acc + a*b.
+    LaurentSeries over TauPolynomial (the classes with a `_RING_DEPTH`) over
+    RealTauPolynomial, int and Fraction.  A kernel forms every product of the
+    sum before reducing the result once.  A sum with no polynomial or series
+    operand skips the polynomial kernel: it is a plain int sum when every
+    operand is an int, else one Fraction from `_rational_dot`; an empty sum
+    is 0.  An operand of any other kind, such as a GaussianRational readout
+    or a QHalfLaurent, raises TypeError.
     """
     kinds = set()
     for a, b in pairs:
@@ -336,13 +335,10 @@ def _dot(pairs):
         if Fraction in kinds:
             return _rational_dot(pairs)
         return sum(a * b for a, b in pairs)
-    ring = max(kinds, key=lambda kind: getattr(kind, "_RING_DEPTH", 0))
-    if hasattr(ring, "_RING_DEPTH"):
-        return ring._sum_of_products(pairs)
-    acc = 0
-    for a, b in pairs:
-        acc = acc + a * b
-    return acc
+    rings = kinds - _POLY_OPERANDS
+    if odd := [kind.__name__ for kind in rings if not hasattr(kind, "_RING_DEPTH")]:
+        raise TypeError(f"no sum-of-products kernel for {', '.join(sorted(odd))} operands")
+    return max(rings, key=lambda kind: kind._RING_DEPTH)._sum_of_products(pairs)
 
 
 def _rational_dot(pairs) -> Fraction:
@@ -370,12 +366,13 @@ class TauPolynomial:
     only from `phased`.  The phase is kept at i**0 or i**1 (a factor
     i**2 = -1 goes into the signs; zero has phase 0), so equality of
     (real, i_power) is canonical.  Every operation runs on the rational
-    polynomial and adds phases; a sum of nonzero values with different
-    phases has no common phase and raises ValueError.  The readouts
+    polynomial and adds phases; a sum whose parts of phase i**0 and i**1 are
+    both nonzero has no common phase and raises ValueError.  The readouts
     (coeffs, coefficient, to_json) are Gaussian rationals.
     """
 
     __slots__ = ("real", "i_power")
+    _RING_DEPTH = 1  # see _dot
 
     def __init__(self, coeffs=()):
         self.real = RealTauPolynomial(coeffs)
@@ -393,10 +390,6 @@ class TauPolynomial:
         p.real = real
         p.i_power = k
         return p
-
-    @classmethod
-    def constant(cls, c) -> "TauPolynomial":
-        return cls((c,))
 
     @property
     def coeffs(self) -> tuple[GaussianRational, ...]:
@@ -419,41 +412,51 @@ class TauPolynomial:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
-        o = _tp(other)
-        if o is None:
-            return NotImplemented
-        if not o:
-            return self
-        if not self:
-            return o
-        if self.i_power != o.i_power:
-            raise ValueError("a sum of terms with phases i^0 and i^1 has no common phase")
-        return TauPolynomial.phased(self.real + o.real, self.i_power)
+        if isinstance(other, _TP_OPERANDS):
+            return _dot(((self, 1), (other, 1)))
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = _tp(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, _TP_OPERANDS):
+            return _dot(((self, 1), (other, -1)))
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = _tp(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        if isinstance(other, _TP_OPERANDS):
+            return _dot(((self, -1), (other, 1)))
+        return NotImplemented
 
     def __neg__(self):
         return TauPolynomial.phased(-self.real, self.i_power)
 
     def __mul__(self, other):
-        o = _tp(other)
-        if o is None:
-            return NotImplemented
-        return TauPolynomial.phased(self.real * o.real, self.i_power + o.i_power)
+        if isinstance(other, _TP_OPERANDS):
+            return _dot(((self, other),))
+        return NotImplemented
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def _sum_of_products(pairs) -> "TauPolynomial":
+        """sum a*b over pairs of phased and real polynomials, ints and
+        Fractions.  A product's phase is the sum of its operands' phases,
+        i**2 folded into its sign; the products of each phase are one real
+        sum of products, and the result raises ValueError only when both
+        phase parts are nonzero, so it does not depend on the pairs' order."""
+        parts = ([], [])
+        for a, b in pairs:
+            k = 0
+            if a.__class__ is TauPolynomial:
+                a, k = a.real, a.i_power
+            if b.__class__ is TauPolynomial:
+                b, k = b.real, k + b.i_power
+            parts[k % 2].append((-a if k == 2 else a, b))
+        real, imag = (RealTauPolynomial._sum_of_products(p) for p in parts)
+        if real and imag:
+            raise ValueError("a sum of terms with phases i^0 and i^1 has no common phase")
+        return TauPolynomial.phased(imag, 1) if imag else TauPolynomial.phased(real, 0)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -494,10 +497,11 @@ class TauPolynomial:
         return bool(self.real)
 
     def __eq__(self, other):
-        o = _tp(other)
-        if o is None:
+        if isinstance(other, (int, Fraction)):
+            return not self.i_power and self.real == other
+        if other.__class__ is not TauPolynomial:
             return NotImplemented
-        return self.i_power == o.i_power and self.real == o.real
+        return self.i_power == other.i_power and self.real == other.real
 
     def __hash__(self):
         return hash((self.real, 1)) if self.i_power else hash(self.real)
@@ -511,18 +515,11 @@ class TauPolynomial:
         return [c.to_json() for c in self.coeffs]
 
 
-def _tp(x):
-    """A scalar as a constant TauPolynomial; None for anything else."""
-    if isinstance(x, TauPolynomial):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return TauPolynomial((x,))
-    return None
+_TP_OPERANDS = (TauPolynomial, int, Fraction)
 
 
 TP_ZERO = TauPolynomial()
 TP_ONE = TauPolynomial((1,))
-TP_TAU = TauPolynomial((0, 1))
 TP_I = TauPolynomial.phased(TP_ONE.real, 1)
 
 _SCALARS = (int, Fraction, TauPolynomial, RealTauPolynomial)
@@ -541,7 +538,7 @@ class LaurentSeries:
     """
 
     __slots__ = ("min_exp", "coeffs", "trunc_order")
-    _RING_DEPTH = 1  # see _dot
+    _RING_DEPTH = 2  # see _dot
 
     def __init__(self, min_exp: int, coeffs, trunc_order: int | None = None):
         cs = list(coeffs)
@@ -581,9 +578,6 @@ class LaurentSeries:
         if not coeff:
             return cls.zero(trunc_order)
         return cls(exp, [coeff], trunc_order)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -675,7 +669,7 @@ class LaurentSeries:
     def reciprocal(self) -> "LaurentSeries":
         """Multiplicative inverse of a series over the rationals, valid to
         trunc_order - 2*min_exp."""
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("reciprocal of a zero-so-far series")
         m = self.min_exp
         trunc = self.trunc_order - 2 * m
@@ -799,7 +793,7 @@ def _odd_half_series(c, order: int, sign: int) -> LaurentSeries:
     return LaurentSeries(1, coeffs, order)
 
 
-def series_exp(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
+def series_exp(x: LaurentSeries) -> LaurentSeries:
     """exp of a series with strictly positive valuation.
 
     F = exp(A) solves x F' = (x A') F, which is the Euler recurrence
@@ -807,25 +801,21 @@ def series_exp(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
         F_0 = 1,    n * F_n = sum_{k=1..n} k * A_k * F_(n-k),
 
     one `_dot` over the nonzero A_k per coefficient of F.  The result is valid
-    to min(order, truncation order of the argument).
+    to the truncation order of the argument.
     """
-    if order is None:
-        order = x.trunc_order
-    x = x.truncate(order)
-    if not x.is_zero() and x.min_exp < 1:
+    if x and x.min_exp < 1:
         raise ValueError(
             f"series_exp requires positive valuation; found exponent {x.min_exp}"
         )
-    trunc = min(order, x.trunc_order)
     weighted = [(k, c * k) for k, c in x.items() if c]
     out = [1]
-    for n in range(1, trunc + 1):
+    for n in range(1, x.trunc_order + 1):
         acc = _dot([(kc, out[n - k]) for k, kc in weighted if k <= n and out[n - k]])
         out.append(acc * Fraction(1, n) if acc else 0)
-    return LaurentSeries(0, out, trunc)
+    return LaurentSeries(0, out, x.trunc_order)
 
 
-def series_log(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
+def series_log(x: LaurentSeries) -> LaurentSeries:
     """log of a series with constant term 1.
 
     G = log(F) solves the recurrence of series_exp read the other way:
@@ -833,11 +823,8 @@ def series_log(x: LaurentSeries, order: int | None = None) -> LaurentSeries:
         n * G_n = n * F_n - sum_{k=1..n-1} k * G_k * F_(n-k),
 
     one `_dot` over the nonzero k * G_k per coefficient of G.  The result
-    is valid to min(order, truncation order of the argument).
+    is valid to the truncation order of the argument.
     """
-    if order is None:
-        order = x.trunc_order
-    x = x.truncate(order)
     if x.min_exp < 0:
         raise ValueError(f"series_log requires constant term 1; found pole at {x.min_exp}")
     if x.coefficient(0) != 1:

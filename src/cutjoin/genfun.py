@@ -43,7 +43,7 @@ class PartitionSeries:
 
     __slots__ = ("terms", "max_weight")
 
-    _RING_DEPTH = 2  # see exact._dot
+    _RING_DEPTH = 3  # see exact._dot
 
     def __init__(self, terms: dict, max_weight: int):
         self.terms = {mu: c for mu, c in terms.items() if c and mu.size <= max_weight}

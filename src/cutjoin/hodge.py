@@ -32,8 +32,8 @@ coefficients, the tau = 0 value and extraction), as the TauPolynomial
 i^(m+|mu|) * r, which stores r and the phase and never multiplies out
 complex coefficients.  The closed forms are written in lambda as in the
 paper, each as one explicit power of i times a rational object: the
-prefactor is i^(|mu|+l(mu)) times -1/|Aut mu| times a rational
-tau-polynomial, the tau = 0 value of p_d is i^(d+1) times the rational
+prefactor is i^(|mu|+l(mu)) times one product of rational linear factors
+in tau, the tau = 0 value of p_d is i^(d+1) times the rational
 lambda-series -1/(2d*sin(d*lambda/2)), and the sqrt(-1) of the evolution
 equation is the unit TP_I.  So the checks against them test the phase rule
 independently of _lambda_series, and Gaussian rationals appear only when a
@@ -89,8 +89,6 @@ from .exact import (
     RTP_ZERO,
     RealTauPolynomial,
     TP_I,
-    TP_ONE,
-    TP_TAU,
     TauPolynomial,
     _dot,
     sin_half_series,
@@ -99,6 +97,7 @@ from .exact import (
     series_log,
 )
 from .genfun import PartitionSeries, cut_join_linear, cut_join_nonlinear, ps_log
+from .hurwitz import linear_hodge_factor
 from .linalg import nullspace
 from .partitions import (
     Partition,
@@ -205,7 +204,7 @@ def kappa_exp_factor(kappa: int, trunc: int) -> LaurentSeries:
     factor exp(sqrt(-1)*(tau + 1/2)*kappa*lambda/2) at x = i*lambda."""
     c = RealTauPolynomial([Fraction(kappa, 4), Fraction(kappa, 2)])
     # the exponent is built to order 1 at least, so that trunc = 0 gives 1
-    return series_exp(LaurentSeries.monomial(c, 1, max(trunc, 1)), trunc)
+    return series_exp(LaurentSeries.monomial(c, 1, max(trunc, 1)).truncate(trunc))
 
 
 class MVSeries:
@@ -435,23 +434,20 @@ def prefactor_polynomial(mu: Partition) -> TauPolynomial:
 
     -(sqrt(-1))^(|mu|+l) / |Aut(mu)| * (tau(tau+1))^(l-1)
         * prod_i prod_{a=1..mu_i-1} (mu_i tau + a) / (mu_i - 1)!
+
+    formed as one rational scale times one product of the linear factors
+    tau, tau + 1 and mu_i tau + a, its power of i attached once by `phased`.
     """
-    d, l = mu.size, mu.length
-    head = RealTauPolynomial.constant(Fraction(-1, mu.aut_order()))
-    poly = TauPolynomial.phased(head, d + l)
-    poly = poly * (TP_TAU * (TP_TAU + 1)) ** (l - 1)
-    for part in mu:
-        rising = TP_ONE
-        for a in range(1, part):
-            rising = rising * (TP_TAU * part + a)
-        poly = poly * rising * Fraction(1, factorial(part - 1))
-    return poly
+    scale = Fraction(-1, mu.aut_order() * prod(factorial(part - 1) for part in mu))
+    factors = [RealTauPolynomial([0, 1]), RealTauPolynomial([1, 1])] * (mu.length - 1)
+    factors += [RealTauPolynomial([a, part]) for part in mu for a in range(1, part)]
+    real = prod(factors, start=RealTauPolynomial.constant(scale))
+    return TauPolynomial.phased(real, mu.size + mu.length)
 
 
 def genus0_closed_form(mu: Partition) -> TauPolynomial:
     """Definition-route value at genus 0: prefactor times |mu|^(l-3)."""
-    d, l = mu.size, mu.length
-    return prefactor_polynomial(mu) * (Fraction(d) ** (l - 3))
+    return prefactor_polynomial(mu) * linear_hodge_factor(0, mu)
 
 
 class HodgeDivisionError(ArithmeticError):

@@ -197,7 +197,7 @@ def _connected_table(d: int, r: int) -> dict:
     for size in range(1, d + 1):
         for mu in enumerate_partitions(size):
             series = LaurentSeries(0, _disconnected_row(mu, r_max), r_max)
-            if not series.is_zero():
+            if series:
                 terms[mu] = series
     table = _tables[d, r_max] = {
         (n, mu): Fraction(c) * factorial(n)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -9,7 +9,6 @@ from cutjoin.exact import (
     QHalfLaurent,
     RealTauPolynomial,
     TP_I,
-    TP_TAU,
     TauPolynomial,
     sinh_half_series,
 )
@@ -50,6 +49,22 @@ from cutjoin.partitions import (
 )
 
 P = Partition
+TP_TAU = TauPolynomial([0, 1])
+
+
+def prefactor_by_tau_arithmetic(mu):
+    """The prefactor multiplied out factor by factor in TauPolynomial
+    arithmetic, its phase attached first."""
+    d, l = mu.size, mu.length
+    head = RealTauPolynomial.constant(Fraction(-1, mu.aut_order()))
+    poly = TauPolynomial.phased(head, d + l)
+    poly = poly * (TP_TAU * (TP_TAU + 1)) ** (l - 1)
+    for part in mu:
+        rising = TauPolynomial([1])
+        for a in range(1, part):
+            rising = rising * (TP_TAU * part + a)
+        poly = poly * rising * Fraction(1, factorial(part - 1))
+    return poly
 
 
 def v_series_by_products(nu, order):
@@ -448,12 +463,20 @@ class TestExtraction:
         # (2): -i^3 * (2 tau + 1) / 1! = i (2 tau + 1)
         assert prefactor_polynomial(P([2])) == (TP_TAU * 2 + 1) * TP_I
 
+    def test_prefactor_matches_tau_arithmetic(self):
+        for d in range(1, 9):
+            for mu in enumerate_partitions(d):
+                got, want = prefactor_polynomial(mu), prefactor_by_tau_arithmetic(mu)
+                assert (got.real.nums, got.real.den, got.i_power) == (
+                    want.real.nums, want.real.den, want.i_power
+                ), mu
+
     def test_hodge_polynomial_genus0(self, series_pair_small):
         _, conn = series_pair_small
         for d in range(1, 5):
             for mu in enumerate_partitions(d):
                 expected = Fraction(mu.size) ** (mu.length - 3)
-                assert hodge_polynomial(0, mu, conn) == TauPolynomial.constant(expected)
+                assert hodge_polynomial(0, mu, conn) == TauPolynomial([expected])
 
     def test_one_point_genus1_against_expansion_oracle(self, series_pair_small):
         _, conn = series_pair_small

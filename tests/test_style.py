@@ -32,19 +32,26 @@ def _names_used(tree: ast.AST) -> set[str]:
     return names
 
 
+def _names_defined(stmt: ast.stmt) -> set[str]:
+    """The names a top-level function, class or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
 def test_every_public_definition_is_used():
-    # a public top-level function or class must be named in the package or
-    # a script outside its own definition; a package export counts
+    # a public top-level function, class or constant must be named in the
+    # package or a script outside its own definition; a package export counts
     used = set()
     for path in sorted(SCRIPTS.glob("*.py")):
         used |= _names_used(ast.parse(path.read_text()))
     defined = []
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                if not stmt.name.startswith("_"):
-                    defined.append(f"{path.name}:{stmt.name}")
-                used |= _names_used(stmt) - {stmt.name}
-            else:
-                used |= _names_used(stmt)
+            names = _names_defined(stmt)
+            defined += [f"{path.name}:{name}" for name in names if not name.startswith("_")]
+            used |= _names_used(stmt) - names
     assert [d for d in defined if d.split(":")[1] not in used] == []
