@@ -13,13 +13,14 @@ series in a weight variable, and run the one Euler-operator recurrence of
 one weight.  Each weight step of that recurrence is one `exact._dot`: the
 coefficient pairs of all its series products are grouped by partition, then
 by power of the Laurent variable, and each group is summed over one common
-denominator and reduced once.  Each cut-and-join operator is one `_dot` too,
-over (monomial-shifted derivative, integer weight) pairs and, for the
-nonlinear one, one product pair per (i, j) whose left factor is cut to
-weight W - i - j before multiplying by p_{i+j}.  The tests compare all of
-them with the whole-series forms they replace, which build every power or
-product at the full cap and add one term at a time: the results are equal
-exactly, Laurent truncation orders included.
+denominator and reduced once.  The cut-and-join operators form no
+derivative series: each coefficient on p_mu is one `_dot` over the tables
+of `cutjoin.partitions`, (F[nu], integer weight) for the joins and cuts nu
+into mu and, in the nonlinear one, one product F[nu1] * F[nu2] per
+unordered split pair of mu.  The tests compare all of them with the
+whole-series forms they replace, which build every power, product or
+derivative at the full cap and add one term at a time: the results are
+equal exactly, Laurent truncation orders included.
 
 The operator conventions are fixed once and for all: the double sum over i, j
 runs over ordered pairs with the diagonal counted once, which is exactly the
@@ -31,11 +32,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import cache
 from math import inf
 
+from . import partitions
 from .characters import central_character_transposition, schur_in_p
 from .exact import LaurentSeries, _coeff_json, _dot, series_exp, series_log
-from .partitions import Partition, EMPTY
+from .partitions import Partition, EMPTY, enumerate_partitions
 
 
 class PartitionSeries:
@@ -115,18 +118,10 @@ class PartitionSeries:
 
     # -- formal calculus in the p-variables ---------------------------------
 
-    def d_dp(self, i: int) -> "PartitionSeries":
-        """Formal partial derivative with respect to p_i."""
-        out = {}
-        for mu, c in self.terms.items():
-            m = mu.parts.count(i)
-            if m:
-                # removing one part i is injective, so no two terms meet
-                out[mu.remove_one(i)] = c * m
-        return PartitionSeries._raw(out, self.max_weight)
-
     def mul_p(self, i: int) -> "PartitionSeries":
-        """Multiplication by the monomial p_i."""
+        """Multiplication by the monomial p_i.  No operator calls it; the
+        traced benchmark run patches it by name (perfbench/traced_cli.py
+        METHODS), and tests/test_trace_hooks.py checks that it is there."""
         out = {}
         for mu, c in self.terms.items():
             if mu.size + i <= self.max_weight:
@@ -226,28 +221,43 @@ def ps_log(G: PartitionSeries) -> PartitionSeries:
     return _at_weight_one(F.coeffs, {}, G.max_weight)
 
 
-def _derivatives(F: PartitionSeries) -> dict:
-    """{i: dF/dp_i} over the parts i of F, the nonzero derivatives, in
-    increasing i."""
-    return {i: F.d_dp(i) for i in sorted({p for mu in F.terms for p in mu.parts})}
+@cache
+def _incoming(mu: Partition) -> tuple:
+    """(nu, w) over the joins and cuts nu into mu, w the integer coefficient
+    of p_mu in Omega(p_nu): twice the cut_join_incoming weight."""
+    joins_into, cuts_into = partitions.cut_join_incoming(mu)
+    return tuple((nu, int(2 * w)) for nu, w in joins_into + cuts_into)
 
 
-def _linear_terms(derivs: dict) -> list:
-    """The terms of Omega(F), from the first derivatives of F, as
-    (monomial-shifted derivative, integer weight) pairs."""
-    pairs = []
-    for i, dFi in derivs.items():
-        for j, second in _derivatives(dFi).items():
-            pairs.append((second.mul_p(i + j), i * j))
-    for s, dFs in derivs.items():
-        for i in range(1, s):
-            pairs.append((dFs.mul_p(i).mul_p(s - i), s))
-    return pairs
+@cache
+def _splits(mu: Partition) -> tuple:
+    """(nu1, nu2, w) over the unordered pairs {nu1, nu2} of splits of mu,
+    w the summed weights of their ordered split_contributions terms."""
+    merged = {}
+    for t in partitions.split_contributions(mu):
+        key = (t.nu1, t.nu2) if t.nu2.parts <= t.nu1.parts else (t.nu2, t.nu1)
+        merged[key] = merged.get(key, 0) + t.weight
+    return tuple((nu1, nu2, w) for (nu1, nu2), w in merged.items())
 
 
-def _summed(pairs, w: int) -> PartitionSeries:
-    """_dot of the pairs, or the zero series under cap w when there are none."""
-    return _dot(pairs) if pairs else PartitionSeries.zero(w)
+def _read_off(F: PartitionSeries, weights, quadratic: bool) -> PartitionSeries:
+    """The operator on F read one target p_mu at a time, over the partitions
+    mu of the given weights: one `_dot` over (F[nu], w) for the terms of
+    Omega and, when quadratic, (F[nu1], w * F[nu2]) for the merged splits."""
+    terms = F.terms
+    out = {}
+    for d in sorted(weights):
+        for mu in enumerate_partitions(d):
+            pairs = [(terms[nu], w) for nu, w in _incoming(mu) if nu in terms]
+            if quadratic:
+                pairs += [
+                    (terms[nu1], terms[nu2] * w)
+                    for nu1, nu2, w in _splits(mu)
+                    if nu1 in terms and nu2 in terms
+                ]
+            if pairs:
+                out[mu] = _dot(pairs)
+    return PartitionSeries(out, F.max_weight)
 
 
 def cut_join_linear(F: PartitionSeries) -> PartitionSeries:
@@ -255,9 +265,10 @@ def cut_join_linear(F: PartitionSeries) -> PartitionSeries:
     + (i+j)*p_i*p_j dF/dp_{i+j} ], without any scalar prefactor.
 
     The sum is over ordered pairs (diagonal once); callers supply their own
-    prefactors such as sqrt(-1)*lambda/2.  It is one `_dot` over the terms.
+    prefactors such as sqrt(-1)*lambda/2.  Omega preserves weight, so it is
+    read on the partitions of every weight d >= 1 that carries a term of F.
     """
-    return _summed(_linear_terms(_derivatives(F)), F.max_weight)
+    return _read_off(F, {mu.size for mu in F.terms} - {0}, False)
 
 
 def cut_join_nonlinear(F: PartitionSeries) -> PartitionSeries:
@@ -268,23 +279,12 @@ def cut_join_nonlinear(F: PartitionSeries) -> PartitionSeries:
     up to truncation, which is how the linear and nonlinear forms of the
     evolution equation correspond.
 
-    The whole operator is one `_dot`: the terms of Omega(F) and one product
-    pair per (i, j) with i + j <= W.  The left factor of a pair is
-    i*dF/dp_i cut to weight W - i - j and multiplied by p_{i+j}, the right
-    one j*dF/dp_j: the terms of dF/dp_i above W - i - j are exactly the
-    ones the cap W removes after the product with p_{i+j}, so no term is
-    formed that the cap would discard.
+    A split of mu draws on nu1, nu2 with |nu1| + |nu2| = |mu|, so it is read
+    on the weights of F and their sums up to the cap: none is formed above.
     """
+    carried = {mu.size for mu in F.terms} - {0}
     w = F.max_weight
-    derivs = _derivatives(F)
-    pairs = _linear_terms(derivs)
-    scaled = {i: dFi * i for i, dFi in derivs.items()}
-    for i, left in scaled.items():
-        for j, right in scaled.items():
-            cut = {mu: c for mu, c in left.terms.items() if mu.size <= w - i - j}
-            if cut:
-                pairs.append((PartitionSeries._raw(cut, w).mul_p(i + j), right))
-    return _summed(pairs, w)
+    return _read_off(F, carried | {a + b for a in carried for b in carried if a + b <= w}, True)
 
 
 def character_cutjoin_identity(nu: Partition) -> bool:

@@ -5,9 +5,9 @@ representations, power-sum monomials and cut/join moves.  A partition is
 canonical (parts sorted in weakly decreasing order) from construction on, and
 immutable.
 
-The cut-and-join operator is read on p_mu one coefficient at a time: the
-weighted joins and cuts into mu (cut_join_incoming), the quadratic split
-terms (split_contributions) and their sum (cut_join_sum).
+The cut-and-join operator is read on p_mu one coefficient at a time, here
+and in genfun's operators: the joins and cuts into mu (cut_join_incoming),
+the quadratic splits (split_contributions) and their sum (cut_join_sum).
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from cutjoin import genfun, partitions
+from cutjoin.cli import SUITES, RunConfig
 from cutjoin.genfun import (
     PartitionSeries,
     character_cutjoin_identity,
@@ -14,7 +16,15 @@ from cutjoin.genfun import (
     ps_log,
 )
 from cutjoin.exact import RealTauPolynomial, _dot
-from cutjoin.partitions import EMPTY, Partition, enumerate_partitions
+from cutjoin.hodge import build_series_pair, theorem1_verdicts
+from cutjoin.partitions import EMPTY, Partition, enumerate_partitions, split_contributions
+from series_reference import (
+    d_dp,
+    ref_add,
+    ref_merge,
+    reference_linear,
+    reference_nonlinear,
+)
 
 P = Partition
 
@@ -43,29 +53,6 @@ def mono(mu, c=Fraction(1), w=6):
 # -- plain references for sums, apart from `_dot`
 
 
-def ref_merge(terms, w):
-    """The series of (partition, coefficient) terms, merged one at a time
-    under the cap w: a repeated partition adds its coefficients, and a sum
-    that vanishes drops the term."""
-    data = {}
-    for mu, c in terms:
-        if mu.size > w or not c:
-            continue
-        if mu in data:
-            s = data[mu] + c
-            if not s:
-                del data[mu]
-            else:
-                data[mu] = s
-        else:
-            data[mu] = c
-    return PartitionSeries(data, w)
-
-
-def ref_add(A, B):
-    return ref_merge([*A.terms.items(), *B.terms.items()], min(A.max_weight, B.max_weight))
-
-
 def _as_terms(x):
     """(terms, cap) of a series; a scalar is the p_{} coefficient under no cap."""
     if isinstance(x, PartitionSeries):
@@ -87,7 +74,8 @@ def ref_series_sum(pairs):
 
 
 # -- reference algorithms: the whole-series forms the graded and capped
-# -- algorithms in genfun replace; results must agree exactly
+# -- algorithms in genfun replace; results must agree exactly (the operator
+# -- references are in series_reference)
 
 
 def reference_exp(F):
@@ -115,46 +103,6 @@ def reference_log(G):
             break
         result = result + power * Fraction((-1) ** (k + 1), k)
     return result
-
-
-def reference_linear(F):
-    """Omega(F) summed one term at a time."""
-    w = F.max_weight
-    out = PartitionSeries.zero(w)
-    maxpart = max((mu.parts[0] for mu in F.terms if mu.parts), default=0)
-    for i in range(1, maxpart + 1):
-        dFi = F.d_dp(i)
-        if not dFi.terms:
-            continue
-        for j in range(1, maxpart + 1):
-            second = dFi.d_dp(j)
-            if second.terms:
-                out = ref_add(out, second.mul_p(i + j) * (i * j))
-    for s in range(2, maxpart + 1):
-        dFs = F.d_dp(s)
-        if not dFs.terms:
-            continue
-        for i in range(1, s):
-            out = ref_add(out, dFs.mul_p(i).mul_p(s - i) * s)
-    return out
-
-
-def reference_nonlinear(F):
-    """Omega(F) plus the quadratic term with dF/dp_i * dF/dp_j formed at the
-    full cap, leaving mul_p to drop what lands above it, summed one term at
-    a time."""
-    out = reference_linear(F)
-    w = F.max_weight
-    maxpart = max((mu.parts[0] for mu in F.terms if mu.parts), default=0)
-    derivs = {i: F.d_dp(i) for i in range(1, maxpart + 1)}
-    for i in range(1, maxpart + 1):
-        for j in range(1, maxpart + 1):
-            if i + j > w:
-                continue
-            prod = derivs[i] * derivs[j]
-            if prod.terms:
-                out = ref_add(out, prod.mul_p(i + j) * (i * j))
-    return out
 
 
 def assert_same_series(got, want):
@@ -236,7 +184,7 @@ class TestPartitionSeries:
             {m: c for m, c in f.terms.items() if m.size + i <= f.max_weight},
             f.max_weight,
         )
-        lhs = g.mul_p(i).d_dp(i) + g.d_dp(i).mul_p(i) * -1
+        lhs = d_dp(g.mul_p(i), i) + d_dp(g, i).mul_p(i) * -1
         assert lhs == g
 
 
@@ -348,18 +296,116 @@ class TestAgainstReferences:
         out = cut_join_nonlinear(PartitionSeries.monomial(EMPTY, 3, 4))
         assert (out.terms, out.max_weight) == ({}, 4)
 
-    def test_nonlinear_drops_nothing_in_mul_p(self, series_pair_small, monkeypatch):
-        # every operand reaching mul_p(k) is already capped at W - k, so the
-        # weight cap removes no term formed by the operator
-        plain = PartitionSeries.mul_p
-        seen = []
+    def test_nonlinear_forms_each_split_product_once_under_the_cap(self, monkeypatch):
+        # every product the operator forms is of the coefficients of F at
+        # nu1 and nu2 (the second scaled by an integer weight) with
+        # |nu1| + |nu2| <= W, so the weight cap removes no term it formed;
+        # the ordered split terms of one target are merged by unordered
+        # {nu1, nu2}, so each product is formed once per target
+        _, conn = build_series_pair(6, 12)
+        F = conn.truncated
+        w = F.max_weight
+        at = {id(c): mu for mu, c in F.terms.items()}
+        products = []
 
-        def checked(self, k):
-            seen.append(k)
-            assert all(mu.size + k <= self.max_weight for mu in self.terms)
-            return plain(self, k)
+        def recorded(pairs):
+            for a, b in pairs:
+                assert id(a) in at
+                if not isinstance(b, int):
+                    products.append((at[id(a)], b))
+            return _dot(pairs)
 
-        monkeypatch.setattr(PartitionSeries, "mul_p", checked)
-        for series in series_pair_small:
-            cut_join_nonlinear(series.body)
-        assert seen
+        monkeypatch.setattr(genfun, "_dot", recorded)
+        cut_join_nonlinear(F)
+        for nu1, b in products:
+            assert _is_scaled_coefficient(b, F, w - nu1.size), nu1
+        assert len(products) == 61
+        unmerged = [
+            t
+            for d in range(1, w + 1)
+            for mu in enumerate_partitions(d)
+            for t in split_contributions(mu)
+            if t.nu1 in F.terms and t.nu2 in F.terms
+        ]
+        assert len(unmerged) == 115
+
+
+def _is_scaled_coefficient(b, F, room):
+    """Whether the Laurent series b over tau-polynomials is a positive
+    integer multiple of the coefficient of F at a partition of weight at
+    most room; the multiple is the ratio of the leading rationals."""
+    lead = b.coeffs[0].coeffs[-1]
+    for nu, c in F.terms.items():
+        if nu.size <= room and (c.min_exp, len(c.coeffs)) == (b.min_exp, len(b.coeffs)):
+            k = lead / c.coeffs[0].coeffs[-1]
+            if k.denominator == 1 and k > 0 and c * k == b:
+                return True
+    return False
+
+
+@pytest.fixture
+def perturb(monkeypatch):
+    """Patch a source of the operators' per-partition tables, clearing the
+    tables when patching and after the test, so that the perturbed run reads
+    no table cached before it and no later test reads a perturbed one."""
+    tables = (genfun._incoming, genfun._splits)
+
+    def patch(owner, name, fn):
+        monkeypatch.setattr(owner, name, fn)
+        for table in tables:
+            table.cache_clear()
+
+    yield patch
+    for table in tables:
+        table.cache_clear()
+
+
+class TestPerturbedTables:
+    """Negative controls: one weight of a table off by one must fail the
+    identities that read it."""
+
+    @staticmethod
+    def _first_weight_off_by_one(perturb, which):
+        # add 1 to the first join (which = 0) or cut (which = 1) weight into
+        # every partition that has one
+        real = partitions.cut_join_incoming
+
+        def perturbed(mu):
+            tables = list(real(mu))
+            if tables[which]:
+                (nu, weight), *rest = tables[which]
+                tables[which] = [(nu, weight + 1), *rest]
+            return tuple(tables)
+
+        perturb(partitions, "cut_join_incoming", perturbed)
+
+    def test_join_weight(self, perturb):
+        assert theorem1_verdicts(4, 8) == (True, True)
+        self._first_weight_off_by_one(perturb, 0)
+        assert not all(
+            character_cutjoin_identity(nu) for d in range(1, 5) for nu in enumerate_partitions(d)
+        )
+        assert not theorem1_verdicts(4, 8)[0]
+
+    def test_merged_split_weight(self, perturb):
+        real = genfun._splits
+
+        def perturbed(mu):
+            table = real(mu)
+            if not table:
+                return table
+            (nu1, nu2, weight), *rest = table
+            return ((nu1, nu2, weight + 1), *rest)
+
+        perturb(genfun, "_splits", perturbed)
+        assert theorem1_verdicts(4, 8) == (True, False)
+        verdicts = {r.check_id: r.passed for r in SUITES["cutjoin-id"](RunConfig(seed=1))}
+        assert not verdicts["cutjoin-id/random-conjugation"]
+        assert verdicts["cutjoin-id/random-exp-log"]
+
+    def test_cut_weight_shows_in_the_schur_eigenvalue_check(self, perturb):
+        # the eigenvalues come from the character table, not from the
+        # weight rule, so a perturbed cut weight shows
+        self._first_weight_off_by_one(perturb, 1)
+        failed = {r.check_id for r in SUITES["cutjoin-id"](RunConfig()) if not r.passed}
+        assert {f"cutjoin-id/d={d}" for d in range(2, 9)} <= failed

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from cutjoin.genfun import PartitionSeries, cut_join_linear
+from cutjoin.genfun import PartitionSeries
 from cutjoin.partitions import (
     EMPTY,
     Partition,
@@ -14,6 +14,7 @@ from cutjoin.partitions import (
     enumerate_partitions,
     split_contributions,
 )
+from series_reference import reference_linear
 
 partitions_st = st.integers(0, 8).map(
     lambda n: enumerate_partitions(n)
@@ -163,11 +164,12 @@ class TestClassSizes:
 
 class TestCutJoin:
     def test_incoming_transposes_the_operator(self):
-        # the genfun operator is the oracle: the weight of nu -> mu is the
-        # coefficient of p_mu in (1/2) * Omega(p_nu)
+        # the derivative form of Omega is the oracle (the genfun operator
+        # reads this table): the weight of nu -> mu is the coefficient of
+        # p_mu in (1/2) * Omega(p_nu)
         for d in range(1, 9):
             images = {
-                nu: cut_join_linear(PartitionSeries.monomial(nu, Fraction(1), d))
+                nu: reference_linear(PartitionSeries.monomial(nu, Fraction(1), d))
                 * Fraction(1, 2)
                 for nu in enumerate_partitions(d)
             }

@@ -6,6 +6,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cutjoin"
 SCRIPTS = ROOT / "scripts"
+TRACED_CLI = ROOT / "perfbench" / "traced_cli.py"
 MAX_COLUMNS = 99
 
 
@@ -42,16 +43,46 @@ def _names_defined(stmt: ast.stmt) -> set[str]:
     return set()
 
 
-def test_every_public_definition_is_used():
-    # a public top-level function, class or constant must be named in the
-    # package or a script outside its own definition; a package export counts
+def _traced_method_names() -> set[str]:
+    """The method names the benchmark's traced run patches by name."""
+    tree = ast.parse(TRACED_CLI.read_text())
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and _names_defined(stmt) == {"METHODS"}:
+            return {method for _, _, method, _, _ in ast.literal_eval(stmt.value)}
+    raise AssertionError("traced_cli.py defines no METHODS table")
+
+
+def _class_names_used(cls: ast.ClassDef) -> set[str]:
+    """The names a class statement uses outside each of its own methods."""
     used = set()
+    for node in [*cls.bases, *cls.keywords, *cls.decorator_list]:
+        used |= _names_used(node)
+    for member in cls.body:
+        own = {member.name} if isinstance(member, ast.FunctionDef) else set()
+        used |= _names_used(member) - own
+    return used - {cls.name}
+
+
+def test_every_public_definition_is_used():
+    # a public top-level function, class or constant, or a public method of
+    # a class, must be named in the package or a script outside its own
+    # definition; a package export counts, and so does a method the traced
+    # benchmark run patches by name
+    used = _traced_method_names()
     for path in sorted(SCRIPTS.glob("*.py")):
         used |= _names_used(ast.parse(path.read_text()))
     defined = []
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             names = _names_defined(stmt)
-            defined += [f"{path.name}:{name}" for name in names if not name.startswith("_")]
-            used |= _names_used(stmt) - names
-    assert [d for d in defined if d.split(":")[1] not in used] == []
+            defined += [(f"{path.name}:{name}", name) for name in names if not name.startswith("_")]
+            if isinstance(stmt, ast.ClassDef):
+                defined += [
+                    (f"{path.name}:{stmt.name}.{member.name}", member.name)
+                    for member in stmt.body
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                ]
+                used |= _class_names_used(stmt)
+            else:
+                used |= _names_used(stmt) - names
+    assert [label for label, name in defined if name not in used] == []
