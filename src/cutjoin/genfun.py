@@ -14,10 +14,10 @@ one weight.  Each weight step of that recurrence is one `exact._dot`: the
 coefficient pairs of all its series products are grouped by partition, then
 by power of the Laurent variable, and each group is summed over one common
 denominator and reduced once.  The cut-and-join operators form no
-derivative series: each coefficient on p_mu is one `_dot` over the tables
-of `cutjoin.partitions`, (F[nu], integer weight) for the joins and cuts nu
-into mu and, in the nonlinear one, one product F[nu1] * F[nu2] per
-unordered split pair of mu.  The tests compare all of them with the
+derivative series: each coefficient on p_mu is one `_dot` over the column
+`partitions.cut_join_incoming(mu)`, (F[nu], integer weight) for the joins
+and cuts nu into mu and, in the nonlinear one, one product F[nu1] * F[nu2]
+per unordered split pair of mu.  The tests compare all of them with the
 whole-series forms they replace, which build every power, product or
 derivative at the full cap and add one term at a time: the results are
 equal exactly, Laurent truncation orders included.
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import cache
 from math import inf
 
 from . import partitions
@@ -221,38 +220,21 @@ def ps_log(G: PartitionSeries) -> PartitionSeries:
     return _at_weight_one(F.coeffs, {}, G.max_weight)
 
 
-@cache
-def _incoming(mu: Partition) -> tuple:
-    """(nu, w) over the joins and cuts nu into mu, w the integer coefficient
-    of p_mu in Omega(p_nu): twice the cut_join_incoming weight."""
-    joins_into, cuts_into = partitions.cut_join_incoming(mu)
-    return tuple((nu, int(2 * w)) for nu, w in joins_into + cuts_into)
-
-
-@cache
-def _splits(mu: Partition) -> tuple:
-    """(nu1, nu2, w) over the unordered pairs {nu1, nu2} of splits of mu,
-    w the summed weights of their ordered split_contributions terms."""
-    merged = {}
-    for t in partitions.split_contributions(mu):
-        key = (t.nu1, t.nu2) if t.nu2.parts <= t.nu1.parts else (t.nu2, t.nu1)
-        merged[key] = merged.get(key, 0) + t.weight
-    return tuple((nu1, nu2, w) for (nu1, nu2), w in merged.items())
-
-
 def _read_off(F: PartitionSeries, weights, quadratic: bool) -> PartitionSeries:
     """The operator on F read one target p_mu at a time, over the partitions
-    mu of the given weights: one `_dot` over (F[nu], w) for the terms of
-    Omega and, when quadratic, (F[nu1], w * F[nu2]) for the merged splits."""
+    mu of the given weights: one `_dot` over (F[nu], w) for the joins and
+    cuts of the column partitions.cut_join_incoming(mu) and, when quadratic,
+    (F[nu1], w * F[nu2]) for its unordered splits."""
     terms = F.terms
     out = {}
     for d in sorted(weights):
         for mu in enumerate_partitions(d):
-            pairs = [(terms[nu], w) for nu, w in _incoming(mu) if nu in terms]
+            joins, cuts, splits = partitions.cut_join_incoming(mu)
+            pairs = [(terms[nu], w) for nu, w in joins + cuts if nu in terms]
             if quadratic:
                 pairs += [
                     (terms[nu1], terms[nu2] * w)
-                    for nu1, nu2, w in _splits(mu)
+                    for nu1, nu2, w in splits
                     if nu1 in terms and nu2 in terms
                 ]
             if pairs:

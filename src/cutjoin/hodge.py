@@ -486,11 +486,12 @@ def lambda_g_coefficients(order: int) -> list[Fraction]:
 def cutjoin_derivative_check(R: MVSeries, g: int, mu: Partition) -> bool:
     """Per-coefficient form of the evolution equation on extracted polynomials:
 
-    d/dtau C_{g,mu} = i * [ sum_{nu joins of mu} w1 C_{g,nu}
-                          + sum_{nu cuts of mu} w2 C_{g-1,nu}
-                          + 1/2 sum_splits weight * C_{g1,nu1} C_{g2,nu2} ]
+    d/dtau C_{g,mu} = i/2 * [ sum_{nu joins of mu} w C_{g,nu}
+                            + sum_{nu cuts of mu} w C_{g-1,nu}
+                            + sum_{splits, g1+g2=g} w C_{g1,nu1} C_{g2,nu2} ]
 
-    where the bracket is partitions.cut_join_sum over the extracted polynomials.
+    where the halved bracket is partitions.cut_join_sum over the extracted
+    polynomials.
     """
     lhs = extract_C_gmu(R, g, mu).poly.derivative()
     return lhs == cut_join_sum(mu, g, lambda h, nu: extract_C_gmu(R, h, nu).poly) * TP_I

@@ -5,17 +5,18 @@ representations, power-sum monomials and cut/join moves.  A partition is
 canonical (parts sorted in weakly decreasing order) from construction on, and
 immutable.
 
-The cut-and-join operator is read on p_mu one coefficient at a time, here
-and in genfun's operators: the joins and cuts into mu (cut_join_incoming),
-the quadratic splits (split_contributions) and their sum (cut_join_sum).
+The cut-and-join operator is read on p_mu one coefficient at a time.  Its
+column at p_mu is one cached table, the integer weights of the joins, cuts
+and unordered splits into mu (cut_join_incoming); genfun's whole-series
+operators and the per-genus sum (cut_join_sum) both read it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
-from typing import Iterable, NamedTuple
+from math import factorial
+from typing import Iterable
 
 from .exact import _dot
 
@@ -162,113 +163,97 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 # -- cut and join moves ----------------------------------------------------
 
 
-def cut_join_incoming(mu: Partition):
-    """Edges of the cut/join graph oriented into mu, with operator weights.
+@cache
+def cut_join_incoming(mu: Partition) -> tuple[tuple, tuple, tuple]:
+    """The column of the cut-and-join operator at p_mu: (joins, cuts, splits),
+    each weight an integer coefficient of p_mu.
 
-    Returns two lists of (nu, w), each sorted by nu, with w the coefficient
-    of p_mu in (1/2) * Omega(p_nu) (Omega as in genfun.cut_join_linear), read
-    off mu's own moves and the multiplicities m of nu.  The joins nu of mu
-    merge parts i, j into s; cutting s back weighs s * m_s(nu), halved when
-    i = j.  The cuts nu of mu split a part s into i + j; joining i, j back
-    weighs i * j * m_i(nu) * m_j(nu), or i^2 * C(m_i(nu), 2) when i = j.
-    Distinct moves of mu reach distinct nu, so no nu is listed twice.
+    Omega = sum_{i,j} [ i*j*p_{i+j} d2/dp_i dp_j + (i+j)*p_i*p_j d/dp_{i+j} ]
+    (genfun.cut_join_linear), over ordered pairs with the diagonal once.
+    joins and cuts are (nu, w), each sorted by nu, with w the coefficient of
+    p_mu in Omega(p_nu), read off mu's own moves and the multiplicities m of
+    nu.  The joins nu of mu merge parts i, j into s; cutting s back weighs
+    s * m_s(nu), doubled when i != j.  The cuts nu of mu split a part s into
+    i + j; joining i, j back weighs 2 * i * j * m_i(nu) * m_j(nu), or
+    i^2 * m_i(nu) * (m_i(nu) - 1) when i = j.  Distinct moves of mu reach
+    distinct nu, so no nu is listed twice.
+
+    splits are (nu1, nu2, w) over the unordered pairs {nu1, nu2} with
+    (nu1 - i) u (nu2 - j) u {i + j} = mu, w the coefficient of p_mu in the
+    quadratic part sum_{i,j} i*j*p_{i+j} dF/dp_i dF/dp_j at F = p_nu1 + p_nu2
+    (the cross term when nu1 != nu2, at F = p_nu1 when nu1 = nu2): the sum
+    of i * j * m_i(nu1) * m_j(nu2) over every ordered split reaching the pair.
     """
     if mu.size < 1:
         raise ValueError("cut_join_incoming requires a nonempty partition")
     values = sorted(set(mu.parts), reverse=True)
-    joins_of_mu: list[tuple[Partition, Fraction]] = []
+    joins = []
     for a, i in enumerate(values):
         for j in values[a:]:
             if i == j and mu.multiplicity(i) < 2:
                 continue
             nu = mu.remove_one(i).remove_one(j).add_parts(i + j)
-            weight = Fraction((i + j) * nu.multiplicity(i + j), 2 if i == j else 1)
-            joins_of_mu.append((nu, weight))
-    cuts_of_mu: list[tuple[Partition, Fraction]] = []
+            joins.append((nu, (i + j) * nu.multiplicity(i + j) * (1 if i == j else 2)))
+    cuts = []
     for s in values:
         for i in range(1, s // 2 + 1):
             j = s - i
             nu = mu.remove_one(s).add_parts(i, j)
             m_i, m_j = nu.multiplicity(i), nu.multiplicity(j)
-            pairs = comb(m_i, 2) if i == j else m_i * m_j
-            cuts_of_mu.append((nu, Fraction(i * j * pairs)))
-    return sorted(joins_of_mu), sorted(cuts_of_mu)
-
-
-class SplitTerm(NamedTuple):
-    """One ordered term of the quadratic part of the cut-and-join operator."""
-
-    nu1: Partition
-    i: int
-    nu2: Partition
-    j: int
-    weight: int  # i * j * m_i(nu1) * m_j(nu2)
-
-
-def split_contributions(mu: Partition) -> list[SplitTerm]:
-    """Ordered pairs ((nu1, i), (nu2, j)) with (nu1-i) u (nu2-j) u {i+j} = mu.
-
-    These index the d/dp_i(F) * d/dp_j(F) terms of the nonlinear operator
-    whose product monomial lands on p_mu; cut_join_sum supplies the overall
-    1/2, and its split factor any branch-point bookkeeping.
-    """
-    out: list[SplitTerm] = []
-    for s in sorted(set(mu.parts), reverse=True):
-        rest = mu.remove_one(s)
-        for alpha in _sub_multisets(rest.parts):
-            beta = _multiset_difference(rest.parts, alpha)
+            cuts.append((nu, i * j * (m_i * (m_i - 1) if i == j else 2 * m_i * m_j)))
+    splits: dict[tuple[Partition, Partition], int] = {}
+    for s in values:
+        for alpha, beta in _sub_multisets(mu.remove_one(s).parts):
             for i in range(1, s):
                 j = s - i
-                nu1 = Partition(alpha + (i,))
-                nu2 = Partition(beta + (j,))
-                weight = i * j * nu1.multiplicity(i) * nu2.multiplicity(j)
-                out.append(SplitTerm(nu1, i, nu2, j, weight))
-    return out
+                nu1, nu2 = Partition(alpha + (i,)), Partition(beta + (j,))
+                w = i * j * nu1.multiplicity(i) * nu2.multiplicity(j)
+                key = (nu1, nu2) if nu2.parts <= nu1.parts else (nu2, nu1)
+                splits[key] = splits.get(key, 0) + w
+    return (
+        tuple(sorted(joins)),
+        tuple(sorted(cuts)),
+        tuple((nu1, nu2, w) for (nu1, nu2), w in splits.items()),
+    )
 
 
 def cut_join_sum(mu: Partition, g: int, value, split_factor=lambda g1, nu1, g2, nu2: 1):
     """The cut-and-join operator read on p_mu at genus g, from the genus-h
     coefficient value(h, nu) of every p_nu it draws on:
 
-        sum_{nu joins of mu} w * value(g, nu)
-      + sum_{nu cuts of mu} w * value(g - 1, nu)                       (g >= 1)
-      + 1/2 sum_splits sum_{g1+g2=g} weight * f * value(g1, nu1) * value(g2, nu2)
+        1/2 [ sum_{nu joins of mu} w * value(g, nu)
+            + sum_{nu cuts of mu} w * value(g - 1, nu)                  (g >= 1)
+            + sum_{splits} sum_{g1+g2=g} w * f * value(g1, nu1) * value(g2, nu2) ]
 
-    with w from cut_join_incoming and the split weights from
-    split_contributions; f = split_factor(g1, nu1, g2, nu2), 1 by default,
-    and a split with f = 0 reads no values.  The whole sum is one `_dot`
-    over (value, weight) pairs.  This is the right-hand side both of the
-    per-coefficient tau-evolution of the Hodge series (up to the factor
-    sqrt(-1)) and of the branch-point recursion for cover counts.
+    with the integer weights w of cut_join_incoming, and
+    f = split_factor(g1, nu1, g2, nu2), 1 by default; a split with f = 0
+    reads no values.  Each unordered split {nu1, nu2} is formed once per g1,
+    standing for both orders, so the sum is exact only when split_factor is
+    symmetric: f(g1, nu1, g2, nu2) = f(g2, nu2, g1, nu1).  The default is,
+    and so is the branch-point factor C(r - 1, r1) of
+    hurwitz.hurwitz_cutjoin_check, since r1 + r2 = r - 1.  The bracket is
+    one `_dot` over (value, weight) pairs, halved once.  This is the
+    right-hand side both of the per-coefficient tau-evolution of the Hodge
+    series (up to the factor sqrt(-1)) and of the branch-point recursion for
+    cover counts.
     """
-    joins_into, cuts_into = cut_join_incoming(mu)
-    pairs = [(value(g, nu), w) for nu, w in joins_into]
+    joins, cuts, splits = cut_join_incoming(mu)
+    pairs = [(value(g, nu), w) for nu, w in joins]
     if g >= 1:
-        pairs += [(value(g - 1, nu), w) for nu, w in cuts_into]
-    half = Fraction(1, 2)
-    for term in split_contributions(mu):
+        pairs += [(value(g - 1, nu), w) for nu, w in cuts]
+    for nu1, nu2, w in splits:
         for g1 in range(g + 1):
-            g2 = g - g1
-            f = split_factor(g1, term.nu1, g2, term.nu2)
+            f = split_factor(g1, nu1, g - g1, nu2)
             if f:
-                pairs.append((value(g1, term.nu1), value(g2, term.nu2) * (half * term.weight * f)))
-    return _dot(pairs)
+                pairs.append((value(g1, nu1), value(g - g1, nu2) * (w * f)))
+    return _dot(pairs) * Fraction(1, 2)
 
 
-def _sub_multisets(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All distinct sub-multisets, each exactly once."""
-    mult: dict[int, int] = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    values = sorted(mult, reverse=True)
-    subs: list[tuple[int, ...]] = [()]
-    for v in values:
-        subs = [s + (v,) * k for s in subs for k in range(mult[v] + 1)]
-    return [tuple(sorted(s, reverse=True)) for s in subs]
-
-
-def _multiset_difference(whole: tuple[int, ...], sub: tuple[int, ...]) -> tuple[int, ...]:
-    rest = list(whole)
-    for x in sub:
-        rest.remove(x)
-    return tuple(rest)
+def _sub_multisets(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every distinct sub-multiset of parts with its complement, each pair
+    once, both weakly decreasing: one pair per multiplicity vector."""
+    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
+    for v in sorted(set(parts), reverse=True):
+        m = parts.count(v)
+        pairs = [(a + (v,) * k, b + (v,) * (m - k)) for a, b in pairs for k in range(m + 1)]
+    return pairs

@@ -1,9 +1,12 @@
 """Whole-series forms of the cut-and-join operators, for the tests.
 
-The package reads each coefficient of an operator off the incoming-edge and
-split tables of `cutjoin.partitions`.  The forms here build the derivative
-series instead, with every product at the full weight cap, and add one term
-at a time, so they share no table with the code they check.
+The package reads each coefficient of an operator off one table, the
+column `cutjoin.partitions.cut_join_incoming(mu)` of joins, cuts and merged
+splits into mu.  The forms here build the derivative series instead, with
+every product at the full weight cap, and add one term at a time, so they
+share no table with the code they check: tests/test_partitions.py reads the
+table's join and cut weights off `reference_linear` and its split weights
+off the polarised quadratic part `reference_nonlinear - reference_linear`.
 """
 
 from cutjoin.genfun import PartitionSeries

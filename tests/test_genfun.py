@@ -16,8 +16,9 @@ from cutjoin.genfun import (
     ps_log,
 )
 from cutjoin.exact import RealTauPolynomial, _dot
-from cutjoin.hodge import build_series_pair, theorem1_verdicts
-from cutjoin.partitions import EMPTY, Partition, enumerate_partitions, split_contributions
+from cutjoin.hodge import build_series_pair, cutjoin_derivative_check, theorem1_verdicts
+from cutjoin.hurwitz import hurwitz_cutjoin_check
+from cutjoin.partitions import EMPTY, Partition, enumerate_partitions
 from series_reference import (
     d_dp,
     ref_add,
@@ -320,14 +321,6 @@ class TestAgainstReferences:
         for nu1, b in products:
             assert _is_scaled_coefficient(b, F, w - nu1.size), nu1
         assert len(products) == 61
-        unmerged = [
-            t
-            for d in range(1, w + 1)
-            for mu in enumerate_partitions(d)
-            for t in split_contributions(mu)
-            if t.nu1 in F.terms and t.nu2 in F.terms
-        ]
-        assert len(unmerged) == 115
 
 
 def _is_scaled_coefficient(b, F, room):
@@ -345,67 +338,57 @@ def _is_scaled_coefficient(b, F, room):
 
 @pytest.fixture
 def perturb(monkeypatch):
-    """Patch a source of the operators' per-partition tables, clearing the
-    tables when patching and after the test, so that the perturbed run reads
-    no table cached before it and no later test reads a perturbed one."""
-    tables = (genfun._incoming, genfun._splits)
+    """Put one weight of the cut-and-join table off by one: add 1 to the
+    first entry of column `which` (0 joins, 1 cuts, 2 splits) of every
+    partition that has one.  The cache sits under the patched name, so the
+    perturbed run reads no column cached before it and no later test reads a
+    perturbed one."""
+    real = partitions.cut_join_incoming
 
-    def patch(owner, name, fn):
-        monkeypatch.setattr(owner, name, fn)
-        for table in tables:
-            table.cache_clear()
+    def patch(which):
+        def perturbed(mu):
+            table = list(real(mu))
+            if table[which]:
+                (*key, weight), *rest = table[which]
+                table[which] = ((*key, weight + 1), *rest)
+            return tuple(table)
 
-    yield patch
-    for table in tables:
-        table.cache_clear()
+        monkeypatch.setattr(partitions, "cut_join_incoming", perturbed)
+
+    return patch
 
 
 class TestPerturbedTables:
-    """Negative controls: one weight of a table off by one must fail the
+    """Negative controls: one weight of the table off by one must fail the
     identities that read it."""
-
-    @staticmethod
-    def _first_weight_off_by_one(perturb, which):
-        # add 1 to the first join (which = 0) or cut (which = 1) weight into
-        # every partition that has one
-        real = partitions.cut_join_incoming
-
-        def perturbed(mu):
-            tables = list(real(mu))
-            if tables[which]:
-                (nu, weight), *rest = tables[which]
-                tables[which] = [(nu, weight + 1), *rest]
-            return tuple(tables)
-
-        perturb(partitions, "cut_join_incoming", perturbed)
 
     def test_join_weight(self, perturb):
         assert theorem1_verdicts(4, 8) == (True, True)
-        self._first_weight_off_by_one(perturb, 0)
+        perturb(0)
         assert not all(
             character_cutjoin_identity(nu) for d in range(1, 5) for nu in enumerate_partitions(d)
         )
         assert not theorem1_verdicts(4, 8)[0]
 
-    def test_merged_split_weight(self, perturb):
-        real = genfun._splits
-
-        def perturbed(mu):
-            table = real(mu)
-            if not table:
-                return table
-            (nu1, nu2, weight), *rest = table
-            return ((nu1, nu2, weight + 1), *rest)
-
-        perturb(genfun, "_splits", perturbed)
+    def test_merged_split_weight(self, perturb, series_pair_small):
+        # the whole-series operator and both per-genus recursions read the
+        # same merged split, so all of them fail
+        _, conn = series_pair_small
+        shapes = [mu for d in range(1, 5) for mu in enumerate_partitions(d)]
+        grid = [(g, mu) for g in range(3) for mu in shapes]
+        assert all(cutjoin_derivative_check(conn, g, mu) for g, mu in grid)
+        assert all(hurwitz_cutjoin_check(g, mu) for g, mu in grid)
+        perturb(2)
         assert theorem1_verdicts(4, 8) == (True, False)
         verdicts = {r.check_id: r.passed for r in SUITES["cutjoin-id"](RunConfig(seed=1))}
         assert not verdicts["cutjoin-id/random-conjugation"]
         assert verdicts["cutjoin-id/random-exp-log"]
+        assert not all(cutjoin_derivative_check(conn, g, mu) for g, mu in grid)
+        assert not all(hurwitz_cutjoin_check(g, mu) for g, mu in grid)
 
     def test_cut_weight_shows_in_the_schur_eigenvalue_check(self, perturb):
         # the eigenvalues come from the character table, not from the
         # weight rule, so a perturbed cut weight shows
-        self._first_weight_off_by_one(perturb, 1)
+        perturb(1)
         failed = {r.check_id for r in SUITES["cutjoin-id"](RunConfig()) if not r.passed}
         assert {f"cutjoin-id/d={d}" for d in range(2, 9)} <= failed

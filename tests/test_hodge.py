@@ -44,7 +44,6 @@ from cutjoin.partitions import (
     EMPTY,
     Partition,
     enumerate_partitions,
-    _multiset_difference,
     _sub_multisets,
 )
 
@@ -394,10 +393,9 @@ class TestSeriesBuild:
             if not parts:
                 yield ()
                 return
-            for alpha in _sub_multisets(parts):
+            for alpha, rest in _sub_multisets(parts):
                 if not alpha:
                     continue
-                rest = _multiset_difference(parts, alpha)
                 for tail in ordered_decompositions(rest):
                     yield (alpha,) + tail
 
@@ -505,13 +503,16 @@ class TestExtraction:
 
         _, conn = series_pair_small
         assert cutjoin_derivative_check(conn, 0, P([2])) and hurwitz_cutjoin_check(0, P([2]))
-        real = partitions.split_contributions
-        monkeypatch.setattr(
-            partitions,
-            "split_contributions",
-            lambda mu: [t._replace(weight=t.weight + 1) if k == 0 else t
-                        for k, t in enumerate(real(mu))],
-        )
+        real = partitions.cut_join_incoming
+
+        def first_split_off_by_one(nu):
+            joins, cuts, splits = real(nu)
+            if splits:
+                (nu1, nu2, w), *rest = splits
+                splits = ((nu1, nu2, w + 1), *rest)
+            return joins, cuts, splits
+
+        monkeypatch.setattr(partitions, "cut_join_incoming", first_split_off_by_one)
         assert not cutjoin_derivative_check(conn, 0, P([2]))
         assert not hurwitz_cutjoin_check(0, P([2]))
 
@@ -528,12 +529,31 @@ class TestExtraction:
         real = partitions.cut_join_incoming
 
         def first_join_off_by_one(nu):
-            joins, cuts = real(nu)
-            return [(joins[0][0], joins[0][1] + 1)] + joins[1:], cuts
+            joins, cuts, splits = real(nu)
+            return ((joins[0][0], joins[0][1] + 1), *joins[1:]), cuts, splits
 
         monkeypatch.setattr(partitions, "cut_join_incoming", first_join_off_by_one)
         assert not cutjoin_derivative_check(conn, 0, mu)
         assert not hurwitz_cutjoin_check(0, mu)
+
+    def test_cut_join_sum_forms_each_merged_split_once_per_genus(self, monkeypatch):
+        # the derivative recursion of the extraction suite at (6, 12): each
+        # unordered split is one pair per g1, 100 pairs in all (142 when
+        # both orders of a split were formed)
+        from cutjoin import partitions
+
+        _, conn = build_series_pair(6, 12)
+        shapes = [mu for d in range(1, 5) for mu in enumerate_partitions(d)]
+        real = partitions._dot
+        recorded = []
+
+        def recording(pairs):
+            recorded.extend(pairs)
+            return real(pairs)
+
+        monkeypatch.setattr(partitions, "_dot", recording)
+        assert all(cutjoin_derivative_check(conn, g, mu) for g in range(3) for mu in shapes)
+        assert len(recorded) == 100
 
 
 def _one_point_genus1_oracle() -> TauPolynomial:

@@ -18,7 +18,7 @@ from cutjoin.hurwitz import (
     solve_hodge_from_hurwitz,
     transpositions,
 )
-from cutjoin.partitions import Partition, enumerate_partitions
+from cutjoin.partitions import Partition, cut_join_incoming, enumerate_partitions
 
 P = Partition
 
@@ -267,3 +267,27 @@ class TestCutJoinRecursion:
             for d in range(1, 5):
                 for mu in enumerate_partitions(d):
                     assert hurwitz_cutjoin_check(g, mu), (g, mu)
+
+    def test_split_factor_is_symmetric(self, monkeypatch):
+        # cut_join_sum forms each unordered split once per g1, which is
+        # exact only for a factor symmetric under (g1, nu1) <-> (g2, nu2)
+        real = hurwitz.cut_join_sum
+        seen = []
+
+        def checked(mu, g, value, split_factor):
+            for nu1, nu2, _ in cut_join_incoming(mu)[2]:
+                for g1 in range(g + 1):
+                    g2 = g - g1
+                    assert split_factor(g1, nu1, g2, nu2) == split_factor(g2, nu2, g1, nu1), (
+                        g, mu, g1, nu1, nu2
+                    )
+                    seen.append(split_factor(g1, nu1, g2, nu2))
+            return real(mu, g, value, split_factor)
+
+        monkeypatch.setattr(hurwitz, "cut_join_sum", checked)
+        for g in range(4):
+            for d in range(1, 7):
+                for mu in enumerate_partitions(d):
+                    assert hurwitz_cutjoin_check(g, mu), (g, mu)
+        # the factor is not constant, so the symmetry is not vacuous
+        assert len(set(seen)) > 2

@@ -12,9 +12,8 @@ from cutjoin.partitions import (
     Partition,
     cut_join_incoming,
     enumerate_partitions,
-    split_contributions,
 )
-from series_reference import reference_linear
+from series_reference import reference_linear, reference_nonlinear
 
 partitions_st = st.integers(0, 8).map(
     lambda n: enumerate_partitions(n)
@@ -166,16 +165,15 @@ class TestCutJoin:
     def test_incoming_transposes_the_operator(self):
         # the derivative form of Omega is the oracle (the genfun operator
         # reads this table): the weight of nu -> mu is the coefficient of
-        # p_mu in (1/2) * Omega(p_nu)
+        # p_mu in Omega(p_nu)
         for d in range(1, 9):
             images = {
                 nu: reference_linear(PartitionSeries.monomial(nu, Fraction(1), d))
-                * Fraction(1, 2)
                 for nu in enumerate_partitions(d)
             }
             for mu in enumerate_partitions(d):
                 column = {nu: im.terms[mu] for nu, im in images.items() if mu in im.terms}
-                joins_into, cuts_into = cut_join_incoming(mu)
+                joins_into, cuts_into, _ = cut_join_incoming(mu)
                 assert len(dict(joins_into)) == len(joins_into), mu
                 assert len(dict(cuts_into)) == len(cuts_into), mu
                 assert dict(joins_into) == {
@@ -186,36 +184,64 @@ class TestCutJoin:
                 }, mu
                 assert len(column) == len(joins_into) + len(cuts_into), mu
 
+    def test_splits_polarise_the_quadratic_part(self):
+        # the quadratic part Q of the derivative-form operators is the
+        # oracle: the weight of the unordered split {nu1, nu2} of mu is the
+        # coefficient of p_mu in Q(p_nu1 + p_nu2) - Q(p_nu1) - Q(p_nu2), or in
+        # Q(p_nu) when nu1 = nu2 = nu
+        w = 7
+
+        def quadratic(*nus):
+            F = PartitionSeries({nu: Fraction(1) for nu in nus}, w)
+            return reference_nonlinear(F) - reference_linear(F)
+
+        shapes = [nu for d in range(1, w) for nu in enumerate_partitions(d)]
+        squares = {nu: quadratic(nu) for nu in shapes}
+        expected = {mu: {} for d in range(1, w + 1) for mu in enumerate_partitions(d)}
+        for a, nu1 in enumerate(shapes):
+            for nu2 in shapes[a:]:
+                if nu1.size + nu2.size > w:
+                    continue
+                if nu1 == nu2:
+                    part = squares[nu1]
+                else:
+                    part = quadratic(nu1, nu2) - squares[nu1] - squares[nu2]
+                for mu, c in part.terms.items():
+                    if mu.size == nu1.size + nu2.size:
+                        expected[mu][frozenset((nu1, nu2))] = c
+        for mu, column in expected.items():
+            splits = cut_join_incoming(mu)[2]
+            table = {frozenset((nu1, nu2)): weight for nu1, nu2, weight in splits}
+            assert len(table) == len(splits), mu
+            assert all(isinstance(weight, int) for *_, weight in splits), mu
+            assert table == column, mu
+
     def test_incoming(self):
         assert cut_join_incoming(Partition([2])) == (
-            [],
-            [(Partition([1, 1]), Fraction(1))],
+            (),
+            ((Partition([1, 1]), 2),),
+            ((Partition([1]), Partition([1]), 1),),
         )
-        assert cut_join_incoming(Partition([1, 1])) == (
-            [(Partition([2]), Fraction(1))],
-            [],
-        )
+        assert cut_join_incoming(Partition([1, 1])) == (((Partition([2]), 2),), (), ())
         assert cut_join_incoming(Partition([2, 1])) == (
-            [(Partition([3]), Fraction(3))],
-            [(Partition([1, 1, 1]), Fraction(3))],
+            ((Partition([3]), 6),),
+            ((Partition([1, 1, 1]), 6),),
+            ((Partition([1, 1]), Partition([1]), 4),),
         )
+
+    def test_merged_splits(self):
+        # splitting a 3-row: the ordered (1, 2) and (2, 1) terms, weight 2
+        # each, merge into one unordered pair
+        assert cut_join_incoming(Partition([3]))[2] == ((Partition([2]), Partition([1]), 4),)
+        # (3, 1): the part 3 splits with the 1 on either side, and the 1 has
+        # nothing to split
+        assert dict(
+            (frozenset((nu1, nu2)), w) for nu1, nu2, w in cut_join_incoming(Partition([3, 1]))[2]
+        ) == {
+            frozenset((Partition([2, 1]), Partition([1]))): 4,
+            frozenset((Partition([2]), Partition([1, 1]))): 8,
+        }
 
     def test_incoming_rejects_the_empty_partition(self):
         with pytest.raises(ValueError):
             cut_join_incoming(EMPTY)
-
-    def test_split_contributions(self):
-        terms = split_contributions(Partition([2]))
-        assert len(terms) == 1
-        t = terms[0]
-        assert (t.nu1, t.i, t.nu2, t.j, t.weight) == (
-            Partition([1]),
-            1,
-            Partition([1]),
-            1,
-            1,
-        )
-        # splitting a 3-row: ordered (1,2) and (2,1)
-        terms3 = split_contributions(Partition([3]))
-        assert {(t.i, t.j) for t in terms3} == {(1, 2), (2, 1)}
-        assert all(t.weight == 2 for t in terms3)
