@@ -13,11 +13,11 @@
 * ``LaurentSeries``  -- truncated Laurent series in one variable over the
   rationals or either tau-polynomial type (finite pole order, explicit
   truncation order).
-* ``QHalfLaurent``   -- a power of i times a Laurent polynomial with integer
-  coefficients in y = q**(1/2): y**low times a TauPolynomial in y, whose
-  phase rule it shares.  A product of binomials 1 - y**e, the form of every
-  sine and hook product, is built by `binomial_product` on one integer list,
-  one shift-subtract per factor, with no product of two dense polynomials.
+* ``QHalfLaurent``   -- i**0 or i**1 times y**low times an integer list in
+  y = q**(1/2), its phase folded by TauPolynomial's rule.  A product of
+  binomials 1 - y**e, the form of every sine and hook product, is built by
+  `binomial_product` on one integer list, one shift-subtract per factor,
+  with no product of two dense polynomials.
 
 Every sum, scalar multiple and product is a sum of products: `_dot(pairs)`
 is the one multiply-accumulate path, a + b is `_dot(((a, 1), (b, 1)))` and a
@@ -383,11 +383,9 @@ class TauPolynomial:
         """i**k times a real tau-polynomial (or the integer 0)."""
         if not real:
             return TP_ZERO
-        k %= 4
-        if k >= 2:
-            real, k = -real, k - 2
+        sign, k = _phase(k)
         p = object.__new__(cls)
-        p.real = real
+        p.real = real if sign > 0 else -real
         p.i_power = k
         return p
 
@@ -418,16 +416,6 @@ class TauPolynomial:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, _TP_OPERANDS):
-            return _dot(((self, 1), (other, -1)))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, _TP_OPERANDS):
-            return _dot(((self, -1), (other, 1)))
-        return NotImplemented
-
     def __neg__(self):
         return TauPolynomial.phased(-self.real, self.i_power)
 
@@ -457,18 +445,6 @@ class TauPolynomial:
         if real and imag:
             raise ValueError("a sum of terms with phases i^0 and i^1 has no common phase")
         return TauPolynomial.phased(imag, 1) if imag else TauPolynomial.phased(real, 0)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError(f"negative exponent {n} for a tau-polynomial")
-        result = TP_ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def derivative(self) -> "TauPolynomial":
         return TauPolynomial.phased(self.real.derivative(), self.i_power)
@@ -515,12 +491,17 @@ class TauPolynomial:
         return [c.to_json() for c in self.coeffs]
 
 
+def _phase(k: int) -> tuple[int, int]:
+    """i**k as (sign, i**0 or i**1): the factor i**2 = -1 goes into the sign."""
+    k %= 4
+    return (-1, k - 2) if k >= 2 else (1, k)
+
+
 _TP_OPERANDS = (TauPolynomial, int, Fraction)
 
 
 TP_ZERO = TauPolynomial()
-TP_ONE = TauPolynomial((1,))
-TP_I = TauPolynomial.phased(TP_ONE.real, 1)
+TP_I = TauPolynomial.phased(RealTauPolynomial.constant(1), 1)
 
 _SCALARS = (int, Fraction, TauPolynomial, RealTauPolynomial)
 
@@ -844,20 +825,18 @@ class QHalfLaurent:
     """A power of i times a Laurent polynomial with integer coefficients in
     y = q**(1/2).
 
-    Stored as y**low times a TauPolynomial in y whose constant term is
-    nonzero (zero has low 0), so the monomial q**(m/2) is y**m and equality
-    of (low, poly) is canonical.  The phase, kept at i**0 or i**1, is that of
-    the TauPolynomial; `terms` reads the coefficients back as {m: int}.  A
-    product of binomials is built by `binomial_product`; `*` and `**`
-    multiply through the TauPolynomial.
+    The value is i**i_power * y**low * sum_k coeffs[k] * y**k: coeffs is a
+    tuple of ints whose first and last entries are nonzero, and the phase is
+    kept at i**0 or i**1 (i**2 = -1 goes into the signs); zero is
+    (0, 0, ()).  So q**(m/2) is y**m and equality of the three fields is
+    canonical.  `terms` reads the coefficients back as {m: int}.
     """
 
-    __slots__ = ("low", "poly")
+    __slots__ = ("low", "i_power", "coeffs")
 
     def __init__(self, terms=(), i_power: int = 0):
         data = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for k, v in items:
+        for k, v in terms.items() if isinstance(terms, dict) else terms:
             if not isinstance(v, int):
                 raise TypeError(f"coefficient {v!r} is not an integer")
             data[k] = data.get(k, 0) + v
@@ -865,13 +844,12 @@ class QHalfLaurent:
         coeffs = [0] * (max(data, default=0) - low + 1)
         for k, v in data.items():
             coeffs[k - low] = v
-        poly = TauPolynomial.phased(RealTauPolynomial._make(coeffs, 1), i_power)
-        self.low, self.poly = _y_shifted(low, poly)
+        self.low, self.i_power, self.coeffs = _q_canonical(low, i_power, coeffs)
 
     @classmethod
-    def _make(cls, low: int, poly: TauPolynomial) -> "QHalfLaurent":
+    def _make(cls, low: int, i_power: int, coeffs: list) -> "QHalfLaurent":
         q = object.__new__(cls)
-        q.low, q.poly = _y_shifted(low, poly)
+        q.low, q.i_power, q.coeffs = _q_canonical(low, i_power, coeffs)
         return q
 
     @classmethod
@@ -886,12 +864,7 @@ class QHalfLaurent:
                 low, i_power, e = low + e, i_power + 2, -e
             pad = [0] * e
             coeffs = [a - b for a, b in zip(coeffs + pad, pad + coeffs)]
-        real = RealTauPolynomial._make(coeffs, 1)
-        return cls._make(low, TauPolynomial.phased(real, i_power))
-
-    @classmethod
-    def zero(cls) -> "QHalfLaurent":
-        return cls()
+        return cls._make(low, i_power, coeffs)
 
     @classmethod
     def one(cls) -> "QHalfLaurent":
@@ -902,77 +875,56 @@ class QHalfLaurent:
         return cls(((half_exp, coeff),))
 
     @property
-    def i_power(self) -> int:
-        return self.poly.i_power
-
-    @property
     def terms(self) -> dict[int, int]:
         """The nonzero coefficients by exponent of y = q**(1/2)."""
-        return {self.low + k: n for k, n in enumerate(self.poly.real.nums) if n}
-
-    def __add__(self, other):
-        if not isinstance(other, QHalfLaurent):
-            return NotImplemented
-        a, b = (self, other) if self.low <= other.low else (other, self)
-        return QHalfLaurent._make(a.low, a.poly + _times_y(b.poly, b.low - a.low))
-
-    def __sub__(self, other):
-        if not isinstance(other, QHalfLaurent):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return QHalfLaurent._make(self.low, -self.poly)
+        return {self.low + k: n for k, n in enumerate(self.coeffs) if n}
 
     def __mul__(self, other):
+        """The product with a QHalfLaurent or an int: one integer
+        convolution, the phases added.  No command calls it (the sine and
+        hook products are binomial products); the traced benchmark run
+        patches it by name (perfbench/traced_cli.py METHODS), and
+        tests/test_trace_hooks.py checks that it is there."""
         if isinstance(other, int):
-            return QHalfLaurent._make(self.low, self.poly * other)
-        if not isinstance(other, QHalfLaurent):
+            other = QHalfLaurent(((0, other),))
+        elif not isinstance(other, QHalfLaurent):
             return NotImplemented
-        return QHalfLaurent._make(self.low + other.low, self.poly * other.poly)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs, i):
+                out[j] += a * b
+        return QHalfLaurent._make(self.low + other.low, self.i_power + other.i_power, out)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        return QHalfLaurent._make(self.low * n, self.poly**n)
-
     def __bool__(self):
-        return bool(self.poly)
+        return bool(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, QHalfLaurent):
             return NotImplemented
-        return self.low == other.low and self.poly == other.poly
+        return (self.low, self.i_power, self.coeffs) == (other.low, other.i_power, other.coeffs)
 
     def __hash__(self):
-        return hash((self.low, self.poly))
+        return hash((self.low, self.i_power, self.coeffs))
 
     def __repr__(self):
         if not self:
             return "QHalfLaurent(0)"
-        bits = [f"{c}*q^({k}/2)" for k, c in sorted(self.terms.items())]
-        poly = " + ".join(bits)
+        poly = " + ".join(f"{c}*q^({k}/2)" for k, c in sorted(self.terms.items()))
         return f"QHalfLaurent(i*({poly}))" if self.i_power else f"QHalfLaurent({poly})"
 
 
-def _times_y(poly: TauPolynomial, k: int) -> TauPolynomial:
-    """poly times y**k for k >= 0."""
-    if not k or not poly:
-        return poly
-    real = RealTauPolynomial._raw((0,) * k + poly.real.nums, poly.real.den)
-    return TauPolynomial.phased(real, poly.i_power)
-
-
-def _y_shifted(low: int, poly: TauPolynomial) -> tuple[int, TauPolynomial]:
-    """y**low * poly as (low', poly') with the constant term of poly' nonzero;
-    zero is (0, zero)."""
-    nums = poly.real.nums
-    if not nums:
-        return 0, poly
-    k = 0
-    while not nums[k]:
-        k += 1
-    if not k:
-        return low, poly
-    real = RealTauPolynomial._raw(nums[k:], poly.real.den)
-    return low + k, TauPolynomial.phased(real, poly.i_power)
+def _q_canonical(low: int, i_power: int, coeffs: list) -> tuple[int, int, tuple]:
+    """i**i_power * y**low * coeffs as canonical (low, i_power, coeffs): the
+    zeros at both ends stripped, the leading ones into low, and the phase
+    folded by `_phase`; zero is (0, 0, ())."""
+    start, stop = 0, len(coeffs)
+    while stop and not coeffs[stop - 1]:
+        stop -= 1
+    if not stop:
+        return 0, 0, ()
+    while not coeffs[start]:
+        start += 1
+    sign, i_power = _phase(i_power)
+    return low + start, i_power, tuple(c * sign for c in coeffs[start:stop])

@@ -1,4 +1,5 @@
-"""Whole-series forms of the cut-and-join operators, for the tests.
+"""Whole-series forms of the cut-and-join operators, and the sums, negations
+and powers of exact values that no command runs, for the tests.
 
 The package reads each coefficient of an operator off one table, the
 column `cutjoin.partitions.cut_join_incoming(mu)` of joins, cuts and merged
@@ -9,7 +10,37 @@ table's join and cut weights off `reference_linear` and its split weights
 off the polarised quadratic part `reference_nonlinear - reference_linear`.
 """
 
+from cutjoin.exact import QHalfLaurent
 from cutjoin.genfun import PartitionSeries
+
+
+def q_add(a, b):
+    """a + b for QHalfLaurent values, merged term by term from their
+    {exponent: coefficient} readouts.  A sum whose parts of phase i^0 and
+    i^1 are both nonzero has no common phase and raises ValueError."""
+    phases = {x.i_power for x in (a, b) if x}
+    if len(phases) > 1:
+        raise ValueError("a sum of terms with phases i^0 and i^1 has no common phase")
+    return QHalfLaurent([*a.terms.items(), *b.terms.items()], phases.pop() if phases else 0)
+
+
+def q_neg(a):
+    """-a for a QHalfLaurent value, the sign put on every coefficient."""
+    return QHalfLaurent({k: -c for k, c in a.terms.items()}, a.i_power)
+
+
+def q_power(a, n):
+    """a**n for a QHalfLaurent value and n >= 0, by repeated *."""
+    out = QHalfLaurent.one()
+    for _ in range(n):
+        out = out * a
+    return out
+
+
+def tp_sub(a, b):
+    """a - b for tau-polynomials (or a tau-polynomial and a rational), as
+    a + (-b)."""
+    return a + (-b)
 
 
 def d_dp(F, i):

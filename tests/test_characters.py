@@ -15,8 +15,14 @@ from cutjoin.characters import (
 from cutjoin.exact import QHalfLaurent
 from cutjoin.genfun import PartitionSeries
 from cutjoin.partitions import Partition, enumerate_partitions
+from series_reference import q_add, q_neg
 
 P = Partition
+
+
+def one_minus(half_exp):
+    """1 - y**half_exp, by the test-side sum and negation."""
+    return q_add(QHalfLaurent.one(), q_neg(QHalfLaurent.monomial(1, half_exp)))
 
 # S_3 by hand: rows (3), (2,1), (1,1,1); columns (3), (2,1), (1,1,1)
 S3_TABLE = {
@@ -134,7 +140,7 @@ class TestPrincipalSpecialization:
     def test_shapes(self):
         num, den = schur_principal_specialization(P([1]))
         assert num == QHalfLaurent.one()
-        assert den == QHalfLaurent.one() - QHalfLaurent.monomial(1, 2)
+        assert den == one_minus(2)
         num2, _ = schur_principal_specialization(P([2]))
         assert num2 == QHalfLaurent.one()  # n(2) = 0
         num11, _ = schur_principal_specialization(P([1, 1]))
@@ -142,17 +148,14 @@ class TestPrincipalSpecialization:
 
     def test_denominator_from_hooks(self):
         _, den = schur_principal_specialization(P([2]))
-        expected = (QHalfLaurent.one() - QHalfLaurent.monomial(1, 2)) * (
-            QHalfLaurent.one() - QHalfLaurent.monomial(1, 4)
-        )
-        assert den == expected
+        assert den == one_minus(2) * one_minus(4)
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_denominator_matches_factor_by_factor(self, d):
         for nu in enumerate_partitions(d):
             den = QHalfLaurent.one()
             for h in nu.hooks():
-                den = den * (QHalfLaurent.one() - QHalfLaurent.monomial(1, 2 * h))
+                den = den * one_minus(2 * h)
             numerator = QHalfLaurent.monomial(1, 2 * nu.n_weight())
             assert schur_principal_specialization(nu) == (numerator, den), nu
 
@@ -169,7 +172,7 @@ class TestPrincipalSpecialization:
 
         def extra_hook(nu):
             num, den = real(nu)
-            return num, den * (QHalfLaurent.one() - QHalfLaurent.monomial(1, 14))
+            return num, den * one_minus(14)
 
         monkeypatch.setattr(characters, "schur_principal_specialization", extra_hook)
         assert not principal_specialization_check(P([3, 1]), 10)

@@ -603,7 +603,8 @@ class TestGoldenFixture:
 class TestGaussianReadoutOnly:
     """Gaussian rationals are only read out: no sum, product or negation of
     two of them runs while a command computes, and the field operations are
-    gone."""
+    gone.  No command multiplies two q-Laurent values either, and the sums,
+    negations and powers that none runs are gone from the package."""
 
     DIGESTS = {
         ("verify", "--suite", "all", "--seed", "1"):
@@ -616,13 +617,17 @@ class TestGaussianReadoutOnly:
 
     def test_commands_run_without_gaussian_arithmetic(self, monkeypatch):
         from cutjoin import hodge
-        from cutjoin.exact import GaussianRational
+        from cutjoin.exact import GaussianRational, QHalfLaurent
 
         def forbidden(*args):
-            raise AssertionError("Gaussian arithmetic outside a readout")
+            raise AssertionError("Gaussian or q-Laurent arithmetic outside a readout")
 
         for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__neg__"):
             monkeypatch.setattr(GaussianRational, name, forbidden)
+        # no command multiplies two q-Laurent values: the sine and hook
+        # products are binomial products, and `*` is kept for the traced run
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(QHalfLaurent, name, forbidden)
         hodge.build_series_pair.cache_clear()
         try:
             for args, digest in self.DIGESTS.items():
@@ -634,9 +639,17 @@ class TestGaussianReadoutOnly:
             hodge.build_series_pair.cache_clear()
 
     def test_field_operations_are_gone(self):
+        from cutjoin import exact
         from cutjoin.exact import GaussianRational, QHalfLaurent, TauPolynomial
 
         for name in ("inverse", "__truediv__", "__pow__", "__sub__", "coerce", "i_power"):
             assert not hasattr(GaussianRational, name), name
         assert not hasattr(TauPolynomial, "evaluate")
         assert not hasattr(QHalfLaurent, "substitute")
+        # sums, negations and powers no command runs live in the tests
+        for name in ("__add__", "__sub__", "__neg__", "__pow__", "zero", "poly"):
+            assert not hasattr(QHalfLaurent, name), name
+        for name in ("__pow__", "__sub__", "__rsub__"):
+            assert not hasattr(TauPolynomial, name), name
+        for name in ("TP_ONE", "_times_y", "_y_shifted"):
+            assert not hasattr(exact, name), name

@@ -15,7 +15,6 @@ from cutjoin.exact import (
     QHalfLaurent,
     RealTauPolynomial,
     TP_I,
-    TP_ONE,
     TauPolynomial,
     _dot,
     fraction_str,
@@ -24,7 +23,9 @@ from cutjoin.exact import (
     sin_half_series,
     sinh_half_series,
 )
+from series_reference import q_add, q_neg, tp_sub
 
+TP_ONE = TauPolynomial([1])
 TP_TAU = TauPolynomial([0, 1])
 
 small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=9)
@@ -80,8 +81,8 @@ class TestGaussianRational:
     def test_i_squared(self):
         # i is the phased unit; its powers read out as Gaussian rationals
         assert TP_I * TP_I == -1
-        assert (TP_I**3).coefficient(0) == GaussianRational(0, -1)
-        assert (TP_I**4).coefficient(0) == 1
+        assert (TP_I * TP_I * TP_I).coefficient(0) == GaussianRational(0, -1)
+        assert (TP_I * TP_I * TP_I * TP_I).coefficient(0) == 1
 
     @given(gaussians, gaussians, gaussians)
     def test_ring_axioms(self, a, b, c):
@@ -242,61 +243,117 @@ class TestLaurentSeries:
         }
 
 
+def _fields(x):
+    return x.low, x.i_power, x.coeffs
+
+
+def _ref_q_product(a, a_phase, b, b_phase):
+    """i**a_phase * sum(c y**k for k, c in a) times the same of b, by dict
+    convolution, as ({exponent: coefficient}, phase): the phases added mod 4
+    and i**2 = -1 folded into the sign; zero has phase 0."""
+    out = {}
+    for i, x in a:
+        for j, y in b:
+            out[i + j] = out.get(i + j, 0) + x * y
+    phase = (a_phase + b_phase) % 4
+    sign = -1 if phase >= 2 else 1
+    terms = {k: sign * c for k, c in out.items() if c}
+    return terms, (phase % 2 if terms else 0)
+
+
 class TestQHalfLaurent:
+    """The three stored fields are canonical; sums, negations and powers are
+    the test-side references in series_reference."""
+
     def test_spec_examples(self):
-        a = QHalfLaurent.monomial(1, 1) - QHalfLaurent.monomial(1, -1)
-        b = QHalfLaurent.monomial(1, 1) - QHalfLaurent.monomial(1, -1)
-        assert a == b
+        a = q_add(QHalfLaurent.monomial(1, 1), q_neg(QHalfLaurent.monomial(1, -1)))
+        b = q_add(QHalfLaurent.monomial(1, 1), q_neg(QHalfLaurent.monomial(1, -1)))
+        assert a == b and a == QHalfLaurent({1: 1, -1: -1})
+        assert _fields(a) == (-1, 0, (-1, 0, 1))
         q = QHalfLaurent.monomial(1, 2)
-        assert q - q == QHalfLaurent.zero()
+        assert q_add(q, q_neg(q)) == QHalfLaurent() and not QHalfLaurent()
 
     def test_phase_is_canonical(self):
         y = QHalfLaurent({1: 1})
-        assert QHalfLaurent({1: 1}, i_power=2) == -y
+        assert QHalfLaurent({1: 1}, i_power=2) == q_neg(y)
+        assert _fields(QHalfLaurent({1: 1}, i_power=2)) == (1, 0, (-1,))
         assert QHalfLaurent({1: 1}, i_power=5) == QHalfLaurent({1: 1}, i_power=1)
-        assert QHalfLaurent({}, i_power=1) == QHalfLaurent.zero()
+        assert QHalfLaurent({1: 1}, i_power=-1) == q_neg(QHalfLaurent({1: 1}, i_power=1))
+        assert QHalfLaurent({}, i_power=1) == QHalfLaurent()
+        assert _fields(QHalfLaurent({}, i_power=1)) == (0, 0, ())
         with pytest.raises(ValueError, match="common phase"):
-            y + QHalfLaurent({1: 1}, i_power=1)
+            q_add(y, QHalfLaurent({1: 1}, i_power=1))
 
     def test_low_end_cancellation_is_canonical(self):
         y, y3 = QHalfLaurent.monomial(1, 1), QHalfLaurent.monomial(1, 3)
-        cancelled = (y + y3) - y
+        cancelled = q_add(q_add(y, y3), q_neg(y))
         assert cancelled == y3 and hash(cancelled) == hash(y3)
-        assert cancelled.terms == {3: 1}
-        assert y - y == QHalfLaurent.zero() and hash(y - y) == hash(QHalfLaurent.zero())
+        assert cancelled.terms == {3: 1} and _fields(cancelled) == (3, 0, (1,))
+        zero = q_add(y, q_neg(y))
+        assert zero == QHalfLaurent() and hash(zero) == hash(QHalfLaurent())
+        assert _fields(QHalfLaurent([(1, 1), (3, 1), (1, -1), (4, 0)])) == (3, 0, (1,))
 
-    def test_phase_folds_through_the_stored_polynomial(self):
+    def test_phase_folds_into_the_signs(self):
         s = QHalfLaurent({1: 1, -1: -1}, i_power=1)  # 2 sin(lambda/2) = i*(y - 1/y)
         assert s * s == QHalfLaurent({2: -1, 0: 2, -2: -1})
         assert (s * s).i_power == 0 and (s * s * s).i_power == 1
         folded = QHalfLaurent({-1: 1, 2: 3}, i_power=3)
-        assert folded == -QHalfLaurent({-1: 1, 2: 3}, i_power=1)
+        assert folded == q_neg(QHalfLaurent({-1: 1, 2: 3}, i_power=1))
         assert folded.terms == {-1: -1, 2: -3} and folded.i_power == 1
+        y = QHalfLaurent({1: 1}, i_power=1)  # i*q^(1/2): i^4 = 1
+        assert y * y * y * y == QHalfLaurent.monomial(1, 4)
 
-    def test_power(self):
-        y = QHalfLaurent({1: 1}, i_power=1)  # i*q^(1/2)
-        assert y**4 == QHalfLaurent.monomial(1, 4)
+    def test_one_phase_rule_for_both_types(self):
+        # TauPolynomial.phased and the q-Laurent fields fold i**k alike
+        for k in range(-8, 9):
+            tau = TauPolynomial.phased(RealTauPolynomial([2, 3]), k)
+            q = QHalfLaurent({0: 2, 1: 3}, i_power=k)
+            assert (q.i_power, q.coeffs) == (tau.i_power, tau.real.nums), k
 
-    def test_negative_power_rejected(self):
-        y = QHalfLaurent({1: 1}, i_power=1)
-        with pytest.raises(ValueError, match="negative exponent"):
-            y ** -1
-        assert y**0 == QHalfLaurent.one()
+    def test_stored_apart_from_the_tau_polynomials(self):
+        # the type and its canonicalising helper run on plain ints
+        for obj in (QHalfLaurent, exact._q_canonical):
+            assert "TauPolynomial" not in inspect.getsource(obj), obj
+
+    def test_repr(self):
+        assert repr(QHalfLaurent()) == "QHalfLaurent(0)"
+        assert repr(QHalfLaurent({2: 3, -1: 1})) == "QHalfLaurent(1*q^(-1/2) + 3*q^(2/2))"
+        s = QHalfLaurent({1: 1, -1: -1}, i_power=3)
+        assert repr(s) == "QHalfLaurent(i*(1*q^(-1/2) + -1*q^(1/2)))"
 
     @given(
         st.lists(st.integers(-6, 8), max_size=7),
         st.integers(-5, 5),
-        st.integers(-5, 5),
+        st.integers(-9, 9),
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3)), max_size=6),
     )
-    @example([0], 1, 1)  # a factor 1 - y^0 is zero
-    @example([], 3, 2)
-    def test_binomial_product_matches_factor_by_factor(self, exponents, low, i_power):
+    @example([0], 1, 1, [])  # a factor 1 - y^0 is zero
+    @example([], 3, 2, [(0, 1), (0, -1)])  # terms that cancel are zero
+    @example([1, -2], -2, 7, [(-1, 0), (2, 5), (0, 1), (3, 0)])  # zeros at both ends
+    def test_binomial_product_matches_factor_by_factor(self, exponents, low, i_power, terms):
         want = QHalfLaurent({low: 1}, i_power=i_power)
         for e in exponents:
-            want = want * (QHalfLaurent.one() - QHalfLaurent.monomial(1, e))
+            want = want * q_add(QHalfLaurent.one(), q_neg(QHalfLaurent.monomial(1, e)))
         got = QHalfLaurent.binomial_product(exponents, low, i_power)
-        assert got == want and hash(got) == hash(want)
         assert got.terms == want.terms and got.i_power == want.i_power
+        # equal values have equal fields and hashes, however they were built
+        shifted = [(k + low, c) for k, c in terms]
+        x = QHalfLaurent(shifted, i_power)
+        negated = QHalfLaurent([(k, -c) for k, c in shifted], i_power + 2)
+        rebuilt = QHalfLaurent(x.terms, x.i_power)
+        for a, b in ((got, want), (x, negated), (x, rebuilt)):
+            assert a == b and _fields(a) == _fields(b) and hash(a) == hash(b)
+        for product, b, b_phase in (
+            (x * got, got.terms.items(), got.i_power),
+            (x * -2, [(0, -2)], 0),
+        ):
+            assert (product.terms, product.i_power) == _ref_q_product(shifted, i_power, b, b_phase)
+        for v in (got, want, x, x * got):
+            assert v.i_power in (0, 1)
+            if v:
+                assert v.coeffs[0] and v.coeffs[-1]
+            else:
+                assert _fields(v) == (0, 0, ())
 
 
 def _trim(cs):
@@ -747,19 +804,13 @@ class TestTauPolynomial:
         with pytest.raises(ValueError, match="no common phase"):
             TP_TAU + TP_I
         with pytest.raises(ValueError, match="no common phase"):
-            TP_TAU * TP_I - 1
+            tp_sub(TP_TAU * TP_I, 1)
         assert TP_TAU * TP_I + 0 == TP_TAU * TP_I
 
     @given(fraction_tuples, phases)
     def test_to_json(self, a, k):
         p = _phased(a, k)
         assert p.to_json() == [c.to_json() for c in p.coeffs]
-
-    def test_negative_power_rejected(self):
-        # rejected rather than looping on the exponent's sign bits
-        with pytest.raises(ValueError, match="negative exponent"):
-            TauPolynomial([2]) ** -1
-        assert TauPolynomial([1, 1]) ** 0 == 1
 
 
 def _gaussian_coeffs(x):
@@ -813,8 +864,15 @@ class TestPhasedDot:
         assert _dot([(TP_I, TP_TAU), (TP_ONE, 1), (TP_ONE, -1)]) == i_tau
 
     def test_subtraction_from_either_side(self):
-        assert TP_TAU - TP_TAU + TP_I == TP_I and 1 - TP_ONE == 0
-        assert 2 - TP_I * TP_I == 3 and (TP_I * TP_TAU) * TP_I - TP_TAU == -2 * TP_TAU
+        # a - b is the pairs (a, 1), (b, -1), and b - a the same weights swapped
+        assert _dot([(TP_TAU, 1), (TP_TAU, -1)]) + TP_I == TP_I
+        assert _dot([(TP_TAU, 1), (TP_TAU, -1), (TP_I, 1)]) == TP_I
+        assert _dot([(1, 1), (TP_ONE, -1)]) == 0 and _dot([(TP_ONE, -1), (1, 1)]) == 0
+        # i^2 = -1 folds into the sign, in a product before the sum or in a pair
+        assert _dot([(TP_I * TP_I, -1), (2, 1)]) == 3 and _dot([(2, 1), (-TP_I, TP_I)]) == 3
+        want = -2 * TP_TAU
+        assert _dot([((TP_I * TP_TAU) * TP_I, 1), (TP_TAU, -1)]) == want
+        assert _dot([(TP_I * TP_TAU, TP_I), (TP_TAU, -1)]) == want
 
     @pytest.mark.parametrize(
         "pairs",
