@@ -7,7 +7,7 @@ Usage: python scripts/hodge_table.py [--max-genus 2] [--max-size 4]
 import argparse
 
 from cutjoin.cli import MAX_LAMBDA_ORDER, MAX_TABLE_DEGREE
-from cutjoin.exact import fraction_str
+from cutjoin.exact import TauPolynomial, fraction_str
 from cutjoin.hodge import build_series_pair, extract_C_gmu, hodge_polynomial
 from cutjoin.partitions import enumerate_partitions
 
@@ -54,7 +54,7 @@ def main() -> None:
                 hodge = hodge_polynomial(g, mu, conn)
                 print(f"g={g} mu=({mu})")
                 print(f"  series coefficient: {poly_str(c.poly)}")
-                print(f"  hodge factor:       {poly_str(hodge)}")
+                print(f"  hodge factor:       {poly_str(TauPolynomial.phased(hodge, 0))}")
 
 
 if __name__ == "__main__":

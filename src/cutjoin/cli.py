@@ -38,7 +38,7 @@ from .characters import (
     dimension_hook,
     principal_specialization_check,
 )
-from .exact import fraction_str
+from .exact import TauPolynomial, fraction_str
 from .genfun import (
     PartitionSeries,
     character_cutjoin_identity,
@@ -54,7 +54,8 @@ BUDGET_ENV_VAR = "CUTJOIN_BUDGET"
 MAX_TABLE_DEGREE = 12
 # the series commands take --max-weight up to MAX_TABLE_DEGREE and
 # --lambda-order up to MAX_LAMBDA_ORDER; at (12, 24) `mv-series` takes about
-# 13 s and `verify --suite all` about 28 s on 2 cores (CPython 3.11)
+# 10 s and `verify --suite all` about 19 s (medians of 3 runs on 2 cores of a
+# shared Xeon, CPython 3.11.7)
 MAX_LAMBDA_ORDER = 24
 # `hurwitz --method char` reads the characters of every partition of |mu|;
 # at |mu| = 30 every shape measured answers within 1.8 s on 2 cores
@@ -169,6 +170,8 @@ def cmd_hurwitz(config: RunConfig, genus: int, mu: Partition, method: str, out) 
 def cmd_hodge(config: RunConfig, genus: int, mu: Partition, out) -> int:
     _, conn = hodge.build_series_pair(config.max_weight, config.lambda_order)
     poly = hodge.hodge_polynomial(genus, mu, conn)
+    # the prefactor carries the phase of the genus-0 term lambda^(l-2) p_mu
+    prefactor = hodge.readout(hodge.prefactor_polynomial(mu), mu.length - 2, mu.size)
     records = [
         _config_record(config, "hodge", genus=genus, partition=mu.to_json()),
         {
@@ -176,8 +179,8 @@ def cmd_hodge(config: RunConfig, genus: int, mu: Partition, out) -> int:
             "identity": "prefactor-isolated-hodge-polynomial",
             "genus": genus,
             "partition": mu.to_json(),
-            "prefactor": hodge.prefactor_polynomial(mu).to_json(),
-            "polynomial": poly.to_json(),
+            "prefactor": prefactor.to_json(),
+            "polynomial": TauPolynomial.phased(poly, 0).to_json(),
         },
     ]
     _emit(records, config.output_format, out)
@@ -407,7 +410,7 @@ def _suite_extraction(config: RunConfig) -> list[CheckResult]:
         )),
     ])
     anchor = all(
-        hodge.extract_C_gmu(conn, 0, mu).poly == hodge.genus0_closed_form(mu) for mu in shapes
+        hodge.extract_C_gmu(conn, 0, mu).real == hodge.genus0_closed_form(mu) for mu in shapes
     )
     division = all(
         hodge.hodge_polynomial(0, mu, conn) == hurwitz.linear_hodge_factor(0, mu)

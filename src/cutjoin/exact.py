@@ -4,14 +4,14 @@
 * ``RealTauPolynomial`` -- dense polynomial in one formal variable with
   rational coefficients, stored as integer numerators over one common
   denominator; the coefficient ring of the generating-series core.
-* ``TauPolynomial``  -- i**0 or i**1 times a RealTauPolynomial: the series
-  values in their original variables and the closed forms, each with one
-  phase written out; a product's phase is the sum of its operands'.
+* ``TauPolynomial``  -- i**0 or i**1 times a RealTauPolynomial: a printed
+  series value in its original variables lambda and p, the phase attached
+  once, where the value is read out; no check runs on it.
 * ``GaussianRational`` -- a + b*i with rational a, b: only the readout of a
   TauPolynomial coefficient (``coeffs``, ``coefficient``, the ``{"re",
   "im"}`` JSON); no computation runs on it.
 * ``LaurentSeries``  -- truncated Laurent series in one variable over the
-  rationals or either tau-polynomial type (finite pole order, explicit
+  rationals or the rational tau-polynomials (finite pole order, explicit
   truncation order).
 * ``QHalfLaurent``   -- i**0 or i**1 times y**low times an integer list in
   y = q**(1/2), its phase folded by TauPolynomial's rule.  A product of
@@ -19,11 +19,11 @@
   `binomial_product` on one integer list, one shift-subtract per factor,
   with no product of two dense polynomials.
 
-Every sum, scalar multiple and product is a sum of products: `_dot(pairs)`
-is the one multiply-accumulate path, a + b is `_dot(((a, 1), (b, 1)))` and a
-scalar multiple a one-pair call.  A polynomial sum adds every schoolbook
-product into one integer numerator list over a running common denominator;
-a phased sum is one such real sum per phase; and a series (or genfun's
+Every sum, scalar multiple and product of the computation is a sum of
+products over rational values: `_dot(pairs)` is the one multiply-accumulate
+path, a + b is `_dot(((a, 1), (b, 1)))` and a scalar multiple a one-pair
+call.  A polynomial sum adds every schoolbook product into one integer
+numerator list over a running common denominator, and a series (or genfun's
 partition series) sum puts the coefficient pairs of all its factor pairs in
 one bucket per output exponent (or partition) and takes one `_dot` per
 bucket, so a whole convolution, such as one step of the exp/log
@@ -317,13 +317,13 @@ def _dot(pairs):
 
     The kernel of the outermost ring among the operands runs, and every other
     operand is a scalar of that ring: genfun.PartitionSeries over
-    LaurentSeries over TauPolynomial (the classes with a `_RING_DEPTH`) over
-    RealTauPolynomial, int and Fraction.  A kernel forms every product of the
-    sum before reducing the result once.  A sum with no polynomial or series
-    operand skips the polynomial kernel: it is a plain int sum when every
-    operand is an int, else one Fraction from `_rational_dot`; an empty sum
-    is 0.  An operand of any other kind, such as a GaussianRational readout
-    or a QHalfLaurent, raises TypeError.
+    LaurentSeries (the classes with a `_RING_DEPTH`) over RealTauPolynomial,
+    int and Fraction.  A kernel forms every product of the sum before
+    reducing the result once.  A sum with no polynomial or series operand
+    skips the polynomial kernel: it is a plain int sum when every operand is
+    an int, else one Fraction from `_rational_dot`; an empty sum is 0.  An
+    operand of any other kind, such as a TauPolynomial or GaussianRational
+    readout or a QHalfLaurent, raises TypeError.
     """
     kinds = set()
     for a, b in pairs:
@@ -360,19 +360,18 @@ def _rational_dot(pairs) -> Fraction:
 
 class TauPolynomial:
     """i**k times a RealTauPolynomial: a polynomial in one formal variable
-    over the Gaussian rationals whose coefficients all share one phase.
+    over the Gaussian rationals whose coefficients all share one phase, the
+    print-time readout of a rational coefficient.
 
     The constructor takes rational coefficients (phase i**0); a phase comes
     only from `phased`.  The phase is kept at i**0 or i**1 (a factor
     i**2 = -1 goes into the signs; zero has phase 0), so equality of
-    (real, i_power) is canonical.  Every operation runs on the rational
-    polynomial and adds phases; a sum whose parts of phase i**0 and i**1 are
-    both nonzero has no common phase and raises ValueError.  The readouts
-    (coeffs, coefficient, to_json) are Gaussian rationals.
+    (real, i_power) is canonical.  It is no ring: no sum is defined, and
+    `_dot` rejects it as an operand.  The readouts (coeffs, coefficient,
+    to_json) are Gaussian rationals.
     """
 
     __slots__ = ("real", "i_power")
-    _RING_DEPTH = 1  # see _dot
 
     def __init__(self, coeffs=()):
         self.real = RealTauPolynomial(coeffs)
@@ -407,65 +406,21 @@ class TauPolynomial:
             return GaussianRational._raw(_ZERO, c)
         return GaussianRational._raw(c, _ZERO)
 
-    # -- ring operations -------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, _TP_OPERANDS):
-            return _dot(((self, 1), (other, 1)))
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TauPolynomial.phased(-self.real, self.i_power)
-
     def __mul__(self, other):
-        if isinstance(other, _TP_OPERANDS):
-            return _dot(((self, other),))
-        return NotImplemented
+        """The product with a TauPolynomial, an int or a Fraction: one
+        product of the rational polynomials, the phases added.  No command
+        calls it (a phase is attached once, by `phased`, where a value is
+        read out); the traced benchmark run patches it by name
+        (perfbench/traced_cli.py METHODS), and the test-side references use
+        it."""
+        k = self.i_power
+        if other.__class__ is TauPolynomial:
+            other, k = other.real, k + other.i_power
+        elif not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return TauPolynomial.phased(RealTauPolynomial._sum_of_products(((self.real, other),)), k)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def _sum_of_products(pairs) -> "TauPolynomial":
-        """sum a*b over pairs of phased and real polynomials, ints and
-        Fractions.  A product's phase is the sum of its operands' phases,
-        i**2 folded into its sign; the products of each phase are one real
-        sum of products, and the result raises ValueError only when both
-        phase parts are nonzero, so it does not depend on the pairs' order."""
-        parts = ([], [])
-        for a, b in pairs:
-            k = 0
-            if a.__class__ is TauPolynomial:
-                a, k = a.real, a.i_power
-            if b.__class__ is TauPolynomial:
-                b, k = b.real, k + b.i_power
-            parts[k % 2].append((-a if k == 2 else a, b))
-        real, imag = (RealTauPolynomial._sum_of_products(p) for p in parts)
-        if real and imag:
-            raise ValueError("a sum of terms with phases i^0 and i^1 has no common phase")
-        return TauPolynomial.phased(imag, 1) if imag else TauPolynomial.phased(real, 0)
-
-    def derivative(self) -> "TauPolynomial":
-        return TauPolynomial.phased(self.real.derivative(), self.i_power)
-
-    def substitute(self, p: "TauPolynomial") -> "TauPolynomial":
-        """Polynomial composition self(p).  For an imaginary p the terms of
-        even and odd degree get different phases, so a self with both raises
-        ValueError."""
-        acc = TP_ZERO
-        for c in reversed(self.real.coeffs):
-            acc = acc * p + c
-        return TauPolynomial.phased(acc.real, acc.i_power + self.i_power)
-
-    def divmod_poly(self, divisor: "TauPolynomial"):
-        """Exact long division: the quotient's phase is the difference of the
-        two phases, and the remainder keeps the dividend's."""
-        q, r = self.real.divmod_poly(divisor.real)
-        return (
-            TauPolynomial.phased(q, self.i_power - divisor.i_power),
-            TauPolynomial.phased(r, self.i_power),
-        )
 
     # -- structure -------------------------------------------------------
 
@@ -497,13 +452,9 @@ def _phase(k: int) -> tuple[int, int]:
     return (-1, k - 2) if k >= 2 else (1, k)
 
 
-_TP_OPERANDS = (TauPolynomial, int, Fraction)
-
-
 TP_ZERO = TauPolynomial()
-TP_I = TauPolynomial.phased(RealTauPolynomial.constant(1), 1)
 
-_SCALARS = (int, Fraction, TauPolynomial, RealTauPolynomial)
+_SCALARS = (int, Fraction, RealTauPolynomial)
 
 
 class LaurentSeries:
@@ -590,18 +541,6 @@ class LaurentSeries:
         return LaurentSeries._raw(
             self.min_exp, tuple(-c for c in self.coeffs), self.trunc_order
         )
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (LaurentSeries, *_SCALARS)):
@@ -742,10 +681,7 @@ def _coeff_json(c):
 
 
 def sin_half_series(c, order: int) -> LaurentSeries:
-    """Series of sin(c*x/2) = sum_k (-1)^k (c/2)^(2k+1) x^(2k+1)/(2k+1)!.
-
-    The scale c may be any exact scalar, including a TauPolynomial.
-    """
+    """Series of sin(c*x/2) = sum_k (-1)^k (c/2)^(2k+1) x^(2k+1)/(2k+1)!."""
     return _odd_half_series(c, order, -1)
 
 

@@ -51,14 +51,6 @@ class PartitionSeries:
         self.terms = {mu: c for mu, c in terms.items() if c and mu.size <= max_weight}
         self.max_weight = max_weight
 
-    @classmethod
-    def zero(cls, max_weight: int) -> "PartitionSeries":
-        return cls({}, max_weight)
-
-    @classmethod
-    def monomial(cls, mu: Partition, coeff, max_weight: int) -> "PartitionSeries":
-        return cls({mu: coeff}, max_weight)
-
     def coefficient(self, mu: Partition):
         """Coefficient of p_mu; integer 0 when absent."""
         return self.terms.get(mu, 0)
@@ -73,17 +65,8 @@ class PartitionSeries:
             return NotImplemented
         return _dot(((self, 1), (other, 1)))
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __neg__(self):
         return PartitionSeries._raw({m: -c for m, c in self.terms.items()}, self.max_weight)
-
-    def __radd__(self, other):
-        """0 + F, so a sum of series can start from the integer 0."""
-        if isinstance(other, int) and not other:
-            return self
-        return NotImplemented
 
     def __mul__(self, other):
         """The product of two series, or the series times a scalar of its
@@ -247,8 +230,9 @@ def cut_join_linear(F: PartitionSeries) -> PartitionSeries:
     + (i+j)*p_i*p_j dF/dp_{i+j} ], without any scalar prefactor.
 
     The sum is over ordered pairs (diagonal once); callers supply their own
-    prefactors such as sqrt(-1)*lambda/2.  Omega preserves weight, so it is
-    read on the partitions of every weight d >= 1 that carries a term of F.
+    prefactors such as x/2 (sqrt(-1)*lambda/2 in lambda).  Omega preserves
+    weight, so it is read on the partitions of every weight d >= 1 that
+    carries a term of F.
     """
     return _read_off(F, {mu.size for mu in F.terms} - {0}, False)
 

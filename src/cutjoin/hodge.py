@@ -27,17 +27,20 @@ p_mu = i^(-|mu|) P_mu since |mu| = |nu|; the exponential factor is
 exp((tau + 1/2)*kappa*x/2); and the evolution equation reads
 d/dtau R = (x/2) * Omega(R).  So the coefficient of x^m P_mu is a rational
 tau-polynomial r, and the coefficient of lambda^m p_mu is i^(m+|mu|) * r.
-That phase is put back only where a value leaves the series (MVSeries
-coefficients, the tau = 0 value and extraction), as the TauPolynomial
-i^(m+|mu|) * r, which stores r and the phase and never multiplies out
-complex coefficients.  The closed forms are written in lambda as in the
-paper, each as one explicit power of i times a rational object: the
-prefactor is i^(|mu|+l(mu)) times one product of rational linear factors
-in tau, the tau = 0 value of p_d is i^(d+1) times the rational
-lambda-series -1/(2d*sin(d*lambda/2)), and the sqrt(-1) of the evolution
-equation is the unit TP_I.  So the checks against them test the phase rule
-independently of _lambda_series, and Gaussian rationals appear only when a
-coefficient is read out.
+
+Every check runs on r, and each closed form is rational in x and P: the
+per-coefficient evolution r'_{g,mu} = partitions.cut_join_sum(mu, g, r),
+with no factor of i; the tau = 0 value sum_d P_d / (2d*sinh(d*x/2)), every
+multi-row term zero; the genus-0 anchor r_{0,mu} = P_mu * |mu|^(l-3), with
+P_mu the rational prefactor; and the Hodge factor (-1)^g * r_{g,mu} / P_mu.
+The phase is attached once, where a value is printed (`readout`: the
+MVSeries coefficients, CgmuPolynomial.poly and the hodge command's
+prefactor), as the TauPolynomial i^(m+|mu|) * r, which stores r and the
+phase and never multiplies out complex coefficients; Gaussian rationals
+appear only when such a coefficient is read out.  The paper's forms in
+lambda and p, the tau = 0 value -(sqrt(-1))^(d+1) / (2d*sin(d*lambda/2))
+and the genus-0 value -(sqrt(-1))^(|mu|+l) * P_mu * |mu|^(l-3), are kept by
+the tests, which check the readout against them.
 
 The sine amplitude is expanded from the power sums of the hook lengths:
 
@@ -88,7 +91,6 @@ from .exact import (
     QHalfLaurent,
     RTP_ZERO,
     RealTauPolynomial,
-    TP_I,
     TauPolynomial,
     _dot,
     sin_half_series,
@@ -214,8 +216,8 @@ class MVSeries:
     coefficients are x-Laurent series over real tau-polynomials (see the
     module docstring), valid to at least `lambda_order` and possibly beyond.
     `truncated` is the body cut at `lambda_order`, the order every check and
-    readout compares to; `tau_derivative`, `coefficient` and `at_tau_zero`
-    read it, and the last two give the series in lambda and p, each
+    readout compares to; `tau_derivative`, `at_tau_zero` and `coefficient`
+    read it, and `coefficient` alone gives the series in lambda and p, each
     coefficient a phased TauPolynomial, valid to exactly `lambda_order`.
     """
 
@@ -242,16 +244,9 @@ class MVSeries:
         )
 
     def at_tau_zero(self) -> PartitionSeries:
-        """The series in lambda and p at tau = 0, valid to lambda_order: the
-        constant term of each rational polynomial, then the phase put back,
-        so each coefficient is a constant TauPolynomial."""
-        return PartitionSeries(
-            {
-                mu: _lambda_series(s.map_coefficients(_tau_zero), mu.size)
-                for mu, s in self.truncated.terms.items()
-            },
-            self.max_weight,
-        )
+        """The truncated body at tau = 0, in the x and P variables: the
+        constant term of each rational polynomial."""
+        return self.truncated.map_coefficients(lambda s: s.map_coefficients(_tau_zero))
 
 
 def _tau_diff(c):
@@ -259,16 +254,21 @@ def _tau_diff(c):
 
 
 def _tau_zero(c):
-    return RealTauPolynomial.constant(c.coefficient(0)) if c else 0
+    return c.coefficient(0) if c else 0
+
+
+def readout(r, m: int, weight: int) -> TauPolynomial:
+    """The coefficient of lambda^m p_mu, |mu| = weight, from the rational
+    coefficient r of x^m P_mu: i^(m+weight) * r.  The one place a phase is
+    attached, where a value is printed."""
+    return TauPolynomial.phased(r, m + weight)
 
 
 def _lambda_series(s: LaurentSeries, weight: int) -> LaurentSeries:
     """The coefficient series of p_mu, |mu| = weight, from that of P_mu:
-    the x^m entry r becomes the lambda^m entry i^(m+weight) * r."""
+    the x^m entry r becomes the lambda^m entry `readout(r, m, weight)`."""
     return LaurentSeries._raw(
-        s.min_exp,
-        tuple(TauPolynomial.phased(c, k + weight) for k, c in s.items()),
-        s.trunc_order,
+        s.min_exp, tuple(readout(c, k, weight) for k, c in s.items()), s.trunc_order
     )
 
 
@@ -372,16 +372,15 @@ def theorem1_check(max_weight: int = 6, lambda_order: int = 12) -> bool:
 
 
 def initial_condition_series(d: int, order: int) -> LaurentSeries:
-    """The closed-form tau = 0 coefficient of p_d:
-    -(sqrt(-1))^(d+1) / (2*d*sin(d*lambda/2)), the rational reciprocal series
-    times the phase i^(d+1)."""
-    den = sin_half_series(Fraction(d), order + 2) * Fraction(2 * d)
-    return den.reciprocal() * TauPolynomial.phased(RealTauPolynomial.constant(-1), d + 1)
+    """The closed-form tau = 0 coefficient of P_d, 1 / (2*d*sinh(d*x/2)), a
+    rational series in x; in lambda and p it reads
+    -(sqrt(-1))^(d+1) / (2*d*sin(d*lambda/2))."""
+    return (sinh_half_series(Fraction(d), order + 2) * (2 * d)).reciprocal()
 
 
 def initial_condition_check(max_weight: int = 6, lambda_order: int = 12) -> bool:
     """The connected series at tau = 0 is the sum of the single-row terms
-    initial_condition_series(d) * p_d over d <= max_weight: every multi-row
+    initial_condition_series(d) * P_d over d <= max_weight: every multi-row
     coefficient vanishes identically."""
     _, conn = build_series_pair(max_weight, lambda_order)
     rows = range(1, max_weight + 1)
@@ -395,24 +394,35 @@ def initial_condition_check(max_weight: int = 6, lambda_order: int = 12) -> bool
 
 
 class CgmuPolynomial(NamedTuple):
-    """Coefficient of lambda^(2g-2+l(mu)) p_mu in the connected series."""
+    """The rational coefficient r of x^(2g-2+l(mu)) P_mu in the connected
+    series; `poly` reads it out as the coefficient of lambda^(2g-2+l(mu)) p_mu."""
 
     g: int
     mu: Partition
-    poly: TauPolynomial
+    real: RealTauPolynomial
+
+    @property
+    def poly(self) -> TauPolynomial:
+        return readout(self.real, 2 * self.g - 2 + self.mu.length, self.mu.size)
 
     @property
     def degree_bound(self) -> int:
         return 2 * self.g - 2 + self.mu.size + self.mu.length
 
     def degree_ok(self) -> bool:
-        return self.poly.degree <= self.degree_bound
+        return self.real.degree <= self.degree_bound
 
     def symmetry_ok(self) -> bool:
-        """poly(-tau-1) = (-1)^(|mu|-l(mu)) * poly(tau)."""
-        sign = (-1) ** (self.mu.size - self.mu.length)
-        flipped = self.poly.substitute(TauPolynomial([-1, -1]))
-        return flipped == self.poly * sign
+        """r(-tau-1) = (-1)^(|mu|-l(mu)) * r(tau)."""
+        return _reflected(self.real) == self.real * (-1) ** (self.mu.size - self.mu.length)
+
+
+def _reflected(p: RealTauPolynomial) -> RealTauPolynomial:
+    """p(-tau-1), by Horner's rule."""
+    acc, flip = RTP_ZERO, RealTauPolynomial([-1, -1])
+    for c in reversed(p.coeffs):
+        acc = acc * flip + c
+    return acc
 
 
 def extract_C_gmu(R: MVSeries, g: int, mu: Partition) -> CgmuPolynomial:
@@ -426,27 +436,28 @@ def extract_C_gmu(R: MVSeries, g: int, mu: Partition) -> CgmuPolynomial:
         )
     series = R.body.coefficient(mu)
     c = series.coefficient(m) if series else 0
-    return CgmuPolynomial(g, mu, TauPolynomial.phased(c, m + mu.size))
+    return CgmuPolynomial(g, mu, c or RTP_ZERO)
 
 
-def prefactor_polynomial(mu: Partition) -> TauPolynomial:
-    """The combinatorial prefactor multiplying the triple Hodge integral:
+def prefactor_polynomial(mu: Partition) -> RealTauPolynomial:
+    """The combinatorial prefactor P_mu of the triple Hodge integral:
 
-    -(sqrt(-1))^(|mu|+l) / |Aut(mu)| * (tau(tau+1))^(l-1)
+    1 / |Aut(mu)| * (tau(tau+1))^(l-1)
         * prod_i prod_{a=1..mu_i-1} (mu_i tau + a) / (mu_i - 1)!
 
     formed as one rational scale times one product of the linear factors
-    tau, tau + 1 and mu_i tau + a, its power of i attached once by `phased`.
+    tau, tau + 1 and mu_i tau + a.  In lambda and p the prefactor is
+    -(sqrt(-1))^(|mu|+l) * P_mu, the readout of P_mu as the genus-0 term
+    lambda^(l-2) p_mu.
     """
-    scale = Fraction(-1, mu.aut_order() * prod(factorial(part - 1) for part in mu))
+    scale = Fraction(1, mu.aut_order() * prod(factorial(part - 1) for part in mu))
     factors = [RealTauPolynomial([0, 1]), RealTauPolynomial([1, 1])] * (mu.length - 1)
     factors += [RealTauPolynomial([a, part]) for part in mu for a in range(1, part)]
-    real = prod(factors, start=RealTauPolynomial.constant(scale))
-    return TauPolynomial.phased(real, mu.size + mu.length)
+    return prod(factors, start=RealTauPolynomial.constant(scale))
 
 
-def genus0_closed_form(mu: Partition) -> TauPolynomial:
-    """Definition-route value at genus 0: prefactor times |mu|^(l-3)."""
+def genus0_closed_form(mu: Partition) -> RealTauPolynomial:
+    """Definition-route value of r_{0,mu}: prefactor times |mu|^(l-3)."""
     return prefactor_polynomial(mu) * linear_hodge_factor(0, mu)
 
 
@@ -454,7 +465,9 @@ class HodgeDivisionError(ArithmeticError):
     """Raised when the extracted polynomial is not an exact multiple of the
     prefactor; carries both polynomials for diagnosis."""
 
-    def __init__(self, mu: Partition, g: int, dividend: TauPolynomial, remainder: TauPolynomial):
+    def __init__(
+        self, mu: Partition, g: int, dividend: RealTauPolynomial, remainder: RealTauPolynomial
+    ):
         self.mu = mu
         self.g = g
         self.dividend = dividend
@@ -465,13 +478,15 @@ class HodgeDivisionError(ArithmeticError):
         )
 
 
-def hodge_polynomial(g: int, mu: Partition, R: MVSeries) -> TauPolynomial:
-    """Divide out the prefactor to isolate the Hodge-integral polynomial."""
-    extracted = extract_C_gmu(R, g, mu).poly
+def hodge_polynomial(g: int, mu: Partition, R: MVSeries) -> RealTauPolynomial:
+    """The Hodge-integral polynomial (-1)^g * r_{g,mu} / P_mu: in lambda and
+    p the genus-g coefficient over the prefactor, whose phases
+    i^(2g-2+l+|mu|) and -i^(|mu|+l) leave (-1)^g."""
+    extracted = extract_C_gmu(R, g, mu).real
     quotient, remainder = extracted.divmod_poly(prefactor_polynomial(mu))
     if remainder:
         raise HodgeDivisionError(mu, g, extracted, remainder)
-    return quotient
+    return quotient * (-1) ** g
 
 
 def lambda_g_coefficients(order: int) -> list[Fraction]:
@@ -486,15 +501,17 @@ def lambda_g_coefficients(order: int) -> list[Fraction]:
 def cutjoin_derivative_check(R: MVSeries, g: int, mu: Partition) -> bool:
     """Per-coefficient form of the evolution equation on extracted polynomials:
 
-    d/dtau C_{g,mu} = i/2 * [ sum_{nu joins of mu} w C_{g,nu}
-                            + sum_{nu cuts of mu} w C_{g-1,nu}
-                            + sum_{splits, g1+g2=g} w C_{g1,nu1} C_{g2,nu2} ]
+    d/dtau r_{g,mu} = 1/2 * [ sum_{nu joins of mu} w r_{g,nu}
+                            + sum_{nu cuts of mu} w r_{g-1,nu}
+                            + sum_{splits, g1+g2=g} w r_{g1,nu1} r_{g2,nu2} ]
 
-    where the halved bracket is partitions.cut_join_sum over the extracted
-    polynomials.
+    the x^(2g-2+l) P_mu coefficient of d/dtau R = (x/2) * Omega~(R), where
+    the halved bracket is partitions.cut_join_sum over the extracted rational
+    polynomials.  In lambda and p each term of the bracket has a phase one
+    power of i short of C_{g,mu}'s, which is the sqrt(-1) of the paper's form.
     """
-    lhs = extract_C_gmu(R, g, mu).poly.derivative()
-    return lhs == cut_join_sum(mu, g, lambda h, nu: extract_C_gmu(R, h, nu).poly) * TP_I
+    lhs = extract_C_gmu(R, g, mu).real.derivative()
+    return lhs == cut_join_sum(mu, g, lambda h, nu: extract_C_gmu(R, h, nu).real)
 
 
 def parity_pole_check(R: MVSeries) -> bool:

@@ -234,8 +234,8 @@ def cut_join_sum(mu: Partition, g: int, value, split_factor=lambda g1, nu1, g2, 
     hurwitz.hurwitz_cutjoin_check, since r1 + r2 = r - 1.  The bracket is
     one `_dot` over (value, weight) pairs, halved once.  This is the
     right-hand side both of the per-coefficient tau-evolution of the Hodge
-    series (up to the factor sqrt(-1)) and of the branch-point recursion for
-    cover counts.
+    series, read on its rational coefficients in x = sqrt(-1)*lambda and
+    P_k = sqrt(-1)^k p_k, and of the branch-point recursion for cover counts.
     """
     joins, cuts, splits = cut_join_incoming(mu)
     pairs = [(value(g, nu), w) for nu, w in joins]

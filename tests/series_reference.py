@@ -1,5 +1,7 @@
-"""Whole-series forms of the cut-and-join operators, and the sums, negations
-and powers of exact values that no command runs, for the tests.
+"""Whole-series forms of the cut-and-join operators, the sums, negations
+and powers of exact values that no command runs, and the paper's
+lambda-form statements that the printed readout is checked against, for the
+tests.
 
 The package reads each coefficient of an operator off one table, the
 column `cutjoin.partitions.cut_join_incoming(mu)` of joins, cuts and merged
@@ -8,9 +10,19 @@ every product at the full weight cap, and add one term at a time, so they
 share no table with the code they check: tests/test_partitions.py reads the
 table's join and cut weights off `reference_linear` and its split weights
 off the polarised quadratic part `reference_nonlinear - reference_linear`.
+
+The package checks every identity on rational coefficients in x = i*lambda
+and P_k = i^k p_k and attaches the phase i^(m+|mu|) only where a value is
+printed.  `tau_zero_lambda_value` and `genus0_lambda_value` state two
+closed forms as the paper does, in lambda and p with their powers of i
+written out, on Gaussian rationals; a test reads the package's printed
+values against them, so a wrong readout phase fails there.
 """
 
-from cutjoin.exact import QHalfLaurent
+from fractions import Fraction
+from math import factorial
+
+from cutjoin.exact import GaussianRational, QHalfLaurent, sin_half_series
 from cutjoin.genfun import PartitionSeries
 
 
@@ -37,10 +49,67 @@ def q_power(a, n):
     return out
 
 
-def tp_sub(a, b):
-    """a - b for tau-polynomials (or a tau-polynomial and a rational), as
-    a + (-b)."""
+def sub(a, b):
+    """a - b, as a + (-b), for the values that define + and unary - but no
+    -: real tau-polynomials, Laurent series and partition series (either
+    may be a rational on the right)."""
     return a + (-b)
+
+
+def ps_zero(w):
+    """The zero partition series under the weight cap w."""
+    return PartitionSeries({}, w)
+
+
+def ps_monomial(mu, coeff, w):
+    """coeff * p_mu under the weight cap w."""
+    return PartitionSeries({mu: coeff}, w)
+
+
+def i_power(k):
+    """i^k as a Gaussian rational, by repeated products with i."""
+    out = GaussianRational(1)
+    for _ in range(k % 4):
+        out = out * GaussianRational(0, 1)
+    return out
+
+
+def tau_zero_lambda_value(d, order):
+    """The tau = 0 coefficient of p_d in lambda, -(i)^(d+1) / (2d sin(d lambda/2)),
+    as {exponent: GaussianRational} up to the given order."""
+    recip = (sin_half_series(Fraction(d), order + 2) * (2 * d)).reciprocal()
+    phase = -i_power(d + 1)
+    return {k: phase * c for k, c in recip.items()}
+
+
+def _poly_mul(a, b):
+    """The product of two coefficient lists, constant term first."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def prefactor_coefficients(mu):
+    """P_mu = (tau(tau+1))^(l-1) * prod_i prod_{a<mu_i} (mu_i tau + a)
+    / (|Aut mu| * prod_i (mu_i - 1)!), as a coefficient list built one
+    linear factor at a time."""
+    out = [Fraction(1, mu.aut_order())]
+    for _ in range(mu.length - 1):
+        out = _poly_mul(_poly_mul(out, [0, 1]), [1, 1])
+    for part in mu:
+        for a in range(1, part):
+            out = _poly_mul(out, [a, part])
+        out = [c / factorial(part - 1) for c in out]
+    return out
+
+
+def genus0_lambda_value(mu):
+    """The coefficient of lambda^(l-2) p_mu, -(i)^(|mu|+l) * P_mu * |mu|^(l-3),
+    as a tuple of Gaussian rationals, constant term first."""
+    phase = -i_power(mu.size + mu.length) * (Fraction(mu.size) ** (mu.length - 3))
+    return tuple(phase * c for c in prefactor_coefficients(mu))
 
 
 def d_dp(F, i):
@@ -80,7 +149,7 @@ def ref_add(A, B):
 def reference_linear(F):
     """Omega(F) summed one term at a time."""
     w = F.max_weight
-    out = PartitionSeries.zero(w)
+    out = ps_zero(w)
     maxpart = max((mu.parts[0] for mu in F.terms if mu.parts), default=0)
     for i in range(1, maxpart + 1):
         dFi = d_dp(F, i)

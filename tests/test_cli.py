@@ -603,8 +603,10 @@ class TestGoldenFixture:
 class TestGaussianReadoutOnly:
     """Gaussian rationals are only read out: no sum, product or negation of
     two of them runs while a command computes, and the field operations are
-    gone.  No command multiplies two q-Laurent values either, and the sums,
-    negations and powers that none runs are gone from the package."""
+    gone.  No command multiplies two q-Laurent values or two phased
+    tau-polynomials either: every check runs on rational values and the
+    phase is attached where a value is printed.  The sums, negations and
+    powers that no command runs are gone from the package."""
 
     DIGESTS = {
         ("verify", "--suite", "all", "--seed", "1"):
@@ -617,17 +619,20 @@ class TestGaussianReadoutOnly:
 
     def test_commands_run_without_gaussian_arithmetic(self, monkeypatch):
         from cutjoin import hodge
-        from cutjoin.exact import GaussianRational, QHalfLaurent
+        from cutjoin.exact import GaussianRational, QHalfLaurent, TauPolynomial
 
         def forbidden(*args):
-            raise AssertionError("Gaussian or q-Laurent arithmetic outside a readout")
+            raise AssertionError("Gaussian, q-Laurent or phased arithmetic outside a readout")
 
         for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__neg__"):
             monkeypatch.setattr(GaussianRational, name, forbidden)
-        # no command multiplies two q-Laurent values: the sine and hook
-        # products are binomial products, and `*` is kept for the traced run
+        # no command multiplies two q-Laurent values (the sine and hook
+        # products are binomial products) or two phased tau-polynomials (a
+        # phase is attached once, at the readout); `*` is kept on both for
+        # the traced run
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(QHalfLaurent, name, forbidden)
+            monkeypatch.setattr(TauPolynomial, name, forbidden)
         hodge.build_series_pair.cache_clear()
         try:
             for args, digest in self.DIGESTS.items():
@@ -640,7 +645,15 @@ class TestGaussianReadoutOnly:
 
     def test_field_operations_are_gone(self):
         from cutjoin import exact
-        from cutjoin.exact import GaussianRational, QHalfLaurent, TauPolynomial
+        from cutjoin.exact import (
+            GaussianRational,
+            LaurentSeries,
+            QHalfLaurent,
+            RealTauPolynomial,
+            TauPolynomial,
+            _dot,
+        )
+        from cutjoin.genfun import PartitionSeries
 
         for name in ("inverse", "__truediv__", "__pow__", "__sub__", "coerce", "i_power"):
             assert not hasattr(GaussianRational, name), name
@@ -651,5 +664,22 @@ class TestGaussianReadoutOnly:
             assert not hasattr(QHalfLaurent, name), name
         for name in ("__pow__", "__sub__", "__rsub__"):
             assert not hasattr(TauPolynomial, name), name
-        for name in ("TP_ONE", "_times_y", "_y_shifted"):
+        for name in ("TP_ONE", "TP_I", "_TP_OPERANDS", "_times_y", "_y_shifted"):
             assert not hasattr(exact, name), name
+        # a phased tau-polynomial is a print-time readout, no ring: its one
+        # operation is the product the traced run patches by name
+        for name in (
+            "_sum_of_products", "_RING_DEPTH", "__add__", "__radd__", "__neg__",
+            "derivative", "substitute", "divmod_poly",
+        ):
+            assert not hasattr(TauPolynomial, name), name
+        phased = TauPolynomial.phased(RealTauPolynomial([0, 1]), 1)
+        for pairs in ([(phased, 1)], [(RealTauPolynomial([1]), phased)], [(phased, phased)]):
+            with pytest.raises(TypeError, match="TauPolynomial"):
+                _dot(pairs)
+        # the series differences and constructors no command runs live in
+        # tests/series_reference.py
+        for name in ("__sub__", "__rsub__"):
+            assert not hasattr(LaurentSeries, name), name
+        for name in ("__sub__", "__radd__", "zero", "monomial"):
+            assert not hasattr(PartitionSeries, name), name

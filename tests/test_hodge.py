@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb
 
 import pytest
 
@@ -8,8 +8,8 @@ from cutjoin.exact import (
     LaurentSeries,
     QHalfLaurent,
     RealTauPolynomial,
-    TP_I,
     TauPolynomial,
+    sin_half_series,
     sinh_half_series,
 )
 from cutjoin import hodge
@@ -18,6 +18,7 @@ from cutjoin.hodge import (
     CgmuPolynomial,
     MVSeries,
     _evolution_holds,
+    _reflected,
     _x_scaled,
     build_disconnected,
     build_series_pair,
@@ -46,25 +47,17 @@ from cutjoin.partitions import (
     enumerate_partitions,
     _sub_multisets,
 )
-from series_reference import q_neg, q_power, tp_sub
+from series_reference import (
+    genus0_lambda_value,
+    prefactor_coefficients,
+    q_neg,
+    q_power,
+    sub,
+    tau_zero_lambda_value,
+)
 
 P = Partition
-TP_TAU = TauPolynomial([0, 1])
-
-
-def prefactor_by_tau_arithmetic(mu):
-    """The prefactor multiplied out factor by factor in TauPolynomial
-    arithmetic, its phase attached first."""
-    d, l = mu.size, mu.length
-    head = RealTauPolynomial.constant(Fraction(-1, mu.aut_order()))
-    poly = TauPolynomial.phased(head, d + l)
-    poly = poly * prod([TP_TAU * (TP_TAU + 1)] * (l - 1))
-    for part in mu:
-        rising = TauPolynomial([1])
-        for a in range(1, part):
-            rising = rising * (TP_TAU * part + a)
-        poly = poly * rising * Fraction(1, factorial(part - 1))
-    return poly
+TAU = RealTauPolynomial([0, 1])
 
 
 def v_series_by_products(nu, order):
@@ -274,13 +267,13 @@ class TestSeriesBuild:
 
     def test_connected_p2_at_tau_zero(self, series_pair_small):
         _, conn = series_pair_small
-        at_zero = conn.at_tau_zero()
-        series = at_zero.coefficient(P([2]))
+        series = conn.at_tau_zero().coefficient(P([2]))
         target = initial_condition_series(2, 10)
-        # the closed form starts i/4 * lambda^{-1}
-        assert target.coefficient(-1) == TP_I * Fraction(1, 4)
-        assert target.coefficient(-1).coeffs == (GaussianRational(0, Fraction(1, 4)),)
+        # 1/(4 sinh(x)) starts 1/4 * x^{-1}, which reads i/4 * lambda^{-1}
+        assert target.coefficient(-1) == Fraction(1, 4)
         assert series.agrees_with(target, up_to=10)
+        readout = conn.coefficient(P([2])).coefficient(-1)
+        assert readout.coefficient(0) == GaussianRational(0, Fraction(1, 4))
 
     def test_theorem1_small(self):
         assert theorem1_check(3, 8)
@@ -337,13 +330,13 @@ class TestSeriesBuild:
         assert initial_condition_check(3, 8)
 
     def test_initial_condition_rejects_wrong_phase(self, monkeypatch):
-        # negative control: the closed form with phase i^d, not i^(d+1)
+        # negative control: 1/(2d sin(d x/2)) in place of 1/(2d sinh(d x/2)),
+        # the closed form read in x as if x were lambda, its phase dropped
         assert initial_condition_check(4, 8)
-        closed_form = hodge.initial_condition_series
         monkeypatch.setattr(
             hodge,
             "initial_condition_series",
-            lambda d, order: closed_form(d, order) * (TP_I * TP_I * TP_I),
+            lambda d, order: (sin_half_series(Fraction(d), order + 2) * (2 * d)).reciprocal(),
         )
         assert not initial_condition_check(4, 8)
 
@@ -356,14 +349,13 @@ class TestSeriesBuild:
             _evolution_holds(lhs, PartitionSeries(terms, 3), 8)
 
     def test_initial_condition_rejects_an_extra_top_term(self, monkeypatch):
-        # one term at lambda^L on p_2, with the phase i^(L+|mu|) of that entry
+        # one term at x^L on P_2
         assert initial_condition_check(4, 8)
         closed_form = hodge.initial_condition_series
-        extra = TauPolynomial.phased(RealTauPolynomial.constant(1), 8 + 2)
 
         def bumped(d, order):
             s = closed_form(d, order)
-            return s + LaurentSeries.monomial(extra, order, order) if d == 2 else s
+            return s + LaurentSeries.monomial(Fraction(1), order, order) if d == 2 else s
 
         monkeypatch.setattr(hodge, "initial_condition_series", bumped)
         assert not initial_condition_check(4, 8)
@@ -390,8 +382,8 @@ class TestSeriesBuild:
 
     def test_log_matches_inclusion_exclusion(self, series_pair_small):
         # the alternating-sum expansion over ordered multiset decompositions
-        # is an independent route to the connected coefficients
-        star, conn = series_pair_small
+        # is an independent route to the connected coefficients, in x and P
+        star, conn = (s.truncated for s in series_pair_small)
 
         def ordered_decompositions(parts):
             if not parts:
@@ -426,29 +418,50 @@ class TestExtraction:
 
     def test_genus0_anchors(self, series_pair_small):
         _, conn = series_pair_small
-        one = extract_C_gmu(conn, 0, P([1])).poly
-        assert one == TauPolynomial([1])
-        two = extract_C_gmu(conn, 0, P([2])).poly
-        # i(2 tau + 1)/4
-        assert two == TauPolynomial([Fraction(1, 4), Fraction(1, 2)]) * TP_I
-        pair = extract_C_gmu(conn, 0, P([1, 1])).poly
-        # -tau(tau+1)/4
-        assert pair == (TP_TAU * (TP_TAU + 1)) * Fraction(-1, 4)
+        one = extract_C_gmu(conn, 0, P([1]))
+        assert one.real == 1 and one.poly == TauPolynomial([1])
+        two = extract_C_gmu(conn, 0, P([2]))
+        # (2 tau + 1)/4, which reads i(2 tau + 1)/4 at lambda^-1 p_2
+        assert two.real == RealTauPolynomial([Fraction(1, 4), Fraction(1, 2)])
+        assert two.poly.coeffs == (
+            GaussianRational(0, Fraction(1, 4)), GaussianRational(0, Fraction(1, 2))
+        )
+        pair = extract_C_gmu(conn, 0, P([1, 1]))
+        # tau(tau+1)/4, which reads -tau(tau+1)/4 at lambda^0 p_1^2
+        assert pair.real == (TAU * (TAU + 1)) * Fraction(1, 4)
+        assert pair.poly == TauPolynomial([0, Fraction(-1, 4), Fraction(-1, 4)])
 
     def test_genus0_matches_definition_route(self, series_pair_small):
         _, conn = series_pair_small
         for d in range(1, 5):
             for mu in enumerate_partitions(d):
-                assert extract_C_gmu(conn, 0, mu).poly == genus0_closed_form(mu)
+                assert extract_C_gmu(conn, 0, mu).real == genus0_closed_form(mu)
 
     def test_genus0_anchor_rejects_wrong_prefactor_phase(self, series_pair_small, monkeypatch):
-        # negative control: the prefactor head with phase i^(|mu|+l+1)
+        # negative control: the prefactor with the sign of i^(|mu|+l+2), the
+        # one phase error a rational prefactor can carry; the anchor and the
+        # genus-0 division both fail on every shape
         _, conn = series_pair_small
         prefactor = hodge.prefactor_polynomial
-        monkeypatch.setattr(hodge, "prefactor_polynomial", lambda mu: prefactor(mu) * TP_I)
+        monkeypatch.setattr(hodge, "prefactor_polynomial", lambda mu: -prefactor(mu))
         for d in range(1, 5):
             for mu in enumerate_partitions(d):
-                assert extract_C_gmu(conn, 0, mu).poly != genus0_closed_form(mu), mu
+                assert extract_C_gmu(conn, 0, mu).real != genus0_closed_form(mu), mu
+                assert hodge_polynomial(0, mu, conn) != mu.size ** (mu.length - 3), mu
+
+    def test_hodge_division_rejects_a_dropped_genus_sign(self, series_pair_small, monkeypatch):
+        # negative control: (-1)^g * r / P_mu without its (-1)^g, injected as
+        # an extraction that carries it; genus 0 is blind to it, genus 1 not
+        _, conn = series_pair_small
+        extract = hodge.extract_C_gmu
+
+        def signed(R, g, mu):
+            c = extract(R, g, mu)
+            return c._replace(real=c.real * (-1) ** g)
+
+        monkeypatch.setattr(hodge, "extract_C_gmu", signed)
+        assert hodge_polynomial(0, P([2, 1]), conn) == Fraction(1, 3)
+        assert hodge_polynomial(1, P([1]), conn) == Fraction(-1, 24)
 
     def test_degree_and_symmetry(self, series_pair_small):
         _, conn = series_pair_small
@@ -460,25 +473,27 @@ class TestExtraction:
                     assert c.symmetry_ok(), (g, mu)
 
     def test_prefactor_examples(self):
-        # single row of size 1: prefactor is -i^2 = 1
-        assert prefactor_polynomial(P([1])) == TauPolynomial([1])
-        # (2): -i^3 * (2 tau + 1) / 1! = i (2 tau + 1)
-        assert prefactor_polynomial(P([2])) == (TP_TAU * 2 + 1) * TP_I
+        # single row of size 1: P = 1, read out as -i^2 = 1
+        assert prefactor_polynomial(P([1])) == 1
+        # (2): P = (2 tau + 1) / 1!, read out as -i^3 * (2 tau + 1) = i (2 tau + 1)
+        assert prefactor_polynomial(P([2])) == TAU * 2 + 1
+        assert hodge.readout(prefactor_polynomial(P([2])), -1, 2).coeffs == (
+            GaussianRational(0, 1), GaussianRational(0, 2)
+        )
 
     def test_prefactor_matches_tau_arithmetic(self):
         for d in range(1, 9):
             for mu in enumerate_partitions(d):
-                got, want = prefactor_polynomial(mu), prefactor_by_tau_arithmetic(mu)
-                assert (got.real.nums, got.real.den, got.i_power) == (
-                    want.real.nums, want.real.den, want.i_power
-                ), mu
+                got = prefactor_polynomial(mu)
+                assert got.coeffs == tuple(prefactor_coefficients(mu)), mu
 
     def test_hodge_polynomial_genus0(self, series_pair_small):
         _, conn = series_pair_small
         for d in range(1, 5):
             for mu in enumerate_partitions(d):
                 expected = Fraction(mu.size) ** (mu.length - 3)
-                assert hodge_polynomial(0, mu, conn) == TauPolynomial([expected])
+                got = hodge_polynomial(0, mu, conn)
+                assert got.__class__ is RealTauPolynomial and got == expected
 
     def test_one_point_genus1_against_expansion_oracle(self, series_pair_small):
         _, conn = series_pair_small
@@ -492,12 +507,30 @@ class TestExtraction:
                 for mu in enumerate_partitions(d):
                     assert cutjoin_derivative_check(conn, g, mu), (g, mu)
 
-    def test_derivative_recursion_rejects_missing_i(self, series_pair_small, monkeypatch):
-        # negative control: the sqrt(-1) of the evolution equation dropped
+    @pytest.mark.parametrize("mutation", ["stray i^2", "join weight"])
+    def test_derivative_recursion_rejects_missing_i(self, series_pair_small, monkeypatch, mutation):
+        # negative controls on the rational recursion, which carries no i:
+        # the bracket times i^2 = -1, the one phase error a rational sum can
+        # show, and one join weight off by one; each fails on some shape
+        from cutjoin import partitions
+
         _, conn = series_pair_small
-        assert cutjoin_derivative_check(conn, 0, P([2]))
-        monkeypatch.setattr(hodge, "TP_I", 1)
-        assert not cutjoin_derivative_check(conn, 0, P([2]))
+        shapes = [(g, mu) for g in range(3) for d in range(1, 5) for mu in enumerate_partitions(d)]
+        assert all(cutjoin_derivative_check(conn, g, mu) for g, mu in shapes)
+        if mutation == "stray i^2":
+            real = hodge.cut_join_sum
+            monkeypatch.setattr(hodge, "cut_join_sum", lambda *args: -real(*args))
+        else:
+            real = partitions.cut_join_incoming
+
+            def first_join_off_by_one(nu):
+                joins, cuts, splits = real(nu)
+                if joins:
+                    joins = ((joins[0][0], joins[0][1] + 1), *joins[1:])
+                return joins, cuts, splits
+
+            monkeypatch.setattr(partitions, "cut_join_incoming", first_join_off_by_one)
+        assert not all(cutjoin_derivative_check(conn, g, mu) for g, mu in shapes)
 
     def test_derivative_and_branch_point_recursions_share_one_sum(
         self, series_pair_small, monkeypatch
@@ -560,7 +593,7 @@ class TestExtraction:
         assert len(recorded) == 100
 
 
-def _one_point_genus1_oracle() -> TauPolynomial:
+def _one_point_genus1_oracle() -> RealTauPolynomial:
     """Expand (1 - L)(-tau - 1 - L)(tau - L)/(1 - psi) keeping total degree
     at most one in the classes L and psi, then integrate with both one-point
     values equal to 1/24.  Entirely independent of the extraction pipeline."""
@@ -572,26 +605,27 @@ def _one_point_genus1_oracle() -> TauPolynomial:
                 a, b = a1 + a2, b1 + b2
                 if a + b <= 1:
                     key = (a, b)
-                    out[key] = out.get(key, TauPolynomial()) + c1 * c2
+                    out[key] = out.get(key, RealTauPolynomial()) + c1 * c2
         return out
 
-    one = {(0, 0): TauPolynomial([1])}
-    L = {(1, 0): TauPolynomial([1])}
-    psi = {(0, 1): TauPolynomial([1])}
+    one = {(0, 0): RealTauPolynomial([1])}
+    L = {(1, 0): RealTauPolynomial([1])}
+    psi = {(0, 1): RealTauPolynomial([1])}
 
-    def sub(x, y):
+    def minus(x, y):
         out = dict(x)
         for k, v in y.items():
-            out[k] = tp_sub(out.get(k, TauPolynomial()), v)
+            out[k] = sub(out.get(k, RealTauPolynomial()), v)
         return out
 
-    f1 = sub(one, L)
-    f2 = sub({(0, 0): TauPolynomial([-1, -1])}, L)  # -tau - 1 - L
-    f3 = sub({(0, 0): TP_TAU}, L)  # tau - L
-    geom = {(0, 0): TauPolynomial([1]), (0, 1): TauPolynomial([1])}  # 1/(1-psi)
+    f1 = minus(one, L)
+    f2 = minus({(0, 0): RealTauPolynomial([-1, -1])}, L)  # -tau - 1 - L
+    f3 = minus({(0, 0): TAU}, L)  # tau - L
+    geom = {(0, 0): RealTauPolynomial([1]), (0, 1): RealTauPolynomial([1])}  # 1/(1-psi)
     product = mul(mul(mul(f1, f2), f3), geom)
     val = Fraction(1, 24)
-    return (product.get((1, 0), TauPolynomial()) + product.get((0, 1), TauPolynomial())) * val
+    zero = RealTauPolynomial()
+    return (product.get((1, 0), zero) + product.get((0, 1), zero)) * val
 
 
 class TestTransferAndSine:
@@ -616,9 +650,85 @@ class TestTransferAndSine:
 
 class TestCgmuPolynomial:
     def test_symmetry_detects_failure(self):
-        bad = CgmuPolynomial(0, P([2]), TP_TAU)  # wrong parity under reflection
+        bad = CgmuPolynomial(0, P([2]), TAU)  # wrong parity under reflection
         assert not bad.symmetry_ok()
 
     def test_degree_bound_value(self):
-        c = CgmuPolynomial(1, P([2, 1]), TauPolynomial([1]))
+        c = CgmuPolynomial(1, P([2, 1]), RealTauPolynomial([1]))
         assert c.degree_bound == 2 * 1 - 2 + 3 + 2
+
+    def test_reflection_is_an_involution_read_at_points(self):
+        # p(-tau-1) read at t is p read at -t-1, and reflecting twice is p
+        for cs in ([], [3], [1, 2], [0, 1, 1], [Fraction(1, 2), -1, 0, Fraction(2, 3)]):
+            p = RealTauPolynomial(cs)
+            flipped = _reflected(p)
+            assert _reflected(flipped) == p and flipped.degree == p.degree
+            for t in (Fraction(0), Fraction(-3, 2), Fraction(5)):
+                assert _at(flipped, t) == _at(p, -t - 1), (cs, t)
+
+
+def _at(p, t):
+    """p read at the rational t."""
+    return sum(c * t**k for k, c in enumerate(p.coeffs))
+
+
+class TestPhaseReadout:
+    """The checks run on rational values in x and P; the phase i^(m+|mu|) is
+    attached where a value is printed.  These tests read the printed values
+    against the paper's lambda-form statements in tests/series_reference.py,
+    and a readout with a shifted phase must fail there."""
+
+    SHIFTED = {
+        "i^(m+|mu|+1)": lambda real: lambda r, m, weight: real(r, m, weight + 1),
+        "i^m": lambda real: lambda r, m, weight: real(r, m, 0),
+    }
+
+    @staticmethod
+    def tau_zero_matches(conn):
+        """Every p_d coefficient at tau = 0, read through MVSeries.coefficient,
+        is -(i)^(d+1)/(2d sin(d lambda/2)); every multi-row one is zero."""
+        L = conn.lambda_order
+        for d in range(1, conn.max_weight + 1):
+            for mu in enumerate_partitions(d):
+                series = conn.coefficient(mu)
+                want = tau_zero_lambda_value(d, L) if mu.length == 1 else {}
+                for k in range(-d, L + 1):
+                    c = series.coefficient(k)
+                    got = c.coefficient(0) if c else GaussianRational(0)
+                    if got != want.get(k, GaussianRational(0)):
+                        return False
+        return True
+
+    @staticmethod
+    def genus0_matches(conn):
+        """Every lambda^(l-2) p_mu coefficient, read through
+        extract_C_gmu(...).poly, is -(i)^(|mu|+l) * P_mu * |mu|^(l-3)."""
+        return all(
+            extract_C_gmu(conn, 0, mu).poly.coeffs == genus0_lambda_value(mu)
+            for d in range(1, 5)
+            for mu in enumerate_partitions(d)
+        )
+
+    def test_tau_zero_value_in_lambda(self, series_pair_small):
+        _, conn = series_pair_small
+        assert self.tau_zero_matches(conn)
+
+    def test_genus0_anchor_in_lambda(self, series_pair_small):
+        _, conn = series_pair_small
+        assert self.genus0_matches(conn)
+
+    @pytest.mark.parametrize("phase", SHIFTED)
+    def test_tau_zero_value_rejects_a_shifted_readout_phase(
+        self, series_pair_small, monkeypatch, phase
+    ):
+        _, conn = series_pair_small
+        monkeypatch.setattr(hodge, "readout", self.SHIFTED[phase](hodge.readout))
+        assert not self.tau_zero_matches(conn)
+
+    @pytest.mark.parametrize("phase", SHIFTED)
+    def test_genus0_anchor_rejects_a_shifted_readout_phase(
+        self, series_pair_small, monkeypatch, phase
+    ):
+        _, conn = series_pair_small
+        monkeypatch.setattr(hodge, "readout", self.SHIFTED[phase](hodge.readout))
+        assert not self.genus0_matches(conn)

@@ -13,7 +13,7 @@ from cutjoin.partitions import (
     cut_join_incoming,
     enumerate_partitions,
 )
-from series_reference import reference_linear, reference_nonlinear
+from series_reference import ps_monomial, reference_linear, reference_nonlinear, sub
 
 partitions_st = st.integers(0, 8).map(
     lambda n: enumerate_partitions(n)
@@ -168,7 +168,7 @@ class TestCutJoin:
         # p_mu in Omega(p_nu)
         for d in range(1, 9):
             images = {
-                nu: reference_linear(PartitionSeries.monomial(nu, Fraction(1), d))
+                nu: reference_linear(ps_monomial(nu, Fraction(1), d))
                 for nu in enumerate_partitions(d)
             }
             for mu in enumerate_partitions(d):
@@ -193,7 +193,7 @@ class TestCutJoin:
 
         def quadratic(*nus):
             F = PartitionSeries({nu: Fraction(1) for nu in nus}, w)
-            return reference_nonlinear(F) - reference_linear(F)
+            return sub(reference_nonlinear(F), reference_linear(F))
 
         shapes = [nu for d in range(1, w) for nu in enumerate_partitions(d)]
         squares = {nu: quadratic(nu) for nu in shapes}
@@ -205,7 +205,7 @@ class TestCutJoin:
                 if nu1 == nu2:
                     part = squares[nu1]
                 else:
-                    part = quadratic(nu1, nu2) - squares[nu1] - squares[nu2]
+                    part = sub(sub(quadratic(nu1, nu2), squares[nu1]), squares[nu2])
                 for mu, c in part.terms.items():
                     if mu.size == nu1.size + nu2.size:
                         expected[mu][frozenset((nu1, nu2))] = c
