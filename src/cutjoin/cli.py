@@ -487,8 +487,8 @@ def _suite_elsv(config: RunConfig) -> list[CheckResult]:
         hurwitz.elsv_check(1, mu)
         for mu in (Partition([2]), Partition([3]), Partition([4]), Partition([1, 1]))
     )
-    sol = hurwitz.solve_hodge_from_hurwitz(1, [2, 3])
-    sol_over = hurwitz.solve_hodge_from_hurwitz(1, [2, 3, 4])
+    sol = hurwitz.solve_hodge_from_hurwitz([2, 3])
+    sol_over = hurwitz.solve_hodge_from_hurwitz([2, 3, 4])
     solved = (
         sol == {"psi": Fraction(1, 24), "lambda": Fraction(1, 24)}
         and sol_over == sol

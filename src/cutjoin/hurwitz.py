@@ -8,6 +8,11 @@ joined points) states, optionally keeping only the transitive ones.  The
 exponential formula converts between the two normalizations (all covers vs
 connected covers) through an x^r/r! grading in the branch-count variable,
 and both routes are required to agree wherever enumeration is feasible.
+
+The Hodge side of the ELSV formula is a closed form at genus 0,
+|mu|^(l-3), and at genus 1, Vakil's formula in |mu|, l(mu) and the
+elementary symmetric functions of the parts (`linear_hodge_factor`); both
+are checked against the cover counts.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, prod
+from math import comb, factorial
 
 from .characters import character, dimension
 from .exact import LaurentSeries
@@ -217,94 +222,43 @@ def hurwitz_connected(g: int, mu: Partition) -> Fraction:
     return table.get((r, mu), Fraction(0))
 
 
-# -- genus 0 and 1 linear Hodge factors --------------------------------------
-
-
-@cache
-def _psi_g1(exponents: tuple[int, ...]) -> Fraction:
-    """Genus-1 correlator of psi powers, by the string and dilaton equations;
-    the one-point value 1/24 is the base case."""
-    n = len(exponents)
-    if sum(exponents) != n:
-        return Fraction(0)
-    if n == 1:
-        return Fraction(1, 24)  # single psi on the one-pointed space
-    if 0 in exponents:
-        rest = list(exponents)
-        rest.remove(0)
-        total = Fraction(0)
-        for j in range(len(rest)):
-            if rest[j] >= 1:
-                reduced = rest[:j] + [rest[j] - 1] + rest[j + 1 :]
-                total += _psi_g1(tuple(sorted(reduced)))
-        return total
-    # all exponents >= 1 and summing to n forces some exponent equal to 1
-    rest = list(exponents)
-    rest.remove(1)
-    return (n - 1) * _psi_g1(tuple(sorted(rest)))
-
-
-@cache
-def _lambda_psi_g1(exponents: tuple[int, ...]) -> Fraction:
-    """Genus-1 correlator of the degree-1 Hodge class against psi powers;
-    the class is inert under the string equation."""
-    n = len(exponents)
-    if sum(exponents) != n - 1:
-        return Fraction(0)
-    if n == 1:
-        return Fraction(1, 24)  # the bare Hodge class integral
-    rest = list(exponents)
-    rest.remove(0)  # some exponent must vanish by the dimension count
-    total = Fraction(0)
-    for j in range(len(rest)):
-        if rest[j] >= 1:
-            reduced = rest[:j] + [rest[j] - 1] + rest[j + 1 :]
-            total += _lambda_psi_g1(tuple(sorted(reduced)))
-    return total
-
-
-def _exponent_tuples(n_slots: int, total: int):
-    if n_slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _exponent_tuples(n_slots - 1, total - first):
-            yield (first,) + rest
+# -- genus 0 and 1 linear Hodge factors: closed forms (genus 1: Vakil 2001) --
 
 
 def linear_hodge_factor(g: int, mu: Partition) -> Fraction:
     """The curve-space integral in the cover-count formula, at genus 0 or 1.
 
     Genus 0 is the closed form |mu|^(l-3), which also extends the definition
-    below three points.  Genus 1 expands the integrand and reduces every
-    correlator to the two one-point values 1/24 by string and dilaton.
+    below three points.  Genus 1 is
+    (d^l - d^(l-1) - sum_{k=2..l} (k-2)! e_k(mu) d^(l-k)) / 24, with
+    d = |mu| and l = l(mu), the closed form of Vakil's proof of the
+    Goulden-Jackson genus-1 conjecture ("Genus 0 and 1 Hurwitz numbers:
+    recursions, formulas, and graph-theoretic interpretations", 2001).
     """
     d, l = mu.size, mu.length
     if g == 0:
         return Fraction(d) ** (l - 3)
     if g != 1:
         raise ValueError(f"no independent evaluation available for genus {g}")
-    # psi powers of total degree l, less the Hodge class against degree l - 1
-    terms = ((1, l, _psi_g1), (-1, l - 1, _lambda_psi_g1))
-    return sum(
-        (
-            sign * prod(m**a for m, a in zip(mu.parts, exps)) * correlator(tuple(sorted(exps)))
-            for sign, total, correlator in terms
-            for exps in _exponent_tuples(l, total)
-        ),
-        Fraction(0),
-    )
+    e = [1]  # e_0, ..., e_l of the parts: the coefficients of prod_i (1 + mu_i t)
+    for m in mu:
+        e = [a + m * b for a, b in zip(e + [0], [0] + e)]
+    tail = sum(factorial(k - 2) * e[k] * d ** (l - k) for k in range(2, l + 1))
+    return Fraction(d**l - d ** (l - 1) - tail, 24)
+
+
+def _elsv_prefactor(g: int, mu: Partition) -> Fraction:
+    """r!/|Aut(mu)| * prod mu_i^mu_i / mu_i!, with r the branch count."""
+    pref = Fraction(factorial(branch_count(g, mu)), mu.aut_order())
+    for m in mu:
+        pref *= Fraction(m**m, factorial(m))
+    return pref
 
 
 def elsv_value(g: int, mu: Partition) -> Fraction:
-    """Hook-type prefactor times the linear Hodge factor:
+    """Hook-type prefactor times the closed-form linear Hodge factor:
     r!/|Aut(mu)| * prod mu_i^mu_i / mu_i! * (curve-space integral)."""
-    r = branch_count(g, mu)
-    pref = Fraction(factorial(r), mu.aut_order())
-    for m in mu:
-        pref *= Fraction(m**m, factorial(m))
-    return pref * linear_hodge_factor(g, mu)
+    return _elsv_prefactor(g, mu) * linear_hodge_factor(g, mu)
 
 
 def elsv_check(g: int, mu: Partition) -> bool:
@@ -314,29 +268,20 @@ def elsv_check(g: int, mu: Partition) -> bool:
     return elsv_value(g, mu) == hurwitz_connected(g, mu)
 
 
-def solve_hodge_from_hurwitz(g: int, part_sizes: list[int]) -> dict[str, Fraction]:
+def solve_hodge_from_hurwitz(part_sizes: list[int]) -> dict[str, Fraction]:
     """Read the one-point genus-1 integrals back out of cover counts.
 
     For single-row mu = (m) the genus-1 relation is linear in the two unknown
     integrals x (psi) and y (Hodge class):  m*x - y = H / prefactor.
     Two or more degrees determine them; extra degrees must stay consistent.
     """
-    if g == 0:
-        return {
-            f"hodge_factor_d{m}": linear_hodge_factor(0, Partition([m]))
-            for m in part_sizes
-        }
-    if g != 1:
-        raise ValueError(f"unsupported genus {g}")
     if len(part_sizes) < 2:
         raise ValueError("need at least two degrees to determine two integrals")
     rows, rhs = [], []
     for m in part_sizes:
         mu = Partition([m])
-        r = branch_count(1, mu)
-        pref = Fraction(factorial(r) * m**m, factorial(m))
         rows.append([Fraction(m), Fraction(-1)])
-        rhs.append(hurwitz_connected(1, mu) / pref)
+        rhs.append(hurwitz_connected(1, mu) / _elsv_prefactor(1, mu))
     sol = solve(rows, rhs)
     return {"psi": sol[0], "lambda": sol[1]}
 

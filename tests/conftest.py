@@ -18,3 +18,10 @@ def series_pair_small():
     """Disconnected/connected pair at a size big enough for every unit check
     (weight 4, lambda order 10) but much cheaper than the acceptance size."""
     return build_series_pair(4, 10)
+
+
+@pytest.fixture(scope="session")
+def series_pair_default():
+    """The pair at the CLI's default size (6, 12), where genus 1 reaches
+    every |mu| <= 6 and genus 4 every l(mu) <= 6."""
+    return build_series_pair(6, 12)

@@ -197,7 +197,7 @@ def test_09_cover_count_closed_form_and_reverse_solve():
     forward = all(
         elsv_check(0, mu) for d in range(1, 6) for mu in enumerate_partitions(d)
     ) and all(elsv_check(1, P([m])) for m in (2, 3, 4))
-    reverse = solve_hodge_from_hurwitz(1, [2, 3]) == {
+    reverse = solve_hodge_from_hurwitz([2, 3]) == {
         "psi": Fraction(1, 24),
         "lambda": Fraction(1, 24),
     }

@@ -41,6 +41,7 @@ from cutjoin.hodge import (
     v_series,
     v_sine_product,
 )
+from cutjoin.hurwitz import linear_hodge_factor
 from cutjoin.partitions import (
     EMPTY,
     Partition,
@@ -499,6 +500,36 @@ class TestExtraction:
         _, conn = series_pair_small
         oracle = _one_point_genus1_oracle()
         assert hodge_polynomial(1, P([1]), conn) == oracle
+
+    def test_genus1_against_the_cover_count_closed_form(self, series_pair_default):
+        # at genus 1 Lambda(t) = t - lambda_1 and lambda_1^2 = 0, so the
+        # integrand Lambda(1) Lambda(tau) Lambda(-1 - tau) is -tau(tau + 1)
+        # + (tau^2 + tau + 1) lambda_1 over prod(1 - mu_i psi_i): the Hodge
+        # polynomial is b - f tau - f tau^2, with f the ELSV side's linear
+        # Hodge factor and b = |mu|^(l-1)/24 the lambda_1 integral alone
+        _, conn = series_pair_default
+        for d in range(1, 7):
+            for mu in enumerate_partitions(d):
+                b = Fraction(d ** (mu.length - 1), 24)
+                f = linear_hodge_factor(1, mu)
+                got = hodge_polynomial(1, mu, conn)
+                assert got == RealTauPolynomial([b, -f, -f]), mu
+                assert got != RealTauPolynomial([0, -f, -f]), mu
+
+    def test_tau_constant_term_is_the_lambda_g_integral(self, series_pair_default):
+        # at tau = 0 only lambda_g survives, and its integral against
+        # 1/prod(1 - mu_i psi_i) is b_g |mu|^(2g-3+l) (Faber-Pandharipande)
+        _, conn = series_pair_default
+        b = lambda_g_coefficients(10)
+        for g in range(1, 5):
+            for d in range(1, 7):
+                for mu in enumerate_partitions(d):
+                    if 2 * g - 2 + mu.length > conn.lambda_order:
+                        continue
+                    constant = hodge_polynomial(g, mu, conn).coefficient(0)
+                    power = Fraction(d) ** (2 * g - 3 + mu.length)
+                    assert constant == b[g] * power, (g, mu)
+                    assert constant != b[g + 1] * power, (g, mu)
 
     def test_derivative_recursion(self, series_pair_small):
         _, conn = series_pair_small

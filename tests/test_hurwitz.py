@@ -217,6 +217,8 @@ class TestElsv:
         assert linear_hodge_factor(1, P([2])) == Fraction(1, 24)  # (d-1)/24
         assert linear_hodge_factor(1, P([3])) == Fraction(2, 24)
         assert linear_hodge_factor(1, P([1, 1])) == Fraction(1, 24)
+        assert linear_hodge_factor(1, P([1, 1, 1])) == Fraction(1, 3)
+        assert linear_hodge_factor(1, P([1] * 6)) == 575
         with pytest.raises(ValueError):
             linear_hodge_factor(2, P([1]))
 
@@ -229,31 +231,32 @@ class TestElsv:
         for d in range(1, 6):
             for mu in enumerate_partitions(d):
                 assert elsv_check(0, mu), mu
-        for mu in (P([2]), P([3]), P([4]), P([1, 1])):
-            assert elsv_check(1, mu), mu
+        for d in range(1, 9):
+            for mu in enumerate_partitions(d):
+                assert elsv_check(1, mu), mu
         with pytest.raises(ValueError):
             elsv_check(2, P([2]))
 
-    def test_reverse_solve(self):
-        assert solve_hodge_from_hurwitz(1, [2, 3]) == {
-            "psi": Fraction(1, 24),
-            "lambda": Fraction(1, 24),
-        }
-        assert solve_hodge_from_hurwitz(1, [2, 3, 4]) == {
-            "psi": Fraction(1, 24),
-            "lambda": Fraction(1, 24),
-        }
+    def test_genus1_against_transitive_bruteforce(self):
+        # a route to the cover count that uses no characters
+        for d in range(1, 5):
+            for mu in enumerate_partitions(d):
+                brute = hurwitz_bruteforce(branch_count(1, mu), mu, transitive_only=True)
+                assert elsv_value(1, mu) == brute, mu
 
-    def test_reverse_solve_genus0_closed_form(self):
-        out = solve_hodge_from_hurwitz(0, [2, 3])
-        assert out == {
-            "hodge_factor_d2": Fraction(1, 4),
-            "hodge_factor_d3": Fraction(1, 9),
+    def test_reverse_solve(self):
+        assert solve_hodge_from_hurwitz([2, 3]) == {
+            "psi": Fraction(1, 24),
+            "lambda": Fraction(1, 24),
+        }
+        assert solve_hodge_from_hurwitz([2, 3, 4]) == {
+            "psi": Fraction(1, 24),
+            "lambda": Fraction(1, 24),
         }
 
     def test_reverse_solve_needs_two_degrees(self):
         with pytest.raises(ValueError, match="two degrees"):
-            solve_hodge_from_hurwitz(1, [2])
+            solve_hodge_from_hurwitz([2])
 
 
 class TestCutJoinRecursion:
