@@ -20,7 +20,6 @@ from .exact import (
 )
 from .partitions import Partition, enumerate_partitions
 from .characters import (
-    SchurExpansion,
     central_character_transposition,
     character,
     character_table,
@@ -44,7 +43,6 @@ from .hodge import (
     hodge_polynomial,
     initial_condition_check,
     lambda_g_coefficients,
-    theorem1_check,
     transfer_system_kernel,
     v_forms_agree,
     v_hook_form,

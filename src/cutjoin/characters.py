@@ -13,17 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from typing import NamedTuple
 
 from .exact import LaurentSeries, QHalfLaurent, _dot
 from .partitions import Partition, enumerate_partitions
-
-
-class SchurExpansion(NamedTuple):
-    """Schur function in the power-sum basis: terms[eta] = chi_nu(eta)/z_eta."""
-
-    nu: Partition
-    terms: dict
 
 
 def _beta_set(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -106,13 +98,10 @@ def central_character_transposition(nu: Partition) -> Fraction:
     return Fraction(num_transpositions * character(nu, cls), dimension(nu))
 
 
-def schur_in_p(nu: Partition) -> SchurExpansion:
-    """Schur function expanded over power sums: sum_eta chi_nu(eta)/z_eta p_eta."""
-    terms = {
-        eta: Fraction(character(nu, eta), eta.z())
-        for eta in enumerate_partitions(nu.size)
-    }
-    return SchurExpansion(nu, terms)
+def schur_in_p(nu: Partition) -> dict[Partition, Fraction]:
+    """Schur function expanded over power sums, sum_eta chi_nu(eta)/z_eta p_eta,
+    as the dict {eta: chi_nu(eta)/z_eta}."""
+    return {eta: Fraction(character(nu, eta), eta.z()) for eta in enumerate_partitions(nu.size)}
 
 
 def schur_principal_specialization(nu: Partition) -> tuple[QHalfLaurent, QHalfLaurent]:
@@ -135,7 +124,7 @@ def principal_specialization_check(nu: Partition, order: int) -> bool:
     compares the product with its numerator.
     """
     pairs = []
-    for eta, coeff in schur_in_p(nu).terms.items():
+    for eta, coeff in schur_in_p(nu).items():
         term = LaurentSeries.one(order)
         for k in eta:  # p_k(1, q, q^2, ...) = 1 + q^k + q^(2k) + ...
             term = term * LaurentSeries(0, [int(e % k == 0) for e in range(order + 1)])

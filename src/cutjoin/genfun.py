@@ -262,8 +262,7 @@ def character_cutjoin_identity(nu: Partition) -> bool:
     """
     if nu.size < 1:
         raise ValueError("requires a nonempty partition")
-    expansion = schur_in_p(nu)
-    s = PartitionSeries(expansion.terms, nu.size)
+    s = PartitionSeries(schur_in_p(nu), nu.size)
     f = central_character_transposition(nu)
     lhs = s * f
     rhs = cut_join_linear(s) * Fraction(1, 2)

@@ -99,7 +99,7 @@ from .exact import (
     series_log,
 )
 from .genfun import PartitionSeries, cut_join_linear, cut_join_nonlinear, ps_log
-from .hurwitz import linear_hodge_factor
+from .hurwitz import branch_count, linear_hodge_factor
 from .linalg import nullspace
 from .partitions import (
     Partition,
@@ -221,9 +221,8 @@ class MVSeries:
     coefficient a phased TauPolynomial, valid to exactly `lambda_order`.
     """
 
-    def __init__(self, body: PartitionSeries, max_weight: int, lambda_order: int):
+    def __init__(self, body: PartitionSeries, lambda_order: int):
         self.body = body
-        self.max_weight = max_weight
         self.lambda_order = lambda_order
 
     @cached_property
@@ -307,7 +306,7 @@ def build_disconnected(max_weight: int, lambda_order: int) -> MVSeries:
             series = LaurentSeries(-d, coeffs, T)
             if series:
                 terms[mu] = series
-    return MVSeries(PartitionSeries(terms, max_weight), max_weight, lambda_order)
+    return MVSeries(PartitionSeries(terms, max_weight), lambda_order)
 
 
 @cache
@@ -315,7 +314,7 @@ def build_series_pair(max_weight: int, lambda_order: int) -> tuple[MVSeries, MVS
     """(disconnected, connected) pair; cached per process and reused by the
     evolution, initial-value and extraction checks."""
     star = build_disconnected(max_weight, lambda_order)
-    conn = MVSeries(ps_log(star.body), max_weight, lambda_order)
+    conn = MVSeries(ps_log(star.body), lambda_order)
     return star, conn
 
 
@@ -344,7 +343,7 @@ def _x_scaled(F: PartitionSeries, c: Fraction) -> PartitionSeries:
     return F.map_coefficients(lambda s: s.shift(1) * c)
 
 
-def theorem1_verdicts(max_weight: int = 6, lambda_order: int = 12) -> tuple[bool, bool]:
+def theorem1_verdicts(max_weight: int, lambda_order: int) -> tuple[bool, bool]:
     """Both forms of the evolution equation, coefficientwise exact, as the
     (linear, nonlinear) pair of verdicts.
 
@@ -365,12 +364,6 @@ def theorem1_verdicts(max_weight: int = 6, lambda_order: int = 12) -> tuple[bool
     return linear, nonlinear
 
 
-def theorem1_check(max_weight: int = 6, lambda_order: int = 12) -> bool:
-    """True when both forms of the evolution equation hold; see
-    theorem1_verdicts."""
-    return all(theorem1_verdicts(max_weight, lambda_order))
-
-
 def initial_condition_series(d: int, order: int) -> LaurentSeries:
     """The closed-form tau = 0 coefficient of P_d, 1 / (2*d*sinh(d*x/2)), a
     rational series in x; in lambda and p it reads
@@ -378,7 +371,7 @@ def initial_condition_series(d: int, order: int) -> LaurentSeries:
     return (sinh_half_series(Fraction(d), order + 2) * (2 * d)).reciprocal()
 
 
-def initial_condition_check(max_weight: int = 6, lambda_order: int = 12) -> bool:
+def initial_condition_check(max_weight: int, lambda_order: int) -> bool:
     """The connected series at tau = 0 is the sum of the single-row terms
     initial_condition_series(d) * P_d over d <= max_weight: every multi-row
     coefficient vanishes identically."""
@@ -407,7 +400,7 @@ class CgmuPolynomial(NamedTuple):
 
     @property
     def degree_bound(self) -> int:
-        return 2 * self.g - 2 + self.mu.size + self.mu.length
+        return branch_count(self.g, self.mu)
 
     def degree_ok(self) -> bool:
         return self.real.degree <= self.degree_bound
@@ -427,8 +420,8 @@ def _reflected(p: RealTauPolynomial) -> RealTauPolynomial:
 
 def extract_C_gmu(R: MVSeries, g: int, mu: Partition) -> CgmuPolynomial:
     """Read off the genus-g tau-polynomial attached to p_mu."""
-    if mu.size > R.max_weight:
-        raise ValueError(f"|mu|={mu.size} exceeds series weight {R.max_weight}")
+    if mu.size > R.body.max_weight:
+        raise ValueError(f"|mu|={mu.size} exceeds series weight {R.body.max_weight}")
     m = 2 * g - 2 + mu.length
     if m > R.lambda_order:
         raise ValueError(
@@ -461,23 +454,6 @@ def genus0_closed_form(mu: Partition) -> RealTauPolynomial:
     return prefactor_polynomial(mu) * linear_hodge_factor(0, mu)
 
 
-class HodgeDivisionError(ArithmeticError):
-    """Raised when the extracted polynomial is not an exact multiple of the
-    prefactor; carries both polynomials for diagnosis."""
-
-    def __init__(
-        self, mu: Partition, g: int, dividend: RealTauPolynomial, remainder: RealTauPolynomial
-    ):
-        self.mu = mu
-        self.g = g
-        self.dividend = dividend
-        self.remainder = remainder
-        super().__init__(
-            f"nonzero remainder isolating the Hodge factor for g={g}, mu={mu}: "
-            f"dividend {dividend!r}, remainder {remainder!r}"
-        )
-
-
 def hodge_polynomial(g: int, mu: Partition, R: MVSeries) -> RealTauPolynomial:
     """The Hodge-integral polynomial (-1)^g * r_{g,mu} / P_mu: in lambda and
     p the genus-g coefficient over the prefactor, whose phases
@@ -485,7 +461,10 @@ def hodge_polynomial(g: int, mu: Partition, R: MVSeries) -> RealTauPolynomial:
     extracted = extract_C_gmu(R, g, mu).real
     quotient, remainder = extracted.divmod_poly(prefactor_polynomial(mu))
     if remainder:
-        raise HodgeDivisionError(mu, g, extracted, remainder)
+        raise ArithmeticError(
+            f"nonzero remainder isolating the Hodge factor for g={g}, mu={mu}: "
+            f"dividend {extracted!r}, remainder {remainder!r}"
+        )
     return quotient * (-1) ** g
 
 

@@ -9,6 +9,9 @@ exponential formula converts between the two normalizations (all covers vs
 connected covers) through an x^r/r! grading in the branch-count variable,
 and both routes are required to agree wherever enumeration is feasible.
 
+The branch-point recursion is read in that grading, on h = H/r!, where it
+is the plain per-genus cut-and-join sum that the Hodge series also obeys.
+
 The Hodge side of the ELSV formula is a closed form at genus 0,
 |mu|^(l-3), and at genus 1, Vakil's formula in |mu|, l(mu) and the
 elementary symmetric functions of the parts (`linear_hodge_factor`); both
@@ -20,7 +23,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import factorial
 
 from .characters import character, dimension
 from .exact import LaurentSeries
@@ -287,20 +290,18 @@ def solve_hodge_from_hurwitz(part_sizes: list[int]) -> dict[str, Fraction]:
 
 
 def hurwitz_cutjoin_check(g: int, mu: Partition) -> bool:
-    """The branch-point recursion: removing one simple branch point writes the
-    count at (g, mu) as the cut-and-join sum (partitions.cut_join_sum) of
-    the counts one step down, each split weighted by C(r - 1, r1), the ways
-    to place r1 of the remaining branch points on the first component.
-
-    The recursion needs a branch point to remove; with r < 1 (only the
-    trivial cover, g=0 and mu a single row of size 1) it is vacuous.
+    """The branch-point recursion r * h(g, mu) = cut_join_sum(mu, g, h) on
+    h = H/r!: Goulden-Jackson's dH/dx = (1/2) Omega~(H) for
+    H = sum H_{g,mu} x^r/r! p_mu ("Transitive factorizations into
+    transpositions and holomorphic mappings on the sphere", 1997) at
+    x^(r-1) p_mu.  On the raw counts each split would carry the ways
+    C(r - 1, r1) = (r-1)!/(r1! r2!) to place r1 of the other branch points
+    on its first component; the 1/r! absorbs that binomial into the values.
+    h is zero where the branch count is negative; at r = 0 both sides are 0.
     """
-    r = branch_count(g, mu)
-    if r < 1:
-        return True
 
-    def split_factor(g1, nu1, g2, nu2):
-        r1 = branch_count(g1, nu1)
-        return comb(r - 1, r1) if r1 >= 0 and branch_count(g2, nu2) >= 0 else 0
+    def h(genus, nu):
+        r = branch_count(genus, nu)
+        return hurwitz_connected(genus, nu) / factorial(r) if r >= 0 else Fraction(0)
 
-    return hurwitz_connected(g, mu) == cut_join_sum(mu, g, hurwitz_connected, split_factor)
+    return branch_count(g, mu) * h(g, mu) == cut_join_sum(mu, g, h)

@@ -8,7 +8,9 @@ immutable.
 The cut-and-join operator is read on p_mu one coefficient at a time.  Its
 column at p_mu is one cached table, the integer weights of the joins, cuts
 and unordered splits into mu (cut_join_incoming); genfun's whole-series
-operators and the per-genus sum (cut_join_sum) both read it.
+operators and the per-genus sum (cut_join_sum) both read it.  The per-genus
+sum carries no factor of its own: the Hodge evolution and the cover-count
+recursion on H/r! are both the plain sum over their coefficients.
 """
 
 from __future__ import annotations
@@ -217,25 +219,21 @@ def cut_join_incoming(mu: Partition) -> tuple[tuple, tuple, tuple]:
     )
 
 
-def cut_join_sum(mu: Partition, g: int, value, split_factor=lambda g1, nu1, g2, nu2: 1):
+def cut_join_sum(mu: Partition, g: int, value):
     """The cut-and-join operator read on p_mu at genus g, from the genus-h
     coefficient value(h, nu) of every p_nu it draws on:
 
         1/2 [ sum_{nu joins of mu} w * value(g, nu)
             + sum_{nu cuts of mu} w * value(g - 1, nu)                  (g >= 1)
-            + sum_{splits} sum_{g1+g2=g} w * f * value(g1, nu1) * value(g2, nu2) ]
+            + sum_{splits} sum_{g1+g2=g} w * value(g1, nu1) * value(g2, nu2) ]
 
-    with the integer weights w of cut_join_incoming, and
-    f = split_factor(g1, nu1, g2, nu2), 1 by default; a split with f = 0
-    reads no values.  Each unordered split {nu1, nu2} is formed once per g1,
-    standing for both orders, so the sum is exact only when split_factor is
-    symmetric: f(g1, nu1, g2, nu2) = f(g2, nu2, g1, nu1).  The default is,
-    and so is the branch-point factor C(r - 1, r1) of
-    hurwitz.hurwitz_cutjoin_check, since r1 + r2 = r - 1.  The bracket is
-    one `_dot` over (value, weight) pairs, halved once.  This is the
+    with the integer weights w of cut_join_incoming.  Each unordered split
+    {nu1, nu2} is formed once per g1, standing for both orders.  The bracket
+    is one `_dot` over (value, weight) pairs, halved once.  This is the
     right-hand side both of the per-coefficient tau-evolution of the Hodge
     series, read on its rational coefficients in x = sqrt(-1)*lambda and
-    P_k = sqrt(-1)^k p_k, and of the branch-point recursion for cover counts.
+    P_k = sqrt(-1)^k p_k, and of the branch-point recursion for cover counts
+    H/r! (hurwitz.hurwitz_cutjoin_check).
     """
     joins, cuts, splits = cut_join_incoming(mu)
     pairs = [(value(g, nu), w) for nu, w in joins]
@@ -243,9 +241,7 @@ def cut_join_sum(mu: Partition, g: int, value, split_factor=lambda g1, nu1, g2, 
         pairs += [(value(g - 1, nu), w) for nu, w in cuts]
     for nu1, nu2, w in splits:
         for g1 in range(g + 1):
-            f = split_factor(g1, nu1, g - g1, nu2)
-            if f:
-                pairs.append((value(g1, nu1), value(g - g1, nu2) * (w * f)))
+            pairs.append((value(g1, nu1), value(g - g1, nu2) * w))
     return _dot(pairs) * Fraction(1, 2)
 
 

@@ -32,7 +32,6 @@ from cutjoin.hodge import (
     lambda_g_coefficients,
     parity_pole_check,
     prefactor_polynomial,
-    theorem1_check,
     theorem1_verdicts,
     transfer_system_kernel,
     two_sin_product,
@@ -277,7 +276,7 @@ class TestSeriesBuild:
         assert readout.coefficient(0) == GaussianRational(0, Fraction(1, 4))
 
     def test_theorem1_small(self):
-        assert theorem1_check(3, 8)
+        assert theorem1_verdicts(3, 8) == (True, True)
 
     def test_evolution_check_rejects_wrong_prefactor(self):
         # negative control: x/3 in place of x/2 breaks both forms
@@ -294,7 +293,7 @@ class TestSeriesBuild:
         for mu, s in build_disconnected(W, L).body.terms.items():
             assert s.trunc_order == L + W - mu.size, mu
         for series in series_pair_small:
-            W, L = series.max_weight, series.lambda_order
+            W, L = series.body.max_weight, series.lambda_order
             for mu, s in series.body.terms.items():
                 assert s.trunc_order >= L + W - mu.size, mu
                 assert series.coefficient(mu).trunc_order == L
@@ -322,7 +321,7 @@ class TestSeriesBuild:
         assert bumped.coefficient(L + exponent) != s.coefficient(L + exponent)
         terms = dict(target.body.terms)
         terms[mu] = bumped
-        pair[which] = MVSeries(PartitionSeries(terms, W), W, L)
+        pair[which] = MVSeries(PartitionSeries(terms, W), L)
         patched = (pair["disconnected"], pair["connected"])
         monkeypatch.setattr(hodge, "build_series_pair", lambda *args: patched)
         assert theorem1_verdicts(W, L) == verdicts
@@ -368,7 +367,7 @@ class TestSeriesBuild:
         terms = dict(conn.body.terms)
         s = terms[P([2, 1])]
         terms[P([2, 1])] = s + LaurentSeries.monomial(RealTauPolynomial([1]), 2, s.trunc_order)
-        patched = (star, MVSeries(PartitionSeries(terms, W), W, L))
+        patched = (star, MVSeries(PartitionSeries(terms, W), L))
         monkeypatch.setattr(hodge, "build_series_pair", lambda *args: patched)
         assert not initial_condition_check(W, L)
 
@@ -463,6 +462,14 @@ class TestExtraction:
         monkeypatch.setattr(hodge, "extract_C_gmu", signed)
         assert hodge_polynomial(0, P([2, 1]), conn) == Fraction(1, 3)
         assert hodge_polynomial(1, P([1]), conn) == Fraction(-1, 24)
+
+    def test_hodge_division_raises_on_a_nonzero_remainder(self, series_pair_small, monkeypatch):
+        # negative control: a prefactor that does not divide the extracted
+        # polynomial must raise, naming the genus and the partition
+        _, conn = series_pair_small
+        monkeypatch.setattr(hodge, "prefactor_polynomial", lambda mu: RealTauPolynomial([1, 0, 1]))
+        with pytest.raises(ArithmeticError, match="g=1, mu=2,1"):
+            hodge_polynomial(1, P([2, 1]), conn)
 
     def test_degree_and_symmetry(self, series_pair_small):
         _, conn = series_pair_small
@@ -719,7 +726,7 @@ class TestPhaseReadout:
         """Every p_d coefficient at tau = 0, read through MVSeries.coefficient,
         is -(i)^(d+1)/(2d sin(d lambda/2)); every multi-row one is zero."""
         L = conn.lambda_order
-        for d in range(1, conn.max_weight + 1):
+        for d in range(1, conn.body.max_weight + 1):
             for mu in enumerate_partitions(d):
                 series = conn.coefficient(mu)
                 want = tau_zero_lambda_value(d, L) if mu.length == 1 else {}
