@@ -13,15 +13,17 @@ from cutjoin.partitions import enumerate_partitions
 
 
 def poly_str(poly) -> str:
-    if not poly.coeffs:
+    """A phased tau-polynomial as a sum of terms; every coefficient carries
+    the one phase, so each is real or purely imaginary."""
+    coeffs = poly.real.coeffs
+    if not coeffs:
         return "0"
+    unit = "*i" if poly.i_power else ""
     bits = []
-    for k, c in enumerate(poly.coeffs):
+    for k, c in enumerate(coeffs):
         if not c:
             continue
-        re = "" if not c.re else fraction_str(c.re)
-        im = "" if not c.im else f"{fraction_str(c.im)}*i"
-        coeff = re + ("+" if re and im else "") + im
+        coeff = fraction_str(c) + unit
         bits.append(f"({coeff})*t^{k}" if k else f"({coeff})")
     return " + ".join(bits)
 

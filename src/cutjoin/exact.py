@@ -6,10 +6,11 @@
   denominator; the coefficient ring of the generating-series core.
 * ``TauPolynomial``  -- i**0 or i**1 times a RealTauPolynomial: a printed
   series value in its original variables lambda and p, the phase attached
-  once, where the value is read out; no check runs on it.
-* ``GaussianRational`` -- a + b*i with rational a, b: only the readout of a
-  TauPolynomial coefficient (``coeffs``, ``coefficient``, the ``{"re",
-  "im"}`` JSON); no computation runs on it.
+  once, where the value is read out; no check runs on it.  Its ``{"re",
+  "im"}`` JSON puts each rational coefficient on the side of the phase.
+* ``GaussianRational`` -- a + b*i with rational a, b: no command builds one.
+  The tests read a TauPolynomial out as Gaussian rationals against the
+  paper's forms, and the benchmark's traced run counts its sum and product.
 * ``LaurentSeries``  -- truncated Laurent series in one variable over the
   rationals or the rational tau-polynomials (finite pole order, explicit
   truncation order).
@@ -58,8 +59,8 @@ _ZERO = Fraction(0)
 
 
 class GaussianRational:
-    """Exact complex number a + b*i with rational a and b: the readout of a
-    TauPolynomial coefficient, never an operand of the computation."""
+    """Exact complex number a + b*i with rational a and b: the tests' readout
+    of a TauPolynomial coefficient; no command builds one."""
 
     __slots__ = ("re", "im")
 
@@ -367,8 +368,7 @@ class TauPolynomial:
     only from `phased`.  The phase is kept at i**0 or i**1 (a factor
     i**2 = -1 goes into the signs; zero has phase 0), so equality of
     (real, i_power) is canonical.  It is no ring: no sum is defined, and
-    `_dot` rejects it as an operand.  The readouts (coeffs, coefficient,
-    to_json) are Gaussian rationals.
+    `_dot` rejects it as an operand.  Its one readout is `to_json`.
     """
 
     __slots__ = ("real", "i_power")
@@ -387,24 +387,6 @@ class TauPolynomial:
         p.real = real if sign > 0 else -real
         p.i_power = k
         return p
-
-    @property
-    def coeffs(self) -> tuple[GaussianRational, ...]:
-        """The coefficients as Gaussian rationals, constant term first."""
-        return tuple(self._readout(c) for c in self.real.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return self.real.degree
-
-    def coefficient(self, k: int) -> GaussianRational:
-        return self._readout(self.real.coefficient(k))
-
-    def _readout(self, c: Fraction) -> GaussianRational:
-        """The rational coefficient c times this value's phase."""
-        if self.i_power:
-            return GaussianRational._raw(_ZERO, c)
-        return GaussianRational._raw(c, _ZERO)
 
     def __mul__(self, other):
         """The product with a TauPolynomial, an int or a Fraction: one
@@ -438,12 +420,14 @@ class TauPolynomial:
         return hash((self.real, 1)) if self.i_power else hash(self.real)
 
     def __repr__(self):
-        if not self.real:
-            return "TauPolynomial(0)"
-        return "TauPolynomial(" + ", ".join(repr(c) for c in self.coeffs) + ")"
+        return f"TauPolynomial.phased({self.real!r}, {self.i_power})"
 
     def to_json(self):
-        return [c.to_json() for c in self.coeffs]
+        """The coefficients as {"re", "im"} pairs, constant term first: each
+        rational coefficient on the side of the phase, "0/1" on the other."""
+        if self.i_power:
+            return [{"re": "0/1", "im": fraction_str(c)} for c in self.real.coeffs]
+        return [{"re": fraction_str(c), "im": "0/1"} for c in self.real.coeffs]
 
 
 def _phase(k: int) -> tuple[int, int]:
@@ -629,17 +613,6 @@ class LaurentSeries:
         if not any(self.coeffs[1:]) and (not self.coeffs or self.min_exp == 0):
             return hash(self.coeffs[0] if self.coeffs else 0)
         return hash((self.min_exp, self.trunc_order, self.coeffs))
-
-    def agrees_with(self, other: "LaurentSeries", up_to: int | None = None) -> bool:
-        """Exact coefficient agreement on the jointly valid exponent range."""
-        common = min(self.trunc_order, other.trunc_order)
-        if up_to is not None:
-            common = min(common, up_to)
-        lo = min(self.min_exp, other.min_exp)
-        for k in range(lo, common + 1):
-            if self.coefficient(k) != other.coefficient(k):
-                return False
-        return True
 
     def _coerce(self, other):
         if isinstance(other, LaurentSeries):

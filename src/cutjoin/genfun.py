@@ -36,7 +36,7 @@ from math import inf
 
 from . import partitions
 from .characters import central_character_transposition, schur_in_p
-from .exact import LaurentSeries, _coeff_json, _dot, series_exp, series_log
+from .exact import LaurentSeries, _dot, series_exp, series_log
 from .partitions import Partition, EMPTY, enumerate_partitions
 
 
@@ -123,16 +123,6 @@ class PartitionSeries:
             return NotImplemented
         keys = set(self.terms) | set(other.terms)
         return all(self.coefficient(k) == other.coefficient(k) for k in keys)
-
-    def to_json(self):
-        """Fixture form: sorted term list."""
-        return {
-            "max_weight": self.max_weight,
-            "terms": [
-                {"partition": mu.to_json(), "coefficient": _coeff_json(self.terms[mu])}
-                for mu in self.support()
-            ],
-        }
 
     def __repr__(self):
         bits = [f"({self.terms[m]!r})*p[{m}]" for m in self.support()]

@@ -36,11 +36,12 @@ P_mu the rational prefactor; and the Hodge factor (-1)^g * r_{g,mu} / P_mu.
 The phase is attached once, where a value is printed (`readout`: the
 MVSeries coefficients, CgmuPolynomial.poly and the hodge command's
 prefactor), as the TauPolynomial i^(m+|mu|) * r, which stores r and the
-phase and never multiplies out complex coefficients; Gaussian rationals
-appear only when such a coefficient is read out.  The paper's forms in
-lambda and p, the tau = 0 value -(sqrt(-1))^(d+1) / (2d*sin(d*lambda/2))
-and the genus-0 value -(sqrt(-1))^(|mu|+l) * P_mu * |mu|^(l-3), are kept by
-the tests, which check the readout against them.
+phase; its JSON writes each rational coefficient of r as the real or the
+imaginary part, by the phase, so no complex coefficient is ever formed.
+The paper's forms in lambda and p, the tau = 0 value
+-(sqrt(-1))^(d+1) / (2d*sin(d*lambda/2)) and the genus-0 value
+-(sqrt(-1))^(|mu|+l) * P_mu * |mu|^(l-3), are kept by the tests, which read
+the printed values as Gaussian rationals and check them against those forms.
 
 The sine amplitude is expanded from the power sums of the hook lengths:
 
@@ -92,7 +93,6 @@ from .exact import (
     RTP_ZERO,
     RealTauPolynomial,
     TauPolynomial,
-    _dot,
     sin_half_series,
     sinh_half_series,
     series_exp,
@@ -301,8 +301,7 @@ def build_disconnected(max_weight: int, lambda_order: int) -> MVSeries:
             coeffs = [RTP_ZERO] * (T + d + 1)  # exponents -d..T
             for m in range(-d + (d + mu.length) % 2, T + 1, 2):
                 pairs = [(c, w) for w, W in weighted if (c := W.coefficient(m))]
-                # a sum with no polynomial operand comes back as a rational
-                coeffs[m + d] = RTP_ZERO + _dot(pairs)
+                coeffs[m + d] = RealTauPolynomial._sum_of_products(pairs)
             series = LaurentSeries(-d, coeffs, T)
             if series:
                 terms[mu] = series
@@ -333,7 +332,7 @@ def _evolution_holds(lhs: PartitionSeries, rhs: PartitionSeries, order: int) -> 
                 raise ValueError(
                     f"coefficient of p_{mu} only valid to {s.trunc_order} < {order}"
                 )
-        if not a.agrees_with(b, up_to=order):
+        if a.truncate(order) != b.truncate(order):
             return False
     return True
 

@@ -74,6 +74,23 @@ def i_power(k):
     return out
 
 
+def gaussian_coeffs(p):
+    """The coefficients of a phased tau-polynomial as Gaussian rationals,
+    constant term first: each rational coefficient times i^(p.i_power).
+    The package prints the same values without building one."""
+    phase = i_power(p.i_power)
+    return tuple(phase * c for c in p.real.coeffs)
+
+
+def series_agree(a, b, order=None):
+    """Whether two Laurent series have the same coefficients on every
+    exponent both know, up to the given order if one is given."""
+    top = min(a.trunc_order, b.trunc_order)
+    if order is not None:
+        top = min(top, order)
+    return a.truncate(top) == b.truncate(top)
+
+
 def tau_zero_lambda_value(d, order):
     """The tau = 0 coefficient of p_d in lambda, -(i)^(d+1) / (2d sin(d lambda/2)),
     as {exponent: GaussianRational} up to the given order."""

@@ -1,11 +1,14 @@
+import contextlib
 import hashlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -13,6 +16,7 @@ from cutjoin.cli import RunConfig, SUITES, cmd_verify, main
 from cutjoin.partitions import enumerate_partitions
 
 FIXTURE = Path(__file__).parent / "data" / "mv_series_w2_o6.jsonl"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def run_cli(*args, env_extra=None):
@@ -601,12 +605,13 @@ class TestGoldenFixture:
 
 
 class TestGaussianReadoutOnly:
-    """Gaussian rationals are only read out: no sum, product or negation of
-    two of them runs while a command computes, and the field operations are
-    gone.  No command multiplies two q-Laurent values or two phased
-    tau-polynomials either: every check runs on rational values and the
-    phase is attached where a value is printed.  The sums, negations and
-    powers that no command runs are gone from the package."""
+    """No command or script builds or reads a Gaussian rational: a phased
+    value is printed straight from its rational polynomial and its phase,
+    and the field operations are gone.  No command multiplies two q-Laurent
+    values or two phased tau-polynomials either: every check runs on
+    rational values and the phase is attached where a value is printed.  The
+    sums, negations and powers that no command runs are gone from the
+    package."""
 
     DIGESTS = {
         ("verify", "--suite", "all", "--seed", "1"):
@@ -616,16 +621,26 @@ class TestGaussianReadoutOnly:
         ("hodge", "--genus", "2", "--partition", "2,1"):
             "87aa18c7510949a071417a8fd69b81ccdfbd271a14fdc814f39788b96c48a360",
     }
+    HODGE_TABLE_DIGEST = "f30a9bd9a62580e2cdb24a9dc0be423cc5b74a908e300e9cadc5c60fc03c9f91"
 
     def test_commands_run_without_gaussian_arithmetic(self, monkeypatch):
-        from cutjoin import hodge
+        from cutjoin import exact, hodge
         from cutjoin.exact import GaussianRational, QHalfLaurent, TauPolynomial
 
         def forbidden(*args):
-            raise AssertionError("Gaussian, q-Laurent or phased arithmetic outside a readout")
+            raise AssertionError("a Gaussian rational, or q-Laurent or phased arithmetic, in a run")
 
-        for name in ("__add__", "__radd__", "__mul__", "__rmul__", "__neg__"):
+        # every member of the class, its constructors, readout and hash
+        # included, and the coercion into it
+        members = [
+            name
+            for name, value in vars(GaussianRational).items()
+            if isinstance(value, (FunctionType, classmethod))
+        ]
+        assert {"__init__", "_raw", "to_json", "__add__", "__mul__", "__eq__"} <= set(members)
+        for name in members:
             monkeypatch.setattr(GaussianRational, name, forbidden)
+        monkeypatch.setattr(exact, "_gr", forbidden)
         # no command multiplies two q-Laurent values (the sine and hook
         # products are binomial products) or two phased tau-polynomials (a
         # phase is attached once, at the readout); `*` is kept on both for
@@ -633,6 +648,7 @@ class TestGaussianReadoutOnly:
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(QHalfLaurent, name, forbidden)
             monkeypatch.setattr(TauPolynomial, name, forbidden)
+        monkeypatch.setattr(sys, "argv", ["hodge_table.py"])
         hodge.build_series_pair.cache_clear()
         try:
             for args, digest in self.DIGESTS.items():
@@ -640,6 +656,10 @@ class TestGaussianReadoutOnly:
                 assert code == 0, args
                 text = "".join(line + "\n" for line in lines)
                 assert hashlib.sha256(text.encode()).hexdigest() == digest, args
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                runpy.run_path(str(SCRIPTS / "hodge_table.py"), run_name="__main__")
+            assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == self.HODGE_TABLE_DIGEST
         finally:
             hodge.build_series_pair.cache_clear()
 
@@ -664,6 +684,10 @@ class TestGaussianReadoutOnly:
             assert not hasattr(QHalfLaurent, name), name
         for name in ("__pow__", "__sub__", "__rsub__"):
             assert not hasattr(TauPolynomial, name), name
+        # a phased value is printed from its rational polynomial and phase;
+        # its Gaussian readouts live in tests/series_reference.py
+        for name in ("coeffs", "coefficient", "degree", "_readout"):
+            assert not hasattr(TauPolynomial, name), name
         for name in ("TP_ONE", "TP_I", "_TP_OPERANDS", "_times_y", "_y_shifted"):
             assert not hasattr(exact, name), name
         # a phased tau-polynomial is a print-time readout, no ring: its one
@@ -679,7 +703,7 @@ class TestGaussianReadoutOnly:
                 _dot(pairs)
         # the series differences and constructors no command runs live in
         # tests/series_reference.py
-        for name in ("__sub__", "__rsub__"):
+        for name in ("__sub__", "__rsub__", "agrees_with"):
             assert not hasattr(LaurentSeries, name), name
-        for name in ("__sub__", "__radd__", "zero", "monomial"):
+        for name in ("__sub__", "__radd__", "zero", "monomial", "to_json"):
             assert not hasattr(PartitionSeries, name), name

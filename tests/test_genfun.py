@@ -161,16 +161,6 @@ class TestPartitionSeries:
         assert_same_series(a + b, ref_add(a, b))
         assert_same_series(a * c, ref_merge([(m, x * c) for m, x in a.terms.items()], a.max_weight))
 
-    def test_to_json_fixture_form(self):
-        f = mono([2], Fraction(1, 3)) + mono([1])
-        assert f.to_json() == {
-            "max_weight": 6,
-            "terms": [
-                {"partition": [1], "coefficient": "1/1"},
-                {"partition": [2], "coefficient": "1/3"},
-            ],
-        }
-
     def test_truthiness_sum_and_scalars(self):
         f = mono([2], Fraction(1, 3)) + mono([1])
         assert f and not ps_zero(6)

@@ -48,10 +48,12 @@ from cutjoin.partitions import (
     _sub_multisets,
 )
 from series_reference import (
+    gaussian_coeffs,
     genus0_lambda_value,
     prefactor_coefficients,
     q_neg,
     q_power,
+    series_agree,
     sub,
     tau_zero_lambda_value,
 )
@@ -226,7 +228,7 @@ class TestSeriesBuild:
         lhs = E.map_coefficients(
             lambda c: c.derivative() if isinstance(c, RealTauPolynomial) else 0
         )
-        assert lhs.agrees_with(E.shift(1), up_to=6)  # kappa/2 = 1
+        assert series_agree(lhs, E.shift(1), 6)  # kappa/2 = 1
 
     def test_constant_term_is_one(self, series_pair_small):
         star, _ = series_pair_small
@@ -263,7 +265,7 @@ class TestSeriesBuild:
             b = rebuilt.coefficient(mu)
             if isinstance(b, int):
                 b = LaurentSeries.monomial(Fraction(b), 0, star.lambda_order)
-            assert a.agrees_with(b, up_to=star.lambda_order)
+            assert series_agree(a, b, star.lambda_order)
 
     def test_connected_p2_at_tau_zero(self, series_pair_small):
         _, conn = series_pair_small
@@ -271,9 +273,9 @@ class TestSeriesBuild:
         target = initial_condition_series(2, 10)
         # 1/(4 sinh(x)) starts 1/4 * x^{-1}, which reads i/4 * lambda^{-1}
         assert target.coefficient(-1) == Fraction(1, 4)
-        assert series.agrees_with(target, up_to=10)
+        assert series_agree(series, target, 10)
         readout = conn.coefficient(P([2])).coefficient(-1)
-        assert readout.coefficient(0) == GaussianRational(0, Fraction(1, 4))
+        assert gaussian_coeffs(readout)[0] == GaussianRational(0, Fraction(1, 4))
 
     def test_theorem1_small(self):
         assert theorem1_verdicts(3, 8) == (True, True)
@@ -405,7 +407,7 @@ class TestSeriesBuild:
                         prod = prod * star.coefficient(P(piece))
                     prod = prod * Fraction((-1) ** (n - 1), n)
                     total = prod if total is None else total + prod
-                assert total.agrees_with(conn.coefficient(mu), up_to=8)
+                assert series_agree(total, conn.coefficient(mu), 8)
 
 
 class TestExtraction:
@@ -423,7 +425,7 @@ class TestExtraction:
         two = extract_C_gmu(conn, 0, P([2]))
         # (2 tau + 1)/4, which reads i(2 tau + 1)/4 at lambda^-1 p_2
         assert two.real == RealTauPolynomial([Fraction(1, 4), Fraction(1, 2)])
-        assert two.poly.coeffs == (
+        assert gaussian_coeffs(two.poly) == (
             GaussianRational(0, Fraction(1, 4)), GaussianRational(0, Fraction(1, 2))
         )
         pair = extract_C_gmu(conn, 0, P([1, 1]))
@@ -485,7 +487,7 @@ class TestExtraction:
         assert prefactor_polynomial(P([1])) == 1
         # (2): P = (2 tau + 1) / 1!, read out as -i^3 * (2 tau + 1) = i (2 tau + 1)
         assert prefactor_polynomial(P([2])) == TAU * 2 + 1
-        assert hodge.readout(prefactor_polynomial(P([2])), -1, 2).coeffs == (
+        assert gaussian_coeffs(hodge.readout(prefactor_polynomial(P([2])), -1, 2)) == (
             GaussianRational(0, 1), GaussianRational(0, 2)
         )
 
@@ -732,7 +734,7 @@ class TestPhaseReadout:
                 want = tau_zero_lambda_value(d, L) if mu.length == 1 else {}
                 for k in range(-d, L + 1):
                     c = series.coefficient(k)
-                    got = c.coefficient(0) if c else GaussianRational(0)
+                    got = gaussian_coeffs(c)[0] if c else GaussianRational(0)
                     if got != want.get(k, GaussianRational(0)):
                         return False
         return True
@@ -742,7 +744,7 @@ class TestPhaseReadout:
         """Every lambda^(l-2) p_mu coefficient, read through
         extract_C_gmu(...).poly, is -(i)^(|mu|+l) * P_mu * |mu|^(l-3)."""
         return all(
-            extract_C_gmu(conn, 0, mu).poly.coeffs == genus0_lambda_value(mu)
+            gaussian_coeffs(extract_C_gmu(conn, 0, mu).poly) == genus0_lambda_value(mu)
             for d in range(1, 5)
             for mu in enumerate_partitions(d)
         )

@@ -63,26 +63,78 @@ def _class_names_used(cls: ast.ClassDef) -> set[str]:
     return used - {cls.name}
 
 
+class _MethodUses(ast.NodeVisitor):
+    """The (class, name) of every attribute a tree reads.  `C.m` for a
+    class C of the package, and `self.m` or `cls.m` inside the body of
+    class C, are uses of C's method m alone; any other `x.m` has class None,
+    a use of every method named m.  Inside a method m, a read of m that
+    names no other class does not count."""
+
+    def __init__(self, classes: set[str]):
+        self.classes = classes
+        self.owner = self.method = None
+        self.uses = set()
+
+    def visit_ClassDef(self, node):
+        outer = self.owner, self.method
+        self.owner, self.method = node.name, None
+        self.generic_visit(node)
+        self.owner, self.method = outer
+
+    def visit_FunctionDef(self, node):
+        outer = self.method
+        if self.owner and not self.method:
+            self.method = node.name
+        self.generic_visit(node)
+        self.method = outer
+
+    def visit_Attribute(self, node):
+        base = node.value.id if isinstance(node.value, ast.Name) else None
+        if base in self.classes:
+            owner = base
+        elif base in ("self", "cls") and self.owner:
+            owner = self.owner
+        else:
+            owner = None
+        if node.attr != self.method or owner not in (None, self.owner):
+            self.uses.add((owner, node.attr))
+        self.generic_visit(node)
+
+
 def test_every_public_definition_is_used():
-    # a public top-level function, class or constant, or a public method of
-    # a class, must be named in the package or a script outside its own
-    # definition; a package export counts, and so does a method the traced
-    # benchmark run patches by name
-    used = _traced_method_names()
+    # a public top-level function, class or constant must be named in the
+    # package or a script outside its own definition, and a package export
+    # counts; a public method of a class must be read as an attribute of
+    # that class (see _MethodUses), or be one the traced benchmark run
+    # patches by name
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    classes = {s.name for tree in trees.values() for s in tree.body if isinstance(s, ast.ClassDef)}
+    used = set()
+    methods = _MethodUses(classes)
     for path in sorted(SCRIPTS.glob("*.py")):
-        used |= _names_used(ast.parse(path.read_text()))
-    defined = []
-    for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        used |= _names_used(tree)
+        methods.visit(tree)
+    defined, method_defs = [], []
+    for path, tree in trees.items():
+        methods.visit(tree)
+        for stmt in tree.body:
             names = _names_defined(stmt)
             defined += [(f"{path.name}:{name}", name) for name in names if not name.startswith("_")]
             if isinstance(stmt, ast.ClassDef):
-                defined += [
-                    (f"{path.name}:{stmt.name}.{member.name}", member.name)
+                method_defs += [
+                    (stmt.name, member.name)
                     for member in stmt.body
                     if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
                 ]
                 used |= _class_names_used(stmt)
             else:
                 used |= _names_used(stmt) - names
-    assert [label for label, name in defined if name not in used] == []
+    traced = _traced_method_names()
+    unused = [label for label, name in defined if name not in used]
+    unused += [
+        f"{cls}.{name}"
+        for cls, name in method_defs
+        if name not in traced and not {(cls, name), (None, name)} & methods.uses
+    ]
+    assert unused == []
