@@ -138,3 +138,24 @@ def test_every_public_definition_is_used():
         if name not in traced and not {(cls, name), (None, name)} & methods.uses
     ]
     assert unused == []
+
+
+def test_method_uses_credit_the_named_class_alone():
+    # a dead method that shares its name with a live one is not used: B.zero
+    # below is read only inside its own body, while A.zero is read through
+    # the class and through self; an untyped x.one credits every `one`
+    tree = ast.parse(
+        "class A:\n"
+        "    def zero(self): return A.zero\n"
+        "    def half(self): return self.zero()\n"
+        "class B:\n"
+        "    def zero(self): return self.zero()\n"
+        "    def one(self): return 1\n"
+        "def f(x): return x.one()\n"
+    )
+    methods = _MethodUses({"A", "B"})
+    methods.visit(tree)
+    assert ("A", "zero") in methods.uses
+    assert ("B", "zero") not in methods.uses
+    assert (None, "zero") not in methods.uses
+    assert (None, "one") in methods.uses
