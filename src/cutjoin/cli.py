@@ -54,8 +54,8 @@ BUDGET_ENV_VAR = "CUTJOIN_BUDGET"
 MAX_TABLE_DEGREE = 12
 # the series commands take --max-weight up to MAX_TABLE_DEGREE and
 # --lambda-order up to MAX_LAMBDA_ORDER; at (12, 24) `mv-series` takes about
-# 10 s and `verify --suite all` about 19 s (medians of 3 runs on 2 cores of a
-# shared Xeon, CPython 3.11.7)
+# 11 s and `verify --suite all` 15-19 s (medians of 3 runs in two rounds on 2
+# cores of a shared Intel Xeon, CPython 3.11.7)
 MAX_LAMBDA_ORDER = 24
 # `hurwitz --method char` reads the characters of every partition of |mu|;
 # at |mu| = 30 every shape measured answers within 1.8 s on 2 cores

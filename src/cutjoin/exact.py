@@ -424,10 +424,13 @@ class TauPolynomial:
 
     def to_json(self):
         """The coefficients as {"re", "im"} pairs, constant term first: each
-        rational coefficient on the side of the phase, "0/1" on the other."""
+        rational coefficient on the side of the phase, "0/1" on the other,
+        reduced from its numerator over the common denominator by one gcd."""
+        den = self.real.den
+        coeffs = [f"{n // g}/{den // g}" for n in self.real.nums for g in (gcd(n, den),)]
         if self.i_power:
-            return [{"re": "0/1", "im": fraction_str(c)} for c in self.real.coeffs]
-        return [{"re": fraction_str(c), "im": "0/1"} for c in self.real.coeffs]
+            return [{"re": "0/1", "im": c} for c in coeffs]
+        return [{"re": c, "im": "0/1"} for c in coeffs]
 
 
 def _phase(k: int) -> tuple[int, int]:

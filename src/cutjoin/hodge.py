@@ -68,11 +68,10 @@ weight at most W meets poles of total order at most W - d from the other
 factors (the weight-e coefficient has a pole of order at most e), so by
 induction on the recurrence of ps_log every connected coefficient of weight
 n is valid to at least L + W - n >= L.  Every check and readout compares the
-series only up to L, so both bodies are cut at L (MVSeries.truncated) before
-the tau-derivative, the cut-and-join operators, the tau = 0 value and the
-lambda-series readout.  A connected coefficient has a pole of order at most
-1, so a product of two of them cut at L is valid to L - 1 and the
-nonlinear side (x/2) * Omega~ is still valid to L.
+series only up to L, so MVSeries cuts each series at L once, when the pair
+is built, and every reader sees that one cut.  A connected coefficient has a
+pole of order at most 1, so a product of two of them cut at L is valid to
+L - 1 and the nonlinear side (x/2) * Omega~ is still valid to L.
 
 One comparison, _evolution_holds, decides both forms of the evolution
 equation and the tau = 0 value (against the series of single-row closed
@@ -83,7 +82,7 @@ compared coefficient is valid below L.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -210,42 +209,35 @@ def kappa_exp_factor(kappa: int, trunc: int) -> LaurentSeries:
 
 
 class MVSeries:
-    """A partition series together with its guaranteed-valid lambda order.
+    """A partition series cut at its lambda order.
 
     The body is the series in x = i*lambda and P_k = i^k p_k: its
     coefficients are x-Laurent series over real tau-polynomials (see the
-    module docstring), valid to at least `lambda_order` and possibly beyond.
-    `truncated` is the body cut at `lambda_order`, the order every check and
-    readout compares to; `tau_derivative`, `at_tau_zero` and `coefficient`
-    read it, and `coefficient` alone gives the series in lambda and p, each
-    coefficient a phased TauPolynomial, valid to exactly `lambda_order`.
+    module docstring), each cut at `lambda_order`, the order every check and
+    readout compares to.  The cut keeps every partition of the input, even
+    one whose coefficient is zero up to `lambda_order`.  `coefficient` gives
+    the series in lambda and p, each coefficient a phased TauPolynomial.
     """
 
-    def __init__(self, body: PartitionSeries, lambda_order: int):
-        self.body = body
+    def __init__(self, series: PartitionSeries, lambda_order: int):
+        cut = {mu: s.truncate(lambda_order) for mu, s in series.terms.items()}
+        self.body = PartitionSeries._raw(cut, series.max_weight)
         self.lambda_order = lambda_order
-
-    @cached_property
-    def truncated(self) -> PartitionSeries:
-        """The body with every coefficient series cut at lambda_order."""
-        return self.body.map_coefficients(lambda s: s.truncate(self.lambda_order))
 
     def coefficient(self, mu: Partition) -> LaurentSeries:
         """The coefficient of p_mu as a lambda-Laurent series over
         tau-polynomials, valid to lambda_order."""
         zero = LaurentSeries.zero(self.lambda_order)
-        return _lambda_series(self.truncated.terms.get(mu, zero), mu.size)
+        return _lambda_series(self.body.terms.get(mu, zero), mu.size)
 
     def tau_derivative(self) -> PartitionSeries:
-        """d/dtau of the truncated body, in the x and P variables."""
-        return self.truncated.map_coefficients(
-            lambda s: s.map_coefficients(_tau_diff)
-        )
+        """d/dtau of the body, in the x and P variables."""
+        return self.body.map_coefficients(lambda s: s.map_coefficients(_tau_diff))
 
     def at_tau_zero(self) -> PartitionSeries:
-        """The truncated body at tau = 0, in the x and P variables: the
-        constant term of each rational polynomial."""
-        return self.truncated.map_coefficients(lambda s: s.map_coefficients(_tau_zero))
+        """The body at tau = 0, in the x and P variables: the constant term
+        of each rational polynomial."""
+        return self.body.map_coefficients(lambda s: s.map_coefficients(_tau_zero))
 
 
 def _tau_diff(c):
@@ -271,7 +263,7 @@ def _lambda_series(s: LaurentSeries, weight: int) -> LaurentSeries:
     )
 
 
-def build_disconnected(max_weight: int, lambda_order: int) -> MVSeries:
+def build_disconnected(max_weight: int, lambda_order: int) -> PartitionSeries:
     """The disconnected series (constant term 1) up to the given weight.
 
     W_nu = E_nu * V_nu is built once per conjugate pair {nu, nu'}, and the
@@ -305,16 +297,16 @@ def build_disconnected(max_weight: int, lambda_order: int) -> MVSeries:
             series = LaurentSeries(-d, coeffs, T)
             if series:
                 terms[mu] = series
-    return MVSeries(PartitionSeries(terms, max_weight), lambda_order)
+    return PartitionSeries(terms, max_weight)
 
 
 @cache
 def build_series_pair(max_weight: int, lambda_order: int) -> tuple[MVSeries, MVSeries]:
-    """(disconnected, connected) pair; cached per process and reused by the
-    evolution, initial-value and extraction checks."""
+    """(disconnected, connected) pair, each cut at lambda_order; cached per
+    process and reused by the evolution, initial-value and extraction
+    checks.  The log is taken before the cut."""
     star = build_disconnected(max_weight, lambda_order)
-    conn = MVSeries(ps_log(star.body), lambda_order)
-    return star, conn
+    return MVSeries(star, lambda_order), MVSeries(ps_log(star), lambda_order)
 
 
 # -- the evolution equation and the initial value ----------------------------
@@ -355,10 +347,10 @@ def theorem1_verdicts(max_weight: int, lambda_order: int) -> tuple[bool, bool]:
     star, conn = build_series_pair(max_weight, lambda_order)
     half = Fraction(1, 2)
     linear = _evolution_holds(
-        star.tau_derivative(), _x_scaled(cut_join_linear(star.truncated), half), lambda_order
+        star.tau_derivative(), _x_scaled(cut_join_linear(star.body), half), lambda_order
     )
     nonlinear = _evolution_holds(
-        conn.tau_derivative(), _x_scaled(cut_join_nonlinear(conn.truncated), half), lambda_order
+        conn.tau_derivative(), _x_scaled(cut_join_nonlinear(conn.body), half), lambda_order
     )
     return linear, nonlinear
 
@@ -495,7 +487,7 @@ def cutjoin_derivative_check(R: MVSeries, g: int, mu: Partition) -> bool:
 def parity_pole_check(R: MVSeries) -> bool:
     """Connected-series structure: the coefficient of p_mu has lambda
     exponents m >= l(mu) - 2 with m = l(mu) (mod 2) only."""
-    for mu, series in R.truncated.terms.items():
+    for mu, series in R.body.terms.items():
         l = mu.length
         for k, c in series.items():
             if c and (k < l - 2 or (k - l) % 2 != 0):

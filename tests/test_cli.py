@@ -532,6 +532,21 @@ class TestGoldenFixture:
         digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
         assert digest == "cb351a2c3904236e4e091b99b5b4915933bf55d5b7f8549a5d94df7420faeae3"
 
+    def test_mv_series_low_order_keeps_terms_zero_to_the_order(self):
+        # at (6, 2) the connected p_{1^5} coefficient starts at lambda^3, so it
+        # is zero up to L = 2; its record still prints, with no coefficients
+        proc = run_cli("mv-series", "--max-weight", "6", "--lambda-order", "2")
+        assert proc.returncode == 0
+        records = [json.loads(line) for line in proc.stdout.splitlines()]
+        empty = [
+            (r["series"], r["partition"])
+            for r in records
+            if r.get("record") == "series-term" and not r["coefficient"]["coeffs"]
+        ]
+        assert empty == [("connected", [1, 1, 1, 1, 1])]
+        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
+        assert digest == "7eb4e0e14c41fcbd0a226aa7ef7a33a488e89d12fa4133d21100758d82fbc3a1"
+
     def test_mv_series_w7_digest(self):
         # the exact stdout the series-w7 benchmark workload checks
         proc = run_cli("mv-series", "--max-weight", "7", "--lambda-order", "14")

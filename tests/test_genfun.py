@@ -16,7 +16,12 @@ from cutjoin.genfun import (
     ps_log,
 )
 from cutjoin.exact import RealTauPolynomial, _dot
-from cutjoin.hodge import build_series_pair, cutjoin_derivative_check, theorem1_verdicts
+from cutjoin.hodge import (
+    build_disconnected,
+    build_series_pair,
+    cutjoin_derivative_check,
+    theorem1_verdicts,
+)
 from cutjoin.hurwitz import hurwitz_cutjoin_check
 from cutjoin.partitions import EMPTY, Partition, enumerate_partitions
 from series_reference import (
@@ -264,22 +269,22 @@ class TestAgainstReferences:
         assert ps_log(ps_exp(f)) == f
 
     def test_log_of_disconnected_series(self, series_pair_small):
-        star, _ = series_pair_small
-        assert ps_log(star.body) == reference_log(star.body)
+        star, _, cut_star, _ = _hodge_series(series_pair_small)
+        for G in (star, cut_star):
+            assert ps_log(G) == reference_log(G)
 
     def test_exp_of_connected_series(self, series_pair_small):
-        _, conn = series_pair_small
-        assert ps_exp(conn.body) == reference_exp(conn.body)
+        _, conn, _, cut_conn = _hodge_series(series_pair_small)
+        for F in (conn, cut_conn):
+            assert ps_exp(F) == reference_exp(F)
 
     def test_linear_on_mv_series(self, series_pair_small):
-        for series in series_pair_small:
-            for F in (series.body, series.truncated):
-                assert_same_series(cut_join_linear(F), reference_linear(F))
+        for F in _hodge_series(series_pair_small):
+            assert_same_series(cut_join_linear(F), reference_linear(F))
 
     def test_nonlinear_on_mv_series(self, series_pair_small):
-        for series in series_pair_small:
-            for F in (series.body, series.truncated):
-                assert_same_series(cut_join_nonlinear(F), reference_nonlinear(F))
+        for F in _hodge_series(series_pair_small):
+            assert_same_series(cut_join_nonlinear(F), reference_nonlinear(F))
 
     def test_operators_on_a_series_with_no_terms(self):
         for op in (cut_join_linear, cut_join_nonlinear, reference_linear, reference_nonlinear):
@@ -296,7 +301,7 @@ class TestAgainstReferences:
         # the ordered split terms of one target are merged by unordered
         # {nu1, nu2}, so each product is formed once per target
         _, conn = build_series_pair(6, 12)
-        F = conn.truncated
+        F = conn.body
         w = F.max_weight
         at = {id(c): mu for mu, c in F.terms.items()}
         products = []
@@ -313,6 +318,15 @@ class TestAgainstReferences:
         for nu1, b in products:
             assert _is_scaled_coefficient(b, F, w - nu1.size), nu1
         assert len(products) == 61
+
+
+def _hodge_series(pair):
+    """The disconnected series as built at the size of an MVSeries pair and
+    its log, both valid beyond the pair's lambda order L, then the pair's
+    bodies, cut at L."""
+    star, conn = pair
+    built = build_disconnected(star.body.max_weight, star.lambda_order)
+    return built, ps_log(built), star.body, conn.body
 
 
 def _is_scaled_coefficient(b, F, room):

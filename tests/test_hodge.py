@@ -13,7 +13,13 @@ from cutjoin.exact import (
     sinh_half_series,
 )
 from cutjoin import hodge
-from cutjoin.genfun import PartitionSeries, cut_join_linear, cut_join_nonlinear, ps_exp
+from cutjoin.genfun import (
+    PartitionSeries,
+    cut_join_linear,
+    cut_join_nonlinear,
+    ps_exp,
+    ps_log,
+)
 from cutjoin.hodge import (
     CgmuPolynomial,
     MVSeries,
@@ -256,16 +262,20 @@ class TestSeriesBuild:
                 assert got == expect
 
     def test_disconnected_is_exp_of_connected(self, series_pair_small):
-        # in x and P, where the body of each series lives
+        # in x and P, where the body of each series lives: on the series as
+        # built, valid beyond L, and on the pair cut at L, each compared on
+        # every exponent both sides know
         star, conn = series_pair_small
-        rebuilt = ps_exp(conn.body)
-        keys = set(rebuilt.terms) | set(star.body.terms)
-        for mu in keys:
-            a = star.body.coefficient(mu) or LaurentSeries.zero(star.lambda_order)
-            b = rebuilt.coefficient(mu)
-            if isinstance(b, int):
-                b = LaurentSeries.monomial(Fraction(b), 0, star.lambda_order)
-            assert series_agree(a, b, star.lambda_order)
+        L = star.lambda_order
+        built = build_disconnected(star.body.max_weight, L)
+        for disconnected, connected in ((built, ps_log(built)), (star.body, conn.body)):
+            rebuilt = ps_exp(connected)
+            for mu in set(rebuilt.terms) | set(disconnected.terms):
+                a = disconnected.coefficient(mu) or LaurentSeries.zero(L)
+                b = rebuilt.coefficient(mu)
+                if isinstance(b, int):
+                    b = LaurentSeries.monomial(Fraction(b), 0, L)
+                assert series_agree(a, b)
 
     def test_connected_p2_at_tau_zero(self, series_pair_small):
         _, conn = series_pair_small
@@ -290,41 +300,46 @@ class TestSeriesBuild:
 
     def test_per_weight_truncation_orders(self, series_pair_small):
         # weight d is built to L + W - d, and the log keeps weight n valid to
-        # at least L + W - n; every readout is cut at L
-        W, L = 4, 6
-        for mu, s in build_disconnected(W, L).body.terms.items():
+        # at least L + W - n; each MVSeries coefficient is cut at L
+        W, L = 4, 10
+        star = build_disconnected(W, L)
+        for mu, s in star.terms.items():
             assert s.trunc_order == L + W - mu.size, mu
+        for mu, s in ps_log(star).terms.items():
+            assert s.trunc_order >= L + W - mu.size, mu
         for series in series_pair_small:
-            W, L = series.body.max_weight, series.lambda_order
+            assert (series.body.max_weight, series.lambda_order) == (W, L)
             for mu, s in series.body.terms.items():
-                assert s.trunc_order >= L + W - mu.size, mu
+                assert s.trunc_order == L, mu
                 assert series.coefficient(mu).trunc_order == L
-            assert all(s.trunc_order == L for s in series.truncated.terms.values())
 
     @pytest.mark.parametrize(
         "which, parts, exponent, verdicts",
         [
             # an error at x^L in a connected coefficient breaks only the nonlinear form
             ("connected", [2, 1], 0, (True, False)),
-            # x^(L+2) is beyond the compared range, before and after the cut at L
+            # x^(L+2) is beyond the compared range, and the cut at L drops it
             ("connected", [2, 1], 2, (True, True)),
             # an error in a disconnected coefficient breaks only the linear form
             ("disconnected", [3, 1], 0, (False, True)),
         ],
     )
     def test_theorem1_perturbed_coefficient(self, monkeypatch, which, parts, exponent, verdicts):
+        # the error goes into the series as built, valid beyond L, before
+        # the pair is cut at L
         W, L = 5, 8
-        pair = dict(zip(("disconnected", "connected"), build_series_pair(W, L)))
+        star = build_disconnected(W, L)
+        pair = {"disconnected": star, "connected": ps_log(star)}
         target = pair[which]
         mu = P(parts)
-        s = target.body.coefficient(mu)
+        s = target.coefficient(mu)
         assert s.trunc_order >= L + exponent
         bumped = s + LaurentSeries.monomial(RealTauPolynomial([0, 1]), L + exponent, s.trunc_order)
         assert bumped.coefficient(L + exponent) != s.coefficient(L + exponent)
-        terms = dict(target.body.terms)
+        terms = dict(target.terms)
         terms[mu] = bumped
-        pair[which] = MVSeries(PartitionSeries(terms, W), L)
-        patched = (pair["disconnected"], pair["connected"])
+        pair[which] = PartitionSeries(terms, W)
+        patched = (MVSeries(pair["disconnected"], L), MVSeries(pair["connected"], L))
         monkeypatch.setattr(hodge, "build_series_pair", lambda *args: patched)
         assert theorem1_verdicts(W, L) == verdicts
 
@@ -385,7 +400,7 @@ class TestSeriesBuild:
     def test_log_matches_inclusion_exclusion(self, series_pair_small):
         # the alternating-sum expansion over ordered multiset decompositions
         # is an independent route to the connected coefficients, in x and P
-        star, conn = (s.truncated for s in series_pair_small)
+        star, conn = (s.body for s in series_pair_small)
 
         def ordered_decompositions(parts):
             if not parts:
