@@ -70,6 +70,35 @@ def character_table(d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(character(nu, mu) for mu in parts) for nu in parts)
 
 
+def character_table_identities(d: int) -> tuple[bool, bool, bool]:
+    """Both orthogonality relations and the sign twist, read from the integer
+    table of degree d; the first relation is multiplied through by d!."""
+    parts = enumerate_partitions(d)
+    table = character_table(d)
+    columns = list(zip(*table))
+    order = factorial(d)
+    class_sizes = [order // mu.z() for mu in parts]
+    first = all(
+        sum(a * b * c for a, b, c in zip(table[i], table[j], class_sizes))
+        == (order if i == j else 0)
+        for i in range(len(parts))
+        for j in range(len(parts))
+    )
+    second = all(
+        sum(a * b for a, b in zip(columns[i], columns[j]))
+        == (parts[i].z() if i == j else 0)
+        for i in range(len(parts))
+        for j in range(len(parts))
+    )
+    row_of = {nu: row for nu, row in zip(parts, table)}
+    twist = all(
+        row_of[nu.transpose()][j] == (-1) ** (d - mu.length) * row_of[nu][j]
+        for nu in parts
+        for j, mu in enumerate(parts)
+    )
+    return first, second, twist
+
+
 def dimension(nu: Partition) -> int:
     """Dimension of the irreducible labeled nu, as a character value."""
     return character(nu, Partition([1] * nu.size))

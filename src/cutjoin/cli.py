@@ -33,6 +33,7 @@ from typing import Callable, NamedTuple
 from . import hodge, hurwitz
 from .characters import (
     character_table,
+    character_table_identities,
     central_character_transposition,
     dimension,
     dimension_hook,
@@ -261,37 +262,8 @@ def _suite_prop_v(config: RunConfig) -> list[CheckResult]:
     ])
 
 
-def _character_table_identities(d: int) -> tuple[bool, bool, bool]:
-    """Both orthogonality relations and the sign twist, read from the integer
-    table of degree d; the first relation is multiplied through by d!."""
-    parts = enumerate_partitions(d)
-    table = character_table(d)
-    columns = list(zip(*table))
-    order = factorial(d)
-    class_sizes = [order // mu.z() for mu in parts]
-    first = all(
-        sum(a * b * c for a, b, c in zip(table[i], table[j], class_sizes))
-        == (order if i == j else 0)
-        for i in range(len(parts))
-        for j in range(len(parts))
-    )
-    second = all(
-        sum(a * b for a, b in zip(columns[i], columns[j]))
-        == (parts[i].z() if i == j else 0)
-        for i in range(len(parts))
-        for j in range(len(parts))
-    )
-    row_of = {nu: row for nu, row in zip(parts, table)}
-    twist = all(
-        row_of[nu.transpose()][j] == (-1) ** (d - mu.length) * row_of[nu][j]
-        for nu in parts
-        for j, mu in enumerate(parts)
-    )
-    return first, second, twist
-
-
 def _suite_characters(config: RunConfig) -> list[CheckResult]:
-    verdicts = cache(_character_table_identities)  # all three, once per degree
+    verdicts = cache(character_table_identities)  # all three, once per degree
     out = _per_degree("d", range(1, 9), "{n}^2 pairs", [
         ("characters/orthogonality-first", "first-orthogonality", lambda d: verdicts(d)[0]),
         ("characters/orthogonality-second", "second-orthogonality", lambda d: verdicts(d)[1]),

@@ -17,10 +17,13 @@ denominator and reduced once.  The cut-and-join operators form no
 derivative series: each coefficient on p_mu is one `_dot` over the column
 `partitions.cut_join_incoming(mu)`, (F[nu], integer weight) for the joins
 and cuts nu into mu and, in the nonlinear one, one product F[nu1] * F[nu2]
-per unordered split pair of mu.  The tests compare all of them with the
-whole-series forms they replace, which build every power, product or
-derivative at the full cap and add one term at a time: the results are
-equal exactly, Laurent truncation orders included.
+per unordered split pair of mu.  That column sum is the one place the
+operator is formed: the per-genus Hodge evolution and the branch-point
+recursion each read one x-coefficient of it (`_column_coefficient`).  The
+tests compare all of them with the whole-series forms they replace, which
+build every power, product or derivative at the full cap and add one term
+at a time: the results are equal exactly, Laurent truncation orders
+included.
 
 The operator conventions are fixed once and for all: the double sum over i, j
 runs over ordered pairs with the diagonal counted once, which is exactly the
@@ -193,25 +196,48 @@ def ps_log(G: PartitionSeries) -> PartitionSeries:
     return _at_weight_one(F.coeffs, {}, G.max_weight)
 
 
+def _cut_join_column(terms: dict, mu: Partition, quadratic: bool):
+    """The coefficient on p_mu of the operator on F, from the coefficients
+    `terms` of F: one `_dot` over (F[nu], w) for the joins and cuts of the
+    column partitions.cut_join_incoming(mu) and, when quadratic,
+    (F[nu1], w * F[nu2]) for its unordered splits; 0 when none is present."""
+    joins, cuts, splits = partitions.cut_join_incoming(mu)
+    pairs = [(terms[nu], w) for nu, w in joins + cuts if nu in terms]
+    if quadratic:
+        pairs += [
+            (terms[nu1], terms[nu2] * w)
+            for nu1, nu2, w in splits
+            if nu1 in terms and nu2 in terms
+        ]
+    return _dot(pairs)
+
+
+def _column_coefficient(F: PartitionSeries, mu: Partition, k: int):
+    """The x^k coefficient of cut_join_nonlinear(F) on p_mu, for F a series
+    of x-Laurent series each with a pole of order at most 1.
+
+    The column reads F only at weights up to |mu|, and a product of two
+    coefficients cut at x^(k+1) is still valid to x^k, so the operands are
+    cut there first and no product forms a term beyond it.  On a series
+    graded like the connected Hodge series (r_{g,mu} at x^(2g-2+l(mu))) or
+    the connected cover counts (h_{g,mu} at x^(r(g, mu))), every join, cut
+    and split of mu lowers the exponent by exactly one, so the x^k
+    coefficient, k one below p_mu's own exponent at genus g, is the genus-g
+    recursion's sum.
+    """
+    cut = {nu: s.truncate(k + 1) for nu, s in F.terms.items() if nu.size <= mu.size}
+    column = _cut_join_column(cut, mu, True)
+    return column.coefficient(k) if column else 0
+
+
 def _read_off(F: PartitionSeries, weights, quadratic: bool) -> PartitionSeries:
     """The operator on F read one target p_mu at a time, over the partitions
-    mu of the given weights: one `_dot` over (F[nu], w) for the joins and
-    cuts of the column partitions.cut_join_incoming(mu) and, when quadratic,
-    (F[nu1], w * F[nu2]) for its unordered splits."""
-    terms = F.terms
-    out = {}
-    for d in sorted(weights):
-        for mu in enumerate_partitions(d):
-            joins, cuts, splits = partitions.cut_join_incoming(mu)
-            pairs = [(terms[nu], w) for nu, w in joins + cuts if nu in terms]
-            if quadratic:
-                pairs += [
-                    (terms[nu1], terms[nu2] * w)
-                    for nu1, nu2, w in splits
-                    if nu1 in terms and nu2 in terms
-                ]
-            if pairs:
-                out[mu] = _dot(pairs)
+    mu of the given weights, each one `_cut_join_column`."""
+    out = {
+        mu: _cut_join_column(F.terms, mu, quadratic)
+        for d in sorted(weights)
+        for mu in enumerate_partitions(d)
+    }
     return PartitionSeries(out, F.max_weight)
 
 

@@ -29,7 +29,8 @@ d/dtau R = (x/2) * Omega(R).  So the coefficient of x^m P_mu is a rational
 tau-polynomial r, and the coefficient of lambda^m p_mu is i^(m+|mu|) * r.
 
 Every check runs on r, and each closed form is rational in x and P: the
-per-coefficient evolution r'_{g,mu} = partitions.cut_join_sum(mu, g, r),
+per-coefficient evolution, d/dtau r_{g,mu} equal to half the x^(m-1)
+coefficient, m = 2g-2+l(mu), of the nonlinear operator's column at P_mu,
 with no factor of i; the tau = 0 value sum_d P_d / (2d*sinh(d*x/2)), every
 multi-row term zero; the genus-0 anchor r_{0,mu} = P_mu * |mu|^(l-3), with
 P_mu the rational prefactor; and the Hodge factor (-1)^g * r_{g,mu} / P_mu.
@@ -97,14 +98,16 @@ from .exact import (
     series_exp,
     series_log,
 )
-from .genfun import PartitionSeries, cut_join_linear, cut_join_nonlinear, ps_log
+from .genfun import (
+    PartitionSeries,
+    _column_coefficient,
+    cut_join_linear,
+    cut_join_nonlinear,
+    ps_log,
+)
 from .hurwitz import branch_count, linear_hodge_factor
 from .linalg import nullspace
-from .partitions import (
-    Partition,
-    cut_join_sum,
-    enumerate_partitions,
-)
+from .partitions import Partition, enumerate_partitions
 from .characters import character
 
 
@@ -475,13 +478,15 @@ def cutjoin_derivative_check(R: MVSeries, g: int, mu: Partition) -> bool:
                             + sum_{nu cuts of mu} w r_{g-1,nu}
                             + sum_{splits, g1+g2=g} w r_{g1,nu1} r_{g2,nu2} ]
 
-    the x^(2g-2+l) P_mu coefficient of d/dtau R = (x/2) * Omega~(R), where
-    the halved bracket is partitions.cut_join_sum over the extracted rational
-    polynomials.  In lambda and p each term of the bracket has a phase one
-    power of i short of C_{g,mu}'s, which is the sqrt(-1) of the paper's form.
+    the x^m P_mu coefficient, m = 2g-2+l(mu), of d/dtau R = (x/2) * Omega~(R).
+    The bracket is the x^(m-1) coefficient of Omega~(R) on P_mu, where every
+    term on the right sits, read off the one column of the operator.  In
+    lambda and p each term of the bracket has a phase one power of i short of
+    C_{g,mu}'s, which is the sqrt(-1) of the paper's form.
     """
     lhs = extract_C_gmu(R, g, mu).real.derivative()
-    return lhs == cut_join_sum(mu, g, lambda h, nu: extract_C_gmu(R, h, nu).real)
+    m = 2 * g - 2 + mu.length
+    return lhs == _column_coefficient(R.body, mu, m - 1) * Fraction(1, 2)
 
 
 def parity_pole_check(R: MVSeries) -> bool:

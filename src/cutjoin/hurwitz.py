@@ -9,8 +9,10 @@ exponential formula converts between the two normalizations (all covers vs
 connected covers) through an x^r/r! grading in the branch-count variable,
 and both routes are required to agree wherever enumeration is feasible.
 
-The branch-point recursion is read in that grading, on h = H/r!, where it
-is the plain per-genus cut-and-join sum that the Hodge series also obeys.
+The branch-point recursion is read in that grading, on h = H/r!: r * h_{g,mu}
+is half the x^(r-1) coefficient of the nonlinear cut-and-join operator's
+column at p_mu on the connected series, the column the Hodge series' tau
+evolution also reads.
 
 The Hodge side of the ELSV formula is a closed form at genus 0,
 |mu|^(l-3), and at genus 1, Vakil's formula in |mu|, l(mu) and the
@@ -27,14 +29,9 @@ from math import factorial
 
 from .characters import character, dimension
 from .exact import LaurentSeries
-from .genfun import PartitionSeries, ps_log
+from .genfun import PartitionSeries, _column_coefficient, ps_log
 from .linalg import solve
-from .partitions import (
-    EMPTY,
-    Partition,
-    cut_join_sum,
-    enumerate_partitions,
-)
+from .partitions import EMPTY, Partition, enumerate_partitions
 
 DEFAULT_BUDGET = 10**7
 
@@ -182,13 +179,14 @@ def _disconnected_row(mu: Partition, r_max: int) -> list[Fraction]:
     return row
 
 
-_tables: dict[tuple[int, int], dict] = {}
+_tables: dict[tuple[int, int], PartitionSeries] = {}
 
 
-def _connected_table(d: int, r: int) -> dict:
-    """Connected counts by (r, mu) via the exponential formula, the log of
-    the disconnected series in the x^r/r! grading, from a table that holds
-    |mu| = d and r branch points.
+def _connected_table(d: int, r: int) -> PartitionSeries:
+    """The connected cover series sum_mu sum_r h_{g,mu} x^r p_mu, with
+    h = H/r!, the log of the disconnected series in the x^r/r! grading
+    (the exponential formula), from a table that holds |mu| = d and r
+    branch points.
 
     A table built for d' >= d and r' >= r holds them with the same values:
     the log at weight d reads only weights <= d, and its x^r coefficient
@@ -207,12 +205,7 @@ def _connected_table(d: int, r: int) -> dict:
             series = LaurentSeries(0, _disconnected_row(mu, r_max), r_max)
             if series:
                 terms[mu] = series
-    table = _tables[d, r_max] = {
-        (n, mu): Fraction(c) * factorial(n)
-        for mu, series in ps_log(PartitionSeries(terms, d)).terms.items()
-        for n, c in series.items()
-        if c
-    }
+    _tables[d, r_max] = table = ps_log(PartitionSeries(terms, d))
     return table
 
 
@@ -221,8 +214,8 @@ def hurwitz_connected(g: int, mu: Partition) -> Fraction:
     r = branch_count(g, mu)
     if r < 0:
         return Fraction(0)
-    table = _connected_table(mu.size, r)
-    return table.get((r, mu), Fraction(0))
+    series = _connected_table(mu.size, r).terms.get(mu)
+    return Fraction(series.coefficient(r) if series else 0) * factorial(r)
 
 
 # -- genus 0 and 1 linear Hodge factors: closed forms (genus 1: Vakil 2001) --
@@ -290,18 +283,17 @@ def solve_hodge_from_hurwitz(part_sizes: list[int]) -> dict[str, Fraction]:
 
 
 def hurwitz_cutjoin_check(g: int, mu: Partition) -> bool:
-    """The branch-point recursion r * h(g, mu) = cut_join_sum(mu, g, h) on
-    h = H/r!: Goulden-Jackson's dH/dx = (1/2) Omega~(H) for
-    H = sum H_{g,mu} x^r/r! p_mu ("Transitive factorizations into
-    transpositions and holomorphic mappings on the sphere", 1997) at
-    x^(r-1) p_mu.  On the raw counts each split would carry the ways
-    C(r - 1, r1) = (r-1)!/(r1! r2!) to place r1 of the other branch points
-    on its first component; the 1/r! absorbs that binomial into the values.
-    h is zero where the branch count is negative; at r = 0 both sides are 0.
+    """The branch-point recursion r * h_{g,mu} = (1/2) Omega~(h)[x^(r-1) p_mu]
+    on the connected cover series of h = H/r!: Goulden-Jackson's
+    dH/dx = (1/2) Omega~(H) for H = sum H_{g,mu} x^r/r! p_mu ("Transitive
+    factorizations into transpositions and holomorphic mappings on the
+    sphere", 1997) at x^(r-1) p_mu, read off the one column of the operator.
+    On the raw counts each split would carry the ways C(r - 1, r1) =
+    (r-1)!/(r1! r2!) to place r1 of the other branch points on its first
+    component; the 1/r! absorbs that binomial into the values.  At r = 0
+    both sides are 0.
     """
-
-    def h(genus, nu):
-        r = branch_count(genus, nu)
-        return hurwitz_connected(genus, nu) / factorial(r) if r >= 0 else Fraction(0)
-
-    return branch_count(g, mu) * h(g, mu) == cut_join_sum(mu, g, h)
+    r = branch_count(g, mu)
+    h = _connected_table(mu.size, r)
+    lhs = h.terms[mu].coefficient(r) * r if mu in h.terms else 0
+    return lhs == _column_coefficient(h, mu, r - 1) * Fraction(1, 2)

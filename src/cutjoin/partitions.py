@@ -7,20 +7,17 @@ immutable.
 
 The cut-and-join operator is read on p_mu one coefficient at a time.  Its
 column at p_mu is one cached table, the integer weights of the joins, cuts
-and unordered splits into mu (cut_join_incoming); genfun's whole-series
-operators and the per-genus sum (cut_join_sum) both read it.  The per-genus
-sum carries no factor of its own: the Hodge evolution and the cover-count
-recursion on H/r! are both the plain sum over their coefficients.
+and unordered splits into mu (cut_join_incoming), which genfun's one column
+sum reads.  The whole-series operators run that sum over every target, and
+the per-genus Hodge evolution and cover-count recursion each read one
+x-coefficient of it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from math import factorial
 from typing import Iterable
-
-from .exact import _dot
 
 
 class Partition:
@@ -217,32 +214,6 @@ def cut_join_incoming(mu: Partition) -> tuple[tuple, tuple, tuple]:
         tuple(sorted(cuts)),
         tuple((nu1, nu2, w) for (nu1, nu2), w in splits.items()),
     )
-
-
-def cut_join_sum(mu: Partition, g: int, value):
-    """The cut-and-join operator read on p_mu at genus g, from the genus-h
-    coefficient value(h, nu) of every p_nu it draws on:
-
-        1/2 [ sum_{nu joins of mu} w * value(g, nu)
-            + sum_{nu cuts of mu} w * value(g - 1, nu)                  (g >= 1)
-            + sum_{splits} sum_{g1+g2=g} w * value(g1, nu1) * value(g2, nu2) ]
-
-    with the integer weights w of cut_join_incoming.  Each unordered split
-    {nu1, nu2} is formed once per g1, standing for both orders.  The bracket
-    is one `_dot` over (value, weight) pairs, halved once.  This is the
-    right-hand side both of the per-coefficient tau-evolution of the Hodge
-    series, read on its rational coefficients in x = sqrt(-1)*lambda and
-    P_k = sqrt(-1)^k p_k, and of the branch-point recursion for cover counts
-    H/r! (hurwitz.hurwitz_cutjoin_check).
-    """
-    joins, cuts, splits = cut_join_incoming(mu)
-    pairs = [(value(g, nu), w) for nu, w in joins]
-    if g >= 1:
-        pairs += [(value(g - 1, nu), w) for nu, w in cuts]
-    for nu1, nu2, w in splits:
-        for g1 in range(g + 1):
-            pairs.append((value(g1, nu1), value(g - g1, nu2) * w))
-    return _dot(pairs) * Fraction(1, 2)
 
 
 def _sub_multisets(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

@@ -17,6 +17,7 @@ from cutjoin.partitions import enumerate_partitions
 
 FIXTURE = Path(__file__).parent / "data" / "mv_series_w2_o6.jsonl"
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def run_cli(*args, env_extra=None):
@@ -372,6 +373,20 @@ class TestVerify:
             "initial", "extraction", "hurwitz", "elsv", "transfer",
         }
 
+    def test_check_counts_match_the_benchmark_reference(self):
+        # the benchmark's reference pins every suite's check count at the
+        # default (W, L), and the benchmark reads a change to it only as a
+        # pass-ratio drop; so a change to a count fails here too.  The file
+        # is read, never written.
+        reference = json.loads(REFERENCE.read_text())["verify_checks"]
+        counts = {}
+        for suite in [*SUITES, "all"]:
+            code, lines = main_lines("verify", "--suite", suite)
+            summary = json.loads(lines[-1])
+            assert code == 0 and summary["record"] == "summary", suite
+            counts[suite] = summary["checks"]
+        assert counts == reference
+
     def test_transfer_suite_passes(self):
         code, lines = main_lines("verify", "--suite", "transfer")
         assert code == 0
@@ -431,16 +446,17 @@ class TestVerify:
         assert "all |mu| <= 2" in ranged
 
     def test_characters_suite_detects_a_wrong_table_entry(self, monkeypatch):
-        from cutjoin import cli
-        from cutjoin.characters import character_table
+        from cutjoin import characters, cli
+
+        real = characters.character_table
 
         def perturbed(d):
-            table = [list(row) for row in character_table(d)]
+            table = [list(row) for row in real(d)]
             if d == 4:
                 table[1][2] += 1
             return tuple(map(tuple, table))
 
-        monkeypatch.setattr(cli, "character_table", perturbed)
+        monkeypatch.setattr(characters, "character_table", perturbed)
         failed = {r.check_id for r in cli._suite_characters(RunConfig()) if not r.passed}
         assert {
             "characters/orthogonality-first/d=4",

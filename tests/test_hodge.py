@@ -555,26 +555,35 @@ class TestExtraction:
                     assert constant == b[g] * power, (g, mu)
                     assert constant != b[g + 1] * power, (g, mu)
 
-    def test_derivative_recursion(self, series_pair_small):
-        _, conn = series_pair_small
-        for g in range(3):
-            for d in range(1, 5):
-                for mu in enumerate_partitions(d):
-                    assert cutjoin_derivative_check(conn, g, mu), (g, mu)
+    def test_derivative_recursion(self, series_pair_default):
+        # every (g, mu) of the (6, 12) pair with |mu| <= 6 whose exponent
+        # 2g-2+l(mu) the pair reaches
+        _, conn = series_pair_default
+        cases = _derivative_cases(conn)
+        assert len(cases) == 186
+        for g, mu in cases:
+            assert cutjoin_derivative_check(conn, g, mu), (g, mu)
 
-    @pytest.mark.parametrize("mutation", ["stray i^2", "join weight"])
-    def test_derivative_recursion_rejects_missing_i(self, series_pair_small, monkeypatch, mutation):
+    @pytest.mark.parametrize("mutation", ["stray i^2", "join weight", "x^m read"])
+    def test_derivative_recursion_rejects_missing_i(
+        self, series_pair_default, monkeypatch, mutation
+    ):
         # negative controls on the rational recursion, which carries no i:
-        # the bracket times i^2 = -1, the one phase error a rational sum can
-        # show, and one join weight off by one; each fails on some shape
-        from cutjoin import partitions
+        # the column times i^2 = -1, the one phase error a rational sum can
+        # show; one join weight off by one; and the column read at x^m, the
+        # exponent of r_{g,mu} itself, in place of x^(m-1); each fails on
+        # some case
+        from cutjoin import genfun, partitions
 
-        _, conn = series_pair_small
-        shapes = [(g, mu) for g in range(3) for d in range(1, 5) for mu in enumerate_partitions(d)]
-        assert all(cutjoin_derivative_check(conn, g, mu) for g, mu in shapes)
+        _, conn = series_pair_default
+        cases = _derivative_cases(conn)
+        assert all(cutjoin_derivative_check(conn, g, mu) for g, mu in cases)
         if mutation == "stray i^2":
-            real = hodge.cut_join_sum
-            monkeypatch.setattr(hodge, "cut_join_sum", lambda *args: -real(*args))
+            column = genfun._cut_join_column
+            monkeypatch.setattr(genfun, "_cut_join_column", lambda *args: -column(*args))
+        elif mutation == "x^m read":
+            read = hodge._column_coefficient
+            monkeypatch.setattr(hodge, "_column_coefficient", lambda F, mu, k: read(F, mu, k + 1))
         else:
             real = partitions.cut_join_incoming
 
@@ -585,7 +594,7 @@ class TestExtraction:
                 return joins, cuts, splits
 
             monkeypatch.setattr(partitions, "cut_join_incoming", first_join_off_by_one)
-        assert not all(cutjoin_derivative_check(conn, g, mu) for g, mu in shapes)
+        assert not all(cutjoin_derivative_check(conn, g, mu) for g, mu in cases)
 
     def test_derivative_and_branch_point_recursions_share_one_sum(
         self, series_pair_small, monkeypatch
@@ -628,24 +637,45 @@ class TestExtraction:
         assert not cutjoin_derivative_check(conn, 0, mu)
         assert not hurwitz_cutjoin_check(0, mu)
 
-    def test_cut_join_sum_forms_each_merged_split_once_per_genus(self, monkeypatch):
-        # the derivative recursion of the extraction suite at (6, 12): each
-        # unordered split is one pair per g1, 100 pairs in all (142 when
-        # both orders of a split were formed)
-        from cutjoin import partitions
+    def test_derivative_recursion_forms_one_column_per_case(self, monkeypatch):
+        # the derivative recursion of the extraction suite at (6, 12): one
+        # column `_dot` per (g, mu), 33 in all, over 78 pairs, each join, cut
+        # and unordered split of mu once, the genus splits g1 + g2 = g inside
+        # its one Laurent product (per-genus sums formed 100 pairs); the
+        # operands are cut at x^m, so no column is valid past x^m.  The
+        # column of (1) is empty: it has no joins, cuts or splits
+        from cutjoin import genfun
 
         _, conn = build_series_pair(6, 12)
-        shapes = [mu for d in range(1, 5) for mu in enumerate_partitions(d)]
-        real = partitions._dot
-        recorded = []
+        cases = [(g, mu) for g in range(3) for d in range(1, 5) for mu in enumerate_partitions(d)]
+        real = genfun._dot
+        columns = []
 
         def recording(pairs):
-            recorded.extend(pairs)
-            return real(pairs)
+            out = real(pairs)
+            columns.append((len(pairs), out))
+            return out
 
-        monkeypatch.setattr(partitions, "_dot", recording)
-        assert all(cutjoin_derivative_check(conn, g, mu) for g in range(3) for mu in shapes)
-        assert len(recorded) == 100
+        monkeypatch.setattr(genfun, "_dot", recording)
+        for g, mu in cases:
+            formed = len(columns)
+            assert cutjoin_derivative_check(conn, g, mu), (g, mu)
+            assert len(columns) == formed + 1
+            column = columns[-1][1]
+            assert mu == P([1]) or column.trunc_order <= 2 * g - 2 + mu.length, (g, mu)
+        assert sum(n for n, _ in columns) == 78
+
+
+def _derivative_cases(conn) -> list:
+    """Every (g, mu) with |mu| <= 6 and 2g-2+l(mu) within the pair's order,
+    genus by genus."""
+    return [
+        (g, mu)
+        for g in range(conn.lambda_order // 2 + 2)
+        for d in range(1, 7)
+        for mu in enumerate_partitions(d)
+        if 2 * g - 2 + mu.length <= conn.lambda_order
+    ]
 
 
 def _one_point_genus1_oracle() -> RealTauPolynomial:

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -18,7 +19,9 @@ from cutjoin.hurwitz import (
     solve_hodge_from_hurwitz,
     transpositions,
 )
-from cutjoin.partitions import Partition, cut_join_sum, enumerate_partitions
+from cutjoin.exact import LaurentSeries
+from cutjoin.genfun import PartitionSeries, _column_coefficient
+from cutjoin.partitions import Partition, enumerate_partitions
 
 P = Partition
 
@@ -276,7 +279,15 @@ class TestCutJoinRecursion:
 
     def test_raw_counts_fail_the_recursion(self):
         # the 1/r! is what absorbs the split binomial C(r - 1, r1): on the
-        # raw counts the same sum misses r * H at (1, (2, 1))
+        # raw counts H the same column misses r * H at (1, (2, 1))
         mu = P([2, 1])
-        raw = cut_join_sum(mu, 1, hurwitz_connected)
-        assert raw != branch_count(1, mu) * hurwitz_connected(1, mu)
+        r = branch_count(1, mu)
+        assert hurwitz_cutjoin_check(1, mu)
+        h = hurwitz._connected_table(mu.size, r)
+        raw = {
+            nu: LaurentSeries(s.min_exp, [c * factorial(n) for n, c in s.items()], s.trunc_order)
+            for nu, s in h.terms.items()
+        }
+        raw = PartitionSeries(raw, h.max_weight)
+        assert raw.terms[mu].coefficient(r) == hurwitz_connected(1, mu)
+        assert _column_coefficient(raw, mu, r - 1) * Fraction(1, 2) != r * hurwitz_connected(1, mu)
