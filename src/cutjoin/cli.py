@@ -14,6 +14,16 @@ checks indexed by a degree d, a genus g or a length l (one id
 `_every` for a check that must hold on every partition of d; a one-off check
 is a single `CheckResult`.
 
+`verify` with more than one suite, on a process that may run on two CPUs or
+more and runs no other thread, forks one helper after the arguments are
+parsed.  Both processes pull tasks from one pipe: the suites that read the
+series pair (`SERIES_SUITES`) are one task, so the pair is built once, and
+every other suite is a task of its own.  The helper sends back the results
+of the suites it finished as JSON and never writes to stdout or stderr; then
+every suite with no result runs in this process in suite order, so stdout,
+the exit code and stderr are those of a run on one process, which is what
+one CPU or a single suite gets.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
 exceeded.
 """
@@ -499,12 +509,105 @@ SUITES: dict[str, Callable[[RunConfig], list[CheckResult]]] = {
 }
 
 
+# theorem1, initial and extraction read the series pair: one task runs them
+# together, so the pair is built once, in one process
+SERIES_SUITES = ("theorem1", "initial", "extraction")
+
+
+def _tasks(names: list[str]) -> list[list[str]]:
+    """The suites of a run as tasks: the series suites together, first, then
+    every other suite alone, in the order of `names`."""
+    series = [name for name in names if name in SERIES_SUITES]
+    rest = [[name] for name in names if name not in SERIES_SUITES]
+    return [series, *rest] if series else rest
+
+
+def _may_fork() -> bool:
+    """Whether a helper may be forked: the platform forks, this process may
+    run on two CPUs or more, and it runs no other thread, whose locks the
+    helper could find held forever."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _pull(config: RunConfig, tasks: list[list[str]], fd: int) -> dict[str, list[CheckResult]]:
+    """Run the tasks whose indices are read one byte at a time from the pipe
+    fd, until it is empty or a suite raises; the results of every suite that
+    finished, by name."""
+    done = {}
+    try:
+        while index := os.read(fd, 1):
+            for name in tasks[index[0]]:
+                done[name] = SUITES[name](config)
+    except Exception:
+        pass  # the suite runs again in the parent, which raises in suite order
+    return done
+
+
+def _run_with_helper(config: RunConfig, tasks: list[list[str]]) -> dict[str, list[CheckResult]]:
+    """Run the tasks on this process and one forked helper, which pull them
+    from one pipe; the results of every suite that finished, by name.
+
+    The helper writes its results as JSON to a second pipe and leaves by
+    os._exit, so it never writes to stdout or stderr nor runs exit handlers;
+    its results count only if it exited with status 0.  It is reaped before
+    this returns or raises."""
+    task_r, task_w = os.pipe()
+    os.write(task_w, bytes(range(len(tasks))))
+    os.close(task_w)
+    result_r, result_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no helper: the caller runs every suite
+        for fd in (task_r, result_r, result_w):
+            os.close(fd)
+        return {}
+    if pid == 0:
+        code = 1
+        try:
+            os.close(result_r)
+            done = _pull(config, tasks, task_r)
+            with open(result_w, "w") as results:
+                json.dump(done, results)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(result_w)
+    try:
+        with open(result_r) as results:
+            done = _pull(config, tasks, task_r)
+            helper = results.read()
+    except BaseException:  # an interrupt: stop the helper before reaping it
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+        os.close(task_r)
+    if status == 0:
+        done.update(
+            (name, [CheckResult(*r) for r in rs]) for name, rs in json.loads(helper).items()
+        )
+    return done
+
+
 def cmd_verify(config: RunConfig, suite: str, out) -> int:
     names = list(SUITES) if suite == "all" else [suite]
-    results: list[CheckResult] = []
+    tasks = _tasks(names)
+    done = {}
+    if len(tasks) > 1 and _may_fork():
+        done = _run_with_helper(config, tasks)
+    # every suite with no result runs here, in suite order, so an error is the
+    # one a run on one process raises
     for name in names:
-        results.extend(SUITES[name](config))
-    results.sort(key=lambda r: r.check_id)
+        if name not in done:
+            done[name] = SUITES[name](config)
+    results = sorted((r for name in names for r in done[name]), key=lambda r: r.check_id)
     records = [_config_record(config, "verify", suite=suite)]
     for r in results:
         records.append(

@@ -34,14 +34,44 @@ def run_cli(*args, env_extra=None):
     return proc
 
 
-def main_lines(*args):
+def main_text(*args):
     buf = io.StringIO()
     stdout, sys.stdout = sys.stdout, buf
     try:
         code = main(list(args))
     finally:
         sys.stdout = stdout
-    return code, buf.getvalue().splitlines()
+    return code, buf.getvalue()
+
+
+def main_lines(*args):
+    code, text = main_text(*args)
+    return code, text.splitlines()
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# the stdout of `verify --suite all` in every format, by argv
+VERIFY_ALL_DIGESTS = {
+    ("verify", "--suite", "all", "--seed", "1"):
+        "85fde22a72e16f09a4b089691f8625fde052869fe4f9a74ff7c995ac7aa3bf79",
+    ("verify", "--suite", "all"):
+        "434b14612cf2200a2f9806cbb67539efab091dd2d236a92250cde26828f4d278",
+    ("verify", "--suite", "all", "--format", "csv"):
+        "12c3aaf4550768dbc446a8f1217e1240f0b2571e748b88499072219a454feada",
+    ("verify", "--suite", "all", "--format", "pretty", "--seed", "3"):
+        "f531c6a197c2fefb4fbd15a9538f0db322fd688032306c78ba49203061951dac",
+}
+# the same digests at other sizes and for one suite
+VERIFY_DIGESTS = {
+    **VERIFY_ALL_DIGESTS,
+    ("verify", "--suite", "all", "--max-weight", "7", "--lambda-order", "14"):
+        "00a5141b260d716d8a3805c91dc289bd2e41c6131ae0fe343fe65862522da9e0",
+    ("verify", "--suite", "extraction", "--max-weight", "2", "--lambda-order", "6"):
+        "59edb807833fd28b4cb8f5fbfd042739d1ab55a8262ea8913d6597af668f5f88",
+}
 
 
 class TestChar:
@@ -535,6 +565,193 @@ class TestVerify:
         assert code == 0 and any("transfer/l=01" in l for l in lines)
 
 
+def set_cpus(monkeypatch, n):
+    """Let this process see n CPUs, whichever of the two counts it reads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def count_forks(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def forbid_forks(monkeypatch):
+    def fork():
+        raise AssertionError("a helper forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSuiteHelper:
+    """`verify` with more than one suite runs them on this process and one
+    forked helper; what it prints, its exit code and its stderr are those of
+    a run on one process, and the helper is reaped before `main` returns."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_budget_error_is_reported_in_suite_order(self, monkeypatch, capsys, cpus):
+        set_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        assert main(["verify", "--suite", "all", "--budget", "10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: estimated 3^3 tuples exceeds the budget of 10\n"
+        assert len(forks) == cpus - 1
+        assert_no_child_left()
+
+    def test_budget_error_from_the_command_line(self):
+        proc = run_cli("verify", "--suite", "all", "--budget", "10")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "error: estimated 3^3 tuples exceeds the budget of 10\n"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_raising_suite_in_suite_order_is_the_usage_error(
+        self, monkeypatch, capsys, cpus
+    ):
+        # two suites raise; a run on one process reports the earlier one
+        set_cpus(monkeypatch, cpus)
+        for name in ("characters", "transfer"):
+            def raising(config, name=name):
+                raise ValueError(f"{name} raised")
+
+            monkeypatch.setitem(SUITES, name, raising)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "all"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: characters raised\n")
+        assert "Traceback" not in captured.err
+        assert_no_child_left()
+
+    def test_a_raising_suite_stops_the_pull_and_leaves_the_rest(self, monkeypatch):
+        # a process stops at the suite that raised, whose error the parent
+        # raises again in suite order; the tasks after it stay in the pipe
+        from cutjoin import cli
+
+        def raising(config):
+            raise ValueError("prop-v raised")
+
+        monkeypatch.setitem(SUITES, "prop-v", raising)
+        r, w = os.pipe()
+        os.write(w, bytes([0, 1, 2]))
+        os.close(w)
+        try:
+            done = cli._pull(RunConfig(), [["hooks"], ["prop-v"], ["transfer"]], r)
+            assert list(done) == ["hooks"]
+            assert os.read(r, 8) == bytes([2])
+        finally:
+            os.close(r)
+
+    def test_helper_runs_and_is_reaped(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        args = ("verify", "--suite", "all")
+        code, text = main_text(*args)
+        assert code == 0 and sha256(text) == VERIFY_ALL_DIGESTS[args]
+        assert forks == [1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("args", list(VERIFY_ALL_DIGESTS))
+    def test_one_cpu_runs_every_suite_here(self, monkeypatch, args):
+        set_cpus(monkeypatch, 1)
+        forbid_forks(monkeypatch)
+        code, text = main_text(*args)
+        assert code == 0 and sha256(text) == VERIFY_ALL_DIGESTS[args]
+
+    def test_single_suite_never_forks(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        forbid_forks(monkeypatch)
+        for name in SUITES:
+            code, lines = main_lines("verify", "--suite", name)
+            assert code == 0 and json.loads(lines[-1])["failed"] == 0, name
+
+    def test_no_helper_beside_another_thread(self, monkeypatch):
+        # a forked copy of a process with threads may find their locks held
+        import threading
+
+        set_cpus(monkeypatch, 2)
+        forbid_forks(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            args = ("verify", "--suite", "all")
+            code, text = main_text(*args)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert code == 0 and sha256(text) == VERIFY_ALL_DIGESTS[args]
+
+    def test_failed_fork_runs_every_suite_here(self, monkeypatch):
+        def fork():
+            raise OSError("no process left")
+
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", fork)
+        args = ("verify", "--suite", "all")
+        code, text = main_text(*args)
+        assert code == 0 and sha256(text) == VERIFY_ALL_DIGESTS[args]
+
+    def test_results_of_a_failed_helper_are_dropped(self, monkeypatch):
+        # the helper cannot write its results, so it exits 1 and this
+        # process runs every suite the helper ran
+        def dump(*args, **kwargs):
+            raise OSError("results pipe closed")
+
+        set_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        monkeypatch.setattr(json, "dump", dump)
+        args = ("verify", "--suite", "all")
+        code, text = main_text(*args)
+        assert code == 0 and sha256(text) == VERIFY_ALL_DIGESTS[args]
+        assert forks == [1]
+        assert_no_child_left()
+
+    def test_series_task_holds_exactly_the_suites_that_read_the_pair(self, monkeypatch):
+        from cutjoin import cli, hodge
+
+        def no_series(*args):
+            raise AssertionError("series built")
+
+        monkeypatch.setattr(hodge, "build_series_pair", no_series)
+        for name in SUITES:
+            if name in cli.SERIES_SUITES:
+                with pytest.raises(AssertionError, match="series built"):
+                    SUITES[name](RunConfig())
+            else:
+                assert all(r.passed for r in SUITES[name](RunConfig())), name
+        assert cli._tasks(list(SUITES))[0] == list(cli.SERIES_SUITES)
+
+    def test_cli_imports_no_process_pool(self):
+        # the import is what every run waits for first; compare with a bare
+        # interpreter, whose site hook may already load some modules
+        def loaded(statement):
+            code = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            )
+            return set(proc.stdout.split())
+
+        new = loaded("import cutjoin.cli") - loaded("pass")
+        heavy = ("multiprocessing", "concurrent.futures", "pickle", "subprocess")
+        assert [m for m in new if m.startswith(heavy)] == []
+
+
 class TestGoldenFixture:
     def test_mv_series_matches_frozen_output(self):
         proc = run_cli("mv-series", "--max-weight", "2", "--lambda-order", "6")
@@ -576,39 +793,12 @@ class TestGoldenFixture:
         digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
         assert digest == "69bdfce8d63dfb796543d651cf876864208066499d47415996dc3a05206ec765"
 
-    def test_verify_all_digest(self):
-        # every suite's stdout at the default (6, 12), seed 1
-        proc = run_cli("verify", "--suite", "all", "--seed", "1")
-        assert proc.returncode == 0
-        digest = hashlib.sha256(proc.stdout.encode()).hexdigest()
-        assert digest == "85fde22a72e16f09a4b089691f8625fde052869fe4f9a74ff7c995ac7aa3bf79"
-
-    @pytest.mark.parametrize(
-        "args, digest",
-        [
-            (
-                ("verify", "--suite", "all", "--max-weight", "7", "--lambda-order", "14"),
-                "00a5141b260d716d8a3805c91dc289bd2e41c6131ae0fe343fe65862522da9e0",
-            ),
-            (
-                ("verify", "--suite", "all", "--format", "csv"),
-                "12c3aaf4550768dbc446a8f1217e1240f0b2571e748b88499072219a454feada",
-            ),
-            (
-                ("verify", "--suite", "all", "--format", "pretty", "--seed", "3"),
-                "f531c6a197c2fefb4fbd15a9538f0db322fd688032306c78ba49203061951dac",
-            ),
-            (
-                ("verify", "--suite", "extraction", "--max-weight", "2", "--lambda-order", "6"),
-                "59edb807833fd28b4cb8f5fbfd042739d1ab55a8262ea8913d6597af668f5f88",
-            ),
-        ],
-    )
-    def test_verify_digests(self, args, digest):
+    @pytest.mark.parametrize("args", list(VERIFY_DIGESTS))
+    def test_verify_digests(self, args):
         # check ids, identities, details and their order in every format
         proc = run_cli(*args)
         assert proc.returncode == 0
-        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+        assert sha256(proc.stdout) == VERIFY_DIGESTS[args]
 
     def test_hodge_grid_digest(self):
         # every `hodge` record for g <= 3, |mu| <= 4 at (W, L) = (4, 8),
