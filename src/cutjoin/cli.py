@@ -14,18 +14,19 @@ checks indexed by a degree d, a genus g or a length l (one id
 `_every` for a check that must hold on every partition of d; a one-off check
 is a single `CheckResult`.
 
-`verify` with more than one suite, on a process that may run on two CPUs or
-more and runs no other thread, forks one helper after the arguments are
-parsed.  Both processes pull tasks from one pipe: the suites that read the
-series pair (`SERIES_SUITES`) are one task, so the pair is built once, and
-every other suite is a task of its own.  The helper sends back the results
-of the suites it finished as JSON and never writes to stdout or stderr; then
-every suite with no result runs in this process in suite order, so stdout,
-the exit code and stderr are those of a run on one process, which is what
-one CPU or a single suite gets.
+`verify --suite all`, on a process that may run on two CPUs or more and
+runs no other thread, forks one helper after the arguments are parsed.  Both
+processes pull tasks from one pipe: the suites that read the series pair
+(`SERIES_SUITES`) are one task, so the pair is built once, and every other
+suite is a task of its own.  The helper sends back the results of the suites
+it finished as JSON and never writes to stdout or stderr; then every suite
+with no result runs in this process in suite order, so stdout, the exit code
+and stderr are those of a run on one process, which is what one CPU or a
+single suite gets.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-exceeded.
+exceeded, 141 stdout closed by its reader (the code a shell reports for
+SIGPIPE).
 """
 
 from __future__ import annotations
@@ -512,14 +513,9 @@ SUITES: dict[str, Callable[[RunConfig], list[CheckResult]]] = {
 # theorem1, initial and extraction read the series pair: one task runs them
 # together, so the pair is built once, in one process
 SERIES_SUITES = ("theorem1", "initial", "extraction")
-
-
-def _tasks(names: list[str]) -> list[list[str]]:
-    """The suites of a run as tasks: the series suites together, first, then
-    every other suite alone, in the order of `names`."""
-    series = [name for name in names if name in SERIES_SUITES]
-    rest = [[name] for name in names if name not in SERIES_SUITES]
-    return [series, *rest] if series else rest
+# the tasks of `verify --suite all`: the series suites first, then every other
+# suite alone, in suite order
+_ALL_TASKS = [list(SERIES_SUITES), *([name] for name in SUITES if name not in SERIES_SUITES)]
 
 
 def _may_fork() -> bool:
@@ -548,16 +544,17 @@ def _pull(config: RunConfig, tasks: list[list[str]], fd: int) -> dict[str, list[
     return done
 
 
-def _run_with_helper(config: RunConfig, tasks: list[list[str]]) -> dict[str, list[CheckResult]]:
-    """Run the tasks on this process and one forked helper, which pull them
-    from one pipe; the results of every suite that finished, by name.
+def _run_with_helper(config: RunConfig) -> dict[str, list[CheckResult]]:
+    """Run the tasks of `verify --suite all` on this process and one forked
+    helper, which pull them from one pipe; the results of every suite that
+    finished, by name.
 
     The helper writes its results as JSON to a second pipe and leaves by
     os._exit, so it never writes to stdout or stderr nor runs exit handlers;
     its results count only if it exited with status 0.  It is reaped before
     this returns or raises."""
     task_r, task_w = os.pipe()
-    os.write(task_w, bytes(range(len(tasks))))
+    os.write(task_w, bytes(range(len(_ALL_TASKS))))
     os.close(task_w)
     result_r, result_w = os.pipe()
     try:
@@ -570,7 +567,7 @@ def _run_with_helper(config: RunConfig, tasks: list[list[str]]) -> dict[str, lis
         code = 1
         try:
             os.close(result_r)
-            done = _pull(config, tasks, task_r)
+            done = _pull(config, _ALL_TASKS, task_r)
             with open(result_w, "w") as results:
                 json.dump(done, results)
             code = 0
@@ -579,7 +576,7 @@ def _run_with_helper(config: RunConfig, tasks: list[list[str]]) -> dict[str, lis
     os.close(result_w)
     try:
         with open(result_r) as results:
-            done = _pull(config, tasks, task_r)
+            done = _pull(config, _ALL_TASKS, task_r)
             helper = results.read()
     except BaseException:  # an interrupt: stop the helper before reaping it
         import signal
@@ -598,10 +595,7 @@ def _run_with_helper(config: RunConfig, tasks: list[list[str]]) -> dict[str, lis
 
 def cmd_verify(config: RunConfig, suite: str, out) -> int:
     names = list(SUITES) if suite == "all" else [suite]
-    tasks = _tasks(names)
-    done = {}
-    if len(tasks) > 1 and _may_fork():
-        done = _run_with_helper(config, tasks)
+    done = _run_with_helper(config) if suite == "all" and _may_fork() else {}
     # every suite with no result runs here, in suite order, so an error is the
     # one a run on one process raises
     for name in names:
@@ -703,6 +697,18 @@ def _resolve_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader has gone: what stdout still buffers goes to the null
+        # device, so the interpreter's last flush neither fails nor reports
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     config = _resolve_config(parser, args)

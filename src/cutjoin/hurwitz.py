@@ -2,12 +2,14 @@
 
 A cover count here is the number of r-tuples of transpositions in S_d whose
 product is one fixed permutation of cycle type mu, divided by z_mu.  The
-character route evaluates the class-algebra sum; the brute-force route
-counts tuples without characters, layer by layer over (product, blocks of
-joined points) states, optionally keeping only the transitive ones.  The
-exponential formula converts between the two normalizations (all covers vs
-connected covers) through an x^r/r! grading in the branch-count variable,
-and both routes are required to agree wherever enumeration is feasible.
+character route is one integer sum, the class-algebra sum grouped by content
+value (`hurwitz_disconnected`); the brute-force route counts tuples without
+characters, layer by layer over (product, blocks of joined points) states,
+optionally keeping only the transitive ones.  The exponential formula
+converts between the two normalizations (all covers vs connected covers)
+through an x^r/r! grading in the branch-count variable, on rows read from
+that one sum, and both routes are required to agree wherever enumeration is
+feasible.
 
 The branch-point recursion is read in that grading, on h = H/r!: r * h_{g,mu}
 is half the x^(r-1) coefficient of the nonlinear cut-and-join operator's
@@ -145,11 +147,12 @@ def hurwitz_bruteforce(
 
 def hurwitz_disconnected(r: int, mu: Partition) -> Fraction:
     """Character-sum route for the all-covers count:
-    (1/(z_mu * d!)) * sum_nu dim(nu) * chi_nu(mu) * (kappa_nu/2)^r."""
+    (1/(z_mu * d!)) * sum_nu dim(nu) * chi_nu(mu) * (kappa_nu/2)^r, summed
+    in integers as sum_k w_k k^r / (2^r z_mu d!) over `_kappa_weights`."""
     if mu.size < 1:
         raise ValueError("requires a nonempty partition")
-    total = sum((w * Fraction(k, 2) ** r for k, w in _kappa_weights(mu).items()), Fraction(0))
-    return total / (mu.z() * factorial(mu.size))
+    total = sum(w * k**r for k, w in _kappa_weights(mu).items())
+    return Fraction(total, 2**r * mu.z() * factorial(mu.size))
 
 
 @cache
@@ -163,20 +166,6 @@ def _kappa_weights(mu: Partition) -> dict[int, int]:
         if chi:
             weights[nu.kappa()] += dimension(nu) * chi
     return {k: w for k, w in weights.items() if w}
-
-
-def _disconnected_row(mu: Partition, r_max: int) -> list[Fraction]:
-    """hurwitz_disconnected(r, mu) / r! for r = 0..r_max, from integer powers
-    of the kappa_nu: the r-th term is sum_k w_k k^r / (2^r r! z_mu d!)."""
-    weights = _kappa_weights(mu)
-    powers, bases = list(weights.values()), list(weights)
-    den = mu.z() * factorial(mu.size)
-    row = []
-    for r in range(r_max + 1):
-        row.append(Fraction(sum(powers), den))
-        powers = [p * k for p, k in zip(powers, bases)]
-        den *= 2 * (r + 1)
-    return row
 
 
 _tables: dict[tuple[int, int], PartitionSeries] = {}
@@ -202,7 +191,8 @@ def _connected_table(d: int, r: int) -> PartitionSeries:
     terms = {EMPTY: LaurentSeries.one(r_max)}
     for size in range(1, d + 1):
         for mu in enumerate_partitions(size):
-            series = LaurentSeries(0, _disconnected_row(mu, r_max), r_max)
+            row = [hurwitz_disconnected(k, mu) / factorial(k) for k in range(r_max + 1)]
+            series = LaurentSeries(0, row, r_max)
             if series:
                 terms[mu] = series
     _tables[d, r_max] = table = ps_log(PartitionSeries(terms, d))

@@ -3,43 +3,21 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 complete.  Every assertion is exact (the project is exact-arithmetic
 throughout); the only tolerances are the stated wall-clock budgets.
+
+A criterion that a `verify` suite states runs that suite at the default
+configuration and reads the verdicts of the check families it names, so each
+identity, its range and its anchor values are written once, in the suite.
 """
 
 import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
-from cutjoin.characters import (
-    central_character_transposition,
-    character_table_identities,
-    dimension,
-    dimension_hook,
-)
+from cutjoin.cli import SUITES, RunConfig
 from cutjoin.exact import TauPolynomial
-from cutjoin.genfun import character_cutjoin_identity
-from cutjoin.hodge import (
-    build_series_pair,
-    cutjoin_derivative_check,
-    extract_C_gmu,
-    genus0_closed_form,
-    hodge_polynomial,
-    initial_condition_check,
-    lambda_g_coefficients,
-    theorem1_verdicts,
-    transfer_system_kernel,
-    v_forms_agree,
-)
-from cutjoin.hurwitz import (
-    branch_count,
-    elsv_check,
-    hurwitz_bruteforce,
-    hurwitz_connected,
-    hurwitz_cutjoin_check,
-    hurwitz_disconnected,
-    solve_hodge_from_hurwitz,
-)
+from cutjoin.hodge import build_series_pair, extract_C_gmu, hodge_polynomial
+from cutjoin.hurwitz import hurwitz_cutjoin_check
 from cutjoin.partitions import Partition, enumerate_partitions
 
 from test_hodge import _one_point_genus1_oracle
@@ -53,57 +31,54 @@ def report(number: int, passed: bool, description: str) -> None:
     assert passed, f"criterion {number}: {description}"
 
 
+def families_pass(suite: str, *families: str) -> bool:
+    """Whether the `verify` suite, run at the default configuration, has a
+    check in each named family and every check of those families passes.
+    A check's family is its id without the `/<index>=<i>` tail of a family
+    declared per degree, genus or length; a one-off check is its own family."""
+    verdicts = {}
+    for check in SUITES[suite](RunConfig()):
+        head, _, tail = check.check_id.rpartition("/")
+        verdicts.setdefault(head if "=" in tail else check.check_id, []).append(check.passed)
+    return all(verdicts.get(family) and all(verdicts[family]) for family in families)
+
+
 def test_01_hook_identities_and_sine_products():
     t0 = time.monotonic()
-    hooks_ok = all(
-        sum(nu.hooks()) == nu.n_weight() + nu.transpose().n_weight() + nu.size
-        for d in range(13)
-        for nu in enumerate_partitions(d)
-    )
-    forms_ok = all(
-        v_forms_agree(nu) for d in range(1, 11) for nu in enumerate_partitions(d)
-    )
+    ok = families_pass("hooks", "hooks/sum") and families_pass("prop-v", "prop-v")
     elapsed = time.monotonic() - t0
     report(
         1,
-        hooks_ok and forms_ok and elapsed < 30,
+        ok and elapsed < 30,
         f"hook sums to |shape|<=12 and exact sine-product identity to "
         f"|shape|<=10 ({elapsed:.1f}s < 30s)",
     )
 
 
 def test_02_character_engine():
-    ortho = all(character_table_identities(d)[:2] == (True, True) for d in range(1, 9))
-    dims = all(
-        dimension(nu) == dimension_hook(nu)
-        for d in range(1, 11)
-        for nu in enumerate_partitions(d)
-    )
-    central = all(
-        central_character_transposition(nu) == Fraction(nu.kappa(), 2)
-        for d in range(1, 11)
-        for nu in enumerate_partitions(d)
+    ok = families_pass(
+        "characters",
+        "characters/orthogonality-first",
+        "characters/orthogonality-second",
+        "characters/dimension",
+        "characters/central",
     )
     report(
         2,
-        ortho and dims and central,
+        ok,
         "orthogonality d<=8, hook dimensions d<=10, central character vs "
         "half-kappa |shape|<=10",
     )
 
 
 def test_03_schur_eigenvector_identity():
-    ok = all(
-        character_cutjoin_identity(nu)
-        for d in range(1, 9)
-        for nu in enumerate_partitions(d)
-    )
+    ok = families_pass("cutjoin-id", "cutjoin-id")
     report(3, ok, "f(transpositions) * s = (1/2) Omega(s) for all |shape|<=8")
 
 
 def test_04_evolution_equation_full_size():
     t0 = time.monotonic()
-    ok = theorem1_verdicts(6, 12) == (True, True)
+    ok = families_pass("theorem1", "theorem1/linear", "theorem1/nonlinear")
     elapsed = time.monotonic() - t0
     report(
         4,
@@ -114,7 +89,7 @@ def test_04_evolution_equation_full_size():
 
 
 def test_05_initial_condition():
-    ok = initial_condition_check(6, 12)
+    ok = families_pass("initial", "initial/sine-closed-form")
     report(
         5,
         ok,
@@ -125,72 +100,52 @@ def test_05_initial_condition():
 
 def test_06_extraction_sanity():
     _, conn = build_series_pair(6, 12)
-    anchors = (
-        extract_C_gmu(conn, 0, P([1])).real == genus0_closed_form(P([1]))
-        and extract_C_gmu(conn, 0, P([2])).real == genus0_closed_form(P([2]))
-        and extract_C_gmu(conn, 0, P([1, 1])).real == genus0_closed_form(P([1, 1]))
+    ok = (
+        families_pass(
+            "extraction",
+            "extraction/genus0-closed-form",
+            "extraction/degree",
+            "extraction/symmetry",
+            "extraction/one-point-genus1",
+        )
         and extract_C_gmu(conn, 0, P([1])).poly == TauPolynomial([1])
+        and hodge_polynomial(1, P([1]), conn) == _one_point_genus1_oracle()
     )
-    structure = all(
-        extract_C_gmu(conn, g, mu).degree_ok()
-        and extract_C_gmu(conn, g, mu).symmetry_ok()
-        for g in range(4)
-        for d in range(1, 5)
-        for mu in enumerate_partitions(d)
-    )
-    one_point = hodge_polynomial(1, P([1]), conn) == _one_point_genus1_oracle()
     report(
         6,
-        anchors and structure and one_point,
+        ok,
         "definition route equals extraction, degree/symmetry structure for "
         "g<=3 |mu|<=4, one-point genus-1 value matches the 1/24 oracle",
     )
 
 
 def test_07_sine_reciprocal_coefficients():
-    coeffs = lambda_g_coefficients(4)
-    ok = coeffs == [Fraction(1), Fraction(1, 24), Fraction(7, 5760)]
+    ok = families_pass("extraction", "extraction/sine-reciprocal")
     report(7, ok, "(x/2)/sin(x/2) coefficients 1, 1/24, 7/5760 exact")
 
 
 def test_08_cover_count_oracle_equivalence():
     t0 = time.monotonic()
-    ok = True
-    for d in range(1, 5):
-        for mu in enumerate_partitions(d):
-            for r in range(7):
-                ok &= hurwitz_disconnected(r, mu) == hurwitz_bruteforce(r, mu)
-            for g in range(0, 4):
-                r = branch_count(g, mu)
-                if 0 <= r <= 6:
-                    ok &= hurwitz_connected(g, mu) == hurwitz_bruteforce(
-                        r, mu, transitive_only=True
-                    )
-    anchors = (
-        hurwitz_connected(0, P([2])) == Fraction(1, 2)
-        and hurwitz_connected(0, P([3])) == 1
-        and hurwitz_connected(1, P([2])) == Fraction(1, 2)
+    ok = families_pass(
+        "hurwitz",
+        "hurwitz/character-vs-brute",
+        "hurwitz/connected-vs-transitive",
+        "hurwitz/anchors",
     )
     elapsed = time.monotonic() - t0
     report(
         8,
-        ok and anchors and elapsed < 120,
+        ok and elapsed < 120,
         f"character route matches enumeration for d<=4, r<=6, both "
         f"normalizations, plus anchor values ({elapsed:.1f}s < 120s)",
     )
 
 
 def test_09_cover_count_closed_form_and_reverse_solve():
-    forward = all(
-        elsv_check(0, mu) for d in range(1, 6) for mu in enumerate_partitions(d)
-    ) and all(elsv_check(1, P([m])) for m in (2, 3, 4))
-    reverse = solve_hodge_from_hurwitz([2, 3]) == {
-        "psi": Fraction(1, 24),
-        "lambda": Fraction(1, 24),
-    }
+    ok = families_pass("elsv", "elsv/genus0", "elsv/genus1", "elsv/reverse-solve")
     report(
         9,
-        forward and reverse,
+        ok,
         "closed form exact for genus 0 |mu|<=5 and genus 1 rows 2,3,4; "
         "reverse solve recovers (1/24, 1/24)",
     )
@@ -207,13 +162,7 @@ def test_10_cover_count_recursion():
 
 
 def test_11_transfer_kernel():
-    from math import comb
-
-    ok = all(
-        transfer_system_kernel(l)
-        == [Fraction((-1) ** k * comb(l, k)) for k in range(l + 1)]
-        for l in range(1, 11)
-    )
+    ok = families_pass("transfer", "transfer")
     report(11, ok, "one-dimensional kernel equals alternating binomials, l<=10")
 
 
@@ -244,3 +193,22 @@ def test_12_determinism_and_total_runtime():
         f"verify --suite all passes twice with byte-identical reports "
         f"({times[0]:.0f}s, {times[1]:.0f}s, both < 600s)",
     )
+
+
+def test_families_pass_needs_a_check_in_each_family():
+    assert families_pass("elsv", "elsv/genus1")
+    assert not families_pass("elsv", "elsv/genus1", "elsv/genus2")
+
+
+def test_families_pass_fails_on_one_failing_check(monkeypatch):
+    from cutjoin import hodge
+
+    kernel = hodge.transfer_system_kernel
+
+    def wrong_at_3(l):
+        return kernel(l)[::-1] if l == 3 else kernel(l)
+
+    monkeypatch.setattr(hodge, "transfer_system_kernel", wrong_at_3)
+    failing = [r.check_id for r in SUITES["transfer"](RunConfig()) if not r.passed]
+    assert failing == ["transfer/l=03"]
+    assert not families_pass("transfer", "transfer")

@@ -565,6 +565,28 @@ class TestVerify:
         assert code == 0 and any("transfer/l=01" in l for l in lines)
 
 
+class TestClosedStdout:
+    def test_closed_pipe_exits_141_with_nothing_on_stderr(self):
+        # mv-series prints more than a pipe holds, so it is still writing
+        # when the reader closes its end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cutjoin", "mv-series"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert json.loads(proc.stdout.readline())["record"] == "config"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 141
+
+    def test_main_leaves_the_signal_handlers_alone(self):
+        import signal
+
+        before = signal.getsignal(signal.SIGPIPE)
+        assert main_text("verify", "--suite", "transfer")[0] == 0
+        assert signal.getsignal(signal.SIGPIPE) == before
+
+
 def set_cpus(monkeypatch, n):
     """Let this process see n CPUs, whichever of the two counts it reads."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
@@ -596,8 +618,8 @@ def assert_no_child_left():
 
 
 class TestSuiteHelper:
-    """`verify` with more than one suite runs them on this process and one
-    forked helper; what it prints, its exit code and its stderr are those of
+    """`verify --suite all` runs the suites on this process and one forked
+    helper; what it prints, its exit code and its stderr are those of
     a run on one process, and the helper is reaped before `main` returns."""
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -735,7 +757,8 @@ class TestSuiteHelper:
                     SUITES[name](RunConfig())
             else:
                 assert all(r.passed for r in SUITES[name](RunConfig())), name
-        assert cli._tasks(list(SUITES))[0] == list(cli.SERIES_SUITES)
+        assert cli._ALL_TASKS[0] == list(cli.SERIES_SUITES)
+        assert sorted(name for task in cli._ALL_TASKS for name in task) == sorted(SUITES)
 
     def test_cli_imports_no_process_pool(self):
         # the import is what every run waits for first; compare with a bare

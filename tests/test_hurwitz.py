@@ -19,6 +19,7 @@ from cutjoin.hurwitz import (
     solve_hodge_from_hurwitz,
     transpositions,
 )
+from cutjoin.characters import character, dimension
 from cutjoin.exact import LaurentSeries
 from cutjoin.genfun import PartitionSeries, _column_coefficient
 from cutjoin.partitions import Partition, enumerate_partitions
@@ -161,6 +162,27 @@ class TestCharacterFormula:
             for mu in enumerate_partitions(d):
                 for r in range(7):
                     assert hurwitz_disconnected(r, mu) >= 0
+
+    @staticmethod
+    def _fraction_sum(r, mu):
+        """sum_nu dim(nu) * chi_nu(mu) * (kappa_nu/2)^r / (z_mu * d!), term by
+        term in fractions."""
+        d = mu.size
+        total = sum(
+            dimension(nu) * character(nu, mu) * Fraction(nu.kappa(), 2) ** r
+            for nu in enumerate_partitions(d)
+        )
+        return total / (mu.z() * factorial(d))
+
+    def test_integer_sum_equals_the_fraction_sum(self):
+        for d in range(1, 7):
+            for mu in enumerate_partitions(d):
+                for r in range(13):
+                    assert hurwitz_disconnected(r, mu) == self._fraction_sum(r, mu), (mu, r)
+
+    def test_integer_sum_equals_the_fraction_sum_at_large_r(self):
+        mu = P([3, 2, 1])
+        assert hurwitz_disconnected(500, mu) == self._fraction_sum(500, mu)
 
 
 class TestConnected:
