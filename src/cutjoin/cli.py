@@ -14,6 +14,11 @@ checks indexed by a degree d, a genus g or a length l (one id
 `_every` for a check that must hold on every partition of d; a one-off check
 is a single `CheckResult`.
 
+This module reads every library function as `module.name` where it calls it;
+only classes, exceptions and constants are imported by name.  So a module
+attribute patched after import is the function a command or a suite calls,
+which is how the mutation table of the tests reaches the suites.
+
 `verify --suite all`, on a process that may run on two CPUs or more and
 runs no other thread, forks one helper after the arguments are parsed.  Both
 processes pull tasks from one pipe: the suites that read the series pair
@@ -41,26 +46,11 @@ from fractions import Fraction
 from math import comb, factorial, log10
 from typing import Callable, NamedTuple
 
-from . import hodge, hurwitz
-from .characters import (
-    character_table,
-    character_table_identities,
-    central_character_transposition,
-    dimension,
-    dimension_hook,
-    principal_specialization_check,
-)
-from .exact import TauPolynomial, fraction_str
-from .genfun import (
-    PartitionSeries,
-    character_cutjoin_identity,
-    cut_join_linear,
-    cut_join_nonlinear,
-    ps_exp,
-    ps_log,
-)
-from .hurwitz import BudgetExceededError, branch_count
-from .partitions import Partition, enumerate_partitions
+from . import characters, exact, genfun, hodge, hurwitz, partitions
+from .exact import TauPolynomial
+from .genfun import PartitionSeries
+from .hurwitz import BudgetExceededError
+from .partitions import Partition
 
 BUDGET_ENV_VAR = "CUTJOIN_BUDGET"
 MAX_TABLE_DEGREE = 12
@@ -127,8 +117,8 @@ def _csv_cell(value) -> str:
 
 
 def cmd_char(config: RunConfig, degree: int, out) -> int:
-    parts = enumerate_partitions(degree)
-    table = character_table(degree)
+    parts = partitions.enumerate_partitions(degree)
+    table = characters.character_table(degree)
     records = [_config_record(config, "char", degree=degree)]
     for nu, row in zip(parts, table):
         records.append(
@@ -149,7 +139,7 @@ def cmd_char(config: RunConfig, degree: int, out) -> int:
 
 
 def cmd_hurwitz(config: RunConfig, genus: int, mu: Partition, method: str, out) -> int:
-    r = branch_count(genus, mu)
+    r = hurwitz.branch_count(genus, mu)
     if method == "char":
         kind = "disconnected"
         value = hurwitz.hurwitz_disconnected(r, mu)
@@ -172,7 +162,7 @@ def cmd_hurwitz(config: RunConfig, genus: int, mu: Partition, method: str, out) 
             "partition": mu.to_json(),
             "kind": kind,
             "method": method,
-            "value": fraction_str(value),
+            "value": exact.fraction_str(value),
         },
     ]
     _emit(records, config.output_format, out)
@@ -233,7 +223,7 @@ def _per_degree(index: str, values: range, detail: str, families: list) -> list[
             f"{name}/{index}={i:0{width}d}",
             identity,
             holds(i),
-            detail.format(n=len(enumerate_partitions(i))),
+            detail.format(n=len(partitions.enumerate_partitions(i))),
         )
         for i in values
         for name, identity, holds in families
@@ -242,12 +232,12 @@ def _per_degree(index: str, values: range, detail: str, families: list) -> list[
 
 def _every(check: Callable[[Partition], bool]) -> Callable[[int], bool]:
     """The verdict holds(d) of a check that must pass on every partition of d."""
-    return lambda d: all(check(nu) for nu in enumerate_partitions(d))
+    return lambda d: all(check(nu) for nu in partitions.enumerate_partitions(d))
 
 
-# A suite names each library function in its body, so the function is looked
-# up when the suite runs: a module attribute patched after import is the one
-# called.
+# A suite reads each library function as `module.name` in its body, never
+# through a name bound at import, so the function is looked up when the suite
+# runs: a module attribute patched after import is the one called.
 
 
 def _suite_hooks(config: RunConfig) -> list[CheckResult]:
@@ -274,7 +264,7 @@ def _suite_prop_v(config: RunConfig) -> list[CheckResult]:
 
 
 def _suite_characters(config: RunConfig) -> list[CheckResult]:
-    verdicts = cache(character_table_identities)  # all three, once per degree
+    verdicts = cache(characters.character_table_identities)  # all three, once per degree
     out = _per_degree("d", range(1, 9), "{n}^2 pairs", [
         ("characters/orthogonality-first", "first-orthogonality", lambda d: verdicts(d)[0]),
         ("characters/orthogonality-second", "second-orthogonality", lambda d: verdicts(d)[1]),
@@ -282,16 +272,16 @@ def _suite_characters(config: RunConfig) -> list[CheckResult]:
     ])
     out += _per_degree("d", range(1, 11), "{n} irreps", [
         ("characters/dimension", "dimension-hook-formula", _every(
-            lambda nu: dimension(nu) == dimension_hook(nu)
+            lambda nu: characters.dimension(nu) == characters.dimension_hook(nu)
         )),
         ("characters/central", "central-character-equals-half-kappa", _every(
-            lambda nu: central_character_transposition(nu) == Fraction(nu.kappa(), 2)
+            lambda nu: characters.central_character_transposition(nu) == Fraction(nu.kappa(), 2)
         )),
     ])
     spec_ok = all(
-        principal_specialization_check(nu, 10)
+        characters.principal_specialization_check(nu, 10)
         for d in range(1, 5)
-        for nu in enumerate_partitions(d)
+        for nu in partitions.enumerate_partitions(d)
     )
     return out + [
         CheckResult(
@@ -305,7 +295,7 @@ def _suite_characters(config: RunConfig) -> list[CheckResult]:
 
 def _random_series(rng: random.Random, max_weight: int) -> PartitionSeries:
     terms = {}
-    pool = [mu for d in range(1, max_weight + 1) for mu in enumerate_partitions(d)]
+    pool = [mu for d in range(1, max_weight + 1) for mu in partitions.enumerate_partitions(d)]
     for mu in rng.sample(pool, k=min(5, len(pool))):
         terms[mu] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     return PartitionSeries(terms, max_weight)
@@ -313,17 +303,18 @@ def _random_series(rng: random.Random, max_weight: int) -> PartitionSeries:
 
 def _suite_cutjoin_id(config: RunConfig) -> list[CheckResult]:
     out = _per_degree("d", range(1, 9), "{n} irreps", [
-        ("cutjoin-id", "schur-eigenvector-identity", _every(character_cutjoin_identity)),
+        ("cutjoin-id", "schur-eigenvector-identity", _every(genfun.character_cutjoin_identity)),
     ])
     rng = random.Random(config.seed)
     roundtrip = all(
-        ps_log(ps_exp(F)) == F
+        genfun.ps_log(genfun.ps_exp(F)) == F
         for F in (_random_series(rng, 5) for _ in range(10))
     )
     conjugation = True
     for _ in range(5):
         F = _random_series(rng, 5)
-        conjugation &= cut_join_linear(ps_exp(F)) == ps_exp(F) * cut_join_nonlinear(F)
+        G = genfun.ps_exp(F)
+        conjugation &= genfun.cut_join_linear(G) == G * genfun.cut_join_nonlinear(F)
     return out + [
         CheckResult(
             "cutjoin-id/random-exp-log",
@@ -377,7 +368,7 @@ def _extraction_min_lambda_order(max_weight: int) -> int:
 def _suite_extraction(config: RunConfig) -> list[CheckResult]:
     _, conn = hodge.build_series_pair(config.max_weight, config.lambda_order)
     max_size = min(EXTRACTION_MAX_SIZE, config.max_weight)
-    shapes = [mu for d in range(1, max_size + 1) for mu in enumerate_partitions(d)]
+    shapes = [mu for d in range(1, max_size + 1) for mu in partitions.enumerate_partitions(d)]
     shape_range = f"|mu| <= {max_size}"
     out = _per_degree("g", range(EXTRACTION_MAX_GENUS + 1), shape_range, [
         ("extraction/degree", "degree-bound", lambda g: all(
@@ -396,7 +387,7 @@ def _suite_extraction(config: RunConfig) -> list[CheckResult]:
         hodge.extract_C_gmu(conn, 0, mu).real == hodge.genus0_closed_form(mu) for mu in shapes
     )
     division = all(
-        hodge.hodge_polynomial(0, mu, conn) == hurwitz.linear_hodge_factor(0, mu)
+        hodge.hodge_division(0, mu, conn) == (hurwitz.linear_hodge_factor(0, mu), 0)
         for mu in shapes
     )
     one_point = hodge.hodge_polynomial(1, Partition([1]), conn) == Fraction(1, 24)
@@ -436,10 +427,10 @@ def _suite_hurwitz(config: RunConfig) -> list[CheckResult]:
         ("hurwitz/connected-vs-transitive", "connected-vs-transitive", _every(lambda mu: all(
             hurwitz.hurwitz_connected(g, mu)
             == hurwitz.hurwitz_bruteforce(
-                branch_count(g, mu), mu, transitive_only=True, budget=config.budget
+                hurwitz.branch_count(g, mu), mu, transitive_only=True, budget=config.budget
             )
             for g in range(4)
-            if 0 <= branch_count(g, mu) <= 6
+            if 0 <= hurwitz.branch_count(g, mu) <= 6
         ))),
     ])
     anchors = (
@@ -450,7 +441,7 @@ def _suite_hurwitz(config: RunConfig) -> list[CheckResult]:
     parity = all(
         hurwitz.hurwitz_disconnected(r, mu) == 0
         for d in range(1, 5)
-        for mu in enumerate_partitions(d)
+        for mu in partitions.enumerate_partitions(d)
         for r in range(7)
         if (r - d - mu.length) % 2 != 0
     )
@@ -748,7 +739,7 @@ def _run(argv: list[str] | None) -> int:
                         f"--partition size {mu.size} exceeds {MAX_TABLE_DEGREE} "
                         "for --method connected"
                     )
-                r = branch_count(args.genus, mu)
+                r = hurwitz.branch_count(args.genus, mu)
                 if r > MAX_CONNECTED_BRANCH_POINTS:
                     parser.error(
                         f"--genus {args.genus} gives {r} branch points, above "
@@ -760,7 +751,7 @@ def _run(argv: list[str] | None) -> int:
                         f"--partition size {mu.size} exceeds {MAX_CHAR_DEGREE} "
                         "for --method char"
                     )
-                r = branch_count(args.genus, mu)
+                r = hurwitz.branch_count(args.genus, mu)
                 limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
                 if limit and _char_count_digits_bound(r, mu) > limit:
                     parser.error(

@@ -76,8 +76,8 @@ L - 1 and the nonlinear side (x/2) * Omega~ is still valid to L.
 
 One comparison, _evolution_holds, decides both forms of the evolution
 equation and the tau = 0 value (against the series of single-row closed
-forms): term by term up to L, an absent term counting as zero, raising if a
-compared coefficient is valid below L.
+forms): term by term up to L, an absent term counting as zero, failing if a
+compared coefficient is valid only below L.
 """
 
 from __future__ import annotations
@@ -317,17 +317,12 @@ def build_series_pair(max_weight: int, lambda_order: int) -> tuple[MVSeries, MVS
 
 def _evolution_holds(lhs: PartitionSeries, rhs: PartitionSeries, order: int) -> bool:
     """Exact agreement of two series of coefficient series up to the given
-    order; a term absent on one side is zero.  Raises ValueError when a
-    compared coefficient is valid only below that order."""
+    order; a term absent on one side is zero.  A compared coefficient valid
+    only below that order does not agree: it cannot show the terms up to it."""
     zero = LaurentSeries.zero(order)
     for mu in set(lhs.terms) | set(rhs.terms):
         a, b = lhs.terms.get(mu, zero), rhs.terms.get(mu, zero)
-        for s in (a, b):
-            if s.trunc_order < order:
-                raise ValueError(
-                    f"coefficient of p_{mu} only valid to {s.trunc_order} < {order}"
-                )
-        if a.truncate(order) != b.truncate(order):
+        if min(a.trunc_order, b.trunc_order) < order or a.truncate(order) != b.truncate(order):
             return False
     return True
 
@@ -448,18 +443,26 @@ def genus0_closed_form(mu: Partition) -> RealTauPolynomial:
     return prefactor_polynomial(mu) * linear_hodge_factor(0, mu)
 
 
+def hodge_division(
+    g: int, mu: Partition, R: MVSeries
+) -> tuple[RealTauPolynomial, RealTauPolynomial]:
+    """(quotient, remainder) of r_{g,mu} over the prefactor P_mu, the
+    quotient signed (-1)^g: in lambda and p the genus-g coefficient over the
+    prefactor, whose phases i^(2g-2+l+|mu|) and -i^(|mu|+l) leave (-1)^g."""
+    quotient, remainder = extract_C_gmu(R, g, mu).real.divmod_poly(prefactor_polynomial(mu))
+    return quotient * (-1) ** g, remainder
+
+
 def hodge_polynomial(g: int, mu: Partition, R: MVSeries) -> RealTauPolynomial:
-    """The Hodge-integral polynomial (-1)^g * r_{g,mu} / P_mu: in lambda and
-    p the genus-g coefficient over the prefactor, whose phases
-    i^(2g-2+l+|mu|) and -i^(|mu|+l) leave (-1)^g."""
-    extracted = extract_C_gmu(R, g, mu).real
-    quotient, remainder = extracted.divmod_poly(prefactor_polynomial(mu))
+    """The Hodge-integral polynomial (-1)^g * r_{g,mu} / P_mu, the quotient
+    of `hodge_division`; raises ArithmeticError on a nonzero remainder."""
+    quotient, remainder = hodge_division(g, mu, R)
     if remainder:
         raise ArithmeticError(
             f"nonzero remainder isolating the Hodge factor for g={g}, mu={mu}: "
-            f"dividend {extracted!r}, remainder {remainder!r}"
+            f"dividend {extract_C_gmu(R, g, mu).real!r}, remainder {remainder!r}"
         )
-    return quotient * (-1) ** g
+    return quotient
 
 
 def lambda_g_coefficients(order: int) -> list[Fraction]:

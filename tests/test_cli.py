@@ -475,75 +475,6 @@ class TestVerify:
         assert len(ranged) == 12 and all(d.endswith("|mu| <= 2") for d in ranged)
         assert "all |mu| <= 2" in ranged
 
-    def test_characters_suite_detects_a_wrong_table_entry(self, monkeypatch):
-        from cutjoin import characters, cli
-
-        real = characters.character_table
-
-        def perturbed(d):
-            table = [list(row) for row in real(d)]
-            if d == 4:
-                table[1][2] += 1
-            return tuple(map(tuple, table))
-
-        monkeypatch.setattr(characters, "character_table", perturbed)
-        failed = {r.check_id for r in cli._suite_characters(RunConfig()) if not r.passed}
-        assert {
-            "characters/orthogonality-first/d=4",
-            "characters/orthogonality-second/d=4",
-        } <= failed
-        assert all(c.endswith("d=4") for c in failed)
-
-    @staticmethod
-    def _failing_ids():
-        return {
-            r.check_id
-            for name in SUITES
-            for r in SUITES[name](RunConfig())
-            if not r.passed
-        }
-
-    def test_one_failing_shape_fails_only_its_degree(self, monkeypatch):
-        from cutjoin import hodge
-        from cutjoin.partitions import Partition
-
-        real = hodge.v_forms_agree
-        monkeypatch.setattr(
-            hodge, "v_forms_agree", lambda nu: nu != Partition([3, 2]) and real(nu)
-        )
-        assert self._failing_ids() == {"prop-v/d=05"}
-
-    def test_one_wrong_cover_count_fails_both_comparisons(self, monkeypatch):
-        from cutjoin import hurwitz
-        from cutjoin.partitions import Partition
-
-        real = hurwitz.hurwitz_bruteforce
-
-        def off_by_one(r, mu, *args, **kwargs):
-            return real(r, mu, *args, **kwargs) + (mu == Partition([2, 1]))
-
-        monkeypatch.setattr(hurwitz, "hurwitz_bruteforce", off_by_one)
-        assert self._failing_ids() == {
-            "hurwitz/character-vs-brute/d=3",
-            "hurwitz/connected-vs-transitive/d=3",
-        }
-
-    def test_one_failing_genus_fails_only_its_symmetry_check(self, monkeypatch):
-        from cutjoin.hodge import CgmuPolynomial
-
-        real = CgmuPolynomial.symmetry_ok
-        monkeypatch.setattr(CgmuPolynomial, "symmetry_ok", lambda c: c.g != 2 and real(c))
-        assert self._failing_ids() == {"extraction/symmetry/g=2"}
-
-    def test_one_wrong_kernel_fails_only_its_length(self, monkeypatch):
-        from cutjoin import hodge
-
-        real = hodge.transfer_system_kernel
-        monkeypatch.setattr(
-            hodge, "transfer_system_kernel", lambda l: real(l)[::-1] if l == 7 else real(l)
-        )
-        assert self._failing_ids() == {"transfer/l=07"}
-
     def test_failure_exit_code(self, capsys):
         # inject a failing pseudo-suite through the registry
         def broken(config):

@@ -362,8 +362,10 @@ class TestSeriesBuild:
         lhs = star.tau_derivative()
         terms = dict(lhs.terms)
         terms[P([2, 1])] = terms[P([2, 1])].truncate(7)
-        with pytest.raises(ValueError, match="p_2,1 only valid to 7 < 8"):
-            _evolution_holds(lhs, PartitionSeries(terms, 3), 8)
+        # equal up to 7, but a series valid only to 7 cannot agree up to 8
+        assert _evolution_holds(lhs, PartitionSeries(terms, 3), 7)
+        assert not _evolution_holds(lhs, PartitionSeries(terms, 3), 8)
+        assert not _evolution_holds(PartitionSeries(terms, 3), lhs, 8)
 
     def test_initial_condition_rejects_an_extra_top_term(self, monkeypatch):
         # one term at x^L on P_2

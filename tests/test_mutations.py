@@ -1,0 +1,224 @@
+"""The mutation table: each row replaces one library function with a wrong
+one and names the exact set of `verify` check ids that must then fail.
+
+A row is (owner, attribute, mutate, failing): `mutate(real)` returns the
+wrong function built from the real one, the test sets it as
+`owner.attribute` and runs every suite of `cli.SUITES` at the default
+configuration.  The run must raise nothing and fail exactly `failing`, a
+non-empty set, so a row shows both that the suites see the wrong value and
+which checks see it.  The suites read each library function as
+`module.name` when they call it, so the patch reaches them.
+
+The per-process caches that can hold a value computed under a mutant are
+cleared before and after every row, through the originals saved here at
+import, since a row may replace a cached function itself.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from cutjoin import characters, genfun, hodge, hurwitz, partitions
+from cutjoin.cli import SUITES, RunConfig
+from cutjoin.hodge import CgmuPolynomial
+from cutjoin.partitions import Partition
+
+CACHED = (
+    hodge.build_series_pair,
+    hurwitz._kappa_weights,
+    partitions.cut_join_incoming,
+    characters.character_table,
+)
+
+
+def _clear_caches():
+    for fn in CACHED:
+        fn.cache_clear()
+    hurwitz._tables.clear()
+
+
+def _failing_ids() -> set[str]:
+    config = RunConfig()
+    return {r.check_id for suite in SUITES.values() for r in suite(config) if not r.passed}
+
+
+def _each(template: str, values) -> set[str]:
+    return {template.format(i) for i in values}
+
+
+def _character_bumped(real):
+    # chi_(2,1,1)((2,2)) + 1: (2,1,1) is the representative of its conjugate
+    # pair {(3,1), (2,1,1)} that build_disconnected reads characters of
+    bumped = (Partition([2, 1, 1]), Partition([2, 2]))
+    return lambda nu, mu: real(nu, mu) + ((nu, mu) == bumped)
+
+
+def _table_entry_bumped(real):
+    # chi_(3,1)((2,1,1)) + 1 in the degree-4 table
+    def table(d):
+        rows = [list(row) for row in real(d)]
+        if d == 4:
+            rows[1][2] += 1
+        return tuple(map(tuple, rows))
+
+    return table
+
+
+def _column_weight_bumped(which: int):
+    # every weight of the joins (0), cuts (1) or splits (2) of each column + 1
+    def mutate(real):
+        def incoming(mu):
+            column = list(real(mu))
+            column[which] = tuple((*move[:-1], move[-1] + 1) for move in column[which])
+            return tuple(column)
+
+        return incoming
+
+    return mutate
+
+
+# every check that reads the series pair and sees a wrong disconnected series
+WRONG_SERIES = {
+    "theorem1/linear",
+    "theorem1/nonlinear",
+    "theorem1/parity",
+    "initial/sine-closed-form",
+    "extraction/genus0-closed-form",
+    "extraction/hodge-division-genus0",
+    *_each("extraction/derivative-recursion/g={}", range(3)),
+}
+# every check that reads a column of the cut-and-join operator
+COLUMN_READERS = {
+    *_each("cutjoin-id/d={}", range(2, 9)),
+    *_each("extraction/derivative-recursion/g={}", range(3)),
+    "theorem1/linear",
+    "theorem1/nonlinear",
+}
+
+ROWS = [
+    pytest.param(
+        characters, "dimension_hook", lambda real: lambda nu: real(nu) + (nu.size == 7),
+        {"characters/dimension/d=07"},
+        id="dimension_hook-plus-one-at-degree-7",
+    ),
+    pytest.param(
+        characters, "character_table", _table_entry_bumped,
+        {
+            "characters/orthogonality-first/d=4",
+            "characters/orthogonality-second/d=4",
+            "characters/transpose-sign/d=4",
+        },
+        id="character_table-one-entry-at-degree-4",
+    ),
+    pytest.param(
+        genfun, "ps_log", lambda real: lambda G: real(G) * 2,
+        {"cutjoin-id/random-exp-log"},
+        id="ps_log-doubled",
+    ),
+    pytest.param(
+        genfun, "_cut_join_column", lambda real: lambda *args: -real(*args),
+        COLUMN_READERS,
+        id="cut_join_column-negated",
+    ),
+    pytest.param(
+        partitions, "cut_join_incoming", _column_weight_bumped(0),
+        COLUMN_READERS | {"cutjoin-id/random-conjugation"},
+        id="cut_join_incoming-join-weights",
+    ),
+    pytest.param(
+        partitions, "cut_join_incoming", _column_weight_bumped(1),
+        (COLUMN_READERS - {"extraction/derivative-recursion/g=0"})
+        | {"cutjoin-id/random-conjugation"},
+        id="cut_join_incoming-cut-weights",
+    ),
+    pytest.param(
+        partitions, "cut_join_incoming", _column_weight_bumped(2),
+        {
+            "cutjoin-id/random-conjugation",
+            "theorem1/nonlinear",
+            *_each("extraction/derivative-recursion/g={}", range(3)),
+        },
+        id="cut_join_incoming-split-weights",
+    ),
+    pytest.param(
+        hurwitz, "hurwitz_bruteforce",
+        lambda real: lambda *args, **kwargs: real(*args, **kwargs) + Fraction(1, 10**9),
+        _each("hurwitz/character-vs-brute/d={}", range(1, 5))
+        | _each("hurwitz/connected-vs-transitive/d={}", range(1, 5)),
+        id="hurwitz_bruteforce-plus-a-billionth",
+    ),
+    pytest.param(
+        hurwitz, "hurwitz_bruteforce",
+        lambda real: lambda r, mu, *args, **kwargs: (
+            real(r, mu, *args, **kwargs) + (mu == Partition([2, 1]))
+        ),
+        {"hurwitz/character-vs-brute/d=3", "hurwitz/connected-vs-transitive/d=3"},
+        id="hurwitz_bruteforce-plus-one-at-2,1",
+    ),
+    pytest.param(
+        hurwitz, "character", _character_bumped,
+        {
+            "hurwitz/character-vs-brute/d=4",
+            "hurwitz/connected-vs-transitive/d=4",
+            "hurwitz/parity",
+            "elsv/genus0/d=4",
+            "elsv/genus0/d=5",
+        },
+        id="hurwitz-character-one-value",
+    ),
+    pytest.param(
+        hodge, "character", _character_bumped,
+        WRONG_SERIES,
+        id="hodge-character-one-value",
+    ),
+    pytest.param(
+        hodge, "kappa_exp_factor",
+        # the empty partition's factor stays 1, the constant term ps_log needs
+        lambda real: lambda kappa, trunc: real(kappa + 2 if kappa else 0, trunc),
+        WRONG_SERIES,
+        id="kappa_exp_factor-shifted",
+    ),
+    pytest.param(
+        hodge, "v_forms_agree", lambda real: lambda nu: nu != Partition([3, 2]) and real(nu),
+        {"prop-v/d=05"},
+        id="v_forms_agree-false-at-3,2",
+    ),
+    pytest.param(
+        CgmuPolynomial, "symmetry_ok", lambda real: lambda c: c.g != 2 and real(c),
+        {"extraction/symmetry/g=2"},
+        id="symmetry_ok-false-at-genus-2",
+    ),
+    pytest.param(
+        hodge, "transfer_system_kernel", lambda real: lambda l: [-x for x in real(l)],
+        _each("transfer/l={:02d}", range(1, 11)),
+        id="transfer_system_kernel-negated",
+    ),
+    pytest.param(
+        hodge, "transfer_system_kernel",
+        lambda real: lambda l: real(l)[::-1] if l == 7 else real(l),
+        {"transfer/l=07"},
+        id="transfer_system_kernel-reversed-at-7",
+    ),
+]
+
+
+@pytest.fixture
+def clean_caches():
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
+@pytest.mark.parametrize("owner, attribute, mutate, failing", ROWS)
+def test_mutant_fails_exactly_its_checks(
+    monkeypatch, clean_caches, owner, attribute, mutate, failing
+):
+    assert failing
+    monkeypatch.setattr(owner, attribute, mutate(getattr(owner, attribute)))
+    assert _failing_ids() == failing
+
+
+def test_every_suite_passes_after_the_table():
+    # runs after the rows with the caches as they left them: no value built
+    # under a mutant is still cached
+    assert _failing_ids() == set()

@@ -159,3 +159,20 @@ def test_method_uses_credit_the_named_class_alone():
     assert ("B", "zero") not in methods.uses
     assert (None, "zero") not in methods.uses
     assert (None, "one") in methods.uses
+
+
+def test_cli_binds_no_library_function():
+    # cli reads every library function as `module.name` when it calls it, so
+    # a module attribute patched after import is the function a suite calls;
+    # only classes, exceptions and constants are imported by name
+    from cutjoin import cli
+
+    bound = [
+        name
+        for name, obj in vars(cli).items()
+        if callable(obj)
+        and not isinstance(obj, type)
+        and getattr(obj, "__module__", "").startswith("cutjoin.")
+        and obj.__module__ != cli.__name__
+    ]
+    assert bound == []
