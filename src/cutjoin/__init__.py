@@ -41,7 +41,7 @@ from .hodge import (
     MVSeries,
     extract_C_gmu,
     hodge_polynomial,
-    initial_condition_check,
+    initial_condition_mismatch,
     lambda_g_coefficients,
     transfer_system_kernel,
     v_forms_agree,

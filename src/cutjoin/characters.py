@@ -14,8 +14,9 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .exact import LaurentSeries, QHalfLaurent, _dot
-from .partitions import Partition, enumerate_partitions
+from . import exact, partitions
+from .exact import LaurentSeries, QHalfLaurent
+from .partitions import Partition
 
 
 def _beta_set(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -66,14 +67,14 @@ def character(nu: Partition, mu: Partition) -> int:
 def character_table(d: int) -> tuple[tuple[int, ...], ...]:
     """Full character table of degree d; rows by irrep nu, columns by class mu,
     both in the fixed partition enumeration order."""
-    parts = enumerate_partitions(d)
+    parts = partitions.enumerate_partitions(d)
     return tuple(tuple(character(nu, mu) for mu in parts) for nu in parts)
 
 
 def character_table_identities(d: int) -> tuple[bool, bool, bool]:
     """Both orthogonality relations and the sign twist, read from the integer
     table of degree d; the first relation is multiplied through by d!."""
-    parts = enumerate_partitions(d)
+    parts = partitions.enumerate_partitions(d)
     table = character_table(d)
     columns = list(zip(*table))
     order = factorial(d)
@@ -130,7 +131,8 @@ def central_character_transposition(nu: Partition) -> Fraction:
 def schur_in_p(nu: Partition) -> dict[Partition, Fraction]:
     """Schur function expanded over power sums, sum_eta chi_nu(eta)/z_eta p_eta,
     as the dict {eta: chi_nu(eta)/z_eta}."""
-    return {eta: Fraction(character(nu, eta), eta.z()) for eta in enumerate_partitions(nu.size)}
+    etas = partitions.enumerate_partitions(nu.size)
+    return {eta: Fraction(character(nu, eta), eta.z()) for eta in etas}
 
 
 def schur_principal_specialization(nu: Partition) -> tuple[QHalfLaurent, QHalfLaurent]:
@@ -158,7 +160,7 @@ def principal_specialization_check(nu: Partition, order: int) -> bool:
         for k in eta:  # p_k(1, q, q^2, ...) = 1 + q^k + q^(2k) + ...
             term = term * LaurentSeries(0, [int(e % k == 0) for e in range(order + 1)])
         pairs.append((term, coeff))
-    expansion = _dot(pairs)
+    expansion = exact._dot(pairs)
     numerator, denominator = schur_principal_specialization(nu)
     return expansion * _q_series(denominator, order) == _q_series(numerator, order)
 

@@ -14,10 +14,8 @@ checks indexed by a degree d, a genus g or a length l (one id
 `_every` for a check that must hold on every partition of d; a one-off check
 is a single `CheckResult`.
 
-This module reads every library function as `module.name` where it calls it;
-only classes, exceptions and constants are imported by name.  So a module
-attribute patched after import is the function a command or a suite calls,
-which is how the mutation table of the tests reaches the suites.
+Like every module of the package, this one reads a library function as
+`module.name` where it calls it (see the README).
 
 `verify --suite all`, on a process that may run on two CPUs or more and
 runs no other thread, forks one helper after the arguments are parsed.  Both
@@ -235,11 +233,6 @@ def _every(check: Callable[[Partition], bool]) -> Callable[[int], bool]:
     return lambda d: all(check(nu) for nu in partitions.enumerate_partitions(d))
 
 
-# A suite reads each library function as `module.name` in its body, never
-# through a name bound at import, so the function is looked up when the suite
-# runs: a module attribute patched after import is the one called.
-
-
 def _suite_hooks(config: RunConfig) -> list[CheckResult]:
     return _per_degree("d", range(1, 13), "{n} shapes", [
         ("hooks/sum", "hook-sum-identity", _every(
@@ -331,25 +324,34 @@ def _suite_cutjoin_id(config: RunConfig) -> list[CheckResult]:
     ]
 
 
+def _evolution_check(
+    check_id: str, identity: str, mismatch: hodge.Mismatch | None, scope: str
+) -> CheckResult:
+    """A check that passes when an evolution comparison found no mismatch;
+    a failing one names the first mismatch in its detail."""
+    if mismatch is None:
+        return CheckResult(check_id, identity, True, scope)
+    return CheckResult(check_id, identity, False, f"{scope}; {mismatch}")
+
+
 def _suite_theorem1(config: RunConfig) -> list[CheckResult]:
-    linear, nonlinear = hodge.theorem1_verdicts(config.max_weight, config.lambda_order)
+    linear, nonlinear = hodge.theorem1_mismatches(config.max_weight, config.lambda_order)
     _, conn = hodge.build_series_pair(config.max_weight, config.lambda_order)
     parity = hodge.parity_pole_check(conn)
     scope = f"weight<={config.max_weight}, order<={config.lambda_order}"
     return [
-        CheckResult("theorem1/linear", "tau-evolution-linear-form", linear, scope),
-        CheckResult("theorem1/nonlinear", "tau-evolution-nonlinear-form", nonlinear, scope),
+        _evolution_check("theorem1/linear", "tau-evolution-linear-form", linear, scope),
+        _evolution_check("theorem1/nonlinear", "tau-evolution-nonlinear-form", nonlinear, scope),
         CheckResult("theorem1/parity", "parity-pole-structure", parity, scope),
     ]
 
 
 def _suite_initial(config: RunConfig) -> list[CheckResult]:
-    ok = hodge.initial_condition_check(config.max_weight, config.lambda_order)
     return [
-        CheckResult(
+        _evolution_check(
             "initial/sine-closed-form",
             "tau-zero-sine-closed-form",
-            ok,
+            hodge.initial_condition_mismatch(config.max_weight, config.lambda_order),
             f"rows d<={config.max_weight}, order<={config.lambda_order}",
         )
     ]

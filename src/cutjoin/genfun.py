@@ -37,10 +37,9 @@ from collections import defaultdict
 from fractions import Fraction
 from math import inf
 
-from . import partitions
-from .characters import central_character_transposition, schur_in_p
-from .exact import LaurentSeries, _dot, series_exp, series_log
-from .partitions import Partition, EMPTY, enumerate_partitions
+from . import characters, exact, partitions
+from .exact import LaurentSeries
+from .partitions import Partition, EMPTY
 
 
 class PartitionSeries:
@@ -66,7 +65,7 @@ class PartitionSeries:
     def __add__(self, other):
         if not isinstance(other, PartitionSeries):
             return NotImplemented
-        return _dot(((self, 1), (other, 1)))
+        return exact._dot(((self, 1), (other, 1)))
 
     def __neg__(self):
         return PartitionSeries._raw({m: -c for m, c in self.terms.items()}, self.max_weight)
@@ -74,7 +73,7 @@ class PartitionSeries:
     def __mul__(self, other):
         """The product of two series, or the series times a scalar of its
         coefficient ring."""
-        return _dot(((self, other),))
+        return exact._dot(((self, other),))
 
     @staticmethod
     def _sum_of_products(pairs) -> "PartitionSeries":
@@ -92,7 +91,7 @@ class PartitionSeries:
                 for size, parts, c2 in right:
                     if size <= room:
                         groups[tuple(sorted(m1.parts + parts, reverse=True))].append((c1, c2))
-        return PartitionSeries({Partition(k): _dot(g) for k, g in groups.items()}, w)
+        return PartitionSeries({Partition(k): exact._dot(g) for k, g in groups.items()}, w)
 
     @classmethod
     def _raw(cls, terms: dict, max_weight: int) -> "PartitionSeries":
@@ -174,7 +173,7 @@ def ps_exp(F: PartitionSeries) -> PartitionSeries:
         raise ValueError(
             f"ps_exp requires a zero constant term, found {F.terms[EMPTY]!r}"
         )
-    G = series_exp(_weight_series(F, 0))
+    G = exact.series_exp(_weight_series(F, 0))
     return _at_weight_one(G.coeffs[1:], {EMPTY: 1}, F.max_weight)
 
 
@@ -192,7 +191,7 @@ def ps_log(G: PartitionSeries) -> PartitionSeries:
     c0 = G.coefficient(EMPTY)
     if c0 != 1:
         raise ValueError(f"ps_log requires constant term 1, found {c0!r}")
-    F = series_log(_weight_series(G, 1))
+    F = exact.series_log(_weight_series(G, 1))
     return _at_weight_one(F.coeffs, {}, G.max_weight)
 
 
@@ -209,7 +208,7 @@ def _cut_join_column(terms: dict, mu: Partition, quadratic: bool):
             for nu1, nu2, w in splits
             if nu1 in terms and nu2 in terms
         ]
-    return _dot(pairs)
+    return exact._dot(pairs)
 
 
 def _column_coefficient(F: PartitionSeries, mu: Partition, k: int):
@@ -236,7 +235,7 @@ def _read_off(F: PartitionSeries, weights, quadratic: bool) -> PartitionSeries:
     out = {
         mu: _cut_join_column(F.terms, mu, quadratic)
         for d in sorted(weights)
-        for mu in enumerate_partitions(d)
+        for mu in partitions.enumerate_partitions(d)
     }
     return PartitionSeries(out, F.max_weight)
 
@@ -278,8 +277,8 @@ def character_cutjoin_identity(nu: Partition) -> bool:
     """
     if nu.size < 1:
         raise ValueError("requires a nonempty partition")
-    s = PartitionSeries(schur_in_p(nu), nu.size)
-    f = central_character_transposition(nu)
+    s = PartitionSeries(characters.schur_in_p(nu), nu.size)
+    f = characters.central_character_transposition(nu)
     lhs = s * f
     rhs = cut_join_linear(s) * Fraction(1, 2)
     return lhs == rhs

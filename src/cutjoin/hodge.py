@@ -74,41 +74,26 @@ is built, and every reader sees that one cut.  A connected coefficient has a
 pole of order at most 1, so a product of two of them cut at L is valid to
 L - 1 and the nonlinear side (x/2) * Omega~ is still valid to L.
 
-One comparison, _evolution_holds, decides both forms of the evolution
+One comparison, _evolution_mismatch, decides both forms of the evolution
 equation and the tau = 0 value (against the series of single-row closed
 forms): term by term up to L, an absent term counting as zero, failing if a
-compared coefficient is valid only below L.
+compared coefficient is valid only below L.  A failure is the first
+Mismatch, which names the partition, x exponent and tau degree where the
+sides part.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import zip_longest
 from math import factorial, prod
 from typing import NamedTuple
 
-from .exact import (
-    LaurentSeries,
-    QHalfLaurent,
-    RTP_ZERO,
-    RealTauPolynomial,
-    TauPolynomial,
-    sin_half_series,
-    sinh_half_series,
-    series_exp,
-    series_log,
-)
-from .genfun import (
-    PartitionSeries,
-    _column_coefficient,
-    cut_join_linear,
-    cut_join_nonlinear,
-    ps_log,
-)
-from .hurwitz import branch_count, linear_hodge_factor
-from .linalg import nullspace
-from .partitions import Partition, enumerate_partitions
-from .characters import character
+from . import characters, exact, genfun, hurwitz, linalg, partitions
+from .exact import LaurentSeries, QHalfLaurent, RTP_ZERO, RealTauPolynomial, TauPolynomial
+from .genfun import PartitionSeries
+from .partitions import Partition
 
 
 # -- the sine amplitude V_nu, in exact q^(1/2) form and as a Laurent series --
@@ -189,14 +174,14 @@ def v_series(nu: Partition, order: int) -> LaurentSeries:
     exponent = [0] * work  # exponents 1..work
     for k in range(1, work // 2 + 1):
         exponent[2 * k - 1] = -c[k] * sum(h ** (2 * k) for h in hooks)
-    e = series_exp(LaurentSeries(1, exponent, work))
+    e = exact.series_exp(LaurentSeries(1, exponent, work))
     return e.shift(-nu.size) * Fraction(1, prod(hooks))
 
 
 @cache
 def _log_sinh_coefficients(n: int) -> tuple[Fraction, ...]:
     """c_0..c_n, where c_k is the x^(2k) coefficient of log(2*sinh(x/2)/x)."""
-    s = series_log(sinh_half_series(Fraction(1), 2 * n + 1).shift(-1) * 2)
+    s = exact.series_log(exact.sinh_half_series(Fraction(1), 2 * n + 1).shift(-1) * 2)
     return tuple(s.coefficient(2 * k) for k in range(n + 1))
 
 
@@ -208,7 +193,7 @@ def kappa_exp_factor(kappa: int, trunc: int) -> LaurentSeries:
     factor exp(sqrt(-1)*(tau + 1/2)*kappa*lambda/2) at x = i*lambda."""
     c = RealTauPolynomial([Fraction(kappa, 4), Fraction(kappa, 2)])
     # the exponent is built to order 1 at least, so that trunc = 0 gives 1
-    return series_exp(LaurentSeries.monomial(c, 1, max(trunc, 1)).truncate(trunc))
+    return exact.series_exp(LaurentSeries.monomial(c, 1, max(trunc, 1)).truncate(trunc))
 
 
 class MVSeries:
@@ -279,7 +264,7 @@ def build_disconnected(max_weight: int, lambda_order: int) -> PartitionSeries:
     terms = {}
     for d in range(max_weight + 1):
         T = lambda_order + max_weight - d
-        nus = enumerate_partitions(d)
+        nus = partitions.enumerate_partitions(d)
         reps = []
         for nu in nus:
             conj = nu.transpose()
@@ -291,7 +276,7 @@ def build_disconnected(max_weight: int, lambda_order: int) -> PartitionSeries:
             weighted = [
                 (Fraction(m_nu * chi, mu.z()), W)
                 for nu, m_nu, W in reps
-                if (chi := character(nu, mu))
+                if (chi := characters.character(nu, mu))
             ]
             coeffs = [RTP_ZERO] * (T + d + 1)  # exponents -d..T
             for m in range(-d + (d + mu.length) % 2, T + 1, 2):
@@ -309,22 +294,61 @@ def build_series_pair(max_weight: int, lambda_order: int) -> tuple[MVSeries, MVS
     process and reused by the evolution, initial-value and extraction
     checks.  The log is taken before the cut."""
     star = build_disconnected(max_weight, lambda_order)
-    return MVSeries(star, lambda_order), MVSeries(ps_log(star), lambda_order)
+    return MVSeries(star, lambda_order), MVSeries(genfun.ps_log(star), lambda_order)
 
 
 # -- the evolution equation and the initial value ----------------------------
 
 
-def _evolution_holds(lhs: PartitionSeries, rhs: PartitionSeries, order: int) -> bool:
-    """Exact agreement of two series of coefficient series up to the given
-    order; a term absent on one side is zero.  A compared coefficient valid
-    only below that order does not agree: it cannot show the terms up to it."""
+class Mismatch(NamedTuple):
+    """Where two compared series first disagree: the partition mu, first in
+    support order, then the x exponent, tau degree and both rational values
+    of the first entry that differs; or, for a coefficient valid only below
+    the compared order, `valid_to`, the order it is valid to."""
+
+    mu: Partition
+    exponent: int | None = None
+    tau_degree: int | None = None
+    values: tuple | None = None
+    valid_to: int | None = None
+
+    def __str__(self) -> str:
+        if self.valid_to is not None:
+            return f"first mismatch at p_({self.mu}): valid only to x^{self.valid_to}"
+        left, right = self.values
+        return (
+            f"first mismatch at p_({self.mu}) x^{self.exponent} tau^{self.tau_degree}: "
+            f"{left} != {right}"
+        )
+
+
+def _evolution_mismatch(
+    lhs: PartitionSeries, rhs: PartitionSeries, order: int
+) -> Mismatch | None:
+    """None when two series of coefficient series agree exactly up to the
+    given order, a term absent on one side being zero; else their first
+    Mismatch.  A compared coefficient valid only below that order does not
+    agree: it cannot show the terms up to it."""
     zero = LaurentSeries.zero(order)
-    for mu in set(lhs.terms) | set(rhs.terms):
+    for mu in sorted(set(lhs.terms) | set(rhs.terms), key=lambda m: (m.size, m.parts)):
         a, b = lhs.terms.get(mu, zero), rhs.terms.get(mu, zero)
-        if min(a.trunc_order, b.trunc_order) < order or a.truncate(order) != b.truncate(order):
-            return False
-    return True
+        valid_to = min(a.trunc_order, b.trunc_order)
+        if valid_to < order:
+            return Mismatch(mu, valid_to=valid_to)
+        if a.truncate(order) != b.truncate(order):
+            for m in range(min(a.min_exp, b.min_exp), order + 1):
+                pairs = zip_longest(_tau_coefficients(a, m), _tau_coefficients(b, m), fillvalue=0)
+                for k, values in enumerate(pairs):
+                    if values[0] != values[1]:
+                        return Mismatch(mu, m, k, values)
+    return None
+
+
+def _tau_coefficients(s: LaurentSeries, m: int) -> tuple:
+    """The rationals of the x^m coefficient of s by tau degree; a rational
+    coefficient is its own tau^0 entry."""
+    c = s.coefficient(m)
+    return c.coeffs if isinstance(c, RealTauPolynomial) else (c,)
 
 
 def _x_scaled(F: PartitionSeries, c: Fraction) -> PartitionSeries:
@@ -332,9 +356,12 @@ def _x_scaled(F: PartitionSeries, c: Fraction) -> PartitionSeries:
     return F.map_coefficients(lambda s: s.shift(1) * c)
 
 
-def theorem1_verdicts(max_weight: int, lambda_order: int) -> tuple[bool, bool]:
+def theorem1_mismatches(
+    max_weight: int, lambda_order: int
+) -> tuple[Mismatch | None, Mismatch | None]:
     """Both forms of the evolution equation, coefficientwise exact, as the
-    (linear, nonlinear) pair of verdicts.
+    (linear, nonlinear) pair of `_evolution_mismatch` results, None where a
+    form holds.
 
     linear form:     d/dtau (disconnected) = (x/2) * Omega(disconnected)
     nonlinear form:  d/dtau (connected)    = (x/2) * Omega~(connected)
@@ -344,11 +371,11 @@ def theorem1_verdicts(max_weight: int, lambda_order: int) -> tuple[bool, bool]:
     """
     star, conn = build_series_pair(max_weight, lambda_order)
     half = Fraction(1, 2)
-    linear = _evolution_holds(
-        star.tau_derivative(), _x_scaled(cut_join_linear(star.body), half), lambda_order
+    linear = _evolution_mismatch(
+        star.tau_derivative(), _x_scaled(genfun.cut_join_linear(star.body), half), lambda_order
     )
-    nonlinear = _evolution_holds(
-        conn.tau_derivative(), _x_scaled(cut_join_nonlinear(conn.body), half), lambda_order
+    nonlinear = _evolution_mismatch(
+        conn.tau_derivative(), _x_scaled(genfun.cut_join_nonlinear(conn.body), half), lambda_order
     )
     return linear, nonlinear
 
@@ -357,19 +384,20 @@ def initial_condition_series(d: int, order: int) -> LaurentSeries:
     """The closed-form tau = 0 coefficient of P_d, 1 / (2*d*sinh(d*x/2)), a
     rational series in x; in lambda and p it reads
     -(sqrt(-1))^(d+1) / (2*d*sin(d*lambda/2))."""
-    return (sinh_half_series(Fraction(d), order + 2) * (2 * d)).reciprocal()
+    return (exact.sinh_half_series(Fraction(d), order + 2) * (2 * d)).reciprocal()
 
 
-def initial_condition_check(max_weight: int, lambda_order: int) -> bool:
+def initial_condition_mismatch(max_weight: int, lambda_order: int) -> Mismatch | None:
     """The connected series at tau = 0 is the sum of the single-row terms
     initial_condition_series(d) * P_d over d <= max_weight: every multi-row
-    coefficient vanishes identically."""
+    coefficient vanishes identically.  None when it is, else the first
+    Mismatch."""
     _, conn = build_series_pair(max_weight, lambda_order)
     rows = range(1, max_weight + 1)
     target = PartitionSeries(
         {Partition([d]): initial_condition_series(d, lambda_order) for d in rows}, max_weight
     )
-    return _evolution_holds(conn.at_tau_zero(), target, lambda_order)
+    return _evolution_mismatch(conn.at_tau_zero(), target, lambda_order)
 
 
 # -- extraction of per-genus tau-polynomials ---------------------------------
@@ -389,7 +417,7 @@ class CgmuPolynomial(NamedTuple):
 
     @property
     def degree_bound(self) -> int:
-        return branch_count(self.g, self.mu)
+        return hurwitz.branch_count(self.g, self.mu)
 
     def degree_ok(self) -> bool:
         return self.real.degree <= self.degree_bound
@@ -440,7 +468,7 @@ def prefactor_polynomial(mu: Partition) -> RealTauPolynomial:
 
 def genus0_closed_form(mu: Partition) -> RealTauPolynomial:
     """Definition-route value of r_{0,mu}: prefactor times |mu|^(l-3)."""
-    return prefactor_polynomial(mu) * linear_hodge_factor(0, mu)
+    return prefactor_polynomial(mu) * hurwitz.linear_hodge_factor(0, mu)
 
 
 def hodge_division(
@@ -469,7 +497,7 @@ def lambda_g_coefficients(order: int) -> list[Fraction]:
     """Even coefficients of (x/2)/sin(x/2): 1, 1/24, 7/5760, ..."""
     if order < 2:
         raise ValueError("order must be at least 2")
-    s = sin_half_series(Fraction(1), order + 2)
+    s = exact.sin_half_series(Fraction(1), order + 2)
     w = s.reciprocal().shift(1) * Fraction(1, 2)
     return [Fraction(w.coefficient(2 * g)) for g in range(order // 2 + 1)]
 
@@ -489,7 +517,7 @@ def cutjoin_derivative_check(R: MVSeries, g: int, mu: Partition) -> bool:
     """
     lhs = extract_C_gmu(R, g, mu).real.derivative()
     m = 2 * g - 2 + mu.length
-    return lhs == _column_coefficient(R.body, mu, m - 1) * Fraction(1, 2)
+    return lhs == genfun._column_coefficient(R.body, mu, m - 1) * Fraction(1, 2)
 
 
 def parity_pole_check(R: MVSeries) -> bool:
@@ -520,7 +548,7 @@ def transfer_system_kernel(l: int) -> list[Fraction]:
          for k in range(l + 1)]
         for i in range(l)
     ]
-    basis = nullspace(rows)
+    basis = linalg.nullspace(rows)
     if len(basis) != 1:
         raise ArithmeticError(f"kernel dimension {len(basis)} != 1 for l={l}")
     v = basis[0]

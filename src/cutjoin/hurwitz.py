@@ -29,11 +29,10 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .characters import character, dimension
+from . import characters, genfun, linalg, partitions
 from .exact import LaurentSeries
-from .genfun import PartitionSeries, _column_coefficient, ps_log
-from .linalg import solve
-from .partitions import EMPTY, Partition, enumerate_partitions
+from .genfun import PartitionSeries
+from .partitions import EMPTY, Partition
 
 DEFAULT_BUDGET = 10**7
 
@@ -161,10 +160,10 @@ def _kappa_weights(mu: Partition) -> dict[int, int]:
     the nonzero sums only: the character sum of `hurwitz_disconnected`
     grouped by the base of its power."""
     weights = defaultdict(int)
-    for nu in enumerate_partitions(mu.size):
-        chi = character(nu, mu)
+    for nu in partitions.enumerate_partitions(mu.size):
+        chi = characters.character(nu, mu)
         if chi:
-            weights[nu.kappa()] += dimension(nu) * chi
+            weights[nu.kappa()] += characters.dimension(nu) * chi
     return {k: w for k, w in weights.items() if w}
 
 
@@ -190,12 +189,12 @@ def _connected_table(d: int, r: int) -> PartitionSeries:
     r_max = max([r, *(2 * r_built for d_built, r_built in _tables if d_built == d)])
     terms = {EMPTY: LaurentSeries.one(r_max)}
     for size in range(1, d + 1):
-        for mu in enumerate_partitions(size):
+        for mu in partitions.enumerate_partitions(size):
             row = [hurwitz_disconnected(k, mu) / factorial(k) for k in range(r_max + 1)]
             series = LaurentSeries(0, row, r_max)
             if series:
                 terms[mu] = series
-    _tables[d, r_max] = table = ps_log(PartitionSeries(terms, d))
+    _tables[d, r_max] = table = genfun.ps_log(PartitionSeries(terms, d))
     return table
 
 
@@ -268,7 +267,7 @@ def solve_hodge_from_hurwitz(part_sizes: list[int]) -> dict[str, Fraction]:
         mu = Partition([m])
         rows.append([Fraction(m), Fraction(-1)])
         rhs.append(hurwitz_connected(1, mu) / _elsv_prefactor(1, mu))
-    sol = solve(rows, rhs)
+    sol = linalg.solve(rows, rhs)
     return {"psi": sol[0], "lambda": sol[1]}
 
 
@@ -286,4 +285,4 @@ def hurwitz_cutjoin_check(g: int, mu: Partition) -> bool:
     r = branch_count(g, mu)
     h = _connected_table(mu.size, r)
     lhs = h.terms[mu].coefficient(r) * r if mu in h.terms else 0
-    return lhs == _column_coefficient(h, mu, r - 1) * Fraction(1, 2)
+    return lhs == genfun._column_coefficient(h, mu, r - 1) * Fraction(1, 2)

@@ -500,15 +500,15 @@ class TestClosedStdout:
     def test_closed_pipe_exits_141_with_nothing_on_stderr(self):
         # mv-series prints more than a pipe holds, so it is still writing
         # when the reader closes its end
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "cutjoin", "mv-series"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        assert json.loads(proc.stdout.readline())["record"] == "config"
-        proc.stdout.close()
-        assert proc.stderr.read() == b""
-        assert proc.wait(timeout=60) == 141
+        ) as proc:
+            assert json.loads(proc.stdout.readline())["record"] == "config"
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == 141
 
     def test_main_leaves_the_signal_handlers_alone(self):
         import signal

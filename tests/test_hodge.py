@@ -23,7 +23,8 @@ from cutjoin.genfun import (
 from cutjoin.hodge import (
     CgmuPolynomial,
     MVSeries,
-    _evolution_holds,
+    Mismatch,
+    _evolution_mismatch,
     _reflected,
     _x_scaled,
     build_disconnected,
@@ -32,13 +33,13 @@ from cutjoin.hodge import (
     extract_C_gmu,
     genus0_closed_form,
     hodge_polynomial,
-    initial_condition_check,
+    initial_condition_mismatch,
     initial_condition_series,
     kappa_exp_factor,
     lambda_g_coefficients,
     parity_pole_check,
     prefactor_polynomial,
-    theorem1_verdicts,
+    theorem1_mismatches,
     transfer_system_kernel,
     two_sin_product,
     v_forms_agree,
@@ -288,15 +289,16 @@ class TestSeriesBuild:
         assert gaussian_coeffs(readout)[0] == GaussianRational(0, Fraction(1, 4))
 
     def test_theorem1_small(self):
-        assert theorem1_verdicts(3, 8) == (True, True)
+        assert theorem1_mismatches(3, 8) == (None, None)
 
     def test_evolution_check_rejects_wrong_prefactor(self):
         # negative control: x/3 in place of x/2 breaks both forms
         star, conn = build_series_pair(3, 8)
         for series, omega in ((star, cut_join_linear), (conn, cut_join_nonlinear)):
             lhs = series.tau_derivative()
-            assert _evolution_holds(lhs, _x_scaled(omega(series.body), Fraction(1, 2)), 8)
-            assert not _evolution_holds(lhs, _x_scaled(omega(series.body), Fraction(1, 3)), 8)
+            assert _evolution_mismatch(lhs, _x_scaled(omega(series.body), Fraction(1, 2)), 8) is None
+            wrong = _x_scaled(omega(series.body), Fraction(1, 3))
+            assert _evolution_mismatch(lhs, wrong, 8) is not None
 
     def test_per_weight_truncation_orders(self, series_pair_small):
         # weight d is built to L + W - d, and the log keeps weight n valid to
@@ -341,21 +343,21 @@ class TestSeriesBuild:
         pair[which] = PartitionSeries(terms, W)
         patched = (MVSeries(pair["disconnected"], L), MVSeries(pair["connected"], L))
         monkeypatch.setattr(hodge, "build_series_pair", lambda *args: patched)
-        assert theorem1_verdicts(W, L) == verdicts
+        assert tuple(m is None for m in theorem1_mismatches(W, L)) == verdicts
 
     def test_initial_condition_small(self):
-        assert initial_condition_check(3, 8)
+        assert initial_condition_mismatch(3, 8) is None
 
     def test_initial_condition_rejects_wrong_phase(self, monkeypatch):
         # negative control: 1/(2d sin(d x/2)) in place of 1/(2d sinh(d x/2)),
         # the closed form read in x as if x were lambda, its phase dropped
-        assert initial_condition_check(4, 8)
+        assert initial_condition_mismatch(4, 8) is None
         monkeypatch.setattr(
             hodge,
             "initial_condition_series",
             lambda d, order: (sin_half_series(Fraction(d), order + 2) * (2 * d)).reciprocal(),
         )
-        assert not initial_condition_check(4, 8)
+        assert initial_condition_mismatch(4, 8) is not None
 
     def test_comparison_rejects_a_coefficient_valid_below_the_order(self):
         star, _ = build_series_pair(3, 8)
@@ -363,13 +365,14 @@ class TestSeriesBuild:
         terms = dict(lhs.terms)
         terms[P([2, 1])] = terms[P([2, 1])].truncate(7)
         # equal up to 7, but a series valid only to 7 cannot agree up to 8
-        assert _evolution_holds(lhs, PartitionSeries(terms, 3), 7)
-        assert not _evolution_holds(lhs, PartitionSeries(terms, 3), 8)
-        assert not _evolution_holds(PartitionSeries(terms, 3), lhs, 8)
+        assert _evolution_mismatch(lhs, PartitionSeries(terms, 3), 7) is None
+        short = Mismatch(P([2, 1]), valid_to=7)
+        assert _evolution_mismatch(lhs, PartitionSeries(terms, 3), 8) == short
+        assert _evolution_mismatch(PartitionSeries(terms, 3), lhs, 8) == short
 
     def test_initial_condition_rejects_an_extra_top_term(self, monkeypatch):
         # one term at x^L on P_2
-        assert initial_condition_check(4, 8)
+        assert initial_condition_mismatch(4, 8) is None
         closed_form = hodge.initial_condition_series
 
         def bumped(d, order):
@@ -377,18 +380,20 @@ class TestSeriesBuild:
             return s + LaurentSeries.monomial(Fraction(1), order, order) if d == 2 else s
 
         monkeypatch.setattr(hodge, "initial_condition_series", bumped)
-        assert not initial_condition_check(4, 8)
+        assert initial_condition_mismatch(4, 8) is not None
 
     def test_initial_condition_rejects_a_multi_row_value_at_tau_zero(self, monkeypatch):
         W, L = 4, 8
         star, conn = build_series_pair(W, L)
-        assert initial_condition_check(W, L)
+        assert initial_condition_mismatch(W, L) is None
         terms = dict(conn.body.terms)
         s = terms[P([2, 1])]
         terms[P([2, 1])] = s + LaurentSeries.monomial(RealTauPolynomial([1]), 2, s.trunc_order)
         patched = (star, MVSeries(PartitionSeries(terms, W), L))
         monkeypatch.setattr(hodge, "build_series_pair", lambda *args: patched)
-        assert not initial_condition_check(W, L)
+        # the first mismatch names the partition, x exponent, tau degree and
+        # both values: 1 at tau = 0 against the closed form's absent term
+        assert initial_condition_mismatch(W, L) == Mismatch(P([2, 1]), 2, 0, (1, 0))
 
     def test_parity_pole_structure(self, series_pair_small):
         _, conn = series_pair_small
@@ -584,8 +589,8 @@ class TestExtraction:
             column = genfun._cut_join_column
             monkeypatch.setattr(genfun, "_cut_join_column", lambda *args: -column(*args))
         elif mutation == "x^m read":
-            read = hodge._column_coefficient
-            monkeypatch.setattr(hodge, "_column_coefficient", lambda F, mu, k: read(F, mu, k + 1))
+            read = genfun._column_coefficient
+            monkeypatch.setattr(genfun, "_column_coefficient", lambda F, mu, k: read(F, mu, k + 1))
         else:
             real = partitions.cut_join_incoming
 
@@ -645,20 +650,26 @@ class TestExtraction:
         # and unordered split of mu once, the genus splits g1 + g2 = g inside
         # its one Laurent product (per-genus sums formed 100 pairs); the
         # operands are cut at x^m, so no column is valid past x^m.  The
-        # column of (1) is empty: it has no joins, cuts or splits
-        from cutjoin import genfun
+        # column of (1) is empty: it has no joins, cuts or splits.  The
+        # wrapper of `exact._dot` records only the calls `_cut_join_column`
+        # makes itself: exact's own nested calls, the scalings of split
+        # factors and the final halving reach it too
+        import sys
+
+        from cutjoin import exact, genfun
 
         _, conn = build_series_pair(6, 12)
         cases = [(g, mu) for g in range(3) for d in range(1, 5) for mu in enumerate_partitions(d)]
-        real = genfun._dot
+        real = exact._dot
         columns = []
 
         def recording(pairs):
             out = real(pairs)
-            columns.append((len(pairs), out))
+            if sys._getframe(1).f_code is genfun._cut_join_column.__code__:
+                columns.append((len(pairs), out))
             return out
 
-        monkeypatch.setattr(genfun, "_dot", recording)
+        monkeypatch.setattr(exact, "_dot", recording)
         for g, mu in cases:
             formed = len(columns)
             assert cutjoin_derivative_check(conn, g, mu), (g, mu)

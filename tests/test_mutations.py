@@ -3,11 +3,10 @@ one and names the exact set of `verify` check ids that must then fail.
 
 A row is (owner, attribute, mutate, failing): `mutate(real)` returns the
 wrong function built from the real one, the test sets it as
-`owner.attribute` and runs every suite of `cli.SUITES` at the default
-configuration.  The run must raise nothing and fail exactly `failing`, a
-non-empty set, so a row shows both that the suites see the wrong value and
-which checks see it.  The suites read each library function as
-`module.name` when they call it, so the patch reaches them.
+`owner.attribute`, the owner being the module (or class) that defines it,
+and runs every suite of `cli.SUITES` at the default configuration.  The run
+must raise nothing and fail exactly `failing`, a non-empty set, so a row
+shows both that the suites see the wrong value and which checks see it.
 
 The per-process caches that can hold a value computed under a mutant are
 cleared before and after every row, through the originals saved here at
@@ -18,13 +17,14 @@ from fractions import Fraction
 
 import pytest
 
-from cutjoin import characters, genfun, hodge, hurwitz, partitions
+from cutjoin import characters, exact, genfun, hodge, hurwitz, partitions
 from cutjoin.cli import SUITES, RunConfig
 from cutjoin.hodge import CgmuPolynomial
 from cutjoin.partitions import Partition
 
 CACHED = (
     hodge.build_series_pair,
+    hodge._log_sinh_coefficients,
     hurwitz._kappa_weights,
     partitions.cut_join_incoming,
     characters.character_table,
@@ -64,6 +64,12 @@ def _table_entry_bumped(real):
     return table
 
 
+def _kappa_shifted(real):
+    # kappa -> kappa + 2 for kappa != 0: the empty partition's factor stays
+    # 1, the constant term ps_log needs
+    return lambda kappa, trunc: real(kappa + 2 if kappa else 0, trunc)
+
+
 def _column_weight_bumped(which: int):
     # every weight of the joins (0), cuts (1) or splits (2) of each column + 1
     def mutate(real):
@@ -86,6 +92,24 @@ WRONG_SERIES = {
     "extraction/genus0-closed-form",
     "extraction/hodge-division-genus0",
     *_each("extraction/derivative-recursion/g={}", range(3)),
+}
+# every check that reads the log of a partition series: the connected Hodge
+# series, the connected cover counts and the exp-log round trip.  A wrong
+# `exact.series_log` also scales the sine amplitude's log-sinh coefficients,
+# which no further check sees: the linear evolution holds for any amplitude
+WRONG_LOG = {
+    "theorem1/nonlinear",
+    "initial/sine-closed-form",
+    "extraction/genus0-closed-form",
+    "extraction/hodge-division-genus0",
+    "extraction/one-point-genus1",
+    *_each("extraction/derivative-recursion/g={}", range(3)),
+    "cutjoin-id/random-exp-log",
+    "hurwitz/anchors",
+    *_each("hurwitz/connected-vs-transitive/d={}", range(1, 5)),
+    *_each("elsv/genus0/d={}", range(1, 6)),
+    "elsv/genus1",
+    "elsv/reverse-solve",
 }
 # every check that reads a column of the cut-and-join operator
 COLUMN_READERS = {
@@ -112,8 +136,13 @@ ROWS = [
     ),
     pytest.param(
         genfun, "ps_log", lambda real: lambda G: real(G) * 2,
-        {"cutjoin-id/random-exp-log"},
+        WRONG_LOG,
         id="ps_log-doubled",
+    ),
+    pytest.param(
+        exact, "series_log", lambda real: lambda x: real(x) * 2,
+        WRONG_LOG,
+        id="series_log-doubled",
     ),
     pytest.param(
         genfun, "_cut_join_column", lambda real: lambda *args: -real(*args),
@@ -156,25 +185,24 @@ ROWS = [
         id="hurwitz_bruteforce-plus-one-at-2,1",
     ),
     pytest.param(
-        hurwitz, "character", _character_bumped,
-        {
+        characters, "character", _character_bumped,
+        WRONG_SERIES
+        | {
+            "characters/orthogonality-first/d=4",
+            "characters/orthogonality-second/d=4",
+            "characters/transpose-sign/d=4",
+            "characters/principal-specialization",
+            "cutjoin-id/d=4",
             "hurwitz/character-vs-brute/d=4",
             "hurwitz/connected-vs-transitive/d=4",
             "hurwitz/parity",
             "elsv/genus0/d=4",
             "elsv/genus0/d=5",
         },
-        id="hurwitz-character-one-value",
+        id="character-one-value",
     ),
     pytest.param(
-        hodge, "character", _character_bumped,
-        WRONG_SERIES,
-        id="hodge-character-one-value",
-    ),
-    pytest.param(
-        hodge, "kappa_exp_factor",
-        # the empty partition's factor stays 1, the constant term ps_log needs
-        lambda real: lambda kappa, trunc: real(kappa + 2 if kappa else 0, trunc),
+        hodge, "kappa_exp_factor", _kappa_shifted,
         WRONG_SERIES,
         id="kappa_exp_factor-shifted",
     ),
@@ -216,6 +244,15 @@ def test_mutant_fails_exactly_its_checks(
     assert failing
     monkeypatch.setattr(owner, attribute, mutate(getattr(owner, attribute)))
     assert _failing_ids() == failing
+
+
+def test_a_failing_evolution_check_names_its_first_mismatch(monkeypatch, clean_caches):
+    # the detail of a failing theorem1 check names the partition, x exponent
+    # and tau degree where the two sides first part, and both values
+    monkeypatch.setattr(hodge, "kappa_exp_factor", _kappa_shifted(hodge.kappa_exp_factor))
+    (linear,) = [r for r in SUITES["theorem1"](RunConfig()) if r.check_id == "theorem1/linear"]
+    assert not linear.passed
+    assert linear.detail == "weight<=6, order<=12; first mismatch at p_(2) x^-1 tau^0: 0 != 1/2"
 
 
 def test_every_suite_passes_after_the_table():

@@ -1,6 +1,7 @@
 """Source layout rules that no linter in the toolchain enforces."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -161,18 +162,24 @@ def test_method_uses_credit_the_named_class_alone():
     assert (None, "one") in methods.uses
 
 
-def test_cli_binds_no_library_function():
-    # cli reads every library function as `module.name` when it calls it, so
-    # a module attribute patched after import is the function a suite calls;
-    # only classes, exceptions and constants are imported by name
-    from cutjoin import cli
-
+def test_no_module_binds_a_function_of_another():
+    # every package module reads a function of another as `module.name` when
+    # it calls it, so a module attribute patched after import is the function
+    # every caller reaches; only classes, exceptions and constants are
+    # imported by name, and the package `__init__` keeps its re-exports
+    modules = [
+        importlib.import_module(f"cutjoin.{path.stem}")
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem not in ("__init__", "__main__")
+    ]
+    assert len(modules) == 8
     bound = [
-        name
-        for name, obj in vars(cli).items()
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name, obj in vars(mod).items()
         if callable(obj)
         and not isinstance(obj, type)
         and getattr(obj, "__module__", "").startswith("cutjoin.")
-        and obj.__module__ != cli.__name__
+        and obj.__module__ != mod.__name__
     ]
     assert bound == []
