@@ -6,10 +6,9 @@ Usage: python scripts/hodge_table.py [--max-genus 2] [--max-size 4]
 
 import argparse
 
+from cutjoin import exact, hodge, partitions
 from cutjoin.cli import MAX_LAMBDA_ORDER, MAX_TABLE_DEGREE
-from cutjoin.exact import TauPolynomial, fraction_str
-from cutjoin.hodge import build_series_pair, extract_C_gmu, hodge_polynomial
-from cutjoin.partitions import enumerate_partitions
+from cutjoin.exact import TauPolynomial
 
 
 def poly_str(poly) -> str:
@@ -23,7 +22,7 @@ def poly_str(poly) -> str:
     for k, c in enumerate(coeffs):
         if not c:
             continue
-        coeff = fraction_str(c) + unit
+        coeff = exact.fraction_str(c) + unit
         bits.append(f"({coeff})*t^{k}" if k else f"({coeff})")
     return " + ".join(bits)
 
@@ -48,15 +47,15 @@ def main() -> None:
             f"lambda exponent {top}, above --lambda-order {args.lambda_order}"
         )
 
-    _, conn = build_series_pair(max(args.max_size, 1), args.lambda_order)
+    _, conn = hodge.build_series_pair(max(args.max_size, 1), args.lambda_order)
     for d in range(1, args.max_size + 1):
-        for mu in enumerate_partitions(d):
+        for mu in partitions.enumerate_partitions(d):
             for g in range(args.max_genus + 1):
-                c = extract_C_gmu(conn, g, mu)
-                hodge = hodge_polynomial(g, mu, conn)
+                c = hodge.extract_C_gmu(conn, g, mu)
+                factor = hodge.hodge_polynomial(g, mu, conn)
                 print(f"g={g} mu=({mu})")
                 print(f"  series coefficient: {poly_str(c.poly)}")
-                print(f"  hodge factor:       {poly_str(TauPolynomial.phased(hodge, 0))}")
+                print(f"  hodge factor:       {poly_str(TauPolynomial.phased(factor, 0))}")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Tabulate cover counts per degree: character route, enumeration, and the
-connected/disconnected comparison.
+connected count, each connected value checked by the branch-point recursion.
 
 Usage: python scripts/hurwitz_table.py [--max-degree 4] [--max-branch 6]
 """
@@ -8,16 +8,9 @@ Usage: python scripts/hurwitz_table.py [--max-degree 4] [--max-branch 6]
 import argparse
 from fractions import Fraction
 
+from cutjoin import hurwitz, partitions
 from cutjoin.cli import MAX_CONNECTED_BRANCH_POINTS, MAX_TABLE_DEGREE
-from cutjoin.hurwitz import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    hurwitz_bruteforce,
-    hurwitz_connected,
-    hurwitz_disconnected,
-    branch_count,
-)
-from cutjoin.partitions import enumerate_partitions
+from cutjoin.hurwitz import DEFAULT_BUDGET, BudgetExceededError
 
 
 def main() -> None:
@@ -42,22 +35,22 @@ def main() -> None:
         parser.error(f"--budget must be nonnegative, got {args.budget}")
 
     for d in range(1, args.max_degree + 1):
-        for mu in enumerate_partitions(d):
+        for mu in partitions.enumerate_partitions(d):
             rows = []
             for r in range(args.max_branch + 1):
-                disc = hurwitz_disconnected(r, mu)
+                disc = hurwitz.hurwitz_disconnected(r, mu)
                 if not disc:
                     continue
                 try:
-                    brute = hurwitz_bruteforce(r, mu, budget=args.budget)
+                    brute = hurwitz.hurwitz_bruteforce(r, mu, budget=args.budget)
                 except BudgetExceededError:
                     brute = "over-budget"
                 g2 = r - d - mu.length + 2
-                conn = (
-                    hurwitz_connected(g2 // 2, mu)
-                    if g2 >= 0 and g2 % 2 == 0
-                    else Fraction(0)
-                )
+                conn = Fraction(0)
+                if g2 >= 0 and g2 % 2 == 0:
+                    conn = hurwitz.hurwitz_connected(g2 // 2, mu)
+                    if not hurwitz.hurwitz_cutjoin_check(g2 // 2, mu):
+                        conn = f"{conn} MISMATCH"
                 flag = "" if brute in (disc, "over-budget") else "  <-- MISMATCH"
                 rows.append(f"  r={r}: all={disc}  enum={brute}  connected={conn}{flag}")
             if rows:

@@ -779,10 +779,6 @@ class QHalfLaurent:
         return cls._make(low, i_power, coeffs)
 
     @classmethod
-    def one(cls) -> "QHalfLaurent":
-        return cls.monomial(1, 0)
-
-    @classmethod
     def monomial(cls, coeff: int, half_exp: int) -> "QHalfLaurent":
         return cls(((half_exp, coeff),))
 

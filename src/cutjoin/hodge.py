@@ -75,8 +75,10 @@ pole of order at most 1, so a product of two of them cut at L is valid to
 L - 1 and the nonlinear side (x/2) * Omega~ is still valid to L.
 
 One comparison, _evolution_mismatch, decides both forms of the evolution
-equation and the tau = 0 value (against the series of single-row closed
-forms): term by term up to L, an absent term counting as zero, failing if a
+equation, the tau = 0 value (against the series of single-row closed forms)
+and the parity and pole structure of the connected series (against its own
+copy with every exponent of the wrong parity or below the pole zeroed):
+term by term up to L, an absent term counting as zero, failing if a
 compared coefficient is valid only below L.  A failure is the first
 Mismatch, which names the partition, x exponent and tau degree where the
 sides part.
@@ -121,32 +123,6 @@ def _sine_arguments(nu: Partition) -> tuple[list[int], list[int]]:
     den = [b - a for a, b in pairs]
     den += [v - i + l for i in range(1, l + 1) for v in range(1, parts[i - 1] + 1)]
     return num, den
-
-
-def v_sine_product(nu: Partition) -> tuple[QHalfLaurent, QHalfLaurent]:
-    """The double-product form of V_nu as an exact (numerator, denominator).
-
-    numerator   = prod_{a<b} 2 sin[(nu_a - nu_b + b - a) lambda/2]
-    denominator = prod_{a<b} 2 sin[(b - a) lambda/2]
-                  * prod_i prod_{v=1..nu_i} 2 sin[(v - i + l) lambda/2]
-
-    Each is one two_sin_product.
-    """
-    num, den = _sine_arguments(nu)
-    return two_sin_product(num), two_sin_product(den)
-
-
-def v_hook_form(nu: Partition) -> tuple[QHalfLaurent, QHalfLaurent]:
-    """V_nu as 1 over the product of 2*sin(h(x)*lambda/2) over all cells,
-    one two_sin_product.
-
-    One factor of 2 per cell; this is the reading forced by the per-cell
-    "2 sin" product in the logarithm identity, and it is what makes the two
-    forms agree exactly.
-    """
-    if nu.size < 1:
-        raise ValueError("requires a nonempty partition")
-    return QHalfLaurent.one(), two_sin_product(nu.hooks())
 
 
 def v_forms_agree(nu: Partition) -> bool:
@@ -520,15 +496,17 @@ def cutjoin_derivative_check(R: MVSeries, g: int, mu: Partition) -> bool:
     return lhs == genfun._column_coefficient(R.body, mu, m - 1) * Fraction(1, 2)
 
 
-def parity_pole_check(R: MVSeries) -> bool:
-    """Connected-series structure: the coefficient of p_mu has lambda
-    exponents m >= l(mu) - 2 with m = l(mu) (mod 2) only."""
-    for mu, series in R.body.terms.items():
+def parity_pole_mismatch(R: MVSeries) -> Mismatch | None:
+    """Connected-series structure: the coefficient of P_mu has x exponents
+    m >= l(mu) - 2 with m = l(mu) (mod 2) only.  None when it has, else the
+    first Mismatch of the body against a copy of itself with every other
+    exponent zeroed."""
+    allowed = {}
+    for mu, s in R.body.terms.items():
         l = mu.length
-        for k, c in series.items():
-            if c and (k < l - 2 or (k - l) % 2 != 0):
-                return False
-    return True
+        coeffs = [c if k >= l - 2 and (k - l) % 2 == 0 else 0 for k, c in s.items()]
+        allowed[mu] = LaurentSeries(s.min_exp, coeffs, s.trunc_order)
+    return _evolution_mismatch(R.body, PartitionSeries(allowed, R.body.max_weight), R.lambda_order)
 
 
 # -- the branch-count transfer system ----------------------------------------

@@ -43,7 +43,7 @@ def q_neg(a):
 
 def q_power(a, n):
     """a**n for a QHalfLaurent value and n >= 0, by repeated *."""
-    out = QHalfLaurent.one()
+    out = QHalfLaurent.monomial(1, 0)
     for _ in range(n):
         out = out * a
     return out

@@ -22,7 +22,8 @@ P = Partition
 
 def one_minus(half_exp):
     """1 - y**half_exp, by the test-side sum and negation."""
-    return q_add(QHalfLaurent.one(), q_neg(QHalfLaurent.monomial(1, half_exp)))
+    one, power = QHalfLaurent.monomial(1, 0), QHalfLaurent.monomial(1, half_exp)
+    return q_add(one, q_neg(power))
 
 # S_3 by hand: rows (3), (2,1), (1,1,1); columns (3), (2,1), (1,1,1)
 S3_TABLE = {
@@ -139,10 +140,10 @@ class TestSchur:
 class TestPrincipalSpecialization:
     def test_shapes(self):
         num, den = schur_principal_specialization(P([1]))
-        assert num == QHalfLaurent.one()
+        assert num == QHalfLaurent.monomial(1, 0)
         assert den == one_minus(2)
         num2, _ = schur_principal_specialization(P([2]))
-        assert num2 == QHalfLaurent.one()  # n(2) = 0
+        assert num2 == QHalfLaurent.monomial(1, 0)  # n(2) = 0
         num11, _ = schur_principal_specialization(P([1, 1]))
         assert num11 == QHalfLaurent.monomial(1, 2)  # n(1,1) = 1: one power of q
 
@@ -153,7 +154,7 @@ class TestPrincipalSpecialization:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_denominator_matches_factor_by_factor(self, d):
         for nu in enumerate_partitions(d):
-            den = QHalfLaurent.one()
+            den = QHalfLaurent.monomial(1, 0)
             for h in nu.hooks():
                 den = den * one_minus(2 * h)
             numerator = QHalfLaurent.monomial(1, 2 * nu.n_weight())

@@ -56,19 +56,19 @@ def sha256(text):
 # the stdout of `verify --suite all` in every format, by argv
 VERIFY_ALL_DIGESTS = {
     ("verify", "--suite", "all", "--seed", "1"):
-        "85fde22a72e16f09a4b089691f8625fde052869fe4f9a74ff7c995ac7aa3bf79",
+        "44bafaa4164205e29ded7dd098a15a0aefca358bfb06097ffc975777b430928d",
     ("verify", "--suite", "all"):
-        "434b14612cf2200a2f9806cbb67539efab091dd2d236a92250cde26828f4d278",
+        "95630e3bb86bac30976b0eae4f6ed4cec0284abdba6cd3f7a0b6da2af0654282",
     ("verify", "--suite", "all", "--format", "csv"):
-        "12c3aaf4550768dbc446a8f1217e1240f0b2571e748b88499072219a454feada",
+        "471c71bf2605412ab25f77bf40cba2f7fa275e51423238ec72ff5eb54ae8df1c",
     ("verify", "--suite", "all", "--format", "pretty", "--seed", "3"):
-        "f531c6a197c2fefb4fbd15a9538f0db322fd688032306c78ba49203061951dac",
+        "5beb2887e670bcbd720be1536cab00b3881037f53ea727c0a454f35035c64bf6",
 }
 # the same digests at other sizes and for one suite
 VERIFY_DIGESTS = {
     **VERIFY_ALL_DIGESTS,
     ("verify", "--suite", "all", "--max-weight", "7", "--lambda-order", "14"):
-        "00a5141b260d716d8a3805c91dc289bd2e41c6131ae0fe343fe65862522da9e0",
+        "f40b62a279fe73dac44a6e0867ac47092a4ca914b1c0a3d2deedc6c24e47770d",
     ("verify", "--suite", "extraction", "--max-weight", "2", "--lambda-order", "6"):
         "59edb807833fd28b4cb8f5fbfd042739d1ab55a8262ea8913d6597af668f5f88",
 }
@@ -790,7 +790,7 @@ class TestGaussianReadoutOnly:
 
     DIGESTS = {
         ("verify", "--suite", "all", "--seed", "1"):
-            "85fde22a72e16f09a4b089691f8625fde052869fe4f9a74ff7c995ac7aa3bf79",
+            "44bafaa4164205e29ded7dd098a15a0aefca358bfb06097ffc975777b430928d",
         ("mv-series", "--max-weight", "5", "--lambda-order", "10"):
             "cb351a2c3904236e4e091b99b5b4915933bf55d5b7f8549a5d94df7420faeae3",
         ("hodge", "--genus", "2", "--partition", "2,1"):

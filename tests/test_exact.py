@@ -333,7 +333,8 @@ class TestQHalfLaurent:
     def test_binomial_product_matches_factor_by_factor(self, exponents, low, i_power, terms):
         want = QHalfLaurent({low: 1}, i_power=i_power)
         for e in exponents:
-            want = want * q_add(QHalfLaurent.one(), q_neg(QHalfLaurent.monomial(1, e)))
+            factor = q_add(QHalfLaurent.monomial(1, 0), q_neg(QHalfLaurent.monomial(1, e)))
+            want = want * factor
         got = QHalfLaurent.binomial_product(exponents, low, i_power)
         assert got.terms == want.terms and got.i_power == want.i_power
         # equal values have equal fields and hashes, however they were built
@@ -649,9 +650,9 @@ class TestDot:
             [(GaussianRational(1), 2)],
             [(RealTauPolynomial([0, 1]), GaussianRational(0, 1))],
             [(LaurentSeries.one(2), GaussianRational(0, 1))],
-            [(QHalfLaurent.one(), QHalfLaurent.one())],
-            [(QHalfLaurent.one(), 2)],
-            [(RealTauPolynomial([1]), QHalfLaurent.one())],
+            [(QHalfLaurent.monomial(1, 0), QHalfLaurent.monomial(1, 0))],
+            [(QHalfLaurent.monomial(1, 0), 2)],
+            [(RealTauPolynomial([1]), QHalfLaurent.monomial(1, 0))],
         ],
     )
     def test_operands_without_a_kernel_are_rejected(self, pairs):

@@ -26,6 +26,7 @@ from cutjoin.hodge import (
     Mismatch,
     _evolution_mismatch,
     _reflected,
+    _sine_arguments,
     _x_scaled,
     build_disconnected,
     build_series_pair,
@@ -37,15 +38,13 @@ from cutjoin.hodge import (
     initial_condition_series,
     kappa_exp_factor,
     lambda_g_coefficients,
-    parity_pole_check,
+    parity_pole_mismatch,
     prefactor_polynomial,
     theorem1_mismatches,
     transfer_system_kernel,
     two_sin_product,
     v_forms_agree,
-    v_hook_form,
     v_series,
-    v_sine_product,
 )
 from cutjoin.hurwitz import linear_hodge_factor
 from cutjoin.partitions import (
@@ -85,7 +84,7 @@ def two_sin_half(m):
 
 def product_by_factors(args):
     """prod_m 2*sin(m*lambda/2), one QHalfLaurent product per factor."""
-    out = QHalfLaurent.one()
+    out = QHalfLaurent.monomial(1, 0)
     for m in args:
         out = out * two_sin_half(m)
     return out
@@ -105,32 +104,31 @@ class TestSineAmplitude:
         s = two_sin_product([1])  # i*(y - 1/y)
         assert s.terms == {1: 1, -1: -1} and s.i_power == 1
         assert two_sin_product([0]).terms == {}
-        assert two_sin_product([]) == QHalfLaurent.one()
+        assert two_sin_product([]) == QHalfLaurent.monomial(1, 0)
         assert two_sin_product([-2]) == q_neg(two_sin_half(2))
         assert two_sin_product([3, 1, 1, 2]) == product_by_factors([3, 1, 1, 2])
         assert two_sin_product([2, 2, 2]) == q_power(two_sin_half(2), 3)
 
     def test_hook_form_examples(self):
-        one, den = v_hook_form(P([1]))
-        assert den == two_sin_half(1)
-        _, den2 = v_hook_form(P([2]))
-        assert den2 == two_sin_half(2) * two_sin_half(1)
-        _, den21 = v_hook_form(P([2, 1]))
-        assert den21 == two_sin_half(3) * two_sin_half(1) * two_sin_half(1)
+        assert two_sin_product(P([1]).hooks()) == two_sin_half(1)
+        assert two_sin_product(P([2]).hooks()) == two_sin_half(2) * two_sin_half(1)
+        want = two_sin_half(3) * two_sin_half(1) * two_sin_half(1)
+        assert two_sin_product(P([2, 1]).hooks()) == want
 
     def test_product_form_single_row(self):
-        num, den = v_sine_product(P([2]))
-        assert num == type(num).one()
-        assert den == two_sin_half(1) * two_sin_half(2)
+        num, den = _sine_arguments(P([2]))
+        assert two_sin_product(num) == QHalfLaurent.monomial(1, 0)
+        assert two_sin_product(den) == two_sin_half(1) * two_sin_half(2)
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_binomial_products_match_factor_by_factor(self, d):
         for nu in enumerate_partitions(d):
-            assert v_sine_product(nu) == sine_product_by_factors(nu), nu
-            assert v_hook_form(nu) == (QHalfLaurent.one(), product_by_factors(nu.hooks())), nu
+            num, den = _sine_arguments(nu)
+            assert (two_sin_product(num), two_sin_product(den)) == sine_product_by_factors(nu), nu
+            assert two_sin_product(nu.hooks()) == product_by_factors(nu.hooks()), nu
 
     def test_empty_partition_rejected(self):
-        for form in (v_sine_product, v_hook_form, v_forms_agree):
+        for form in (_sine_arguments, v_forms_agree):
             with pytest.raises(ValueError, match="nonempty"):
                 form(EMPTY)
 
@@ -397,7 +395,17 @@ class TestSeriesBuild:
 
     def test_parity_pole_structure(self, series_pair_small):
         _, conn = series_pair_small
-        assert parity_pole_check(conn)
+        assert parity_pole_mismatch(conn) is None
+
+    def test_parity_pole_structure_names_a_term_of_the_wrong_parity(self, series_pair_small):
+        # 3 tau x^1 on P_(2,1), whose exponents are even: the first mismatch
+        # is that term against the zero the structure allows there
+        _, conn = series_pair_small
+        terms = dict(conn.body.terms)
+        s = terms[P([2, 1])]
+        terms[P([2, 1])] = s + LaurentSeries.monomial(RealTauPolynomial([0, 3]), 1, s.trunc_order)
+        patched = MVSeries(PartitionSeries(terms, conn.body.max_weight), conn.lambda_order)
+        assert parity_pole_mismatch(patched) == Mismatch(P([2, 1]), 1, 1, (3, 0))
 
     def test_disconnected_pole_order_bound(self, series_pair_small):
         star, _ = series_pair_small

@@ -7,13 +7,18 @@ wrong function built from the real one, the test sets it as
 and runs every suite of `cli.SUITES` at the default configuration.  The run
 must raise nothing and fail exactly `failing`, a non-empty set, so a row
 shows both that the suites see the wrong value and which checks see it.
+Every check family, a check id without its `/<index>=<i>` suffix, is
+failed by some row.
 
 The per-process caches that can hold a value computed under a mutant are
 cleared before and after every row, through the originals saved here at
 import, since a row may replace a cached function itself.
 """
 
+import re
 from fractions import Fraction
+from itertools import combinations
+from math import factorial, prod
 
 import pytest
 
@@ -70,6 +75,41 @@ def _kappa_shifted(real):
     return lambda kappa, trunc: real(kappa + 2 if kappa else 0, trunc)
 
 
+def _first_hook_bumped_at_12(real):
+    def hooks(nu):
+        out = real(nu)
+        return (out[0] + 1, *out[1:]) if nu.size == 12 else out
+
+    return hooks
+
+
+def _conjugate_a_hook_at_12(real):
+    # at size 12, the hook (13 - w, 1^(w-1)) for a first row of width w: of
+    # the true conjugate's length, so `hooks` reads it without an index
+    # error, and the true conjugate on hooks alone
+    def transpose(nu):
+        if nu.size != 12:
+            return real(nu)
+        w = nu.parts[0]
+        return Partition([13 - w] + [1] * (w - 1))
+
+    return transpose
+
+
+def _genus1_tail_unweighted(real):
+    # (k-2)! -> 1 in the genus-1 closed form adds
+    # sum_k ((k-2)! - 1) e_k(mu) d^(l-k) / 24, nonzero from l(mu) = 4 on
+    def linear_hodge_factor(g, mu):
+        if g != 1:
+            return real(g, mu)
+        d, l = mu.size, mu.length
+        e = [sum(map(prod, combinations(mu.parts, k))) for k in range(l + 1)]
+        extra = sum((factorial(k - 2) - 1) * e[k] * d ** (l - k) for k in range(2, l + 1))
+        return real(g, mu) + Fraction(extra, 24)
+
+    return linear_hodge_factor
+
+
 def _column_weight_bumped(which: int):
     # every weight of the joins (0), cuts (1) or splits (2) of each column + 1
     def mutate(real):
@@ -120,6 +160,32 @@ COLUMN_READERS = {
 }
 
 ROWS = [
+    pytest.param(
+        Partition, "hooks", _first_hook_bumped_at_12,
+        {"hooks/sum/d=12"},
+        id="hooks-first-plus-one-at-size-12",
+    ),
+    pytest.param(
+        Partition, "transpose", _conjugate_a_hook_at_12,
+        {"hooks/sum/d=12", "hooks/transpose/d=12", "hooks/kappa/d=12", "hooks/kappa-rows/d=12"},
+        id="transpose-a-hook-at-size-12",
+    ),
+    pytest.param(
+        Partition, "kappa", lambda real: lambda nu: real(nu) + (nu.size == 12),
+        {"hooks/kappa/d=12", "hooks/kappa-rows/d=12"},
+        id="kappa-plus-one-at-size-12",
+    ),
+    pytest.param(
+        Partition, "kappa", lambda real: lambda nu: -real(nu) if nu.size == 12 else real(nu),
+        {"hooks/kappa-rows/d=12"},
+        id="kappa-negated-at-size-12",
+    ),
+    pytest.param(
+        characters, "central_character_transposition",
+        lambda real: lambda nu: real(nu) + (nu.size == 9),
+        {"characters/central/d=09"},
+        id="central_character_transposition-plus-one-at-degree-9",
+    ),
     pytest.param(
         characters, "dimension_hook", lambda real: lambda nu: real(nu) + (nu.size == 7),
         {"characters/dimension/d=07"},
@@ -198,6 +264,7 @@ ROWS = [
             "hurwitz/parity",
             "elsv/genus0/d=4",
             "elsv/genus0/d=5",
+            "elsv/genus1",
         },
         id="character-one-value",
     ),
@@ -205,6 +272,21 @@ ROWS = [
         hodge, "kappa_exp_factor", _kappa_shifted,
         WRONG_SERIES,
         id="kappa_exp_factor-shifted",
+    ),
+    pytest.param(
+        hurwitz, "linear_hodge_factor", _genus1_tail_unweighted,
+        {"elsv/genus1"},
+        id="linear_hodge_factor-genus1-tail-unweighted",
+    ),
+    pytest.param(
+        exact, "sin_half_series", lambda real: lambda *args: -real(*args),
+        {"extraction/sine-reciprocal"},
+        id="sin_half_series-negated",
+    ),
+    pytest.param(
+        CgmuPolynomial, "degree_ok", lambda real: lambda c: c.g != 3 and real(c),
+        {"extraction/degree/g=3"},
+        id="degree_ok-false-at-genus-3",
     ),
     pytest.param(
         hodge, "v_forms_agree", lambda real: lambda nu: nu != Partition([3, 2]) and real(nu),
@@ -250,9 +332,23 @@ def test_a_failing_evolution_check_names_its_first_mismatch(monkeypatch, clean_c
     # the detail of a failing theorem1 check names the partition, x exponent
     # and tau degree where the two sides first part, and both values
     monkeypatch.setattr(hodge, "kappa_exp_factor", _kappa_shifted(hodge.kappa_exp_factor))
-    (linear,) = [r for r in SUITES["theorem1"](RunConfig()) if r.check_id == "theorem1/linear"]
-    assert not linear.passed
-    assert linear.detail == "weight<=6, order<=12; first mismatch at p_(2) x^-1 tau^0: 0 != 1/2"
+    details = {r.check_id: r.detail for r in SUITES["theorem1"](RunConfig()) if not r.passed}
+    scope = "weight<=6, order<=12; "
+    assert details["theorem1/linear"] == scope + "first mismatch at p_(2) x^-1 tau^0: 0 != 1/2"
+    # a pole below l(mu) - 2 against the zero the structure allows there
+    assert details["theorem1/parity"] == scope + "first mismatch at p_(1,1,1) x^-1 tau^0: 1/36 != 0"
+
+
+def _family(check_id: str) -> str:
+    """A check id without its `/<index>=<i>` suffix."""
+    return re.sub(r"/[a-z]=\d+$", "", check_id)
+
+
+def test_every_family_is_failed_by_some_row():
+    families = {_family(r.check_id) for suite in SUITES.values() for r in suite(RunConfig())}
+    assert len(families) == 33
+    seen = {_family(check_id) for row in ROWS for check_id in row.values[-1]}
+    assert families - seen == set()
 
 
 def test_every_suite_passes_after_the_table():

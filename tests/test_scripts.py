@@ -2,6 +2,7 @@
 prints exactly the table recorded for it."""
 
 import hashlib
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -70,3 +71,18 @@ def test_hurwitz_table_marks_over_budget_cells():
     out = proc.stdout.decode()
     assert "r=4: all=9/2  enum=over-budget  connected=4" in out
     assert "r=2: all=1/2  enum=1/2" in out and "MISMATCH" not in out
+
+
+def test_hurwitz_table_marks_connected_counts_the_recursion_rejects(monkeypatch, capsys):
+    # with the operator column negated, the branch-point recursion fails
+    # wherever the connected count is nonzero, and holds at r = 0
+    from cutjoin import genfun
+
+    column = genfun._column_coefficient
+    monkeypatch.setattr(genfun, "_column_coefficient", lambda *args: -column(*args))
+    monkeypatch.setattr(sys, "argv", ["hurwitz_table.py", "--max-degree", "2"])
+    runpy.run_path(str(SCRIPTS / "hurwitz_table.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "r=0: all=1  enum=1  connected=1\n" in out
+    assert "r=1: all=1/2  enum=1/2  connected=1/2 MISMATCH\n" in out
+    assert "<--" not in out

@@ -22,15 +22,13 @@ def test_no_source_line_exceeds_the_column_limit():
 
 
 def _names_used(tree: ast.AST) -> set[str]:
-    """Every identifier a syntax tree reads, imports or exports."""
+    """Every identifier a syntax tree reads; an import alone reads nothing."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
     return names
 
 
@@ -103,9 +101,9 @@ class _MethodUses(ast.NodeVisitor):
 
 
 def test_every_public_definition_is_used():
-    # a public top-level function, class or constant must be named in the
-    # package or a script outside its own definition, and a package export
-    # counts; a public method of a class must be read as an attribute of
+    # a public top-level function, class or constant must be read in the
+    # package or a script outside its own definition, where an import alone
+    # is no read; a public method of a class must be read as an attribute of
     # that class (see _MethodUses), or be one the traced benchmark run
     # patches by name
     trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
@@ -162,24 +160,40 @@ def test_method_uses_credit_the_named_class_alone():
     assert (None, "one") in methods.uses
 
 
+def _is_library_function(obj) -> bool:
+    """A function (not a class) defined in a module of the package."""
+    return (
+        callable(obj)
+        and not isinstance(obj, type)
+        and getattr(obj, "__module__", "").startswith("cutjoin.")
+    )
+
+
 def test_no_module_binds_a_function_of_another():
-    # every package module reads a function of another as `module.name` when
-    # it calls it, so a module attribute patched after import is the function
-    # every caller reaches; only classes, exceptions and constants are
-    # imported by name, and the package `__init__` keeps its re-exports
+    # every package module and every script reads a function of a package
+    # module as `module.name` when it calls it, so a module attribute patched
+    # after import is the function every caller reaches; only classes,
+    # exceptions and constants are imported by name, and the package
+    # `__init__` binds nothing
     modules = [
-        importlib.import_module(f"cutjoin.{path.stem}")
+        importlib.import_module(f"cutjoin.{path.stem}" if path.stem != "__init__" else "cutjoin")
         for path in sorted(SRC.glob("*.py"))
-        if path.stem not in ("__init__", "__main__")
+        if path.stem != "__main__"
     ]
-    assert len(modules) == 8
+    assert len(modules) == 9
     bound = [
         f"{mod.__name__}.{name}"
         for mod in modules
         for name, obj in vars(mod).items()
-        if callable(obj)
-        and not isinstance(obj, type)
-        and getattr(obj, "__module__", "").startswith("cutjoin.")
-        and obj.__module__ != mod.__name__
+        if _is_library_function(obj) and obj.__module__ != mod.__name__
     ]
+    for path in sorted(SCRIPTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cutjoin"):
+                source = importlib.import_module(node.module)
+                bound += [
+                    f"{path.name}:{alias.name}"
+                    for alias in node.names
+                    if _is_library_function(getattr(source, alias.name))
+                ]
     assert bound == []
