@@ -12,7 +12,8 @@ The identities are defined in the library modules; `SUITES` maps each
 checks indexed by a degree d, a genus g or a length l (one id
 `family/<index>=<i>` per value) is declared once through `_per_degree`, with
 `_every` for a check that must hold on every partition of d; a one-off check
-is a single `CheckResult`.
+is a single `CheckResult`.  `_check` ends the detail of a failing one with
+where it first fails, if its verdict names that.
 
 Like every module of the package, this one reads a library function as
 `module.name` where it calls it (see the README).
@@ -54,8 +55,8 @@ BUDGET_ENV_VAR = "CUTJOIN_BUDGET"
 MAX_TABLE_DEGREE = 12
 # the series commands take --max-weight up to MAX_TABLE_DEGREE and
 # --lambda-order up to MAX_LAMBDA_ORDER; at (12, 24) `mv-series` takes about
-# 11 s and `verify --suite all` 15-19 s (medians of 3 runs in two rounds on 2
-# cores of a shared Intel Xeon, CPython 3.11.7)
+# 9.3 s and `verify --suite all` about 15 s (medians of 3 runs on 2 cores of
+# a shared Intel Xeon, CPython 3.11.7)
 MAX_LAMBDA_ORDER = 24
 # `hurwitz --method char` reads the characters of every partition of |mu|;
 # at |mu| = 30 every shape measured answers within 1.8 s on 2 cores
@@ -209,28 +210,42 @@ def cmd_mv_series(config: RunConfig, out) -> int:
 # -- verification suites ------------------------------------------------------
 
 
+def _check(check_id: str, identity: str, verdict, scope: str) -> CheckResult:
+    """One check from its verdict: True, or None for no failure, passes;
+    False fails; a failure's location fails and ends the detail, a partition
+    (from `_every`) as `first failure at <partition>`, a series comparison's
+    Mismatch as itself."""
+    if verdict is True or verdict is None:
+        return CheckResult(check_id, identity, True, scope)
+    if verdict is False:
+        return CheckResult(check_id, identity, False, scope)
+    where = f"first failure at {verdict}" if isinstance(verdict, Partition) else verdict
+    return CheckResult(check_id, identity, False, f"{scope}; {where}")
+
+
 def _per_degree(index: str, values: range, detail: str, families: list) -> list[CheckResult]:
     """One check per value i of the index (a degree d, a genus g or a length
-    l) and per family (name, identity, holds): the id is `name/<index>=<i>`,
-    i zero-padded to the digits of the largest value so that ids sort by it;
-    the verdict is holds(i); `{n}` in the detail is the number of partitions
-    of i."""
+    l) and per family (name, identity, verdict): the id is
+    `name/<index>=<i>`, i zero-padded to the digits of the largest value so
+    that ids sort by it; the verdict of `_check` is verdict(i); `{n}` in the
+    detail is the number of partitions of i."""
     width = len(str(values[-1]))
     return [
-        CheckResult(
+        _check(
             f"{name}/{index}={i:0{width}d}",
             identity,
-            holds(i),
+            verdict(i),
             detail.format(n=len(partitions.enumerate_partitions(i))),
         )
         for i in values
-        for name, identity, holds in families
+        for name, identity, verdict in families
     ]
 
 
-def _every(check: Callable[[Partition], bool]) -> Callable[[int], bool]:
-    """The verdict holds(d) of a check that must pass on every partition of d."""
-    return lambda d: all(check(nu) for nu in partitions.enumerate_partitions(d))
+def _every(check: Callable[[Partition], bool]) -> Callable[[int], Partition | None]:
+    """The verdict of a check that must pass on every partition of d: the
+    first partition it fails on, or None."""
+    return lambda d: next((nu for nu in partitions.enumerate_partitions(d) if not check(nu)), None)
 
 
 def _suite_hooks(config: RunConfig) -> list[CheckResult]:
@@ -324,32 +339,21 @@ def _suite_cutjoin_id(config: RunConfig) -> list[CheckResult]:
     ]
 
 
-def _evolution_check(
-    check_id: str, identity: str, mismatch: hodge.Mismatch | None, scope: str
-) -> CheckResult:
-    """A check that passes when a series comparison (the evolution, the
-    initial value or the parity structure) found no mismatch; a failing one
-    names the first mismatch in its detail."""
-    if mismatch is None:
-        return CheckResult(check_id, identity, True, scope)
-    return CheckResult(check_id, identity, False, f"{scope}; {mismatch}")
-
-
 def _suite_theorem1(config: RunConfig) -> list[CheckResult]:
     linear, nonlinear = hodge.theorem1_mismatches(config.max_weight, config.lambda_order)
     _, conn = hodge.build_series_pair(config.max_weight, config.lambda_order)
     parity = hodge.parity_pole_mismatch(conn)
     scope = f"weight<={config.max_weight}, order<={config.lambda_order}"
     return [
-        _evolution_check("theorem1/linear", "tau-evolution-linear-form", linear, scope),
-        _evolution_check("theorem1/nonlinear", "tau-evolution-nonlinear-form", nonlinear, scope),
-        _evolution_check("theorem1/parity", "parity-pole-structure", parity, scope),
+        _check("theorem1/linear", "tau-evolution-linear-form", linear, scope),
+        _check("theorem1/nonlinear", "tau-evolution-nonlinear-form", nonlinear, scope),
+        _check("theorem1/parity", "parity-pole-structure", parity, scope),
     ]
 
 
 def _suite_initial(config: RunConfig) -> list[CheckResult]:
     return [
-        _evolution_check(
+        _check(
             "initial/sine-closed-form",
             "tau-zero-sine-closed-form",
             hodge.initial_condition_mismatch(config.max_weight, config.lambda_order),

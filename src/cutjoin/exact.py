@@ -656,33 +656,14 @@ def _coeff_json(c):
     return c.to_json()
 
 
-def sin_half_series(c, order: int) -> LaurentSeries:
-    """Series of sin(c*x/2) = sum_k (-1)^k (c/2)^(2k+1) x^(2k+1)/(2k+1)!."""
-    return _odd_half_series(c, order, -1)
-
-
 def sinh_half_series(c, order: int) -> LaurentSeries:
     """Series of sinh(c*x/2) = sum_k (c/2)^(2k+1) x^(2k+1)/(2k+1)!."""
-    return _odd_half_series(c, order, 1)
-
-
-def _odd_half_series(c, order: int, sign: int) -> LaurentSeries:
-    """sum_k sign^k (c/2)^(2k+1) x^(2k+1)/(2k+1)!: sin for sign -1, sinh for +1."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    if not c:
-        return LaurentSeries.zero(order)
-    if isinstance(c, int):
-        c = Fraction(c)
-    half = c * Fraction(1, 2)
+    half = Fraction(c) / 2
     coeffs = [0] * order  # exponents 1..order
-    power = half
-    k = 0
-    while 2 * k + 1 <= order:
-        term = power * Fraction(sign**k, factorial(2 * k + 1))
-        coeffs[2 * k] = term
-        power = power * half * half
-        k += 1
+    for k in range(0, order, 2):
+        coeffs[k] = half ** (k + 1) / factorial(k + 1)
     return LaurentSeries(1, coeffs, order)
 
 

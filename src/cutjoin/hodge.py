@@ -51,10 +51,15 @@ The sine amplitude is expanded from the power sums of the hook lengths:
 
 where c_k is the x^(2k) coefficient of log(2*sinh(x/2)/x) and
 p_2k(hooks) = sum_h h^(2k): one exponential per partition in place of |nu|
-sinh products and a reciprocal.  Conjugate partitions halve the work.  The
-conjugate nu' has the same hooks and kappa(nu') = -kappa(nu), so
-W_nu = E_nu * V_nu satisfies W_nu'(x) = (-1)^|nu| * W_nu(-x); with
-chi_nu'(mu) = (-1)^(|mu|-l(mu)) * chi_nu(mu) the pair contributes
+sinh products and a reciprocal.  Every sine constant is read off one series,
+S(x) = 1/(2*sinh(x/2)) (`_sinh_reciprocal`): c_k = -[x^(2k)] log(x*S(x)),
+the tau = 0 value 1/(2d*sinh(d*x/2)) = S(d*x)/d, and the lambda_g numbers
+b_g = (-1)^g [x^(2g-1)] S of (lambda/2)/sin(lambda/2).
+
+Conjugate partitions halve the work.  The conjugate nu' has the same hooks
+and kappa(nu') = -kappa(nu), so W_nu = E_nu * V_nu satisfies
+W_nu'(x) = (-1)^|nu| * W_nu(-x); with chi_nu'(mu) = (-1)^(|mu|-l(mu)) *
+chi_nu(mu) the pair contributes
 
     m_nu * chi_nu(mu) / z_mu * W_nu[x^m]   for m = l(mu) (mod 2), else 0
 
@@ -156,9 +161,17 @@ def v_series(nu: Partition, order: int) -> LaurentSeries:
 
 @cache
 def _log_sinh_coefficients(n: int) -> tuple[Fraction, ...]:
-    """c_0..c_n, where c_k is the x^(2k) coefficient of log(2*sinh(x/2)/x)."""
-    s = exact.series_log(exact.sinh_half_series(Fraction(1), 2 * n + 1).shift(-1) * 2)
-    return tuple(s.coefficient(2 * k) for k in range(n + 1))
+    """c_0..c_n, c_k = -[x^(2k)] log(x*S(x)), the x^(2k) coefficient of
+    log(2*sinh(x/2)/x)."""
+    s = exact.series_log(_sinh_reciprocal(2 * n - 1).shift(1))
+    return tuple(-s.coefficient(2 * k) for k in range(n + 1))
+
+
+@cache
+def _sinh_reciprocal(order: int) -> LaurentSeries:
+    """S(x) = 1/(2*sinh(x/2)) = 1/x - x/24 + 7x^3/5760 - ... to x^order,
+    the one series every sine constant is read off (module docstring)."""
+    return (exact.sinh_half_series(1, order + 2) * 2).reciprocal()
 
 
 # -- building the series -----------------------------------------------------
@@ -359,8 +372,10 @@ def theorem1_mismatches(
 def initial_condition_series(d: int, order: int) -> LaurentSeries:
     """The closed-form tau = 0 coefficient of P_d, 1 / (2*d*sinh(d*x/2)), a
     rational series in x; in lambda and p it reads
-    -(sqrt(-1))^(d+1) / (2*d*sin(d*lambda/2))."""
-    return (exact.sinh_half_series(Fraction(d), order + 2) * (2 * d)).reciprocal()
+    -(sqrt(-1))^(d+1) / (2*d*sin(d*lambda/2)).  S(d*x)/d: the x^k
+    coefficient of S times d^(k-1)."""
+    s = _sinh_reciprocal(order)
+    return LaurentSeries(s.min_exp, [c * Fraction(d) ** (k - 1) for k, c in s.items()], order)
 
 
 def initial_condition_mismatch(max_weight: int, lambda_order: int) -> Mismatch | None:
@@ -470,12 +485,12 @@ def hodge_polynomial(g: int, mu: Partition, R: MVSeries) -> RealTauPolynomial:
 
 
 def lambda_g_coefficients(order: int) -> list[Fraction]:
-    """Even coefficients of (x/2)/sin(x/2): 1, 1/24, 7/5760, ..."""
+    """b_g = (-1)^g [x^(2g-1)] S for 2g <= order, the lambda^(2g)
+    coefficients of (lambda/2)/sin(lambda/2) = x*S(x): 1, 1/24, 7/5760, ..."""
     if order < 2:
         raise ValueError("order must be at least 2")
-    s = exact.sin_half_series(Fraction(1), order + 2)
-    w = s.reciprocal().shift(1) * Fraction(1, 2)
-    return [Fraction(w.coefficient(2 * g)) for g in range(order // 2 + 1)]
+    s = _sinh_reciprocal(order)
+    return [Fraction((-1) ** g * s.coefficient(2 * g - 1)) for g in range(order // 2 + 1)]
 
 
 def cutjoin_derivative_check(R: MVSeries, g: int, mu: Partition) -> bool:

@@ -49,18 +49,16 @@ def nullspace(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Unique exact solution of a consistent full-column-rank system.
+    """Unique exact solution of a consistent full-column-rank system: the
+    kernel vector of [A | -b], scaled so that its last entry is 1.
 
-    Raises ValueError when the system is inconsistent or underdetermined.
+    Raises ValueError when the system is inconsistent (no kernel vector has
+    a nonzero last entry) or underdetermined (the kernel has dimension > 1).
     """
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    ncols = len(matrix[0])
-    rows, pivots = rref(aug)
-    if ncols in pivots:
+    basis = nullspace([[*row, -b] for row, b in zip(matrix, rhs)])
+    if not any(v[-1] for v in basis):
         raise ValueError("inconsistent linear system")
-    if len(pivots) < ncols:
+    if len(basis) > 1:
         raise ValueError("underdetermined linear system")
-    sol = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = rows[r][ncols]
-    return sol
+    v = basis[0]
+    return [x / v[-1] for x in v[:-1]]

@@ -15,14 +15,15 @@ The package checks every identity on rational coefficients in x = i*lambda
 and P_k = i^k p_k and attaches the phase i^(m+|mu|) only where a value is
 printed.  `tau_zero_lambda_value` and `genus0_lambda_value` state two
 closed forms as the paper does, in lambda and p with their powers of i
-written out, on Gaussian rationals; a test reads the package's printed
+written out, on Gaussian rationals and the sine series `sin_half_series`
+(the package forms only the sinh); a test reads the package's printed
 values against them, so a wrong readout phase fails there.
 """
 
 from fractions import Fraction
 from math import factorial
 
-from cutjoin.exact import GaussianRational, QHalfLaurent, sin_half_series
+from cutjoin.exact import GaussianRational, LaurentSeries, QHalfLaurent
 from cutjoin.genfun import PartitionSeries
 
 
@@ -89,6 +90,17 @@ def series_agree(a, b, order=None):
     if order is not None:
         top = min(top, order)
     return a.truncate(top) == b.truncate(top)
+
+
+def sin_half_series(c, order):
+    """Series of sin(c*x/2) = sum_k (-1)^k (c/2)^(2k+1) x^(2k+1)/(2k+1)!."""
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    half = Fraction(c) / 2
+    coeffs = [0] * order  # exponents 1..order
+    for k in range(0, order, 2):
+        coeffs[k] = (-1) ** (k // 2) * half ** (k + 1) / factorial(k + 1)
+    return LaurentSeries(1, coeffs, order)
 
 
 def tau_zero_lambda_value(d, order):

@@ -19,10 +19,17 @@ from cutjoin.exact import (
     fraction_str,
     series_exp,
     series_log,
-    sin_half_series,
     sinh_half_series,
 )
-from series_reference import gaussian_coeffs, i_power, q_add, q_neg, series_agree, sub
+from series_reference import (
+    gaussian_coeffs,
+    i_power,
+    q_add,
+    q_neg,
+    series_agree,
+    sin_half_series,
+    sub,
+)
 
 TP_ONE = TauPolynomial([1])
 TP_TAU = TauPolynomial([0, 1])

@@ -9,7 +9,6 @@ from cutjoin.exact import (
     QHalfLaurent,
     RealTauPolynomial,
     TauPolynomial,
-    sin_half_series,
     sinh_half_series,
 )
 from cutjoin import hodge
@@ -20,6 +19,7 @@ from cutjoin.genfun import (
     ps_exp,
     ps_log,
 )
+from cutjoin.exact import series_log
 from cutjoin.hodge import (
     CgmuPolynomial,
     MVSeries,
@@ -60,6 +60,7 @@ from series_reference import (
     q_neg,
     q_power,
     series_agree,
+    sin_half_series,
     sub,
     tau_zero_lambda_value,
 )
@@ -743,6 +744,25 @@ class TestTransferAndSine:
         ]
         with pytest.raises(ValueError):
             lambda_g_coefficients(1)
+
+    def test_every_sine_constant_matches_its_own_series(self):
+        # each reading of S = 1/(2 sinh(x/2)) against the series it stands
+        # for, formed from scratch: 1/(2d sinh(dx/2)) per degree, the
+        # reciprocal of the paper's sine, and log(2 sinh(x/2)/x)
+        assert [hodge._sinh_reciprocal(3).coefficient(k) for k in (-1, 1, 3)] == [
+            1, Fraction(-1, 24), Fraction(7, 5760),
+        ]
+        for d in range(1, 9):
+            for order in range(-1, 15):
+                by_degree = (sinh_half_series(d, order + 2) * (2 * d)).reciprocal()
+                assert initial_condition_series(d, order) == by_degree, (d, order)
+        for order in range(2, 15):
+            half_cosecant = sin_half_series(1, order + 2).reciprocal().shift(1) * Fraction(1, 2)
+            b = [half_cosecant.coefficient(2 * g) for g in range(order // 2 + 1)]
+            assert lambda_g_coefficients(order) == b, order
+        log_sinh = series_log(sinh_half_series(1, 20).shift(-1) * 2)
+        c = [log_sinh.coefficient(2 * k) for k in range(10)]
+        assert hodge._log_sinh_coefficients(9) == tuple(c)
 
     def test_kernel_examples(self):
         assert transfer_system_kernel(1) == [Fraction(1), Fraction(-1)]

@@ -5,14 +5,17 @@ A row is (owner, attribute, mutate, failing): `mutate(real)` returns the
 wrong function built from the real one, the test sets it as
 `owner.attribute`, the owner being the module (or class) that defines it,
 and runs every suite of `cli.SUITES` at the default configuration.  The run
-must raise nothing and fail exactly `failing`, a non-empty set, so a row
-shows both that the suites see the wrong value and which checks see it.
-Every check family, a check id without its `/<index>=<i>` suffix, is
-failed by some row.
+must raise nothing and fail exactly `failing`, a non-empty set of check ids,
+so a row shows both that the suites see the wrong value and which checks
+see it.  Where `failing` is a dict, each failing check's detail must also
+end with the text it maps to, the location the check names.  Every check
+family, a check id without its `/<index>=<i>` suffix, is failed by some
+row.
 
-The per-process caches that can hold a value computed under a mutant are
-cleared before and after every row, through the originals saved here at
-import, since a row may replace a cached function itself.
+Every per-process cache of the package is cleared before and after every
+row, through the originals saved here at import, since a row may replace a
+cached function itself (tests/test_style.py checks that `CACHED` names
+each `functools.cache` function of the package).
 """
 
 import re
@@ -24,15 +27,19 @@ import pytest
 
 from cutjoin import characters, exact, genfun, hodge, hurwitz, partitions
 from cutjoin.cli import SUITES, RunConfig
+from cutjoin.exact import LaurentSeries
 from cutjoin.hodge import CgmuPolynomial
 from cutjoin.partitions import Partition
 
 CACHED = (
     hodge.build_series_pair,
     hodge._log_sinh_coefficients,
+    hodge._sinh_reciprocal,
     hurwitz._kappa_weights,
     partitions.cut_join_incoming,
+    partitions.enumerate_partitions,
     characters.character_table,
+    characters._mn,
 )
 
 
@@ -42,9 +49,10 @@ def _clear_caches():
     hurwitz._tables.clear()
 
 
-def _failing_ids() -> set[str]:
-    config = RunConfig()
-    return {r.check_id for suite in SUITES.values() for r in suite(config) if not r.passed}
+def _failures() -> dict[str, str]:
+    """The detail of every failing check, by check id."""
+    results = [r for suite in SUITES.values() for r in suite(RunConfig())]
+    return {r.check_id: r.detail for r in results if not r.passed}
 
 
 def _each(template: str, values) -> set[str]:
@@ -108,6 +116,15 @@ def _genus1_tail_unweighted(real):
         return real(g, mu) + Fraction(extra, 24)
 
     return linear_hodge_factor
+
+
+def _sinh_reciprocal_x3_bumped(real):
+    # S(x) + x^3 at every order that reaches x^3
+    def series(order):
+        s = real(order)
+        return s + LaurentSeries.monomial(Fraction(1), 3, order) if order >= 3 else s
+
+    return series
 
 
 def _column_weight_bumped(which: int):
@@ -279,9 +296,20 @@ ROWS = [
         id="linear_hodge_factor-genus1-tail-unweighted",
     ),
     pytest.param(
-        exact, "sin_half_series", lambda real: lambda *args: -real(*args),
+        hodge, "_sinh_reciprocal", _sinh_reciprocal_x3_bumped,
+        {
+            "initial/sine-closed-form",
+            "extraction/genus0-closed-form",
+            "extraction/hodge-division-genus0",
+            "extraction/sine-reciprocal",
+        },
+        id="sinh_reciprocal-x3-plus-one",
+    ),
+    pytest.param(
+        hodge, "lambda_g_coefficients",
+        lambda real: lambda order: [(-1) ** g * b for g, b in enumerate(real(order))],
         {"extraction/sine-reciprocal"},
-        id="sin_half_series-negated",
+        id="lambda_g_coefficients-sign-dropped",
     ),
     pytest.param(
         CgmuPolynomial, "degree_ok", lambda real: lambda c: c.g != 3 and real(c),
@@ -290,7 +318,7 @@ ROWS = [
     ),
     pytest.param(
         hodge, "v_forms_agree", lambda real: lambda nu: nu != Partition([3, 2]) and real(nu),
-        {"prop-v/d=05"},
+        {"prop-v/d=05": "; first failure at 3,2"},
         id="v_forms_agree-false-at-3,2",
     ),
     pytest.param(
@@ -325,7 +353,10 @@ def test_mutant_fails_exactly_its_checks(
 ):
     assert failing
     monkeypatch.setattr(owner, attribute, mutate(getattr(owner, attribute)))
-    assert _failing_ids() == failing
+    failures = _failures()
+    assert set(failures) == set(failing)
+    for check_id, ending in (failing.items() if isinstance(failing, dict) else ()):
+        assert failures[check_id].endswith(ending)
 
 
 def test_a_failing_evolution_check_names_its_first_mismatch(monkeypatch, clean_caches):
@@ -354,4 +385,4 @@ def test_every_family_is_failed_by_some_row():
 def test_every_suite_passes_after_the_table():
     # runs after the rows with the caches as they left them: no value built
     # under a mutant is still cached
-    assert _failing_ids() == set()
+    assert _failures() == {}

@@ -169,17 +169,23 @@ def _is_library_function(obj) -> bool:
     )
 
 
+def _package_modules() -> list:
+    """Every module of the package, its `__init__` included, but not
+    `__main__`, which runs the command line when imported."""
+    return [
+        importlib.import_module(f"cutjoin.{path.stem}" if path.stem != "__init__" else "cutjoin")
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__main__"
+    ]
+
+
 def test_no_module_binds_a_function_of_another():
     # every package module and every script reads a function of a package
     # module as `module.name` when it calls it, so a module attribute patched
     # after import is the function every caller reaches; only classes,
     # exceptions and constants are imported by name, and the package
     # `__init__` binds nothing
-    modules = [
-        importlib.import_module(f"cutjoin.{path.stem}" if path.stem != "__init__" else "cutjoin")
-        for path in sorted(SRC.glob("*.py"))
-        if path.stem != "__main__"
-    ]
+    modules = _package_modules()
     assert len(modules) == 9
     bound = [
         f"{mod.__name__}.{name}"
@@ -197,3 +203,22 @@ def test_no_module_binds_a_function_of_another():
                     if _is_library_function(getattr(source, alias.name))
                 ]
     assert bound == []
+
+
+def test_the_mutation_table_clears_every_cache_of_the_package():
+    # a `functools.cache` function of a package module, or of a class one
+    # defines, can keep a value computed under one mutation row for the rows
+    # after it, so the table's fixture clears each of them
+    from test_mutations import CACHED
+
+    cached = set()
+    for mod in _package_modules():
+        owners = [mod, *(c for c in vars(mod).values() if isinstance(c, type))]
+        cached |= {
+            f"{fn.__module__}.{fn.__qualname__}"
+            for owner in owners
+            for fn in vars(owner).values()
+            if hasattr(fn, "cache_clear") and fn.__module__ == mod.__name__
+        }
+    assert "cutjoin.hodge.build_series_pair" in cached
+    assert cached == {f"{fn.__module__}.{fn.__qualname__}" for fn in CACHED}
