@@ -62,8 +62,9 @@ MAX_LAMBDA_ORDER = 24
 # at |mu| = 30 every shape measured answers within 1.8 s on 2 cores
 # (CPython 3.11), and |mu| = 40 takes 9.5 s at 2^20
 MAX_CHAR_DEGREE = 30
-# `hurwitz --method connected` logs a table with one term per branch count;
-# at |mu| = 12 and r = 60 a query takes about 2 s on 2 cores (CPython 3.11)
+# `hurwitz --method connected` logs one table per degree, for every r; at
+# |mu| = 12 and r = 60 a query takes about 0.25 s on 2 cores (CPython
+# 3.11.7), so the cap bounds the size of the printed count, not the time
 MAX_CONNECTED_BRANCH_POINTS = 60
 
 

@@ -18,8 +18,9 @@ derivative series: each coefficient on p_mu is one `_dot` over the column
 `partitions.cut_join_incoming(mu)`, (F[nu], integer weight) for the joins
 and cuts nu into mu and, in the nonlinear one, one product F[nu1] * F[nu2]
 per unordered split pair of mu.  That column sum is the one place the
-operator is formed: the per-genus Hodge evolution and the branch-point
-recursion each read one x-coefficient of it (`_column_coefficient`).  The
+operator is formed: the per-genus Hodge evolution reads one x-coefficient of
+it (`_column_coefficient`), and the branch-point recursion of the cover
+counts reads it on exponential sums (`hurwitz.hurwitz_cutjoin_check`).  The
 tests compare all of them with the whole-series forms they replace, which
 build every power, product or derivative at the full cap and add one term
 at a time: the results are equal exactly, Laurent truncation orders
@@ -218,11 +219,10 @@ def _column_coefficient(F: PartitionSeries, mu: Partition, k: int):
     The column reads F only at weights up to |mu|, and a product of two
     coefficients cut at x^(k+1) is still valid to x^k, so the operands are
     cut there first and no product forms a term beyond it.  On a series
-    graded like the connected Hodge series (r_{g,mu} at x^(2g-2+l(mu))) or
-    the connected cover counts (h_{g,mu} at x^(r(g, mu))), every join, cut
-    and split of mu lowers the exponent by exactly one, so the x^k
-    coefficient, k one below p_mu's own exponent at genus g, is the genus-g
-    recursion's sum.
+    graded like the connected Hodge series (r_{g,mu} at x^(2g-2+l(mu))),
+    every join, cut and split of mu lowers the exponent by exactly one, so
+    the x^k coefficient, k one below p_mu's own exponent at genus g, is the
+    genus-g Hodge derivative recursion's sum.
     """
     cut = {nu: s.truncate(k + 1) for nu, s in F.terms.items() if nu.size <= mu.size}
     column = _cut_join_column(cut, mu, True)

@@ -6,15 +6,15 @@ character route is one integer sum, the class-algebra sum grouped by content
 value (`hurwitz_disconnected`); the brute-force route counts tuples without
 characters, layer by layer over (product, blocks of joined points) states,
 optionally keeping only the transitive ones.  The exponential formula
-converts between the two normalizations (all covers vs connected covers)
-through an x^r/r! grading in the branch-count variable, on rows read from
-that one sum, and both routes are required to agree wherever enumeration is
-feasible.
+converts between the two normalizations (all covers vs connected covers):
+each count of that one sum is r! [x^r] of a finite sum of exponentials
+e^(kappa x/2), so one log per degree, of polynomials in y = e^x, serves every
+r.  Both routes are required to agree wherever enumeration is feasible.
 
-The branch-point recursion is read in that grading, on h = H/r!: r * h_{g,mu}
-is half the x^(r-1) coefficient of the nonlinear cut-and-join operator's
-column at p_mu on the connected series, the column the Hodge series' tau
-evolution also reads.
+The branch-point recursion is read on h = H/r!: r * h_{g,mu} is half the
+x^(r-1) coefficient of the nonlinear cut-and-join operator's column at p_mu
+on the connected series, the column the Hodge series' tau evolution also
+reads; on exponential sums both sides are power sums of the exponents.
 
 The Hodge side of the ELSV formula is a closed form at genus 0,
 |mu|^(l-3), and at genus 1, Vakil's formula in |mu|, l(mu) and the
@@ -30,7 +30,7 @@ from functools import cache
 from math import factorial
 
 from . import characters, genfun, linalg, partitions
-from .exact import LaurentSeries
+from .exact import RealTauPolynomial
 from .genfun import PartitionSeries
 from .partitions import EMPTY, Partition
 
@@ -167,35 +167,32 @@ def _kappa_weights(mu: Partition) -> dict[int, int]:
     return {k: w for k, w in weights.items() if w}
 
 
-_tables: dict[tuple[int, int], PartitionSeries] = {}
-
-
-def _connected_table(d: int, r: int) -> PartitionSeries:
-    """The connected cover series sum_mu sum_r h_{g,mu} x^r p_mu, with
-    h = H/r!, the log of the disconnected series in the x^r/r! grading
-    (the exponential formula), from a table that holds |mu| = d and r
-    branch points.
-
-    A table built for d' >= d and r' >= r holds them with the same values:
-    the log at weight d reads only weights <= d, and its x^r coefficient
-    only orders <= r.  A miss builds degree d to order r, or to twice the
-    largest order already built at degree d if that is more, so a sweep
-    over increasing r builds O(log r) tables while a first query builds
-    only what it asks for.
-    """
-    for (d_max, r_max), table in _tables.items():
-        if d_max >= d and r_max >= r:
-            return table
-    r_max = max([r, *(2 * r_built for d_built, r_built in _tables if d_built == d)])
-    terms = {EMPTY: LaurentSeries.one(r_max)}
+@cache
+def _connected_log(d: int) -> PartitionSeries:
+    """The connected cover series to degree d: the log (exponential formula)
+    of sum_mu sum_k w_k y^(k/2) / (z_mu |mu|!) p_mu over `_kappa_weights`,
+    the disconnected series at y = e^x, exact at every r at once (every
+    kappa is even).  The coefficient of p_mu is stored times y^(|mu| d//2),
+    which clears every negative exponent as |kappa|/2 <= |mu| (|mu| - 1)/2;
+    the shift is linear in the weight, so products keep it."""
+    shift = d // 2
+    terms = {EMPTY: 1}
     for size in range(1, d + 1):
         for mu in partitions.enumerate_partitions(size):
-            row = [hurwitz_disconnected(k, mu) / factorial(k) for k in range(r_max + 1)]
-            series = LaurentSeries(0, row, r_max)
-            if series:
-                terms[mu] = series
-    _tables[d, r_max] = table = genfun.ps_log(PartitionSeries(terms, d))
-    return table
+            nums = [0] * (2 * size * shift + 1)
+            for k, w in _kappa_weights(mu).items():
+                nums[k // 2 + size * shift] = w
+            terms[mu] = RealTauPolynomial._make(nums, mu.z() * factorial(size))
+    return genfun.ps_log(PartitionSeries(terms, d))
+
+
+def _power_sum(p, mu: Partition, r: int) -> Fraction:
+    """r! [x^r] of a coefficient p = sum_j a_j y^j at p_mu of
+    `_connected_log(|mu|)`: sum_j a_j (j - s)^r with s = |mu| (|mu| // 2)."""
+    if not p:
+        return Fraction(0)
+    s = mu.size * (mu.size // 2)
+    return Fraction(sum(a * (j - s) ** r for j, a in enumerate(p.nums)), p.den)
 
 
 def hurwitz_connected(g: int, mu: Partition) -> Fraction:
@@ -203,8 +200,7 @@ def hurwitz_connected(g: int, mu: Partition) -> Fraction:
     r = branch_count(g, mu)
     if r < 0:
         return Fraction(0)
-    series = _connected_table(mu.size, r).terms.get(mu)
-    return Fraction(series.coefficient(r) if series else 0) * factorial(r)
+    return _power_sum(_connected_log(mu.size).coefficient(mu), mu, r)
 
 
 # -- genus 0 and 1 linear Hodge factors: closed forms (genus 1: Vakil 2001) --
@@ -276,13 +272,16 @@ def hurwitz_cutjoin_check(g: int, mu: Partition) -> bool:
     on the connected cover series of h = H/r!: Goulden-Jackson's
     dH/dx = (1/2) Omega~(H) for H = sum H_{g,mu} x^r/r! p_mu ("Transitive
     factorizations into transpositions and holomorphic mappings on the
-    sphere", 1997) at x^(r-1) p_mu, read off the one column of the operator.
+    sphere", 1997) at x^(r-1) p_mu, read off the one column of the operator:
+    times (r-1)!, the r-th `_power_sum` of h_mu is half the (r-1)-th of it.
     On the raw counts each split would carry the ways C(r - 1, r1) =
     (r-1)!/(r1! r2!) to place r1 of the other branch points on its first
-    component; the 1/r! absorbs that binomial into the values.  At r = 0
+    component; the 1/r! absorbs that binomial into the values.  At r <= 0
     both sides are 0.
     """
     r = branch_count(g, mu)
-    h = _connected_table(mu.size, r)
-    lhs = h.terms[mu].coefficient(r) * r if mu in h.terms else 0
-    return lhs == genfun._column_coefficient(h, mu, r - 1) * Fraction(1, 2)
+    if r < 1:
+        return True
+    h = _connected_log(mu.size)
+    column = genfun._cut_join_column(h.terms, mu, True)
+    return _power_sum(h.coefficient(mu), mu, r) == _power_sum(column, mu, r - 1) / 2

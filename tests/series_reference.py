@@ -10,6 +10,8 @@ every product at the full weight cap, and add one term at a time, so they
 share no table with the code they check: tests/test_partitions.py reads the
 table's join and cut weights off `reference_linear` and its split weights
 off the polarised quadratic part `reference_nonlinear - reference_linear`.
+`connected_cover_table` logs the cover counts' rows cut at one order r, in
+x, where the package logs exponential sums exact at every r.
 
 The package checks every identity on rational coefficients in x = i*lambda
 and P_k = i^k p_k and attaches the phase i^(m+|mu|) only where a value is
@@ -23,8 +25,10 @@ values against them, so a wrong readout phase fails there.
 from fractions import Fraction
 from math import factorial
 
+from cutjoin import genfun, hurwitz
 from cutjoin.exact import GaussianRational, LaurentSeries, QHalfLaurent
 from cutjoin.genfun import PartitionSeries
+from cutjoin.partitions import EMPTY, enumerate_partitions
 
 
 def q_add(a, b):
@@ -101,6 +105,20 @@ def sin_half_series(c, order):
     for k in range(0, order, 2):
         coeffs[k] = (-1) ** (k // 2) * half ** (k + 1) / factorial(k + 1)
     return LaurentSeries(1, coeffs, order)
+
+
+def connected_cover_table(d, r):
+    """The connected cover series sum_mu sum_k h_{g,mu} x^k p_mu over
+    |mu| <= d and k <= r, with h = H/k!, in the x^k/k! grading: rows
+    `hurwitz_disconnected(k, mu) / k!` to order r, then `ps_log` (the
+    exponential formula).  The package takes the same log once per degree on
+    exponential sums, exact at every r."""
+    terms = {EMPTY: LaurentSeries.one(r)}
+    for size in range(1, d + 1):
+        for mu in enumerate_partitions(size):
+            row = [hurwitz.hurwitz_disconnected(k, mu) / factorial(k) for k in range(r + 1)]
+            terms[mu] = LaurentSeries(0, row, r)
+    return genfun.ps_log(PartitionSeries(terms, d))
 
 
 def tau_zero_lambda_value(d, order):

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from cutjoin import hurwitz
+from cutjoin import genfun
 from cutjoin.hurwitz import (
     BudgetExceededError,
     branch_count,
@@ -23,6 +23,7 @@ from cutjoin.characters import character, dimension
 from cutjoin.exact import LaurentSeries
 from cutjoin.genfun import PartitionSeries, _column_coefficient
 from cutjoin.partitions import Partition, enumerate_partitions
+from series_reference import connected_cover_table
 
 P = Partition
 
@@ -196,22 +197,39 @@ class TestConnected:
         assert branch_count(0, P([1])) == 0
         assert hurwitz_connected(-1, P([1])) == 0
 
-    def test_a_sweep_logs_few_tables_with_the_values_of_fresh_ones(self, monkeypatch):
-        # a table answers every smaller (|mu|, r), and a sweep over r doubles
-        # the order built at a degree instead of logging a table per r
-        monkeypatch.setattr(hurwitz, "_tables", {})
-        swept = {
-            (g, mu): hurwitz_connected(g, mu)
-            for d in range(1, 6)
-            for mu in enumerate_partitions(d)
-            for g in range(4)
-        }
-        per_degree = [sum(d_max == d for d_max, _ in hurwitz._tables) for d in range(1, 6)]
-        assert max(per_degree) <= 4
-        for (g, mu), value in swept.items():
-            monkeypatch.setattr(hurwitz, "_tables", {})
-            assert hurwitz_connected(g, mu) == value
-            assert list(hurwitz._tables) in ([], [(mu.size, branch_count(g, mu))])
+    def test_equals_the_log_of_rows_cut_at_one_order(self):
+        # every |mu| <= 6 at g <= 4 against one table of the r-graded log,
+        # whose x^r coefficient holds for every r up to its order 18
+        table = connected_cover_table(6, 18)
+        checked = 0
+        for d in range(1, 7):
+            for mu in enumerate_partitions(d):
+                for g in range(5):
+                    r = branch_count(g, mu)
+                    if r >= 0:
+                        expected = table.terms[mu].coefficient(r) * factorial(r)
+                        assert hurwitz_connected(g, mu) == expected, (g, mu)
+                        checked += 1
+        assert checked == 145
+
+    def test_equals_the_log_of_rows_near_the_branch_point_cap(self):
+        mu = P([4, 4])
+        r = branch_count(16, mu)
+        assert r == 40
+        expected = connected_cover_table(8, r).terms[mu].coefficient(r) * factorial(r)
+        assert hurwitz_connected(16, mu) == expected
+
+    def test_a_larger_r_at_a_built_degree_logs_nothing(self, monkeypatch):
+        # one table per degree serves every branch count; a cover of type
+        # (2, 1) is connected or a cover of type (2), of count 1/2 at odd r,
+        # beside an unbranched sheet
+        mu = P([2, 1])
+        assert hurwitz_connected(0, mu) == 4
+        logged = []
+        log = genfun.ps_log
+        monkeypatch.setattr(genfun, "ps_log", lambda G: logged.append(G) or log(G))
+        assert hurwitz_connected(20, mu) == hurwitz_disconnected(43, mu) - Fraction(1, 2)
+        assert logged == []
 
     def test_matches_transitive_bruteforce(self):
         for d in range(1, 4):
@@ -301,11 +319,13 @@ class TestCutJoinRecursion:
 
     def test_raw_counts_fail_the_recursion(self):
         # the 1/r! is what absorbs the split binomial C(r - 1, r1): on the
-        # raw counts H the same column misses r * H at (1, (2, 1))
+        # r-graded log of h = H/r! the column gives r * h at (1, (2, 1)), and
+        # on the raw counts H the same column misses r * H
         mu = P([2, 1])
         r = branch_count(1, mu)
         assert hurwitz_cutjoin_check(1, mu)
-        h = hurwitz._connected_table(mu.size, r)
+        h = connected_cover_table(mu.size, r)
+        assert _column_coefficient(h, mu, r - 1) * Fraction(1, 2) == r * h.terms[mu].coefficient(r)
         raw = {
             nu: LaurentSeries(s.min_exp, [c * factorial(n) for n, c in s.items()], s.trunc_order)
             for nu, s in h.terms.items()

@@ -35,6 +35,7 @@ CACHED = (
     hodge.build_series_pair,
     hodge._log_sinh_coefficients,
     hodge._sinh_reciprocal,
+    hurwitz._connected_log,
     hurwitz._kappa_weights,
     partitions.cut_join_incoming,
     partitions.enumerate_partitions,
@@ -46,7 +47,6 @@ CACHED = (
 def _clear_caches():
     for fn in CACHED:
         fn.cache_clear()
-    hurwitz._tables.clear()
 
 
 def _failures() -> dict[str, str]:
@@ -251,6 +251,17 @@ ROWS = [
             *_each("extraction/derivative-recursion/g={}", range(3)),
         },
         id="cut_join_incoming-split-weights",
+    ),
+    pytest.param(
+        # exp of the connected table: the disconnected counts, as if the
+        # exponential formula's log were skipped
+        hurwitz, "_connected_log", lambda real: lambda d: genfun.ps_exp(real(d)),
+        {
+            *_each("hurwitz/connected-vs-transitive/d={}", (3, 4)),
+            *_each("elsv/genus0/d={}", (3, 4, 5)),
+            "elsv/genus1",
+        },
+        id="connected_log-exponentiated",
     ),
     pytest.param(
         hurwitz, "hurwitz_bruteforce",

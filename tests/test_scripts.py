@@ -78,8 +78,8 @@ def test_hurwitz_table_marks_connected_counts_the_recursion_rejects(monkeypatch,
     # wherever the connected count is nonzero, and holds at r = 0
     from cutjoin import genfun
 
-    column = genfun._column_coefficient
-    monkeypatch.setattr(genfun, "_column_coefficient", lambda *args: -column(*args))
+    column = genfun._cut_join_column
+    monkeypatch.setattr(genfun, "_cut_join_column", lambda *args: -column(*args))
     monkeypatch.setattr(sys, "argv", ["hurwitz_table.py", "--max-degree", "2"])
     runpy.run_path(str(SCRIPTS / "hurwitz_table.py"), run_name="__main__")
     out = capsys.readouterr().out
