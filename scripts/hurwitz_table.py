@@ -8,8 +8,8 @@ Usage: python scripts/hurwitz_table.py [--max-degree 4] [--max-branch 6]
 import argparse
 from fractions import Fraction
 
-from cutjoin import hurwitz, partitions
-from cutjoin.cli import MAX_CONNECTED_BRANCH_POINTS, MAX_TABLE_DEGREE
+from cutjoin import cli, hurwitz, partitions
+from cutjoin.cli import MAX_TABLE_DEGREE
 from cutjoin.hurwitz import DEFAULT_BUDGET, BudgetExceededError
 
 
@@ -25,11 +25,15 @@ def main() -> None:
             f"--max-degree {args.max_degree} is outside 0..{MAX_TABLE_DEGREE}, "
             "the sizes |mu| of the connected column"
         )
-    # every r up to --max-branch is a query of the connected column
-    if not 0 <= args.max_branch <= MAX_CONNECTED_BRANCH_POINTS:
+    # every r up to --max-branch is a query of each column, whose counts
+    # must print; the digit bound grows with the degree
+    if args.max_branch < 0:
+        parser.error(f"--max-branch must be nonnegative, got {args.max_branch}")
+    limit = cli.count_digit_limit(args.max_branch, args.max_degree)
+    if limit:
         parser.error(
-            f"--max-branch {args.max_branch} is outside 0..{MAX_CONNECTED_BRANCH_POINTS}, "
-            "the branch counts of the connected column"
+            f"--max-branch {args.max_branch} at --max-degree {args.max_degree}: "
+            f"a count could exceed {limit} digits"
         )
     if args.budget < 0:
         parser.error(f"--budget must be nonnegative, got {args.budget}")

@@ -173,30 +173,31 @@ class TestComputeCommands:
         assert code == 0 and json.loads(lines[-1])["partition"] == [20]
 
     def test_connected_method_genus_limit(self, monkeypatch, capsys):
+        # a connected count's numerator is at most the number of transitive
+        # tuples, (d(d-1)/2)^r, so --method char's digit guard bounds it too:
+        # at |mu| = 6 it admits genus 1823 and refuses 1824, before the count
         from cutjoin import hurwitz
 
-        args = ("hurwitz", "--genus", "300", "--partition", "6", "--method", "connected")
+        code, lines = main_lines("hurwitz", "--genus", "300", "--partition", "6")
+        assert code == 0 and json.loads(lines[-1])["branch_points"] == 605
+        args = ("hurwitz", "--genus", "1824", "--partition", "6", "--method", "connected")
         proc = run_cli(*args)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert "--genus 300 gives 605 branch points, above 60" in proc.stderr
+        assert "--genus 1824 gives 3653 branch points" in proc.stderr
+        assert "--method connected count could exceed 4300 digits" in proc.stderr
 
-        def no_table(*args):
-            raise AssertionError("table built for a rejected genus")
+        def no_count(*args):
+            raise AssertionError("count computed for a rejected genus")
 
-        monkeypatch.setattr(hurwitz, "hurwitz_connected", no_table)
+        monkeypatch.setattr(hurwitz, "hurwitz_connected", no_count)
         start = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             main(list(args))
         assert exc.value.code == 2 and time.perf_counter() - start < 1
         capsys.readouterr()
         monkeypatch.undo()
-        # the cap itself is accepted, one more is not
-        code, lines = main_lines("hurwitz", "--genus", "29", "--partition", "1,1")
-        assert code == 0 and json.loads(lines[-1])["branch_points"] == 60
-        with pytest.raises(SystemExit) as exc:
-            main(["hurwitz", "--genus", "30", "--partition", "2"])
-        assert exc.value.code == 2
-        assert "gives 61 branch points, above 60" in capsys.readouterr().err
+        code, lines = main_lines("hurwitz", "--genus", "1823", "--partition", "6")
+        assert code == 0 and json.loads(lines[-1])["branch_points"] == 3651
 
     def test_char_method_genus_limit(self, monkeypatch, capsys):
         # (kappa/2)^r at |mu| = 6 would print more digits than Python's

@@ -8,9 +8,10 @@ and runs every suite of `cli.SUITES` at the default configuration.  The run
 must raise nothing and fail exactly `failing`, a non-empty set of check ids,
 so a row shows both that the suites see the wrong value and which checks
 see it.  Where `failing` is a dict, each failing check's detail must also
-end with the text it maps to, the location the check names.  Every check
-family, a check id without its `/<index>=<i>` suffix, is failed by some
-row.
+end with the text it maps to, the location the check names (`_located`
+builds one whose partition sweeps must name their first failure).  Every
+check family, a check id without its `/<index>=<i>` suffix, is failed by
+some row.
 
 Every per-process cache of the package is cleared before and after every
 row, through the originals saved here at import, since a row may replace a
@@ -25,9 +26,9 @@ from math import factorial, prod
 
 import pytest
 
-from cutjoin import characters, exact, genfun, hodge, hurwitz, partitions
+from cutjoin import characters, exact, genfun, hodge, hurwitz, linalg, partitions
 from cutjoin.cli import SUITES, RunConfig
-from cutjoin.exact import LaurentSeries
+from cutjoin.exact import LaurentSeries, RealTauPolynomial
 from cutjoin.hodge import CgmuPolynomial
 from cutjoin.partitions import Partition
 
@@ -57,6 +58,16 @@ def _failures() -> dict[str, str]:
 
 def _each(template: str, values) -> set[str]:
     return {template.format(i) for i in values}
+
+
+def _located(failing: set[str], at: dict[str, str]) -> dict[str, str]:
+    """failing in the dict form: each check of `at` must end its detail with
+    `; first failure at <partition>`, the partition it maps to; every other
+    check, with the empty text, so with anything."""
+    assert at.keys() <= failing
+    return {check_id: "" for check_id in failing} | {
+        check_id: f"; first failure at {where}" for check_id, where in at.items()
+    }
 
 
 def _character_bumped(real):
@@ -127,6 +138,22 @@ def _sinh_reciprocal_x3_bumped(real):
     return series
 
 
+def _basis_twice_at_three_rows(real):
+    # every kernel vector of a three-row matrix listed twice: the falling-
+    # factorial system at l = 3, and the reverse solve's augmented system
+    # at degrees 2,3,4, which `linalg.solve` then finds underdetermined
+    def nullspace(matrix):
+        basis = real(matrix)
+        return basis + basis if len(matrix) == 3 else basis
+
+    return nullspace
+
+
+def _prefactor_times_tau_plus_one_at_1(real):
+    # P_(1) * (tau + 1): the genus-1 one-point coefficient no longer divides
+    return lambda mu: real(mu) * RealTauPolynomial([1, 1]) if mu == Partition([1]) else real(mu)
+
+
 def _column_weight_bumped(which: int):
     # every weight of the joins (0), cuts (1) or splits (2) of each column + 1
     def mutate(real):
@@ -176,6 +203,33 @@ COLUMN_READERS = {
     "theorem1/nonlinear",
 }
 
+# the hooks checks at size 12, and the two degree-3 checks that read an
+# enumerated count
+HOOKS_AT_12 = _each("hooks/{}/d=12", ("sum", "transpose", "kappa", "kappa-rows"))
+ENUMERATED_AT_3 = {"hurwitz/character-vs-brute/d=3", "hurwitz/connected-vs-transitive/d=3"}
+# every family whose verdict is the first partition it fails on
+SWEEPS = {
+    "hooks/sum",
+    "hooks/transpose",
+    "hooks/kappa",
+    "hooks/kappa-rows",
+    "prop-v",
+    "characters/dimension",
+    "characters/central",
+    "characters/principal-specialization",
+    "cutjoin-id",
+    "extraction/degree",
+    "extraction/symmetry",
+    "extraction/derivative-recursion",
+    "extraction/genus0-closed-form",
+    "extraction/hodge-division-genus0",
+    "hurwitz/character-vs-brute",
+    "hurwitz/connected-vs-transitive",
+    "hurwitz/parity",
+    "elsv/genus0",
+    "elsv/genus1",
+}
+
 ROWS = [
     pytest.param(
         Partition, "hooks", _first_hook_bumped_at_12,
@@ -184,7 +238,7 @@ ROWS = [
     ),
     pytest.param(
         Partition, "transpose", _conjugate_a_hook_at_12,
-        {"hooks/sum/d=12", "hooks/transpose/d=12", "hooks/kappa/d=12", "hooks/kappa-rows/d=12"},
+        _located(HOOKS_AT_12, dict.fromkeys(HOOKS_AT_12, "10,2")),
         id="transpose-a-hook-at-size-12",
     ),
     pytest.param(
@@ -200,12 +254,12 @@ ROWS = [
     pytest.param(
         characters, "central_character_transposition",
         lambda real: lambda nu: real(nu) + (nu.size == 9),
-        {"characters/central/d=09"},
+        _located({"characters/central/d=09"}, {"characters/central/d=09": "9"}),
         id="central_character_transposition-plus-one-at-degree-9",
     ),
     pytest.param(
         characters, "dimension_hook", lambda real: lambda nu: real(nu) + (nu.size == 7),
-        {"characters/dimension/d=07"},
+        _located({"characters/dimension/d=07"}, {"characters/dimension/d=07": "7"}),
         id="dimension_hook-plus-one-at-degree-7",
     ),
     pytest.param(
@@ -256,12 +310,32 @@ ROWS = [
         # exp of the connected table: the disconnected counts, as if the
         # exponential formula's log were skipped
         hurwitz, "_connected_log", lambda real: lambda d: genfun.ps_exp(real(d)),
-        {
-            *_each("hurwitz/connected-vs-transitive/d={}", (3, 4)),
-            *_each("elsv/genus0/d={}", (3, 4, 5)),
-            "elsv/genus1",
-        },
+        _located(
+            {
+                *_each("hurwitz/connected-vs-transitive/d={}", (3, 4)),
+                *_each("elsv/genus0/d={}", (3, 4, 5)),
+                "elsv/genus1",
+            },
+            {"elsv/genus1": "2,1", "elsv/genus0/d=5": "4,1"},
+        ),
         id="connected_log-exponentiated",
+    ),
+    pytest.param(
+        # every exponent of y one step up: genus 0 reads the lowest nonzero
+        # power sum, which the shift leaves as it is
+        hurwitz, "_power_sum", lambda real: lambda p, mu, r: (
+            real(p and RealTauPolynomial([0, 1]) * p, mu, r)
+        ),
+        _located(
+            {
+                *_each("hurwitz/connected-vs-transitive/d={}", range(1, 5)),
+                "hurwitz/anchors",
+                "elsv/genus1",
+                "elsv/reverse-solve",
+            },
+            {"elsv/genus1": "1", "hurwitz/connected-vs-transitive/d=4": "4"},
+        ),
+        id="power_sum-exponents-one-up",
     ),
     pytest.param(
         hurwitz, "hurwitz_bruteforce",
@@ -275,25 +349,37 @@ ROWS = [
         lambda real: lambda r, mu, *args, **kwargs: (
             real(r, mu, *args, **kwargs) + (mu == Partition([2, 1]))
         ),
-        {"hurwitz/character-vs-brute/d=3", "hurwitz/connected-vs-transitive/d=3"},
+        _located(ENUMERATED_AT_3, dict.fromkeys(ENUMERATED_AT_3, "2,1")),
         id="hurwitz_bruteforce-plus-one-at-2,1",
     ),
     pytest.param(
         characters, "character", _character_bumped,
-        WRONG_SERIES
-        | {
-            "characters/orthogonality-first/d=4",
-            "characters/orthogonality-second/d=4",
-            "characters/transpose-sign/d=4",
-            "characters/principal-specialization",
-            "cutjoin-id/d=4",
-            "hurwitz/character-vs-brute/d=4",
-            "hurwitz/connected-vs-transitive/d=4",
-            "hurwitz/parity",
-            "elsv/genus0/d=4",
-            "elsv/genus0/d=5",
-            "elsv/genus1",
-        },
+        _located(
+            WRONG_SERIES
+            | {
+                "characters/orthogonality-first/d=4",
+                "characters/orthogonality-second/d=4",
+                "characters/transpose-sign/d=4",
+                "characters/principal-specialization",
+                "cutjoin-id/d=4",
+                "hurwitz/character-vs-brute/d=4",
+                "hurwitz/connected-vs-transitive/d=4",
+                "hurwitz/parity",
+                "elsv/genus0/d=4",
+                "elsv/genus0/d=5",
+                "elsv/genus1",
+            },
+            {
+                "characters/principal-specialization": "2,1,1",
+                "cutjoin-id/d=4": "2,1,1",
+                **dict.fromkeys(_each("extraction/derivative-recursion/g={}", range(3)), "4"),
+                "extraction/genus0-closed-form": "2,2",
+                "extraction/hodge-division-genus0": "2,2",
+                "hurwitz/parity": "2,2",
+                "elsv/genus0/d=5": "2,2,1",
+                "elsv/genus1": "2,2",
+            },
+        ),
         id="character-one-value",
     ),
     pytest.param(
@@ -303,7 +389,7 @@ ROWS = [
     ),
     pytest.param(
         hurwitz, "linear_hodge_factor", _genus1_tail_unweighted,
-        {"elsv/genus1"},
+        _located({"elsv/genus1"}, {"elsv/genus1": "1,1,1,1"}),
         id="linear_hodge_factor-genus1-tail-unweighted",
     ),
     pytest.param(
@@ -317,15 +403,28 @@ ROWS = [
         id="sinh_reciprocal-x3-plus-one",
     ),
     pytest.param(
+        hodge, "prefactor_polynomial", _prefactor_times_tau_plus_one_at_1,
+        _located(
+            {
+                "extraction/genus0-closed-form",
+                "extraction/hodge-division-genus0",
+                "extraction/one-point-genus1",
+            },
+            {"extraction/genus0-closed-form": "1", "extraction/hodge-division-genus0": "1"},
+        ),
+        id="prefactor_polynomial-times-tau-plus-one-at-1",
+    ),
+    pytest.param(
         hodge, "lambda_g_coefficients",
         lambda real: lambda order: [(-1) ** g * b for g, b in enumerate(real(order))],
         {"extraction/sine-reciprocal"},
         id="lambda_g_coefficients-sign-dropped",
     ),
     pytest.param(
-        CgmuPolynomial, "degree_ok", lambda real: lambda c: c.g != 3 and real(c),
-        {"extraction/degree/g=3"},
-        id="degree_ok-false-at-genus-3",
+        CgmuPolynomial, "degree_ok",
+        lambda real: lambda c: (c.g, c.mu) != (3, Partition([2, 1])) and real(c),
+        {"extraction/degree/g=3": "; first failure at 2,1"},
+        id="degree_ok-false-at-genus-3-at-2,1",
     ),
     pytest.param(
         hodge, "v_forms_agree", lambda real: lambda nu: nu != Partition([3, 2]) and real(nu),
@@ -333,9 +432,10 @@ ROWS = [
         id="v_forms_agree-false-at-3,2",
     ),
     pytest.param(
-        CgmuPolynomial, "symmetry_ok", lambda real: lambda c: c.g != 2 and real(c),
-        {"extraction/symmetry/g=2"},
-        id="symmetry_ok-false-at-genus-2",
+        CgmuPolynomial, "symmetry_ok",
+        lambda real: lambda c: (c.g, c.mu) != (2, Partition([3, 1])) and real(c),
+        {"extraction/symmetry/g=2": "; first failure at 3,1"},
+        id="symmetry_ok-false-at-genus-2-at-3,1",
     ),
     pytest.param(
         hodge, "transfer_system_kernel", lambda real: lambda l: [-x for x in real(l)],
@@ -347,6 +447,11 @@ ROWS = [
         lambda real: lambda l: real(l)[::-1] if l == 7 else real(l),
         {"transfer/l=07"},
         id="transfer_system_kernel-reversed-at-7",
+    ),
+    pytest.param(
+        linalg, "nullspace", _basis_twice_at_three_rows,
+        {"transfer/l=03", "elsv/reverse-solve"},
+        id="nullspace-basis-twice-at-three-rows",
     ),
 ]
 
@@ -391,6 +496,18 @@ def test_every_family_is_failed_by_some_row():
     assert len(families) == 33
     seen = {_family(check_id) for row in ROWS for check_id in row.values[-1]}
     assert families - seen == set()
+
+
+def test_every_partition_sweep_names_its_first_failure_in_some_row():
+    # a row requires the partition each sweep's failing detail ends with
+    located = {
+        _family(check_id)
+        for row in ROWS
+        if isinstance(row.values[-1], dict)
+        for check_id, ending in row.values[-1].items()
+        if ending.startswith("; first failure at ")
+    }
+    assert SWEEPS - located == set()
 
 
 def test_every_suite_passes_after_the_table():

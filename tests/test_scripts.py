@@ -40,7 +40,9 @@ def test_script_output(script, args, digest):
     [
         ("hodge_table.py", ("--max-genus", "7", "--max-size", "1"), "--lambda-order"),
         ("hurwitz_table.py", ("--max-degree", "30"), "--max-degree"),
-        ("hurwitz_table.py", ("--max-branch", "61"), "--max-branch"),
+        # a count past Python's int-to-string limit at the largest degree
+        ("hurwitz_table.py", ("--max-branch", "5523"), "--max-branch"),
+        ("hurwitz_table.py", ("--max-degree", "12", "--max-branch", "2358"), "--max-branch"),
         ("hurwitz_table.py", ("--max-branch", "-1"), "--max-branch"),
         ("hurwitz_table.py", ("--max-degree", "-3"), "--max-degree"),
         ("hurwitz_table.py", ("--budget", "-1"), "--budget"),

@@ -222,3 +222,20 @@ def test_the_mutation_table_clears_every_cache_of_the_package():
         }
     assert "cutjoin.hodge.build_series_pair" in cached
     assert cached == {f"{fn.__module__}.{fn.__qualname__}" for fn in CACHED}
+
+
+def test_every_check_is_built_by_one_builder():
+    # in cli.py a `CheckResult` is built from a verdict by `_check` alone,
+    # and rebuilt from its fields where `_run_with_helper` decodes the
+    # helper's JSON; no suite builds one by hand
+    tree = ast.parse((SRC / "cli.py").read_text())
+    builders = []
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.FunctionDef):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult":
+                decode = [type(arg) for arg in node.args] == [ast.Starred] and not node.keywords
+                builders.append((stmt.name, decode))
+    assert {name for name, _ in builders} == {"_check", "_run_with_helper"}
+    assert [decode for name, decode in builders if name == "_run_with_helper"] == [True]
