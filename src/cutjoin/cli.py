@@ -44,6 +44,7 @@ import random
 import sys
 from functools import cache
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, factorial, log10
 from typing import Callable, NamedTuple
 
@@ -213,7 +214,7 @@ def _check(check_id: str, identity: str, verdict, scope: str) -> CheckResult:
     """One check from its verdict: True, or None for no failure, passes;
     False fails; a failure's location fails and ends the detail, a partition
     (from `_first`) as `first failure at <partition>`, a series comparison's
-    Mismatch as itself."""
+    Mismatch or a named value's text (from `_first_wrong`) as itself."""
     if verdict is True or verdict is None:
         return CheckResult(check_id, identity, True, scope)
     if verdict is False:
@@ -245,6 +246,16 @@ def _first(shapes: list[Partition], check: Callable[[Partition], bool]) -> Parti
     """The verdict of a check that must pass on every partition of shapes:
     the first partition it fails on, or None."""
     return next((nu for nu in shapes if not check(nu)), None)
+
+
+def _first_wrong(values) -> str | None:
+    """The verdict of a check of (name, value, expected value) triples: the
+    first value that differs, named with both values in the wording of
+    `hodge.Mismatch`, or None."""
+    for name, got, want in values:
+        if got != want:
+            return f"first mismatch at {name}: {got} != {want}"
+    return None
 
 
 def _every(check: Callable[[Partition], bool]) -> Callable[[int], Partition | None]:
@@ -390,7 +401,8 @@ def _suite_extraction(config: RunConfig) -> list[CheckResult]:
             shapes, lambda mu: hodge.cutjoin_derivative_check(conn, g, mu)
         )),
     ])
-    lam = hodge.lambda_g_coefficients(4)
+    lam = hodge.lambda_g_coefficients(4)[:3]
+    quotient, remainder = hodge.hodge_division(1, Partition([1]), conn)
     return out + [
         _check(
             "extraction/genus0-closed-form",
@@ -411,13 +423,21 @@ def _suite_extraction(config: RunConfig) -> list[CheckResult]:
         _check(
             "extraction/one-point-genus1",
             "one-point-genus1-value",
-            hodge.hodge_division(1, Partition([1]), conn) == (Fraction(1, 24), 0),
+            _first_wrong(
+                (f"g=1 p_(1) {name} tau^{k}", got, want)
+                for name, poly, value in (
+                    ("quotient", quotient, Fraction(1, 24)), ("remainder", remainder, 0)
+                )
+                for k, (got, want) in enumerate(zip_longest(poly.coeffs, [value], fillvalue=0))
+            ),
             "constant 1/24",
         ),
         _check(
             "extraction/sine-reciprocal",
             "sine-reciprocal-coefficients",
-            lam[:3] == [Fraction(1), Fraction(1, 24), Fraction(7, 5760)],
+            _first_wrong(
+                zip_longest(("b_0", "b_1", "b_2"), lam, (1, Fraction(1, 24), Fraction(7, 5760)))
+            ),
             "1, 1/24, 7/5760",
         ),
     ]
@@ -439,10 +459,9 @@ def _suite_hurwitz(config: RunConfig) -> list[CheckResult]:
             if 0 <= hurwitz.branch_count(g, mu) <= 6
         ))),
     ])
-    anchors = (
-        hurwitz.hurwitz_connected(0, Partition([2])) == Fraction(1, 2)
-        and hurwitz.hurwitz_connected(0, Partition([3])) == Fraction(1)
-        and hurwitz.hurwitz_connected(1, Partition([2])) == Fraction(1, 2)
+    anchors = _first_wrong(
+        (f"g={g} p_({d})", hurwitz.hurwitz_connected(g, Partition([d])), want)
+        for g, d, want in ((0, 2, Fraction(1, 2)), (0, 3, 1), (1, 2, Fraction(1, 2)))
     )
     parity = _first(_shapes(range(1, 5)), lambda mu: all(
         hurwitz.hurwitz_disconnected(r, mu) == 0

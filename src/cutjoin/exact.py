@@ -277,11 +277,6 @@ class RealTauPolynomial:
                 return NotImplemented
         return self.nums == other.nums and self.den == other.den
 
-    def __hash__(self):
-        if len(self.nums) <= 1:
-            return hash(self.coefficient(0))
-        return hash((self.nums, self.den))
-
     def __repr__(self):
         return "RealTauPolynomial(" + ", ".join(str(c) for c in self.coeffs) + ")"
 
@@ -415,9 +410,6 @@ class TauPolynomial:
         if other.__class__ is not TauPolynomial:
             return NotImplemented
         return self.i_power == other.i_power and self.real == other.real
-
-    def __hash__(self):
-        return hash((self.real, 1)) if self.i_power else hash(self.real)
 
     def __repr__(self):
         return f"TauPolynomial.phased({self.real!r}, {self.i_power})"
@@ -611,12 +603,6 @@ class LaurentSeries:
             and all(a == b for a, b in zip(self.coeffs, o.coeffs))
         )
 
-    def __hash__(self):
-        # a series equal to a scalar (zero, or one term at x^0) hashes as it
-        if not any(self.coeffs[1:]) and (not self.coeffs or self.min_exp == 0):
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash((self.min_exp, self.trunc_order, self.coeffs))
-
     def _coerce(self, other):
         if isinstance(other, LaurentSeries):
             return other
@@ -793,9 +779,6 @@ class QHalfLaurent:
         if not isinstance(other, QHalfLaurent):
             return NotImplemented
         return (self.low, self.i_power, self.coeffs) == (other.low, other.i_power, other.coeffs)
-
-    def __hash__(self):
-        return hash((self.low, self.i_power, self.coeffs))
 
     def __repr__(self):
         if not self:

@@ -44,28 +44,33 @@ The paper's forms in lambda and p, the tau = 0 value
 -(sqrt(-1))^(|mu|+l) * P_mu * |mu|^(l-3), are kept by the tests, which read
 the printed values as Gaussian rationals and check them against those forms.
 
-The sine amplitude is expanded from the power sums of the hook lengths:
+The summand of nu, the exponential factor times the sine amplitude, is one
+exponential of kappa_nu and the power sums of the hook lengths:
 
-    1 / prod_h 2*sinh(h*x/2)
-        = x^(-|nu|) / prod_h h * exp(-sum_k c_k * p_2k(hooks) * x^(2k)),
+    W_nu = exp((tau + 1/2)*kappa_nu*x/2) / prod_h 2*sinh(h*x/2)
+         = x^(-|nu|) * exp(A_nu) / H_nu,
+    A_nu = (tau + 1/2)*kappa_nu*x/2 - sum_k c_k * p_2k(hooks) * x^(2k),
 
-where c_k is the x^(2k) coefficient of log(2*sinh(x/2)/x) and
-p_2k(hooks) = sum_h h^(2k): one exponential per partition in place of |nu|
-sinh products and a reciprocal.  Every sine constant is read off one series,
-S(x) = 1/(2*sinh(x/2)) (`_sinh_reciprocal`): c_k = -[x^(2k)] log(x*S(x)),
-the tau = 0 value 1/(2d*sinh(d*x/2)) = S(d*x)/d, and the lambda_g numbers
-b_g = (-1)^g [x^(2g-1)] S of (lambda/2)/sin(lambda/2).
+where H_nu = prod_h h, c_k is the x^(2k) coefficient of
+log(2*sinh(x/2)/x) and p_2k(hooks) = sum_h h^(2k): one exponential per
+partition (`pair_exponential`) in place of |nu| sinh products, a
+reciprocal and a product with the tau-exponential.  Every sine constant is
+read off one series, S(x) = 1/(2*sinh(x/2)) (`_sinh_reciprocal`):
+c_k = -[x^(2k)] log(x*S(x)), the tau = 0 value 1/(2d*sinh(d*x/2)) =
+S(d*x)/d, and the lambda_g numbers b_g = (-1)^g [x^(2g-1)] S of
+(lambda/2)/sin(lambda/2).
 
 Conjugate partitions halve the work.  The conjugate nu' has the same hooks
-and kappa(nu') = -kappa(nu), so W_nu = E_nu * V_nu satisfies
+and kappa(nu') = -kappa(nu), so A_nu'(x) = A_nu(-x) and
 W_nu'(x) = (-1)^|nu| * W_nu(-x); with chi_nu'(mu) = (-1)^(|mu|-l(mu)) *
 chi_nu(mu) the pair contributes
 
-    m_nu * chi_nu(mu) / z_mu * W_nu[x^m]   for m = l(mu) (mod 2), else 0
+    m_nu * chi_nu(mu) / (z_mu * H_nu) * exp(A_nu)[x^(m+|nu|)]
+        for m = l(mu) (mod 2), else 0
 
-to the x^m P_mu coefficient, where m_nu = 2, or 1 when nu = nu'.  So W_nu is
-built for one partition of each pair, and only exponents of the parity of
-l(mu) are formed.
+to the x^m P_mu coefficient, where m_nu = 2, or 1 when nu = nu'.  So
+exp(A_nu) is built for one partition of each pair, and only exponents of
+the parity of l(mu) are formed.
 
 Truncation bookkeeping: each coefficient is computed only to the order
 something downstream reads.  The weight-d coefficients of the disconnected
@@ -103,7 +108,7 @@ from .genfun import PartitionSeries
 from .partitions import Partition
 
 
-# -- the sine amplitude V_nu, in exact q^(1/2) form and as a Laurent series --
+# -- the sine amplitude V_nu in exact q^(1/2) form, and the sine constants ---
 
 
 def two_sin_product(args) -> QHalfLaurent:
@@ -142,23 +147,6 @@ def v_forms_agree(nu: Partition) -> bool:
     return two_sin_product([*num, *nu.hooks()]) == two_sin_product(den)
 
 
-def v_series(nu: Partition, order: int) -> LaurentSeries:
-    """Laurent expansion of V_nu / i^|nu| = 1 / prod_cells 2*sinh(h*x/2) in
-    x = i*lambda; pole of order |nu|, rational coefficients.  Computed as
-    one exponential of the hook power sums (see the module docstring).
-    """
-    if order < -nu.size:
-        raise ValueError("order must be at least -|nu|")
-    hooks = nu.hooks()
-    work = order + nu.size
-    c = _log_sinh_coefficients(work // 2)
-    exponent = [0] * work  # exponents 1..work
-    for k in range(1, work // 2 + 1):
-        exponent[2 * k - 1] = -c[k] * sum(h ** (2 * k) for h in hooks)
-    e = exact.series_exp(LaurentSeries(1, exponent, work))
-    return e.shift(-nu.size) * Fraction(1, prod(hooks))
-
-
 @cache
 def _log_sinh_coefficients(n: int) -> tuple[Fraction, ...]:
     """c_0..c_n, c_k = -[x^(2k)] log(x*S(x)), the x^(2k) coefficient of
@@ -177,12 +165,15 @@ def _sinh_reciprocal(order: int) -> LaurentSeries:
 # -- building the series -----------------------------------------------------
 
 
-def kappa_exp_factor(kappa: int, trunc: int) -> LaurentSeries:
-    """Series of exp((tau + 1/2)*kappa*x/2) over real tau-polynomials: the
-    factor exp(sqrt(-1)*(tau + 1/2)*kappa*lambda/2) at x = i*lambda."""
-    c = RealTauPolynomial([Fraction(kappa, 4), Fraction(kappa, 2)])
-    # the exponent is built to order 1 at least, so that trunc = 0 gives 1
-    return exact.series_exp(LaurentSeries.monomial(c, 1, max(trunc, 1)).truncate(trunc))
+def pair_exponential(kappa: int, hooks, order: int) -> LaurentSeries:
+    """exp(A_nu) to x^order, order >= 1, over real tau-polynomials, for a
+    partition nu with kappa_nu = kappa and these hooks: x^|nu| * H_nu * W_nu
+    (see the module docstring), one exponential of one exponent series."""
+    c = _log_sinh_coefficients(order // 2)
+    exponent = [RealTauPolynomial([Fraction(kappa, 4), Fraction(kappa, 2)])] + [0] * (order - 1)
+    for k in range(1, order // 2 + 1):  # exponent[i] is the x^(i+1) entry
+        exponent[2 * k - 1] = -c[k] * sum(h ** (2 * k) for h in hooks)
+    return exact.series_exp(LaurentSeries(1, exponent, order))
 
 
 class MVSeries:
@@ -243,10 +234,11 @@ def _lambda_series(s: LaurentSeries, weight: int) -> LaurentSeries:
 def build_disconnected(max_weight: int, lambda_order: int) -> PartitionSeries:
     """The disconnected series (constant term 1) up to the given weight.
 
-    W_nu = E_nu * V_nu is built once per conjugate pair {nu, nu'}, and the
-    x^m P_mu coefficient is formed only for m = l(mu) (mod 2); the other
-    parity is zero (see the module docstring).  Weight d is built to x-order
-    L + W - d, enough for the connected series to be valid to L.
+    exp(A_nu) is built once per conjugate pair {nu, nu'}, and the x^m P_mu
+    coefficient is formed only for m = l(mu) (mod 2), from the x^(m+|nu|)
+    entry of each exp(A_nu) with m_nu / H_nu in its rational weight; the
+    other parity is zero (see the module docstring).  Weight d is built to
+    x-order L + W - d, enough for the connected series to be valid to L.
     """
     if max_weight < 1:
         raise ValueError("max_weight must be at least 1")
@@ -259,17 +251,18 @@ def build_disconnected(max_weight: int, lambda_order: int) -> PartitionSeries:
             conj = nu.transpose()
             if conj < nu:
                 continue
-            W = kappa_exp_factor(nu.kappa(), T + d) * v_series(nu, T)
-            reps.append((nu, 1 if conj == nu else 2, W))
+            hooks = nu.hooks()
+            E = pair_exponential(nu.kappa(), hooks, T + d)
+            reps.append((nu, 1 if conj == nu else 2, prod(hooks), E))
         for mu in nus:
             weighted = [
-                (Fraction(m_nu * chi, mu.z()), W)
-                for nu, m_nu, W in reps
+                (Fraction(m_nu * chi, mu.z() * H), E)
+                for nu, m_nu, H, E in reps
                 if (chi := characters.character(nu, mu))
             ]
             coeffs = [RTP_ZERO] * (T + d + 1)  # exponents -d..T
             for m in range(-d + (d + mu.length) % 2, T + 1, 2):
-                pairs = [(c, w) for w, W in weighted if (c := W.coefficient(m))]
+                pairs = [(c, w) for w, E in weighted if (c := E.coefficient(m + d))]
                 coeffs[m + d] = RealTauPolynomial._sum_of_products(pairs)
             series = LaurentSeries(-d, coeffs, T)
             if series:

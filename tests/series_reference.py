@@ -12,6 +12,10 @@ table's join and cut weights off `reference_linear` and its split weights
 off the polarised quadratic part `reference_nonlinear - reference_linear`.
 `connected_cover_table` logs the cover counts' rows cut at one order r, in
 x, where the package logs exponential sums exact at every r.
+`two_factor_w` forms a partition's summand W_nu as the product of its two
+factors, the tau-exponential term by term and the sine amplitude as the
+reciprocal of its sinh products, where the package takes one exponential of
+one exponent series.
 
 The package checks every identity on rational coefficients in x = i*lambda
 and P_k = i^k p_k and attaches the phase i^(m+|mu|) only where a value is
@@ -26,7 +30,13 @@ from fractions import Fraction
 from math import factorial
 
 from cutjoin import genfun, hurwitz
-from cutjoin.exact import GaussianRational, LaurentSeries, QHalfLaurent
+from cutjoin.exact import (
+    GaussianRational,
+    LaurentSeries,
+    QHalfLaurent,
+    RealTauPolynomial,
+    sinh_half_series,
+)
 from cutjoin.genfun import PartitionSeries
 from cutjoin.partitions import EMPTY, enumerate_partitions
 
@@ -105,6 +115,33 @@ def sin_half_series(c, order):
     for k in range(0, order, 2):
         coeffs[k] = (-1) ** (k // 2) * half ** (k + 1) / factorial(k + 1)
     return LaurentSeries(1, coeffs, order)
+
+
+def v_series_by_products(nu, order):
+    """V_nu / i^|nu| = 1 / prod_h 2*sinh(h*x/2) to x^order, as the
+    reciprocal of the product of the sinh series over the hooks."""
+    work = order + 2 * nu.size
+    prod = LaurentSeries.one(work)
+    for h in nu.hooks():
+        prod = prod * (sinh_half_series(Fraction(h), work) * 2)
+    return prod.reciprocal().truncate(order)
+
+
+def tau_exponential(kappa, order):
+    """exp((tau + 1/2)*kappa*x/2) to x^order, term by term: a^n / n! at x^n,
+    a = (tau + 1/2)*kappa/2 and a^n by repeated products."""
+    a = RealTauPolynomial([Fraction(kappa, 4), Fraction(kappa, 2)])
+    terms, power = [], RealTauPolynomial([1])
+    for n in range(order + 1):
+        terms.append(power * Fraction(1, factorial(n)))
+        power = power * a
+    return LaurentSeries(0, terms, order)
+
+
+def two_factor_w(nu, order):
+    """W_nu = exp((tau + 1/2)*kappa_nu*x/2) * V_nu / i^|nu| to x^order, the
+    tau-exponential times `v_series_by_products`."""
+    return tau_exponential(nu.kappa(), order + nu.size) * v_series_by_products(nu, order)
 
 
 def connected_cover_table(d, r):

@@ -1,5 +1,6 @@
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -11,7 +12,7 @@ from cutjoin.exact import (
     TauPolynomial,
     sinh_half_series,
 )
-from cutjoin import hodge
+from cutjoin import exact, hodge
 from cutjoin.genfun import (
     PartitionSeries,
     cut_join_linear,
@@ -36,15 +37,14 @@ from cutjoin.hodge import (
     hodge_polynomial,
     initial_condition_mismatch,
     initial_condition_series,
-    kappa_exp_factor,
     lambda_g_coefficients,
+    pair_exponential,
     parity_pole_mismatch,
     prefactor_polynomial,
     theorem1_mismatches,
     transfer_system_kernel,
     two_sin_product,
     v_forms_agree,
-    v_series,
 )
 from cutjoin.hurwitz import linear_hodge_factor
 from cutjoin.partitions import (
@@ -63,19 +63,12 @@ from series_reference import (
     sin_half_series,
     sub,
     tau_zero_lambda_value,
+    two_factor_w,
+    v_series_by_products,
 )
 
 P = Partition
 TAU = RealTauPolynomial([0, 1])
-
-
-def v_series_by_products(nu, order):
-    """V_nu as the reciprocal of the product of 2*sinh(h*x/2) over the hooks."""
-    work = order + 2 * nu.size
-    prod = LaurentSeries.one(work)
-    for h in nu.hooks():
-        prod = prod * (sinh_half_series(Fraction(h), work) * 2)
-    return prod.reciprocal().truncate(order)
 
 
 def two_sin_half(m):
@@ -98,6 +91,12 @@ def sine_product_by_factors(nu):
     den = [b - a for a in range(l) for b in range(a + 1, l)]
     den += [v - i + l for i in range(1, l + 1) for v in range(1, parts[i - 1] + 1)]
     return product_by_factors(num), product_by_factors(den)
+
+
+def _at_tau(c, tau):
+    """A coefficient at a rational tau; a rational is its own constant."""
+    coeffs = c.coeffs if isinstance(c, RealTauPolynomial) else (c,)
+    return sum(a * tau**k for k, a in enumerate(coeffs))
 
 
 class TestSineAmplitude:
@@ -180,7 +179,7 @@ class TestSineAmplitude:
 
     def test_series_example(self):
         # the lambda^k coefficient of V_(1) is i^(1+k) times the x^k one
-        s = v_series(P([1]), 3)
+        s = v_series_by_products(P([1]), 3)
         phased = [
             TauPolynomial.phased(RealTauPolynomial([s.coefficient(k)]), 1 + k)
             for k in (-1, 1, 3)
@@ -193,48 +192,88 @@ class TestSineAmplitude:
 
     @pytest.mark.parametrize("d", range(8))
     def test_series_matches_sinh_products(self, d):
+        # at tau = -1/2 the tau-exponential is 1: exp(A_nu) = x^|nu| * H_nu * V_nu
         for nu in enumerate_partitions(d):
-            for k in (-d, 0, 20):
-                assert v_series(nu, k) == v_series_by_products(nu, k), (nu, k)
-            with pytest.raises(ValueError, match=r"at least -\|nu\|"):
-                v_series(nu, -d - 1)
+            for k in (1 - d, 20):
+                E = pair_exponential(nu.kappa(), nu.hooks(), k + d)
+                at = E.map_coefficients(lambda c: _at_tau(c, Fraction(-1, 2)))
+                V = at.shift(-d) * Fraction(1, prod(nu.hooks()))
+                assert V == v_series_by_products(nu, k), (nu, k)
 
     def test_conjugate_pairing(self):
-        # W_nu'(x) = (-1)^|nu| W_nu(-x), with W_nu = E_nu * V_nu
-        T = 12
+        # A_nu'(x) = A_nu(-x), so W_nu'(x) = (-1)^|nu| W_nu(-x)
         for d in range(8):
             for nu in enumerate_partitions(d):
-                W, W_conj = (
-                    kappa_exp_factor(p.kappa(), T + d) * v_series(p, T)
-                    for p in (nu, nu.transpose())
+                E, E_conj = (
+                    pair_exponential(p.kappa(), p.hooks(), 12 + d) for p in (nu, nu.transpose())
                 )
-                reflected = LaurentSeries(
-                    W.min_exp, [c * (-1) ** (k + d) for k, c in W.items()], W.trunc_order
-                )
-                assert W_conj == reflected, nu
+                reflected = LaurentSeries(0, [c * (-1) ** k for k, c in E.items()], 12 + d)
+                assert E_conj == reflected, nu
 
     def test_series_leading_coefficient(self):
-        s = v_series(P([2, 1]), -3)
+        s = v_series_by_products(P([2, 1]), -3)
         assert s.min_exp == -3
         assert s.coefficient(-3) == Fraction(1, 3)  # 1 / (product of hooks)
 
     def test_series_parity(self):
         for nu in (P([1]), P([2]), P([2, 1])):
-            s = v_series(nu, 7)
+            s = v_series_by_products(nu, 7)
             for k, c in s.items():
                 if c:
                     assert (k - nu.size) % 2 == 0
 
 
 class TestSeriesBuild:
-    def test_exp_factor_solves_its_equation(self):
-        # d/dtau E = (kappa*x/2) * E for the tau-exponential factor, which is
-        # d/dtau E = (i*kappa*lambda/2) * E at x = i*lambda
-        E = kappa_exp_factor(2, 6)
-        lhs = E.map_coefficients(
-            lambda c: c.derivative() if isinstance(c, RealTauPolynomial) else 0
+    def test_one_exponential_per_conjugate_pair_and_no_series_product(self, monkeypatch):
+        # each pair's summand is read off its one exp(A_nu): no series is
+        # multiplied, scaled or summed.  A first build fills the sine
+        # constants' caches, whose one-time series are formed with products
+        build_disconnected(6, 12)
+        calls = Counter()
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(exact, "series_exp", counted("series_exp", exact.series_exp))
+        monkeypatch.setattr(LaurentSeries, "__mul__", counted("__mul__", LaurentSeries.__mul__))
+        monkeypatch.setattr(
+            LaurentSeries,
+            "_sum_of_products",
+            staticmethod(counted("_sum_of_products", LaurentSeries._sum_of_products)),
         )
-        assert series_agree(lhs, E.shift(1), 6)  # kappa/2 = 1
+        build_disconnected(6, 12)
+        reps = [nu for d in range(7) for nu in enumerate_partitions(d) if not nu.transpose() < nu]
+        assert calls == {"series_exp": len(reps)}
+
+    @pytest.mark.parametrize("d", range(8))
+    def test_pair_exponential_is_the_two_factor_product(self, d):
+        # exp(A_nu) = x^|nu| * H_nu * W_nu at every order, W_nu the
+        # tau-exponential times the sine amplitude
+        for nu in enumerate_partitions(d):
+            hooks = nu.hooks()
+            want = (two_factor_w(nu, 20) * prod(hooks)).shift(d)
+            for order in range(1, 21 + d):
+                got = pair_exponential(nu.kappa(), hooks, order)
+                assert got == want.truncate(order), (nu, order)
+
+    def test_pair_exponential_order_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="truncation order"):
+            pair_exponential(2, (2, 1), 0)
+
+    def test_exp_factor_solves_its_equation(self):
+        # d/dtau E = (kappa*x/2) * E for E = exp(A_nu), which is
+        # d/dtau E = (i*kappa*lambda/2) * E at x = i*lambda: the sine
+        # amplitude does not depend on tau
+        for nu in (P([1]), P([2]), P([3, 1]), P([2, 2, 1])):
+            E = pair_exponential(nu.kappa(), nu.hooks(), 8)
+            lhs = E.map_coefficients(
+                lambda c: c.derivative() if isinstance(c, RealTauPolynomial) else 0
+            )
+            assert series_agree(lhs, E.shift(1) * Fraction(nu.kappa(), 2), 8), nu
 
     def test_constant_term_is_one(self, series_pair_small):
         star, _ = series_pair_small
@@ -252,7 +291,7 @@ class TestSeriesBuild:
         # in x and P, where both sides carry the same phase i^(k+1)
         star, _ = series_pair_small
         c = star.body.coefficient(P([1]))
-        v = v_series(P([1]), 8)
+        v = v_series_by_products(P([1]), 8)
         for k in range(-1, 9):
             got = c.coefficient(k)
             expect = v.coefficient(k)

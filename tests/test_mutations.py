@@ -9,7 +9,8 @@ must raise nothing and fail exactly `failing`, a non-empty set of check ids,
 so a row shows both that the suites see the wrong value and which checks
 see it.  Where `failing` is a dict, each failing check's detail must also
 end with the text it maps to, the location the check names (`_located`
-builds one whose partition sweeps must name their first failure).  Every
+builds one whose partition sweeps must name their first failure; a check of
+named values names its first wrong one with both values).  Every
 check family, a check id without its `/<index>=<i>` suffix, is failed by
 some row.
 
@@ -89,9 +90,9 @@ def _table_entry_bumped(real):
 
 
 def _kappa_shifted(real):
-    # kappa -> kappa + 2 for kappa != 0: the empty partition's factor stays
-    # 1, the constant term ps_log needs
-    return lambda kappa, trunc: real(kappa + 2 if kappa else 0, trunc)
+    # kappa -> kappa + 2 for kappa != 0: the empty partition's exponential
+    # stays 1, the constant term ps_log needs
+    return lambda kappa, hooks, order: real(kappa + 2 if kappa else 0, hooks, order)
 
 
 def _first_hook_bumped_at_12(real):
@@ -334,7 +335,8 @@ ROWS = [
                 "elsv/reverse-solve",
             },
             {"elsv/genus1": "1", "hurwitz/connected-vs-transitive/d=4": "4"},
-        ),
+        )
+        | {"hurwitz/anchors": "; first mismatch at g=1 p_(2): 2 != 1/2"},
         id="power_sum-exponents-one-up",
     ),
     pytest.param(
@@ -383,9 +385,9 @@ ROWS = [
         id="character-one-value",
     ),
     pytest.param(
-        hodge, "kappa_exp_factor", _kappa_shifted,
+        hodge, "pair_exponential", _kappa_shifted,
         WRONG_SERIES,
-        id="kappa_exp_factor-shifted",
+        id="pair_exponential-kappa-shifted",
     ),
     pytest.param(
         hurwitz, "linear_hodge_factor", _genus1_tail_unweighted,
@@ -411,13 +413,18 @@ ROWS = [
                 "extraction/one-point-genus1",
             },
             {"extraction/genus0-closed-form": "1", "extraction/hodge-division-genus0": "1"},
-        ),
+        )
+        | {
+            "extraction/one-point-genus1": (
+                "; first mismatch at g=1 p_(1) quotient tau^0: 0 != 1/24"
+            ),
+        },
         id="prefactor_polynomial-times-tau-plus-one-at-1",
     ),
     pytest.param(
         hodge, "lambda_g_coefficients",
         lambda real: lambda order: [(-1) ** g * b for g, b in enumerate(real(order))],
-        {"extraction/sine-reciprocal"},
+        {"extraction/sine-reciprocal": "; first mismatch at b_1: -1/24 != 1/24"},
         id="lambda_g_coefficients-sign-dropped",
     ),
     pytest.param(
@@ -478,7 +485,7 @@ def test_mutant_fails_exactly_its_checks(
 def test_a_failing_evolution_check_names_its_first_mismatch(monkeypatch, clean_caches):
     # the detail of a failing theorem1 check names the partition, x exponent
     # and tau degree where the two sides first part, and both values
-    monkeypatch.setattr(hodge, "kappa_exp_factor", _kappa_shifted(hodge.kappa_exp_factor))
+    monkeypatch.setattr(hodge, "pair_exponential", _kappa_shifted(hodge.pair_exponential))
     details = {r.check_id: r.detail for r in SUITES["theorem1"](RunConfig()) if not r.passed}
     scope = "weight<=6, order<=12; "
     assert details["theorem1/linear"] == scope + "first mismatch at p_(2) x^-1 tau^0: 0 != 1/2"

@@ -61,6 +61,12 @@ def test_per_layer_metric_names_resolve(monkeypatch):
     }
     assert names
     unresolved = {name for name in names if not _resolves(name, stems, SUITES)}
-    # the ordered split walk was folded into the cut_join_incoming table;
-    # its metric stays in the benchmark's fixed list and now reads 0
-    assert unresolved == {"partitions.split_contributions"}
+    # the ordered split walk was folded into the cut_join_incoming table, and
+    # the tau-exponential and the sine amplitude into the one exponential
+    # `hodge.pair_exponential`; their metrics stay in the benchmark's fixed
+    # list and now read 0
+    assert unresolved == {
+        "partitions.split_contributions",
+        "hodge.v_series",
+        "hodge.kappa_exp_factor",
+    }
