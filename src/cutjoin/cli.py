@@ -13,9 +13,9 @@ checks indexed by a degree d, a genus g or a length l (one id
 `family/<index>=<i>` per value) is declared once through `_per_degree`; a
 one-off check is one call of `_check`, the one builder of a `CheckResult`.
 The verdict of a check over partitions is the first one it fails on
-(`_first`), which `_check` ends a failing detail with.  Where a wrong
-library value makes the library raise, the suite catches it and the check
-fails, so exit 2 stays for bad input.
+(`_first`), which `_check` ends a failing detail with.  `_check` calls each
+verdict, and an error raised there, but an exceeded budget, fails that check
+alone, so a wrong library value exits 1 and exit 2 stays for bad input.
 
 Like every module of the package, this one reads a library function as
 `module.name` where it calls it (see the README).
@@ -42,7 +42,7 @@ import json
 import os
 import random
 import sys
-from functools import cache
+from functools import cache, partial
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, factorial, log10
@@ -210,16 +210,24 @@ def cmd_mv_series(config: RunConfig, out) -> int:
 # -- verification suites ------------------------------------------------------
 
 
-def _check(check_id: str, identity: str, verdict, scope: str) -> CheckResult:
-    """One check from its verdict: True, or None for no failure, passes;
-    False fails; a failure's location fails and ends the detail, a partition
-    (from `_first`) as `first failure at <partition>`, a series comparison's
-    Mismatch or a named value's text (from `_first_wrong`) as itself."""
-    if verdict is True or verdict is None:
+def _check(check_id: str, identity: str, verdict: Callable[[], object], scope: str) -> CheckResult:
+    """One check from the value of verdict(): True, or None for no failure,
+    passes; False fails; a failure's location fails and ends the detail, a
+    partition (from `_first`) as `first failure at <partition>`, a series
+    comparison's Mismatch or a named value's text (from `_first_wrong`) as
+    itself.  An error verdict() raises fails the check, its detail ending
+    `raised <Type>: <message>`, except an exceeded budget, which propagates."""
+    try:
+        found = verdict()
+    except BudgetExceededError:
+        raise
+    except Exception as exc:
+        found = f"raised {type(exc).__name__}: {exc}"
+    if found is True or found is None:
         return CheckResult(check_id, identity, True, scope)
-    if verdict is False:
+    if found is False:
         return CheckResult(check_id, identity, False, scope)
-    where = f"first failure at {verdict}" if isinstance(verdict, Partition) else verdict
+    where = f"first failure at {found}" if isinstance(found, Partition) else found
     return CheckResult(check_id, identity, False, f"{scope}; {where}")
 
 
@@ -227,14 +235,14 @@ def _per_degree(index: str, values: range, detail: str, families: list) -> list[
     """One check per value i of the index (a degree d, a genus g or a length
     l) and per family (name, identity, verdict): the id is
     `name/<index>=<i>`, i zero-padded to the digits of the largest value so
-    that ids sort by it; the verdict of `_check` is verdict(i); `{n}` in the
-    detail is the number of partitions of i."""
+    that ids sort by it; `_check` calls verdict(i); `{n}` in the detail is
+    the number of partitions of i."""
     width = len(str(values[-1]))
     return [
         _check(
             f"{name}/{index}={i:0{width}d}",
             identity,
-            verdict(i),
+            partial(verdict, i),
             detail.format(n=len(partitions.enumerate_partitions(i))),
         )
         for i in values
@@ -242,10 +250,10 @@ def _per_degree(index: str, values: range, detail: str, families: list) -> list[
     ]
 
 
-def _first(shapes: list[Partition], check: Callable[[Partition], bool]) -> Partition | None:
-    """The verdict of a check that must pass on every partition of shapes:
-    the first partition it fails on, or None."""
-    return next((nu for nu in shapes if not check(nu)), None)
+def _first(degrees: range, check: Callable[[Partition], bool]) -> Partition | None:
+    """The verdict of a check that must pass on every partition of every
+    degree in degrees: the first partition it fails on, by degree, or None."""
+    return next((nu for nu in _shapes(degrees) if not check(nu)), None)
 
 
 def _first_wrong(values) -> str | None:
@@ -261,7 +269,17 @@ def _first_wrong(values) -> str | None:
 def _every(check: Callable[[Partition], bool]) -> Callable[[int], Partition | None]:
     """The verdict, a function of d, of a check that must pass on every
     partition of d."""
-    return lambda d: _first(partitions.enumerate_partitions(d), check)
+    return lambda d: _first(range(d, d + 1), check)
+
+
+def _first_wrong_term(pairs) -> str | None:
+    """`_first_wrong` of (lhs, rhs) pairs of partition series: the first
+    coefficient that differs, named by the pair's index and its partition."""
+    return _first_wrong(
+        (f"series {i} p_({mu})", lhs.coefficient(mu), rhs.coefficient(mu))
+        for i, (lhs, rhs) in enumerate(pairs)
+        for mu in (lhs + -rhs).support()
+    )
 
 
 def _shapes(degrees: range) -> list[Partition]:
@@ -310,7 +328,7 @@ def _suite_characters(config: RunConfig) -> list[CheckResult]:
     return out + [_check(
         "characters/principal-specialization",
         "principal-specialization",
-        _first(_shapes(range(1, 5)), lambda nu: characters.principal_specialization_check(nu, 10)),
+        lambda: _first(range(1, 5), lambda nu: characters.principal_specialization_check(nu, 10)),
         "|shape| <= 4, q-order 10",
     )]
 
@@ -334,14 +352,14 @@ def _suite_cutjoin_id(config: RunConfig) -> list[CheckResult]:
         _check(
             "cutjoin-id/random-exp-log",
             "exp-log-roundtrip",
-            all(genfun.ps_log(genfun.ps_exp(F)) == F for F in logged),
+            lambda: _first_wrong_term((genfun.ps_log(genfun.ps_exp(F)), F) for F in logged),
             f"10 seeded series, seed={config.seed}",
         ),
         _check(
             "cutjoin-id/random-conjugation",
             "operator-exp-conjugation",
-            all(
-                genfun.cut_join_linear(G) == G * genfun.cut_join_nonlinear(F)
+            lambda: _first_wrong_term(
+                (genfun.cut_join_linear(G), G * genfun.cut_join_nonlinear(F))
                 for F in conjugated
                 for G in [genfun.ps_exp(F)]
             ),
@@ -351,14 +369,15 @@ def _suite_cutjoin_id(config: RunConfig) -> list[CheckResult]:
 
 
 def _suite_theorem1(config: RunConfig) -> list[CheckResult]:
-    linear, nonlinear = hodge.theorem1_mismatches(config.max_weight, config.lambda_order)
-    _, conn = hodge.build_series_pair(config.max_weight, config.lambda_order)
-    parity = hodge.parity_pole_mismatch(conn)
+    # both forms from one call, which builds both operators' sides
+    both = cache(lambda: hodge.theorem1_mismatches(config.max_weight, config.lambda_order))
     scope = f"weight<={config.max_weight}, order<={config.lambda_order}"
     return [
-        _check("theorem1/linear", "tau-evolution-linear-form", linear, scope),
-        _check("theorem1/nonlinear", "tau-evolution-nonlinear-form", nonlinear, scope),
-        _check("theorem1/parity", "parity-pole-structure", parity, scope),
+        _check("theorem1/linear", "tau-evolution-linear-form", lambda: both()[0], scope),
+        _check("theorem1/nonlinear", "tau-evolution-nonlinear-form", lambda: both()[1], scope),
+        _check("theorem1/parity", "parity-pole-structure", lambda: hodge.parity_pole_mismatch(
+            hodge.build_series_pair(config.max_weight, config.lambda_order)[1]
+        ), scope),
     ]
 
 
@@ -367,7 +386,7 @@ def _suite_initial(config: RunConfig) -> list[CheckResult]:
         _check(
             "initial/sine-closed-form",
             "tau-zero-sine-closed-form",
-            hodge.initial_condition_mismatch(config.max_weight, config.lambda_order),
+            lambda: hodge.initial_condition_mismatch(config.max_weight, config.lambda_order),
             f"rows d<={config.max_weight}, order<={config.lambda_order}",
         )
     ]
@@ -384,60 +403,55 @@ def _extraction_min_lambda_order(max_weight: int) -> int:
 
 
 def _suite_extraction(config: RunConfig) -> list[CheckResult]:
-    _, conn = hodge.build_series_pair(config.max_weight, config.lambda_order)
     max_size = min(EXTRACTION_MAX_SIZE, config.max_weight)
-    shapes = _shapes(range(1, max_size + 1))
+    sizes = range(1, max_size + 1)
     shape_range = f"|mu| <= {max_size}"
+    conn = cache(lambda: hodge.build_series_pair(config.max_weight, config.lambda_order)[1])
     out = _per_degree("g", range(EXTRACTION_MAX_GENUS + 1), shape_range, [
         ("extraction/degree", "degree-bound", lambda g: _first(
-            shapes, lambda mu: hodge.extract_C_gmu(conn, g, mu).degree_ok()
+            sizes, lambda mu: hodge.extract_C_gmu(conn(), g, mu).degree_ok()
         )),
         ("extraction/symmetry", "tau-reflection-symmetry", lambda g: _first(
-            shapes, lambda mu: hodge.extract_C_gmu(conn, g, mu).symmetry_ok()
+            sizes, lambda mu: hodge.extract_C_gmu(conn(), g, mu).symmetry_ok()
         )),
     ])
     out += _per_degree("g", range(3), shape_range, [
         ("extraction/derivative-recursion", "derivative-recursion", lambda g: _first(
-            shapes, lambda mu: hodge.cutjoin_derivative_check(conn, g, mu)
+            sizes, lambda mu: hodge.cutjoin_derivative_check(conn(), g, mu)
         )),
     ])
-    lam = hodge.lambda_g_coefficients(4)[:3]
-    quotient, remainder = hodge.hodge_division(1, Partition([1]), conn)
     return out + [
         _check(
             "extraction/genus0-closed-form",
             "genus0-definition-vs-extraction",
-            _first(shapes, lambda mu: (
-                hodge.extract_C_gmu(conn, 0, mu).real == hodge.genus0_closed_form(mu)
+            lambda: _first(sizes, lambda mu: (
+                hodge.extract_C_gmu(conn(), 0, mu).real == hodge.genus0_closed_form(mu)
             )),
             f"all {shape_range}",
         ),
         _check(
             "extraction/hodge-division-genus0",
             "hodge-prefactor-division",
-            _first(shapes, lambda mu: (
-                hodge.hodge_division(0, mu, conn) == (hurwitz.linear_hodge_factor(0, mu), 0)
+            lambda: _first(sizes, lambda mu: (
+                hodge.hodge_polynomial(0, mu, conn()) == hurwitz.linear_hodge_factor(0, mu)
             )),
             "quotient is |mu|^(l-3), remainder zero",
         ),
         _check(
             "extraction/one-point-genus1",
             "one-point-genus1-value",
-            _first_wrong(
-                (f"g=1 p_(1) {name} tau^{k}", got, want)
-                for name, poly, value in (
-                    ("quotient", quotient, Fraction(1, 24)), ("remainder", remainder, 0)
-                )
-                for k, (got, want) in enumerate(zip_longest(poly.coeffs, [value], fillvalue=0))
-            ),
+            lambda: _first_wrong([
+                ("g=1 p_(1)", hodge.hodge_polynomial(1, Partition([1]), conn()), Fraction(1, 24))
+            ]),
             "constant 1/24",
         ),
         _check(
             "extraction/sine-reciprocal",
             "sine-reciprocal-coefficients",
-            _first_wrong(
-                zip_longest(("b_0", "b_1", "b_2"), lam, (1, Fraction(1, 24), Fraction(7, 5760)))
-            ),
+            lambda: _first_wrong(zip_longest(
+                ("b_0", "b_1", "b_2"), hodge.lambda_g_coefficients(4)[:3],
+                (1, Fraction(1, 24), Fraction(7, 5760)),
+            )),
             "1, 1/24, 7/5760",
         ),
     ]
@@ -459,18 +473,16 @@ def _suite_hurwitz(config: RunConfig) -> list[CheckResult]:
             if 0 <= hurwitz.branch_count(g, mu) <= 6
         ))),
     ])
-    anchors = _first_wrong(
-        (f"g={g} p_({d})", hurwitz.hurwitz_connected(g, Partition([d])), want)
-        for g, d, want in ((0, 2, Fraction(1, 2)), (0, 3, 1), (1, 2, Fraction(1, 2)))
-    )
-    parity = _first(_shapes(range(1, 5)), lambda mu: all(
-        hurwitz.hurwitz_disconnected(r, mu) == 0
-        for r in range(7)
-        if (r - mu.size - mu.length) % 2 != 0
-    ))
     return out + [
-        _check("hurwitz/anchors", "anchor-values", anchors, "three fixed counts"),
-        _check("hurwitz/parity", "parity-vanishing", parity, "odd-mismatch counts vanish"),
+        _check("hurwitz/anchors", "anchor-values", lambda: _first_wrong(
+            (f"g={g} p_({d})", hurwitz.hurwitz_connected(g, Partition([d])), want)
+            for g, d, want in ((0, 2, Fraction(1, 2)), (0, 3, 1), (1, 2, Fraction(1, 2)))
+        ), "three fixed counts"),
+        _check("hurwitz/parity", "parity-vanishing", lambda: _first(range(1, 5), lambda mu: all(
+            hurwitz.hurwitz_disconnected(r, mu) == 0
+            for r in range(7)
+            if (r - mu.size - mu.length) % 2 != 0
+        )), "odd-mismatch counts vanish"),
     ]
 
 
@@ -480,40 +492,34 @@ def _suite_elsv(config: RunConfig) -> list[CheckResult]:
             lambda mu: hurwitz.elsv_check(0, mu)
         )),
     ])
-    try:
-        solved = (
-            hurwitz.solve_hodge_from_hurwitz([2, 3])
-            == {"psi": Fraction(1, 24), "lambda": Fraction(1, 24)}
-            == hurwitz.solve_hodge_from_hurwitz([2, 3, 4])
-        )
-    except ValueError:  # wrong counts: an inconsistent or underdetermined system
-        solved = False
     return out + [
         _check(
             "elsv/genus1",
             "cover-count-hodge-closed-form",
-            _first(_shapes(range(1, 6)), lambda mu: hurwitz.elsv_check(1, mu)),
+            lambda: _first(range(1, 6), lambda mu: hurwitz.elsv_check(1, mu)),
             "all |mu| <= 5",
         ),
         _check(
             "elsv/reverse-solve",
             "reverse-solve-one-point-integrals",
-            solved,
+            lambda: _first_wrong(
+                (f"{name} from degrees {degrees}", solved[name], Fraction(1, 24))
+                for degrees in ([2, 3], [2, 3, 4])
+                for solved in [hurwitz.solve_hodge_from_hurwitz(degrees)]
+                for name in ("psi", "lambda")
+            ),
             "psi=lambda=1/24 from degrees 2,3 and 2,3,4",
         ),
     ]
 
 
 def _suite_transfer(config: RunConfig) -> list[CheckResult]:
-    def kernel_ok(l: int) -> bool:
-        try:
-            kernel = hodge.transfer_system_kernel(l)
-        except ArithmeticError:  # a kernel of the wrong dimension
-            return False
-        return kernel == [Fraction((-1) ** k * comb(l, k)) for k in range(l + 1)]
-
     return _per_degree("l", range(1, 11), "alternating binomials", [
-        ("transfer", "falling-factorial-kernel", kernel_ok),
+        ("transfer", "falling-factorial-kernel", lambda l: _first_wrong(
+            (f"k={k}", got, want) for k, (got, want) in enumerate(zip_longest(
+                hodge.transfer_system_kernel(l), [(-1) ** k * comb(l, k) for k in range(l + 1)]
+            ))
+        )),
     ])
 
 

@@ -455,26 +455,19 @@ def genus0_closed_form(mu: Partition) -> RealTauPolynomial:
     return prefactor_polynomial(mu) * hurwitz.linear_hodge_factor(0, mu)
 
 
-def hodge_division(
-    g: int, mu: Partition, R: MVSeries
-) -> tuple[RealTauPolynomial, RealTauPolynomial]:
-    """(quotient, remainder) of r_{g,mu} over the prefactor P_mu, the
-    quotient signed (-1)^g: in lambda and p the genus-g coefficient over the
-    prefactor, whose phases i^(2g-2+l+|mu|) and -i^(|mu|+l) leave (-1)^g."""
-    quotient, remainder = extract_C_gmu(R, g, mu).real.divmod_poly(prefactor_polynomial(mu))
-    return quotient * (-1) ** g, remainder
-
-
 def hodge_polynomial(g: int, mu: Partition, R: MVSeries) -> RealTauPolynomial:
-    """The Hodge-integral polynomial (-1)^g * r_{g,mu} / P_mu, the quotient
-    of `hodge_division`; raises ArithmeticError on a nonzero remainder."""
-    quotient, remainder = hodge_division(g, mu, R)
+    """The Hodge-integral polynomial (-1)^g * r_{g,mu} / P_mu: in lambda and
+    p the genus-g coefficient over the prefactor, whose phases
+    i^(2g-2+l+|mu|) and -i^(|mu|+l) leave (-1)^g.  Raises ArithmeticError
+    on a nonzero remainder."""
+    r = extract_C_gmu(R, g, mu).real
+    quotient, remainder = r.divmod_poly(prefactor_polynomial(mu))
     if remainder:
         raise ArithmeticError(
             f"nonzero remainder isolating the Hodge factor for g={g}, mu={mu}: "
-            f"dividend {extract_C_gmu(R, g, mu).real!r}, remainder {remainder!r}"
+            f"dividend {r!r}, remainder {remainder!r}"
         )
-    return quotient
+    return quotient * (-1) ** g
 
 
 def lambda_g_coefficients(order: int) -> list[Fraction]:

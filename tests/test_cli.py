@@ -677,6 +677,8 @@ class TestSuiteHelper:
         assert_no_child_left()
 
     def test_series_task_holds_exactly_the_suites_that_read_the_pair(self, monkeypatch):
+        # every check of a series suite but the sine constants reads the
+        # pair, and fails with the build's error; every other check passes
         from cutjoin import cli, hodge
 
         def no_series(*args):
@@ -684,13 +686,43 @@ class TestSuiteHelper:
 
         monkeypatch.setattr(hodge, "build_series_pair", no_series)
         for name in SUITES:
+            results = SUITES[name](RunConfig())
             if name in cli.SERIES_SUITES:
-                with pytest.raises(AssertionError, match="series built"):
-                    SUITES[name](RunConfig())
+                assert [r.check_id for r in results if r.passed] == (
+                    ["extraction/sine-reciprocal"] if name == "extraction" else []
+                )
+                assert all(
+                    r.detail.endswith("; raised AssertionError: series built")
+                    for r in results
+                    if not r.passed
+                ), name
             else:
-                assert all(r.passed for r in SUITES[name](RunConfig())), name
+                assert all(r.passed for r in results), name
         assert cli._ALL_TASKS[0] == list(cli.SERIES_SUITES)
         assert sorted(name for task in cli._ALL_TASKS for name in task) == sorted(SUITES)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_raising_series_build_fails_its_checks(self, monkeypatch, capsys, cpus):
+        # the log of a disconnected series whose constant term is 2 raises
+        # inside each check that reads the pair: exit 1, not a usage error
+        from cutjoin import hodge
+
+        set_cpus(monkeypatch, cpus)
+        real = hodge.pair_exponential
+        monkeypatch.setattr(hodge, "pair_exponential", lambda *args: real(*args) * 2)
+        hodge.build_series_pair.cache_clear()
+        try:
+            code, lines = main_lines("verify", "--suite", "all")
+        finally:
+            hodge.build_series_pair.cache_clear()
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        records = [json.loads(line) for line in lines]
+        failed = [r for r in records if r["record"] == "check" and not r["pass"]]
+        assert len(failed) == 18 == records[-1]["failed"]
+        assert all("; raised ValueError: ps_log requires constant term 1" in r["detail"]
+                   for r in failed)
+        assert_no_child_left()
 
     def test_cli_imports_no_process_pool(self):
         # the import is what every run waits for first; compare with a bare

@@ -10,7 +10,8 @@ so a row shows both that the suites see the wrong value and which checks
 see it.  Where `failing` is a dict, each failing check's detail must also
 end with the text it maps to, the location the check names (`_located`
 builds one whose partition sweeps must name their first failure; a check of
-named values names its first wrong one with both values).  Every
+named values names its first wrong one with both values; a check whose
+library call raised names the error).  Every
 check family, a check id without its `/<index>=<i>` suffix, is failed by
 some row.
 
@@ -55,6 +56,11 @@ def _failures() -> dict[str, str]:
     """The detail of every failing check, by check id."""
     results = [r for suite in SUITES.values() for r in suite(RunConfig())]
     return {r.check_id: r.detail for r in results if not r.passed}
+
+
+def _ending(failing: set[str], ending: str) -> dict[str, str]:
+    """failing in the dict form: every check ends its detail with ending."""
+    return dict.fromkeys(failing, ending)
 
 
 def _each(template: str, values) -> set[str]:
@@ -150,6 +156,11 @@ def _basis_twice_at_three_rows(real):
     return nullspace
 
 
+def _linear_hodge_factor_genus0_bumped_at_2_1(real):
+    # |mu|^(l-3) + 1 at mu = (2,1): no remainder, a wrong quotient
+    return lambda g, mu: real(g, mu) + (g == 0 and mu == Partition([2, 1]))
+
+
 def _prefactor_times_tau_plus_one_at_1(real):
     # P_(1) * (tau + 1): the genus-1 one-point coefficient no longer divides
     return lambda mu: real(mu) * RealTauPolynomial([1, 1]) if mu == Partition([1]) else real(mu)
@@ -177,6 +188,20 @@ WRONG_SERIES = {
     "extraction/genus0-closed-form",
     "extraction/hodge-division-genus0",
     *_each("extraction/derivative-recursion/g={}", range(3)),
+}
+# every check that reads the connected Hodge series: a series build that
+# raises fails each of them
+SERIES_READERS = {
+    "theorem1/linear",
+    "theorem1/nonlinear",
+    "theorem1/parity",
+    "initial/sine-closed-form",
+    *_each("extraction/degree/g={}", range(4)),
+    *_each("extraction/symmetry/g={}", range(4)),
+    *_each("extraction/derivative-recursion/g={}", range(3)),
+    "extraction/genus0-closed-form",
+    "extraction/hodge-division-genus0",
+    "extraction/one-point-genus1",
 }
 # every check that reads the log of a partition series: the connected Hodge
 # series, the connected cover counts and the exp-log round trip.  A wrong
@@ -274,7 +299,14 @@ ROWS = [
     ),
     pytest.param(
         genfun, "ps_log", lambda real: lambda G: real(G) * 2,
-        WRONG_LOG,
+        _ending(WRONG_LOG, "")
+        | {
+            "cutjoin-id/random-exp-log": "; first mismatch at series 0 p_(2): 1 != 1/2",
+            "extraction/one-point-genus1": (
+                "; first mismatch at g=1 p_(1): RealTauPolynomial(1/12) != 1/24"
+            ),
+            "elsv/reverse-solve": "; first mismatch at psi from degrees [2, 3]: 1/12 != 1/24",
+        },
         id="ps_log-doubled",
     ),
     pytest.param(
@@ -289,7 +321,12 @@ ROWS = [
     ),
     pytest.param(
         partitions, "cut_join_incoming", _column_weight_bumped(0),
-        COLUMN_READERS | {"cutjoin-id/random-conjugation"},
+        _ending(COLUMN_READERS, "")
+        | {
+            "cutjoin-id/random-conjugation": (
+                "; first mismatch at series 0 p_(2,1,1): -2315/128 != -1133/64"
+            ),
+        },
         id="cut_join_incoming-join-weights",
     ),
     pytest.param(
@@ -376,12 +413,18 @@ ROWS = [
                 "cutjoin-id/d=4": "2,1,1",
                 **dict.fromkeys(_each("extraction/derivative-recursion/g={}", range(3)), "4"),
                 "extraction/genus0-closed-form": "2,2",
-                "extraction/hodge-division-genus0": "2,2",
                 "hurwitz/parity": "2,2",
                 "elsv/genus0/d=5": "2,2,1",
                 "elsv/genus1": "2,2",
             },
-        ),
+        )
+        | {
+            "extraction/hodge-division-genus0": (
+                "; raised ArithmeticError: nonzero remainder isolating the Hodge factor for"
+                " g=0, mu=2,2: dividend RealTauPolynomial(71/23040, 5/64, 115/192, 25/24, 25/48),"
+                " remainder RealTauPolynomial(71/23040, -5/96, -5/96)"
+            ),
+        },
         id="character-one-value",
     ),
     pytest.param(
@@ -390,9 +433,36 @@ ROWS = [
         id="pair_exponential-kappa-shifted",
     ),
     pytest.param(
+        # the empty partition's constant term becomes 2, so the log of the
+        # disconnected series raises inside every check that reads it
+        hodge, "pair_exponential", lambda real: lambda *args: real(*args) * 2,
+        _ending(
+            SERIES_READERS,
+            "; raised ValueError: ps_log requires constant term 1,"
+            " found LaurentSeries(RealTauPolynomial(2)*x^0; O(x^19))",
+        ),
+        id="pair_exponential-doubled",
+    ),
+    pytest.param(
         hurwitz, "linear_hodge_factor", _genus1_tail_unweighted,
         _located({"elsv/genus1"}, {"elsv/genus1": "1,1,1,1"}),
         id="linear_hodge_factor-genus1-tail-unweighted",
+    ),
+    pytest.param(
+        hurwitz, "linear_hodge_factor", _linear_hodge_factor_genus0_bumped_at_2_1,
+        _located(
+            {
+                "extraction/genus0-closed-form",
+                "extraction/hodge-division-genus0",
+                "elsv/genus0/d=3",
+            },
+            {
+                "extraction/genus0-closed-form": "2,1",
+                "extraction/hodge-division-genus0": "2,1",
+                "elsv/genus0/d=3": "2,1",
+            },
+        ),
+        id="linear_hodge_factor-genus0-plus-one-at-2,1",
     ),
     pytest.param(
         hodge, "_sinh_reciprocal", _sinh_reciprocal_x3_bumped,
@@ -406,17 +476,15 @@ ROWS = [
     ),
     pytest.param(
         hodge, "prefactor_polynomial", _prefactor_times_tau_plus_one_at_1,
-        _located(
-            {
-                "extraction/genus0-closed-form",
-                "extraction/hodge-division-genus0",
-                "extraction/one-point-genus1",
-            },
-            {"extraction/genus0-closed-form": "1", "extraction/hodge-division-genus0": "1"},
-        )
-        | {
+        {
+            "extraction/genus0-closed-form": "; first failure at 1",
+            "extraction/hodge-division-genus0": (
+                "; raised ArithmeticError: nonzero remainder isolating the Hodge factor for"
+                " g=0, mu=1: dividend RealTauPolynomial(1), remainder RealTauPolynomial(1)"
+            ),
             "extraction/one-point-genus1": (
-                "; first mismatch at g=1 p_(1) quotient tau^0: 0 != 1/24"
+                "; raised ArithmeticError: nonzero remainder isolating the Hodge factor for"
+                " g=1, mu=1: dividend RealTauPolynomial(-1/24), remainder RealTauPolynomial(-1/24)"
             ),
         },
         id="prefactor_polynomial-times-tau-plus-one-at-1",
@@ -446,18 +514,21 @@ ROWS = [
     ),
     pytest.param(
         hodge, "transfer_system_kernel", lambda real: lambda l: [-x for x in real(l)],
-        _each("transfer/l={:02d}", range(1, 11)),
+        _ending(_each("transfer/l={:02d}", range(1, 11)), "; first mismatch at k=0: -1 != 1"),
         id="transfer_system_kernel-negated",
     ),
     pytest.param(
         hodge, "transfer_system_kernel",
         lambda real: lambda l: real(l)[::-1] if l == 7 else real(l),
-        {"transfer/l=07"},
+        {"transfer/l=07": "; first mismatch at k=0: -1 != 1"},
         id="transfer_system_kernel-reversed-at-7",
     ),
     pytest.param(
         linalg, "nullspace", _basis_twice_at_three_rows,
-        {"transfer/l=03", "elsv/reverse-solve"},
+        {
+            "transfer/l=03": "; raised ArithmeticError: kernel dimension 2 != 1 for l=3",
+            "elsv/reverse-solve": "; raised ValueError: underdetermined linear system",
+        },
         id="nullspace-basis-twice-at-three-rows",
     ),
 ]

@@ -239,3 +239,17 @@ def test_every_check_is_built_by_one_builder():
                 builders.append((stmt.name, decode))
     assert {name for name, _ in builders} == {"_check", "_run_with_helper"}
     assert [decode for name, decode in builders if name == "_run_with_helper"] == [True]
+
+
+def test_no_suite_catches_an_error():
+    # an error raised inside a check fails that check in `cli._check`, the
+    # one place a library error is handled; no suite catches one itself
+    tree = ast.parse((SRC / "cli.py").read_text())
+    catching = [
+        stmt.name
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_suite_")
+        for node in ast.walk(stmt)
+        if isinstance(node, (ast.Try, getattr(ast, "TryStar", ast.Try)))
+    ]
+    assert catching == []
